@@ -132,6 +132,7 @@ func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
 	final := res.Circuit
 	if redund {
 		ropt := redundancy.DefaultOptions()
+		ropt.Workers = workers
 		ropt.Tracer = run.Tracer
 		lg.Verbosef("redundancy removal starting")
 		rr, err := redundancy.Remove(final, ropt)

@@ -2,9 +2,21 @@
 // stuck-at faults on the 5-valued algebra {0, 1, X, D, D'}. Its primary
 // client is the redundancy-removal pass (the paper applies [15] after
 // Procedure 2); it also powers the atpg command-line tool.
+//
+// The search is event-driven. Each call numbers the fault's relevant cone
+// in c.Topo() order and works on flat arrays over that numbering. A
+// decision assigns one primary input and re-evaluates only the lines that
+// change, logging each change on an undo trail; a backtrack unwinds the
+// trail to the decision's mark instead of re-simulating the cone. Every
+// line is a function of the input assignment alone, so the values always
+// equal a full re-simulation, and the objective, backtrace and D-frontier
+// choices are those of a PODEM that re-simulates after every step.
 package atpg
 
 import (
+	"slices"
+	"sync"
+
 	"compsynth/internal/circuit"
 	"compsynth/internal/faults"
 	"compsynth/internal/obs"
@@ -57,16 +69,8 @@ func (v Value) good() int {
 	return -1
 }
 
-// bad returns the faulty component.
-func (v Value) bad() int {
-	switch v {
-	case Zero, D:
-		return 0
-	case One, Dbar:
-		return 1
-	}
-	return -1
-}
+// isD reports whether v carries the fault effect (D or D').
+func (v Value) isD() bool { return v == D || v == Dbar }
 
 func fromPair(g, b int) Value {
 	switch {
@@ -119,73 +123,13 @@ type Result struct {
 	Backtracks int
 }
 
-type decision struct {
-	pi        int // input position
-	value     bool
-	triedBoth bool
-}
-
-type engine struct {
-	c      *circuit.Circuit
-	f      faults.Fault
-	topo   []int // topologically ordered relevant nodes only
-	val    []Value
-	inCone []bool // nodes that can influence detection of this fault
-	limit  int
-	backs  int
-	site   int  // node whose output carries the fault effect
-	driver int  // node whose good value activates the fault
-	want   bool // activation value (opposite of the stuck value)
-
-	// Per-implication analysis, recomputed once after every implyStack.
-	frontier []int  // D-frontier gates
-	xpathOK  bool   // some D/D' can still reach a PO through X lines
-	poMask   []bool // primary output drivers
-	seenBuf  []bool // scratch for the X-path walk
-}
-
-// relevantCone computes the nodes that matter for fault f: the transitive
-// fanin of every node in the fanout cone of the site (including the POs the
-// effect can reach). Simulating and deciding only inside this cone cuts the
-// per-decision cost sharply on large circuits.
-func relevantCone(c *circuit.Circuit, site int) []bool {
-	c.RebuildFanouts()
-	fwd := make([]bool, len(c.Nodes))
-	var down func(int)
-	down = func(id int) {
-		if fwd[id] {
-			return
-		}
-		fwd[id] = true
-		for _, o := range c.Fanouts(id) {
-			down(o)
-		}
-	}
-	down(site)
-	rel := make([]bool, len(c.Nodes))
-	var up func(int)
-	up = func(id int) {
-		if rel[id] {
-			return
-		}
-		rel[id] = true
-		for _, f := range c.Nodes[id].Fanin {
-			up(f)
-		}
-	}
-	for id, in := range fwd {
-		if in {
-			up(id)
-		}
-	}
-	return rel
-}
-
 // Generate runs PODEM for fault f on circuit c. When the search space is
 // exhausted without finding a test, the fault is proved Redundant.
 func Generate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
 	sp := opt.Tracer.StartSpan("atpg.generate")
-	r := generate(c, f, opt)
+	s := searchPool.Get().(*search)
+	r := s.run(c, f, opt.BacktrackLimit)
+	searchPool.Put(s)
 	sp.SetStr("status", r.Status.String())
 	sp.SetInt("backtracks", int64(r.Backtracks))
 	sp.End()
@@ -201,114 +145,410 @@ func Generate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
 	return r
 }
 
-func generate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
-	limit := opt.BacktrackLimit
+type decision struct {
+	node      int32 // the decided input's local index
+	value     bool
+	triedBoth bool
+	mark      int // trail length before this decision was implied
+}
+
+// change is one undo-trail entry: a line and the value it held before.
+type change struct {
+	node int32
+	old  Value
+}
+
+// search is the pooled per-call state. Arrays over cone nodes are indexed
+// by local index: the relevant cone's nodes numbered in c.Topo() order, so
+// ascending local index is the topological order in which PODEM picks the
+// first D-frontier gate.
+type search struct {
+	// The relevant cone, rebuilt by load on every call.
+	kind  []circuit.GateType
+	fiOff []int32 // fanins of i are fi[fiOff[i]:fiOff[i+1]], in pin order
+	fi    []int32
+	foOff []int32 // consumers of i inside the cone: fo[foOff[i]:foOff[i+1]]
+	fo    []int32
+	po    []bool
+	piPos []int32 // position in c.Inputs, -1 for every other node
+
+	// Indexed by node ID; local is -1 and inCone false except inside load.
+	local  []int32
+	inCone []bool
+	cone   []int // node IDs of the cone in local order
+
+	// Search state.
+	val    []Value
+	trail  []change
+	heap   []int32 // lines to re-evaluate, a min-heap on local index
+	queued []bool
+	stack  []decision
+	dLines []int32 // lines holding D or D', in the order they got it
+	dPOs   int     // primary outputs among dLines
+	seen   []bool  // X-path walk marks, all false between walks
+	walk   []int32 // DFS stack of the cone walks and the X-path walk
+	marked []int32 // lines the X-path walk marked seen
+
+	limit, backs int
+	site, driver int32 // local indices
+	pin          int   // faulty pin of the site, -1 for a stem fault
+	stuck        int   // the stuck value, 0 or 1
+	want         bool  // activation value (opposite of the stuck value)
+}
+
+var searchPool = sync.Pool{New: func() any { return new(search) }}
+
+func (s *search) run(c *circuit.Circuit, f faults.Fault, limit int) Result {
 	if limit <= 0 {
 		limit = 20000
 	}
-	e := &engine{
-		c: c, f: f,
-		val:   make([]Value, len(c.Nodes)),
-		limit: limit,
-		want:  !f.Stuck,
-	}
-	e.site = f.Node
-	e.driver = f.Node
-	if f.Pin >= 0 {
-		e.driver = c.Nodes[f.Node].Fanin[f.Pin]
-	}
-	c.RebuildFanouts()
-	e.inCone = relevantCone(c, e.site)
-	for _, id := range c.Topo() {
-		if e.inCone[id] {
-			e.topo = append(e.topo, id)
-		}
-	}
-	e.poMask = make([]bool, len(c.Nodes))
-	for _, o := range c.Outputs {
-		e.poMask[o] = true
-	}
-	e.seenBuf = make([]bool, len(c.Nodes))
-
-	var stack []decision
+	s.limit, s.backs = limit, 0
+	s.load(c, f)
+	s.simulate()
 	for {
-		e.implyStack(stack)
-		e.analyze()
-		if e.testFound() {
+		if s.dPOs > 0 {
 			test := make([]bool, len(c.Inputs))
-			for _, d := range stack {
-				test[d.pi] = d.value
+			for _, d := range s.stack {
+				test[s.piPos[d.node]] = d.value
 			}
-			return Result{Status: Testable, Test: test, Backtracks: e.backs}
+			return Result{Status: Testable, Test: test, Backtracks: s.backs}
 		}
-		advanced := false
-		if e.feasible() {
-			if obj, objVal, ok := e.objective(); ok {
-				if pi, piVal, ok2 := e.backtrace(obj, objVal); ok2 {
-					stack = append(stack, decision{pi: pi, value: piVal})
-					advanced = true
+		if s.feasible() {
+			if obj, objVal, ok := s.objective(); ok {
+				if in, inVal, ok2 := s.backtrace(obj, objVal); ok2 {
+					s.stack = append(s.stack, decision{node: in, value: inVal, mark: len(s.trail)})
+					s.assign(in, inVal)
+					continue
 				}
 			}
-		}
-		if advanced {
-			continue
 		}
 		// Backtrack.
 		for {
-			if len(stack) == 0 {
-				return Result{Status: Redundant, Backtracks: e.backs}
+			if len(s.stack) == 0 {
+				return Result{Status: Redundant, Backtracks: s.backs}
 			}
-			top := &stack[len(stack)-1]
+			top := &s.stack[len(s.stack)-1]
+			s.undo(top.mark)
 			if !top.triedBoth {
 				top.triedBoth = true
 				top.value = !top.value
-				e.backs++
-				if e.backs > e.limit {
-					return Result{Status: Aborted, Backtracks: e.backs}
+				s.backs++
+				if s.backs > s.limit {
+					return Result{Status: Aborted, Backtracks: s.backs}
 				}
+				s.assign(top.node, top.value)
 				break
 			}
-			stack = stack[:len(stack)-1]
+			s.stack = s.stack[:len(s.stack)-1]
 		}
 	}
 }
 
-// analyze recomputes the D-frontier and the X-path flag for the current
-// assignment. Both are consulted several times per decision; computing them
-// once per implication dominates PODEM's constant factor.
-func (e *engine) analyze() {
-	e.frontier = e.frontier[:0]
-	for _, id := range e.topo {
-		nd := e.c.Nodes[id]
-		if e.val[id] != X {
-			continue
-		}
-		for _, f := range nd.Fanin {
-			if e.val[f] == D || e.val[f] == Dbar {
-				e.frontier = append(e.frontier, id)
-				break
+// load numbers the nodes that matter for fault f — the transitive fanin of
+// every node in the fanout cone of the site, which includes the POs the
+// effect can reach — and builds the cone-local arrays. Deciding and
+// simulating only inside this cone keeps every step's cost independent of
+// the circuit's size.
+func (s *search) load(c *circuit.Circuit, f faults.Fault) {
+	c.RebuildFanouts()
+	for len(s.local) < len(c.Nodes) {
+		s.local = append(s.local, -1)
+		s.inCone = append(s.inCone, false)
+	}
+	walk := append(s.walk[:0], int32(f.Node))
+	s.inCone[f.Node] = true
+	for i := 0; i < len(walk); i++ {
+		for _, o := range c.Fanouts(int(walk[i])) {
+			if !s.inCone[o] {
+				s.inCone[o] = true
+				walk = append(walk, int32(o))
 			}
 		}
 	}
-	e.xpathOK = e.computeXPath()
-}
-
-// testFound reports whether a D/D' reached any primary output.
-func (e *engine) testFound() bool {
-	for _, o := range e.c.Outputs {
-		if e.val[o] == D || e.val[o] == Dbar {
-			return true
+	for len(walk) > 0 {
+		id := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		for _, g := range c.Nodes[id].Fanin {
+			if !s.inCone[g] {
+				s.inCone[g] = true
+				walk = append(walk, int32(g))
+			}
 		}
 	}
-	return false
+	s.walk = walk
+
+	s.cone = s.cone[:0]
+	for _, id := range c.Topo() {
+		if s.inCone[id] {
+			s.local[id] = int32(len(s.cone))
+			s.cone = append(s.cone, id)
+		}
+	}
+	n := len(s.cone)
+	s.kind = s.kind[:0]
+	s.fiOff, s.fi = append(s.fiOff[:0], 0), s.fi[:0]
+	s.foOff, s.fo = append(s.foOff[:0], 0), s.fo[:0]
+	for _, id := range s.cone {
+		nd := c.Nodes[id]
+		s.kind = append(s.kind, nd.Type)
+		for _, g := range nd.Fanin {
+			s.fi = append(s.fi, s.local[g])
+		}
+		s.fiOff = append(s.fiOff, int32(len(s.fi)))
+		for _, o := range c.Fanouts(id) {
+			if l := s.local[o]; l >= 0 {
+				s.fo = append(s.fo, l)
+			}
+		}
+		s.foOff = append(s.foOff, int32(len(s.fo)))
+	}
+	s.po = slices.Grow(s.po[:0], n)[:n]
+	clear(s.po)
+	for _, o := range c.Outputs {
+		if l := s.local[o]; l >= 0 {
+			s.po[l] = true
+		}
+	}
+	s.piPos = slices.Grow(s.piPos[:0], n)[:n]
+	for i := range s.piPos {
+		s.piPos[i] = -1
+	}
+	for j, in := range c.Inputs {
+		if l := s.local[in]; l >= 0 && s.piPos[l] < 0 {
+			s.piPos[l] = int32(j)
+		}
+	}
+
+	s.site, s.pin, s.stuck, s.want = s.local[f.Node], f.Pin, 0, !f.Stuck
+	if f.Stuck {
+		s.stuck = 1
+	}
+	s.driver = s.site
+	if f.Pin >= 0 {
+		s.driver = s.local[c.Nodes[f.Node].Fanin[f.Pin]]
+	}
+	for _, id := range s.cone {
+		s.local[id] = -1
+		s.inCone[id] = false
+	}
+
+	s.val = slices.Grow(s.val[:0], n)[:n]
+	s.queued = slices.Grow(s.queued[:0], n)[:n]
+	clear(s.queued)
+	s.seen = slices.Grow(s.seen[:0], n)[:n]
+	clear(s.seen)
+	s.trail, s.heap, s.stack = s.trail[:0], s.heap[:0], s.stack[:0]
+	s.dLines, s.dPOs = s.dLines[:0], 0
+}
+
+// simulate sets every line to its value with no input assigned: inputs are
+// X, and constants (with the gates they decide) take their values.
+func (s *search) simulate() {
+	for i, k := range s.kind {
+		v := X
+		if k != circuit.Input {
+			v = s.eval(int32(i))
+		}
+		s.val[i] = v
+		s.noteD(int32(i), v)
+	}
+}
+
+// assign implies input line i = value: the line takes its value (overlaid
+// with a stem fault on it) and the change propagates event-driven.
+func (s *search) assign(i int32, value bool) {
+	g := 0
+	if value {
+		g = 1
+	}
+	b := g
+	if i == s.site && s.pin < 0 {
+		b = s.stuck
+	}
+	s.set(i, fromPair(g, b))
+	for len(s.heap) > 0 {
+		j := s.pop()
+		if v := s.eval(j); v != s.val[j] {
+			s.set(j, v)
+		}
+	}
+}
+
+// set changes line i to v, logging the old value on the trail, and queues
+// i's undecided consumers. Values only ever go from X to a final value as
+// inputs are assigned (5-valued simulation is monotone), so a consumer that
+// already has a value keeps it, set never moves a line off D or D', and
+// undo takes a line off dLines only from the end.
+func (s *search) set(i int32, v Value) {
+	s.trail = append(s.trail, change{node: i, old: s.val[i]})
+	s.val[i] = v
+	s.noteD(i, v)
+	for _, o := range s.fanout(i) {
+		if s.val[o] == X {
+			s.push(o)
+		}
+	}
+}
+
+func (s *search) noteD(i int32, v Value) {
+	if v.isD() {
+		s.dLines = append(s.dLines, i)
+		if s.po[i] {
+			s.dPOs++
+		}
+	}
+}
+
+// undo restores every line changed since the trail had length mark.
+func (s *search) undo(mark int) {
+	for t := len(s.trail) - 1; t >= mark; t-- {
+		ch := s.trail[t]
+		if s.val[ch.node].isD() {
+			s.dLines = s.dLines[:len(s.dLines)-1]
+			if s.po[ch.node] {
+				s.dPOs--
+			}
+		}
+		s.val[ch.node] = ch.old
+	}
+	s.trail = s.trail[:mark]
+}
+
+func (s *search) push(i int32) {
+	if s.queued[i] {
+		return
+	}
+	s.queued[i] = true
+	h := append(s.heap, i)
+	for j := len(h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if h[p] <= h[j] {
+			break
+		}
+		h[p], h[j] = h[j], h[p]
+		j = p
+	}
+	s.heap = h
+}
+
+// pop removes and returns the lowest queued local index. Consumers follow
+// their fanins in local order, so a line is evaluated once, after every
+// fanin that changed has settled.
+func (s *search) pop() int32 {
+	h := s.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for j := 0; ; {
+		m := 2*j + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r] < h[m] {
+			m = r
+		}
+		if h[j] <= h[m] {
+			break
+		}
+		h[j], h[m] = h[m], h[j]
+		j = m
+	}
+	s.heap = h
+	s.queued[top] = false
+	return top
+}
+
+// Summary bits for eval: which of 0, 1 and unknown occur among a gate's
+// input components.
+const (
+	sawX = 1 << iota
+	saw0
+	saw1
+)
+
+// sawOf packs each value's components as summary bits: the good one in the
+// low nibble, the faulty one in the high nibble.
+var sawOf = [8]uint8{
+	X:    sawX | sawX<<4,
+	Zero: saw0 | saw0<<4,
+	One:  saw1 | saw1<<4,
+	D:    saw1 | saw0<<4,
+	Dbar: saw0 | saw1<<4,
+}
+
+// eval computes the 5-valued output of gate i from its fanins, with the
+// fault injected: a branch fault forces the faulty component of its pin, a
+// stem fault the faulty component of the site's output.
+func (s *search) eval(i int32) Value {
+	var g, b int
+	switch k := s.kind[i]; k {
+	case circuit.Const0:
+		g, b = 0, 0
+	case circuit.Const1:
+		g, b = 1, 1
+	default:
+		faultyPin := -1
+		if i == s.site {
+			faultyPin = s.pin
+		}
+		// saw collects the summary bits of every input; par is their xor,
+		// whose saw1 bits are the parity of the inputs' components.
+		var saw, par uint8
+		for pin, f := range s.fanin(i) {
+			c := sawOf[s.val[f]&7]
+			if pin == faultyPin {
+				c = c&0x0f | sawOf[Zero+Value(s.stuck)]&0xf0
+			}
+			saw |= c
+			par ^= c
+		}
+		if saw == 0 {
+			return X // no fanin: nothing decides the gate
+		}
+		g, b = resolve(k, saw&0x0f, par&saw1), resolve(k, saw>>4, par>>4&saw1)
+	}
+	if i == s.site && s.pin < 0 {
+		b = s.stuck
+	}
+	return fromPair(g, b)
+}
+
+// resolve is the ternary output (0, 1, or -1 for unknown) of a gate of kind
+// k whose inputs' components include the values in saw; par is saw1 when
+// an odd number of them are 1.
+func resolve(k circuit.GateType, saw, par uint8) int {
+	v := -1
+	switch k {
+	case circuit.And, circuit.Nand, circuit.Buf, circuit.Not:
+		if saw&saw0 != 0 {
+			v = 0
+		} else if saw&sawX == 0 {
+			v = 1
+		}
+	case circuit.Or, circuit.Nor:
+		if saw&saw1 != 0 {
+			v = 1
+		} else if saw&sawX == 0 {
+			v = 0
+		}
+	default: // Xor, Xnor
+		if saw&sawX == 0 {
+			v = int(par / saw1)
+		}
+	}
+	if v >= 0 && k.Inverting() {
+		v = 1 - v
+	}
+	return v
 }
 
 // feasible reports whether the current assignment can still be extended to
 // a test: the fault must remain activatable and the effect propagatable.
-func (e *engine) feasible() bool {
-	g := e.val[e.driver].good()
+func (s *search) feasible() bool {
+	g := s.val[s.driver].good()
 	want := 0
-	if e.want {
+	if s.want {
 		want = 1
 	}
 	if g >= 0 && g != want {
@@ -319,8 +559,8 @@ func (e *engine) feasible() bool {
 	}
 	// Activated at the driver; for branch faults the effect must survive
 	// (or still be undecided) at the consuming gate.
-	if e.f.Pin >= 0 {
-		switch e.val[e.site] {
+	if s.pin >= 0 {
+		switch s.val[s.site] {
 		case X:
 			return true
 		case D, Dbar:
@@ -329,63 +569,68 @@ func (e *engine) feasible() bool {
 			return false // masked at the gate
 		}
 	}
-	if e.testFound() {
+	return s.xPath()
+}
+
+// xPath reports whether some fault effect (D/D') can still reach a primary
+// output through X-valued lines — the classic X-path check, which prunes
+// hopeless branches long before the D-frontier empties.
+func (s *search) xPath() bool {
+	if s.dPOs > 0 {
 		return true
 	}
-	return e.xpathOK
-}
-
-// computeXPath reports whether some fault effect (D/D') can still reach a
-// primary output through X-valued lines — the classic X-path check, which
-// prunes hopeless branches long before the D-frontier empties.
-func (e *engine) computeXPath() bool {
-	seen := e.seenBuf
-	var touched []int
-	defer func() {
-		for _, id := range touched {
-			seen[id] = false
-		}
-	}()
-	var stack []int
-	for _, id := range e.topo {
-		if e.val[id] == D || e.val[id] == Dbar {
-			stack = append(stack, id)
-			if e.poMask[id] {
-				return true
-			}
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, consumer := range e.c.Fanouts(id) {
-			if seen[consumer] || e.val[consumer] != X {
+	walk := append(s.walk[:0], s.dLines...)
+	found := false
+	for len(walk) > 0 && !found {
+		i := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		for _, o := range s.fanout(i) {
+			if s.seen[o] || s.val[o] != X {
 				continue
 			}
-			if e.poMask[consumer] {
-				return true
+			if s.po[o] {
+				found = true
+				break
 			}
-			seen[consumer] = true
-			touched = append(touched, consumer)
-			stack = append(stack, consumer)
+			s.seen[o] = true
+			s.marked = append(s.marked, o)
+			walk = append(walk, o)
 		}
 	}
-	return false
+	for _, o := range s.marked {
+		s.seen[o] = false
+	}
+	s.walk, s.marked = walk[:0], s.marked[:0]
+	return found
 }
 
-// objective returns the next (node, value) goal: activate the fault first,
+// frontier returns the D-frontier gate PODEM advances: the first X-valued
+// gate in topological order with a D or D' on an input, or -1. Every such
+// gate consumes a line in dLines.
+func (s *search) frontier() int32 {
+	first := int32(-1)
+	for _, i := range s.dLines {
+		for _, o := range s.fanout(i) {
+			if s.val[o] == X && (first < 0 || o < first) {
+				first = o
+			}
+		}
+	}
+	return first
+}
+
+// objective returns the next (line, value) goal: activate the fault first,
 // then advance the D-frontier.
-func (e *engine) objective() (int, bool, bool) {
-	if e.val[e.driver].good() < 0 {
-		return e.driver, e.want, true
+func (s *search) objective() (int32, bool, bool) {
+	if s.val[s.driver].good() < 0 {
+		return s.driver, s.want, true
 	}
 	// Activated. For a still-undecided branch fault, unblock the consuming
 	// gate by setting an X side input to its non-controlling value.
-	if e.f.Pin >= 0 && e.val[e.site] == X {
-		nd := e.c.Nodes[e.site]
-		ctl, has := nd.Type.ControllingValue()
-		for pin, f := range nd.Fanin {
-			if pin != e.f.Pin && e.val[f] == X {
+	if s.pin >= 0 && s.val[s.site] == X {
+		ctl, has := s.kind[s.site].ControllingValue()
+		for pin, f := range s.fanin(s.site) {
+			if pin != s.pin && s.val[f] == X {
 				if has {
 					return f, !ctl, true
 				}
@@ -394,13 +639,13 @@ func (e *engine) objective() (int, bool, bool) {
 		}
 		return 0, false, false
 	}
-	if len(e.frontier) == 0 {
+	gate := s.frontier()
+	if gate < 0 {
 		return 0, false, false
 	}
-	nd := e.c.Nodes[e.frontier[0]]
-	ctl, has := nd.Type.ControllingValue()
-	for _, f := range nd.Fanin {
-		if e.val[f] == X {
+	ctl, has := s.kind[gate].ControllingValue()
+	for _, f := range s.fanin(gate) {
+		if s.val[f] == X {
 			if has {
 				return f, !ctl, true
 			}
@@ -412,34 +657,28 @@ func (e *engine) objective() (int, bool, bool) {
 
 // backtrace maps an objective to an unassigned primary input and a value,
 // walking backward through X-valued lines.
-func (e *engine) backtrace(node int, want bool) (int, bool, bool) {
+func (s *search) backtrace(i int32, want bool) (int32, bool, bool) {
 	for {
-		nd := e.c.Nodes[node]
-		switch nd.Type {
+		switch k := s.kind[i]; k {
 		case circuit.Input:
-			if e.val[node] != X {
+			if s.val[i] != X || s.piPos[i] < 0 {
 				return 0, false, false
 			}
-			for j, in := range e.c.Inputs {
-				if in == node {
-					return j, want, true
-				}
-			}
-			return 0, false, false
+			return i, want, true
 		case circuit.Const0, circuit.Const1:
 			return 0, false, false
 		case circuit.Not:
 			want = !want
-			node = nd.Fanin[0]
+			i = s.fi[s.fiOff[i]]
 		case circuit.Buf:
-			node = nd.Fanin[0]
+			i = s.fi[s.fiOff[i]]
 		default:
-			if nd.Type.Inverting() {
+			if k.Inverting() {
 				want = !want
 			}
-			picked := -1
-			for _, f := range nd.Fanin {
-				if e.val[f] == X {
+			picked := int32(-1)
+			for _, f := range s.fanin(i) {
+				if s.val[f] == X {
 					picked = f
 					break
 				}
@@ -451,109 +690,10 @@ func (e *engine) backtrace(node int, want bool) (int, bool, bool) {
 			// wanting 0, a single 0 suffices — in both cases the picked X
 			// input is driven toward `want`. Same for OR; parity gates take
 			// the value as-is.
-			node = picked
+			i = picked
 		}
 	}
 }
 
-// implyStack performs full 5-valued forward simulation for a decision set.
-func (e *engine) implyStack(stack []decision) {
-	for i := range e.val {
-		e.val[i] = X
-	}
-	for _, d := range stack {
-		in := e.c.Inputs[d.pi]
-		if d.value {
-			e.val[in] = One
-		} else {
-			e.val[in] = Zero
-		}
-	}
-	for _, in := range e.c.Inputs {
-		e.applyStemFault(in)
-	}
-	for _, id := range e.topo {
-		nd := e.c.Nodes[id]
-		if nd.Type == circuit.Input {
-			continue
-		}
-		e.val[id] = e.evalGate(nd)
-		e.applyStemFault(id)
-	}
-}
-
-// applyStemFault overlays the stem fault effect on node id.
-func (e *engine) applyStemFault(id int) {
-	if e.f.Pin >= 0 || id != e.f.Node {
-		return
-	}
-	b := 0
-	if e.f.Stuck {
-		b = 1
-	}
-	e.val[id] = fromPair(e.val[id].good(), b)
-}
-
-// evalGate computes the 5-valued output of a gate, accounting for a branch
-// fault on one of its pins.
-func (e *engine) evalGate(nd *circuit.Node) Value {
-	switch nd.Type {
-	case circuit.Const0:
-		return Zero
-	case circuit.Const1:
-		return One
-	}
-	goodAcc, badAcc := -2, -2 // -2 = identity/unset
-	for pin, f := range nd.Fanin {
-		gv, bv := e.val[f].good(), e.val[f].bad()
-		if e.f.Pin == pin && nd.ID == e.f.Node {
-			bv = 0
-			if e.f.Stuck {
-				bv = 1
-			}
-		}
-		goodAcc = combine(nd.Type, goodAcc, gv)
-		badAcc = combine(nd.Type, badAcc, bv)
-	}
-	if nd.Type.Inverting() {
-		goodAcc, badAcc = invVal(goodAcc), invVal(badAcc)
-	}
-	return fromPair(goodAcc, badAcc)
-}
-
-// combine folds one ternary input (0, 1, -1=unknown) into an accumulator.
-func combine(t circuit.GateType, acc, v int) int {
-	if acc == -2 {
-		return v
-	}
-	switch t {
-	case circuit.And, circuit.Nand, circuit.Buf, circuit.Not:
-		if acc == 0 || v == 0 {
-			return 0
-		}
-		if acc == 1 && v == 1 {
-			return 1
-		}
-		return -1
-	case circuit.Or, circuit.Nor:
-		if acc == 1 || v == 1 {
-			return 1
-		}
-		if acc == 0 && v == 0 {
-			return 0
-		}
-		return -1
-	default: // Xor, Xnor
-		if acc < 0 || v < 0 {
-			return -1
-		}
-		return acc ^ v
-	}
-}
-
-func invVal(v int) int {
-	if v < 0 {
-		return v
-	}
-	return 1 - v
-}
+func (s *search) fanin(i int32) []int32  { return s.fi[s.fiOff[i]:s.fiOff[i+1]] }
+func (s *search) fanout(i int32) []int32 { return s.fo[s.foOff[i]:s.foOff[i+1]] }

@@ -1,6 +1,12 @@
 package atpg
 
 import (
+	"fmt"
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"compsynth/internal/bench"
@@ -174,5 +180,167 @@ func TestGenerateAbortsOnTinyLimit(t *testing.T) {
 func TestStatusStrings(t *testing.T) {
 	if Testable.String() != "testable" || Redundant.String() != "redundant" || Aborted.String() != "aborted" {
 		t.Fatal("status strings wrong")
+	}
+}
+
+// matchRef runs Generate and the reference engine on fault f and fails the
+// test unless Status, Test and Backtracks agree.
+func matchRef(t *testing.T, name string, c *circuit.Circuit, f faults.Fault, limit int) Result {
+	t.Helper()
+	opt := Options{BacktrackLimit: limit}
+	got, want := Generate(c, f, opt), refGenerate(c, f, opt)
+	if got.Status != want.Status || got.Backtracks != want.Backtracks || !slices.Equal(got.Test, want.Test) {
+		t.Fatalf("%s: fault %v: got %v/%d backtracks/test %v, reference %v/%d/%v",
+			name, f, got.Status, got.Backtracks, got.Test, want.Status, want.Backtracks, want.Test)
+	}
+	return got
+}
+
+// shuffleDecl re-parses c with its gate declarations in a seeded random
+// order: the same function and names, different node IDs and c.Topo().
+func shuffleDecl(t *testing.T, c *circuit.Circuit, seed int64) *circuit.Circuit {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(bench.String(c)), "\n")
+	var head, gates []string
+	for _, l := range lines {
+		if strings.Contains(l, " = ") {
+			gates = append(gates, l)
+		} else {
+			head = append(head, l)
+		}
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(gates), func(i, j int) { gates[i], gates[j] = gates[j], gates[i] })
+	s, err := bench.ParseString(strings.Join(append(head, gates...), "\n"), c.Name+"-shuffled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// removalRound replays one round of redundancy removal's ATPG loop: every
+// collapsed fault is decided against the live circuit, and each redundant
+// one folds its line to a constant before the next fault is tried, so later
+// calls see the constant lines removal leaves mid-round.
+func removalRound(t *testing.T, name string, c *circuit.Circuit, limit int) (removed int) {
+	t.Helper()
+	for _, f := range faults.Collapse(c) {
+		if !c.Alive(f.Node) || f.Pin >= len(c.Nodes[f.Node].Fanin) {
+			continue
+		}
+		if matchRef(t, name, c, f, limit).Status != Redundant {
+			continue
+		}
+		removed++
+		nd := c.Nodes[f.Node]
+		switch {
+		case f.Pin < 0:
+			c.SetConstant(f.Node, f.Stuck)
+		case nd.Type == circuit.Not:
+			c.SetConstant(f.Node, !f.Stuck)
+		case nd.Type == circuit.Buf:
+			c.SetConstant(f.Node, f.Stuck)
+		case f.Stuck:
+			c.SetFanin(f.Node, f.Pin, c.AddGate(circuit.Const1, ""))
+		default:
+			c.SetFanin(f.Node, f.Pin, c.AddGate(circuit.Const0, ""))
+		}
+	}
+	return removed
+}
+
+func TestGenerateMatchesRef(t *testing.T) {
+	c17, _ := bench.ParseString(bench.C17, "c17")
+	adder, err := os.ReadFile("../../circuits/adder4.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adder4, err := bench.ParseString(string(adder), "adder4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs9234 := gen.Suite(0.15)[2].Build()
+	type run struct {
+		c     *circuit.Circuit
+		limit int
+	}
+	// The small circuits get room for deep searches; quick-scale rs9234
+	// gets a limit at which a third of its faults abort, which also keeps
+	// the reference engine's full re-simulations affordable under -race.
+	runs := []run{{c17, 200}, {adder4, 200}, {rs9234, 5}, {shuffleDecl(t, rs9234, 1), 5}}
+	for _, b := range gen.SmallSuite() {
+		runs = append(runs, run{b.Build(), 200})
+	}
+	var mu sync.Mutex
+	seen := map[Status]int{}
+	// Subtests share nothing but seen, so they run in parallel; the group
+	// returns once every one of them has.
+	t.Run("group", func(t *testing.T) {
+		for _, r := range runs {
+			t.Run(r.c.Name, func(t *testing.T) {
+				t.Parallel()
+				for _, f := range faults.Collapse(r.c) {
+					st := matchRef(t, r.c.Name, r.c, f, r.limit).Status
+					mu.Lock()
+					seen[st]++
+					mu.Unlock()
+				}
+			})
+		}
+		// Mid-round circuits: constant lines that no simplification has
+		// yet propagated, on two declaration orders.
+		for i, b := range gen.SmallSuite() {
+			t.Run("midround-"+b.Name, func(t *testing.T) {
+				t.Parallel()
+				c := b.Build()
+				for _, c := range []*circuit.Circuit{c, shuffleDecl(t, c, int64(i))} {
+					if removalRound(t, c.Name, c, 200) == 0 {
+						t.Errorf("%s: removal round folded no line", c.Name)
+					}
+				}
+			})
+		}
+	})
+	for _, st := range []Status{Testable, Redundant, Aborted} {
+		if seen[st] == 0 {
+			t.Errorf("no %v call: the pin misses an outcome (%v)", st, seen)
+		}
+	}
+}
+
+// parityMiter returns a circuit whose output AND(p, NOT q) is constant 0,
+// where p and q are two separately built parity chains over n inputs. Its
+// output stuck-at-0 fault is redundant, and PODEM can only prove it by
+// enumerating the inputs, so any backtrack limit below 2^n aborts.
+func parityMiter(n int) (*circuit.Circuit, faults.Fault) {
+	c := circuit.New("miter")
+	in := make([]int, n)
+	for i := range in {
+		in[i] = c.AddInput(fmt.Sprintf("a%d", i))
+	}
+	p, q := in[0], in[n-1]
+	for i := 1; i < n; i++ {
+		p = c.AddGate(circuit.Xor, "", p, in[i])
+		q = c.AddGate(circuit.Xor, "", q, in[n-1-i])
+	}
+	out := c.AddGate(circuit.And, "out", p, c.AddGate(circuit.Not, "", q))
+	c.MarkOutput(out)
+	return c, faults.Fault{Node: out, Pin: -1, Stuck: false}
+}
+
+func TestGenerateAllocsIndependentOfSearch(t *testing.T) {
+	// Search scratch is reused and sized per cone, so a search that runs
+	// 25x longer allocates exactly as much: nothing is allocated per
+	// decision or per backtrack. The pin drives one search directly rather
+	// than through the pool, which the race detector empties at random.
+	c, f := parityMiter(16)
+	s := new(search)
+	allocs := func(limit int) float64 {
+		if r := s.run(c, f, limit); r.Status != Aborted {
+			t.Fatalf("limit %d: %v, want aborted", limit, r.Status)
+		}
+		return testing.AllocsPerRun(20, func() { s.run(c, f, limit) })
+	}
+	if short, long := allocs(200), allocs(5000); short != long {
+		t.Fatalf("allocs per call: %v at limit 200, %v at limit 5000", short, long)
 	}
 }

@@ -7,11 +7,15 @@
 // The construction is FNV-1a widened to 128 bits and fed 64 bits at a time
 // (xor the word into the low half, multiply by the 128-bit FNV prime
 // 2^88 + 0x13B modulo 2^128). Processing whole words instead of bytes keeps
-// the per-word cost at one xor plus three multiplies while preserving the
-// avalanche behavior that makes accidental collisions astronomically
-// unlikely. The digest is deterministic across processes — unlike
-// hash/maphash — so values derived from it (e.g. per-truth-table RNG seeds)
-// are stable run to run.
+// the per-word cost at one xor plus three multiplies, but it gives up
+// FNV's per-byte mixing: a product only carries upward, so the digest of
+// one word is an affine function of (offset basis xor word), and no output
+// bit depends on a higher input bit. A D is a fingerprint for structured
+// keys, not a hash with avalanche, and sums or other linear folds of
+// one-word digests collide whenever the folded words do (subckt.Key
+// finalizes each ID instead). The digest is deterministic across processes
+// — unlike hash/maphash — so values derived from it (e.g. per-truth-table
+// RNG seeds) are stable run to run.
 package digest
 
 import (

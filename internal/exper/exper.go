@@ -54,11 +54,11 @@ type Config struct {
 	// regeneration (0 = runtime.GOMAXPROCS(0), 1 = serial). Benchmark
 	// circuits and table rows are independent, so they run through one
 	// bounded pool; the engines inside each row (resynthesis candidate
-	// prefetch, fault-simulation blocks) then run serial so the machine is
-	// not oversubscribed, and inherit the full worker budget only when the
-	// row fan-out cannot use it (a single-circuit suite). Every level is
-	// bit-identical for every worker count, so the split is purely a
-	// scheduling choice.
+	// prefetch, fault-simulation blocks, the redundancy-removal filter) then
+	// run serial so the machine is not oversubscribed, and inherit the full
+	// worker budget only when the row fan-out cannot use it (a
+	// single-circuit suite). Every level is bit-identical for every worker
+	// count, so the split is purely a scheduling choice.
 	Workers int
 
 	// Tracer, when non-nil, is threaded into every optimizer and removal
@@ -128,17 +128,23 @@ func (s *Suite) Items() []Named { return s.items }
 // NewSuite wraps prepared circuits for the table functions.
 func NewSuite(cfg Config, items []Named) *Suite {
 	pool := par.Workers(cfg.Workers)
-	inner := 1
-	if pool > 1 && len(items) <= 1 {
-		inner = pool // the row fan-out cannot use the budget; the engines can
-	}
 	return &Suite{
-		cfg: cfg, items: items, pool: pool, inner: inner,
+		cfg: cfg, items: items, pool: pool, inner: innerWorkers(pool, len(items)),
 		proc2:  map[string]*procResult{},
 		proc3:  map[string]*procResult{},
 		ramboR: map[string]*rambo.Result{},
 		rrMod:  map[string]*redundancy.Result{},
 	}
+}
+
+// innerWorkers is the worker budget of the engines inside one of n rows
+// that share a pool of width pool: serial, unless the row fan-out cannot
+// use the budget and the engines can.
+func innerWorkers(pool, n int) int {
+	if pool > 1 && n <= 1 {
+		return pool
+	}
+	return 1
 }
 
 // Proc2 returns the (memoized) best Procedure 2 result for a circuit.
@@ -212,6 +218,7 @@ func (s *Suite) ModifiedRR(nc Named) (*redundancy.Result, error) {
 	}
 	ropt := redundancy.DefaultOptions()
 	ropt.Verify = s.cfg.Verify
+	ropt.Workers = s.inner
 	ropt.Tracer = s.cfg.Tracer
 	rr, err := redundancy.Remove(res.Circuit, ropt)
 	if err != nil {
@@ -236,7 +243,9 @@ func PrepareSuite(cfg Config) ([]Named, error) {
 	}
 	var done atomic.Int64
 	total := int64(len(benches))
-	return par.MapErr(par.Workers(cfg.Workers), len(benches), func(i int) (Named, error) {
+	pool := par.Workers(cfg.Workers)
+	inner := innerWorkers(pool, len(benches))
+	return par.MapErr(pool, len(benches), func(i int) (Named, error) {
 		defer func() {
 			mPrepared.Inc()
 			obs.EmitProgress("exper.prepare", done.Add(1), total)
@@ -246,6 +255,7 @@ func PrepareSuite(cfg Config) ([]Named, error) {
 		if cfg.MakeIrredundant {
 			opt := redundancy.DefaultOptions()
 			opt.Verify = cfg.Verify
+			opt.Workers = inner
 			opt.Tracer = cfg.Tracer
 			// Suite preparation favours speed: deep random circuits have
 			// pathological redundancy proofs; aborted faults simply stay,
@@ -569,6 +579,7 @@ func Table7(s *Suite) ([]Table7Row, error) {
 		}
 		rd := redundancy.DefaultOptions()
 		rd.Verify = cfg.Verify
+		rd.Workers = s.inner
 		rd.Tracer = cfg.Tracer
 		rr, err := redundancy.Remove(mod.Circuit, rd)
 		if err != nil {

@@ -37,6 +37,10 @@ type Options struct {
 	// Verify re-checks functional equivalence after every round.
 	Verify bool
 	Seed   int64
+	// Workers bounds the goroutines of the random-pattern filter
+	// (0 = runtime.GOMAXPROCS(0), 1 = serial). Results are identical for
+	// every value.
+	Workers int
 
 	// Tracer records per-round spans when non-nil; nil (the default) keeps
 	// the zero-overhead fast path.
@@ -101,6 +105,7 @@ func Remove(c *circuit.Circuit, opt Options) (*Result, error) {
 		sim := faultsim.Campaign(work, fl, faultsim.CampaignOptions{
 			Patterns: opt.FilterPatterns,
 			Seed:     opt.Seed + int64(round),
+			Workers:  opt.Workers,
 			Tracer:   opt.Tracer,
 		})
 		removedThisRound := 0

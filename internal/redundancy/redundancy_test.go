@@ -6,6 +6,7 @@ import (
 	"compsynth/internal/bench"
 	"compsynth/internal/circuit"
 	"compsynth/internal/gen"
+	"compsynth/internal/obs"
 	"compsynth/internal/simulate"
 )
 
@@ -131,5 +132,38 @@ func TestCheckIrredundantReportsRedundancy(t *testing.T) {
 	red, _ := CheckIrredundant(c, 20000)
 	if len(red) == 0 {
 		t.Fatal("known redundancy not reported")
+	}
+}
+
+func TestRemoveWorkers(t *testing.T) {
+	// Workers reaches the filter campaign: a serial removal starts no
+	// parallel run, and every worker count gives the same netlist and
+	// Result.
+	c := gen.SmallSuite()[0].Build()
+	runs := obs.C("par.parallel_runs")
+	remove := func(workers int) (*Result, int64) {
+		t.Helper()
+		opt := DefaultOptions()
+		opt.Workers = workers
+		before := runs.Value()
+		res, err := Remove(c, opt)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		return res, runs.Value() - before
+	}
+	serial, serialRuns := remove(1)
+	parallel, parallelRuns := remove(2)
+	if serialRuns != 0 {
+		t.Errorf("workers 1 started %d parallel runs", serialRuns)
+	}
+	if parallelRuns == 0 {
+		t.Error("workers 2 started no parallel run: the option does not reach the filter")
+	}
+	if serial.String() != parallel.String() {
+		t.Errorf("results differ: %v at 1 worker, %v at 2", serial, parallel)
+	}
+	if bench.String(serial.Circuit) != bench.String(parallel.Circuit) {
+		t.Error("netlists differ between 1 and 2 workers")
 	}
 }

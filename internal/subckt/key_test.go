@@ -86,3 +86,25 @@ func TestKeyZeroAlloc(t *testing.T) {
 		t.Fatalf("cold Key() allocates: %v allocs/run", n)
 	}
 }
+
+// TestKeySeparatesEqualIDSums covers the sets an affine per-ID hash cannot
+// separate: with h(id) = a(id xor b) mod 2^128, sets whose xored IDs have
+// equal sums share a sum. The first pair is two cuts of gate 124 in the
+// first K = 6 Procedure 3 pass on quick-scale rs5378, which did collide.
+func TestKeySeparatesEqualIDSums(t *testing.T) {
+	a := subWithGates(124, 54, 80, 94, 109, 124)
+	b := subWithGates(124, 76, 90, 94, 109, 124)
+	if a.Key() == b.Key() {
+		t.Fatal("the two rs5378 cuts of gate 124 share a key")
+	}
+	seen := map[Key][2]int{}
+	for i := 0; i < 256; i++ {
+		for j := i + 1; j < 256; j++ {
+			k := subWithGates(1000, i, j, 1000).Key()
+			if p, ok := seen[k]; ok {
+				t.Fatalf("{%d, %d, 1000} and {%d, %d, 1000} share a key", p[0], p[1], i, j)
+			}
+			seen[k] = [2]int{i, j}
+		}
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"compsynth/internal/circuit"
-	"compsynth/internal/digest"
 	"compsynth/internal/logic"
 )
 
@@ -117,16 +116,20 @@ func newSub(c *circuit.Circuit, g int, gates map[int]bool) *Subcircuit {
 
 // Key is a canonical, fixed-size, comparable identity for a subcircuit
 // within one circuit snapshot. The gate set is folded order-independently —
-// each gate ID is digested individually and the 128-bit digests are combined
-// with two independent commutative operators (addition mod 2^128 and XOR) —
-// so the key needs no sorted ID slice and no string: computing it allocates
+// each gate ID is hashed to 128 bits and the hashes are combined with two
+// independent commutative operators (addition mod 2^128 and XOR) — so the
+// key needs no sorted ID slice and no string: computing it allocates
 // nothing. Out and the gate count ride along as exact fields.
 //
-// Unlike the packed-byte string key this replaces, IDs of any magnitude are
-// handled (the old 3-byte packing silently collided for IDs >= 2^24).
+// Each half of a gate's hash is a splitmix64 finalizer of the ID, salted
+// differently per half. The finalizer is what keeps sums apart: with an
+// affine per-ID hash, such as a one-word FNV digest, the sum depends only
+// on the sum of the IDs xored with a constant, so cuts such as
+// {54, 80, ...} and {76, 90, ...} would share a key and the per-pass
+// extract cache would serve one cut's truth table for the other.
 type Key struct {
-	SumLo, SumHi uint64 // sum mod 2^128 of per-gate digests
-	XorLo        uint64 // xor fold of per-gate digest low halves
+	SumLo, SumHi uint64 // sum mod 2^128 of per-gate hashes
+	XorLo        uint64 // xor fold of per-gate hash low halves
 	Out          int32
 	N            int32 // gate count
 }
@@ -142,16 +145,25 @@ func (s *Subcircuit) Key() Key {
 		return s.key
 	}
 	k := Key{Out: int32(s.Out), N: int32(len(s.Gates))}
-	//lint:ordered commutative fold: mod-2^128 addition and XOR of per-gate digests give the same key for any order
+	//lint:ordered commutative fold: mod-2^128 addition and XOR of per-gate hashes give the same key for any order
 	for id := range s.Gates {
-		d := digest.New().Int(id)
+		lo, hi := mix64(uint64(id)^0x243f6a8885a308d3), mix64(uint64(id)^0x13198a2e03707344)
 		var carry uint64
-		k.SumLo, carry = bits.Add64(k.SumLo, d.Lo, 0)
-		k.SumHi, _ = bits.Add64(k.SumHi, d.Hi, carry)
-		k.XorLo ^= d.Lo
+		k.SumLo, carry = bits.Add64(k.SumLo, lo, 0)
+		k.SumHi, _ = bits.Add64(k.SumHi, hi, carry)
+		k.XorLo ^= lo
 	}
 	s.key, s.keyed = k, true
 	return k
+}
+
+// mix64 is the splitmix64 finalizer: a bijection on 64-bit words in which
+// every input bit affects every output bit.
+func mix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // varTabs caches the variable truth tables Var(n, 1..n) per input count, so

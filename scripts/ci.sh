@@ -245,16 +245,14 @@ cmp "$provdir/dt2.records" "$provdir/dts.records"
 
 echo "== staleness =="
 # The committed experiment outputs must match what the tree regenerates.
-# figures_output.txt is fully deterministic and fast, so it is always
-# checked. tables_output.txt (go run ./cmd/tables -scale 0.15, ~4 min) is
-# gated behind CI_TABLES=1; its "# suite ready in ..."/"# table N in ..."/
-# "# total ..." timing lines are wall-clock and filtered from both sides.
+# figures_output.txt is fully deterministic and fast. tables_output.txt is
+# written by go run ./cmd/tables -quick (about 20 s on 2 CPUs); its
+# "# suite ready in ..."/"# table N in ..."/"# total ..." timing lines are
+# wall-clock and filtered from both sides.
 go run ./cmd/figures > "$provdir/figures.txt"
 diff figures_output.txt "$provdir/figures.txt"
-if [ "${CI_TABLES:-0}" = "1" ]; then
-    go run ./cmd/tables -scale 0.15 > "$provdir/tables.txt"
-    filter_times() { grep -vE '^# (suite ready in|table [0-9] in|total )' "$1"; }
-    diff <(filter_times tables_output.txt) <(filter_times "$provdir/tables.txt")
-fi
+go run ./cmd/tables -quick > "$provdir/tables.txt"
+filter_times() { grep -vE '^# (suite ready in|table [0-9] in|total )' "$1"; }
+diff <(filter_times tables_output.txt) <(filter_times "$provdir/tables.txt")
 
 echo "ci: all checks passed"
