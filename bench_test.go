@@ -316,6 +316,7 @@ func BenchmarkFaultSimulation(b *testing.B) {
 
 func BenchmarkRobustPDFCampaign(b *testing.B) {
 	c := gen.Suite(0.2)[0].Build()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		delay.RunRandom(c, delay.CampaignOptions{MaxPairs: 1000, Seed: int64(i)})

@@ -13,12 +13,12 @@
 // the default is ./... . Exit status: 0 clean, 1 findings (or baseline /
 // debt drift), 2 usage or load failure.
 //
-// CI runs `sftlint -baseline lint_baseline.json -sarif out/sftlint.sarif`:
-// baselined findings are suppression debt, any new finding fails, and the
-// SARIF artifact lands next to the run reports. `-explain ID` prints the
-// call-path witness for one finding; `-debt` tallies suppression comments
-// and fails on drift against the baseline's pinned counts; `-update-golden`
-// regenerates the fixture goldens in place.
+// CI runs `sftlint -baseline lint_baseline.json -sarif FILE` with FILE a
+// temporary file: baselined findings are suppression debt, any new finding
+// fails, and the SARIF report is written but not kept. `-explain ID`
+// prints the call-path witness for one finding; `-debt` tallies
+// suppression comments and fails on drift against the baseline's pinned
+// counts; `-update-golden` regenerates the fixture goldens in place.
 package main
 
 import (

@@ -1,8 +1,6 @@
 package delay
 
 import (
-	"math/rand"
-
 	"compsynth/internal/circuit"
 	"compsynth/internal/obs"
 	"compsynth/internal/paths"
@@ -160,7 +158,6 @@ type CampaignOptions struct {
 	MaxPairs   int   // budget of two-pattern tests (0 = 20000)
 	QuietPairs int   // stop after this many pairs with no new detection (0 = off)
 	Seed       int64 // pattern generator seed
-	VisitCap   int   // per-pair cap on sensitized-path completions (0 = 1<<20)
 }
 
 // CampaignResult summarizes a campaign (Table 7 columns).
@@ -183,78 +180,16 @@ func (r CampaignResult) Coverage() float64 {
 // delay faults detected robustly. Detected faults are identified by a 64-bit
 // FNV signature of the path's node sequence plus the launch direction, so no
 // path enumeration or storage is needed; the denominator comes from
-// Procedure 1.
+// Procedure 1. Pairs are simulated 64 at a time (see lanes.go). One pair's
+// search stops after 2^20 path-prefix visits: faults it would reach past
+// that point are not counted for it.
 func RunRandom(c *circuit.Circuit, opt CampaignOptions) CampaignResult {
 	if opt.MaxPairs <= 0 {
 		opt.MaxPairs = 20000
 	}
-	if opt.VisitCap <= 0 {
-		opt.VisitCap = 1 << 20
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	res := CampaignResult{TotalFaults: 2 * paths.MustCount(c)}
-	detected := map[uint64]bool{}
-	es := outEdges(c)
-	poUses := map[int]int{}
-	for _, o := range c.Outputs {
-		poUses[o]++
-	}
-	v1 := make([]bool, len(c.Inputs))
-	v2 := make([]bool, len(c.Inputs))
-	quiet := 0
-	for pair := 1; pair <= opt.MaxPairs; pair++ {
-		mPairs.Inc()
-		for j := range v1 {
-			v1[j] = rng.Intn(2) == 1
-			v2[j] = rng.Intn(2) == 1
-		}
-		val := Sim5(c, v1, v2)
-		newFound := 0
-		visits := 0
-		// DFS over robustly sensitized edges only; every trail reaching a
-		// PO line is a robustly detected path fault. The signature mixes
-		// the launch direction, the node sequence, the pin index of each
-		// edge (distinguishing parallel edges) and the PO-use index
-		// (distinguishing multiply-designated output lines).
-		var dfs func(id int, sig uint64)
-		dfs = func(id int, sig uint64) {
-			if visits >= opt.VisitCap {
-				return
-			}
-			visits++
-			sig = fnvMix(sig, uint64(id))
-			for i := 0; i < poUses[id]; i++ {
-				k := fnvMix(sig, uint64(1_000_000_007+i))
-				if !detected[k] {
-					detected[k] = true
-					newFound++
-				}
-			}
-			for _, e := range es[id] {
-				if EdgeRobust(c, val, e.To, e.Pin) {
-					dfs(e.To, fnvMix(sig, uint64(e.Pin)))
-				}
-			}
-		}
-		for _, in := range c.Inputs {
-			if val[in] == R || val[in] == F {
-				dfs(in, fnvMix(fnvBasis, uint64(launchBit(val, in))))
-			}
-		}
-		if newFound > 0 {
-			res.Detected += newFound
-			mPDFDetected.Add(int64(newFound))
-			res.LastEffective = pair
-			quiet = 0
-		} else {
-			quiet++
-			if opt.QuietPairs > 0 && quiet >= opt.QuietPairs {
-				res.Pairs = pair
-				return res
-			}
-		}
-	}
-	res.Pairs = opt.MaxPairs
+	total := 2 * paths.MustCount(c)
+	res := runPairs(c, opt)
+	res.TotalFaults = total
 	return res
 }
 
@@ -264,11 +199,4 @@ func fnvMix(h, v uint64) uint64 {
 	h ^= v
 	h *= 1099511628211
 	return h
-}
-
-func launchBit(val []V5, id int) int {
-	if val[id] == F {
-		return 1
-	}
-	return 0
 }

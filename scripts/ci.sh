@@ -34,13 +34,13 @@ echo "== sftlint =="
 # to 1, and the fixture gates below must distinguish findings (1) from a
 # load failure (2).
 sftlint="$(mktemp)"
-trap 'rm -f "$sftlint"' EXIT
+sarif="$(mktemp)"
+trap 'rm -f "$sftlint" "$sarif"' EXIT
 go build -o "$sftlint" ./cmd/sftlint
-# Tree gate. The SARIF artifact lands next to the run reports
-# (BENCH_*.json) at the repo root; it records every finding including the
-# baselined debt, and the output is byte-stable, so the committed copy only
-# changes when the findings do.
-"$sftlint" -baseline lint_baseline.json -sarif sftlint.sarif ./...
+# Tree gate. The SARIF report (every finding, the baselined debt included)
+# goes to a temporary file: it exercises the writer on the real tree
+# without rewriting anything in the checkout.
+"$sftlint" -baseline lint_baseline.json -sarif "$sarif" ./...
 # Suppression-debt gate: the //lint:ordered///lint:speculative comment
 # counts and the baselined-finding tally must match the counts pinned in
 # lint_baseline.json — growing debt without a reviewed baseline update in
@@ -102,13 +102,12 @@ echo "== obsdiff smoke =="
 # circuit fails CI here; the injected-regression direction of the gate is
 # covered by the internal/obsdiff tests.
 fresh="$(mktemp)"
-trap 'rm -f "$sftlint" "$fresh"' EXIT
+trap 'rm -f "$sftlint" "$sarif" "$fresh"' EXIT
 go run ./cmd/sft -in circuits/adder4.bench -report -workers 2 \
     -metrics-out "$fresh" >/dev/null
 go run ./cmd/obsdiff -tol 0 -tol-time 100 \
     internal/obsdiff/testdata/golden_report.json "$fresh"
 # Parser sanity on the committed bench baselines (self-diff must be clean).
-go run ./cmd/obsdiff BENCH_2026-08-06.json BENCH_2026-08-06.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-06_lean.json BENCH_2026-08-06_lean.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-08_csr.json BENCH_2026-08-08_csr.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-08_sharded.json BENCH_2026-08-08_sharded.json >/dev/null
@@ -126,7 +125,7 @@ echo "== bench gate =="
 # which is all this hardware can resolve. Tighten on a quiet dedicated
 # machine with e.g. BENCH_TOL_NS=0.10 scripts/ci.sh.
 benchgate="$(mktemp)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate"' EXIT
+trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate"' EXIT
 scripts/bench.sh 'Table2Procedure2|ResynthParallel|AblationIdentify' 1 "$benchgate" 20x >/dev/null
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS:-1.0}" -tol-alloc 0.01 \
     BENCH_2026-08-06_lean.json "$benchgate"
@@ -143,7 +142,7 @@ echo "== CSR bench gate =="
 # wall clock swings >2x under CI load, so only allocations are a reliable
 # signal at this scale.
 csrgate="$(mktemp)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate"' EXIT
+trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate" "$csrgate"' EXIT
 scripts/bench.sh 'CSR(Full)?Rebuild|PathCountProcedure1|FaultSimulation$' 1 "$csrgate" 20x \
     . ./internal/circuit >/dev/null
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS_CSR:-4.0}" -tol-alloc 0.01 \
@@ -157,7 +156,7 @@ echo "== sharded bench gate =="
 # sharded sweep cannot win wall-clock — the gate is that its bookkeeping
 # stays cheap, with ns/op once more only an order-of-magnitude backstop.
 shardgate="$(mktemp)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate"' EXIT
+trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate" "$csrgate" "$shardgate"' EXIT
 scripts/bench.sh 'ResynthSharded' 1 "$shardgate" 20x >/dev/null
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS:-1.0}" -tol-alloc 0.01 \
     BENCH_2026-08-08_sharded.json "$shardgate"
@@ -171,7 +170,7 @@ echo "== sftverify gate =="
 # with exit 1, distinguished from a usage/IO failure (2). Built binaries,
 # not "go run", for the same exit-code reason as the sftlint gate.
 provdir="$(mktemp -d)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate"; rm -rf "$provdir"' EXIT
+trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate" "$csrgate" "$shardgate"; rm -rf "$provdir"' EXIT
 go build -o "$provdir/sft" ./cmd/sft
 go build -o "$provdir/sftverify" ./cmd/sftverify
 "$provdir/sft" -in circuits/c17.bench -out "$provdir/c17_out.bench" \
