@@ -2,8 +2,8 @@
 // internal/lint): the syntactic rules (wall-clock/global-RNG bans,
 // map-iteration-order hazards, obs metric naming, par.Cache key types,
 // out-of-package circuit-node mutation) and the interprocedural rules on
-// the whole-module call graph (purity of par task/cache/speculative seams,
-// transitive wall-clock taint, unsynchronized goroutine-captured writes).
+// the whole-module call graph (purity of par fan-out tasks, transitive
+// wall-clock taint, unsynchronized goroutine-captured writes).
 //
 // Usage:
 //
@@ -13,9 +13,8 @@
 // the default is ./... . Exit status: 0 clean, 1 findings (or baseline /
 // debt drift), 2 usage or load failure.
 //
-// CI runs `sftlint -baseline lint_baseline.json -sarif FILE` with FILE a
-// temporary file: baselined findings are suppression debt, any new finding
-// fails, and the SARIF report is written but not kept. `-explain ID`
+// CI runs `sftlint -baseline lint_baseline.json`: baselined findings are
+// suppression debt, and any new finding fails. `-explain ID`
 // prints the call-path witness for one finding; `-debt` tallies
 // suppression comments and fails on drift against the baseline's pinned
 // counts; `-update-golden` regenerates the fixture goldens in place.
@@ -25,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"compsynth/internal/lint"
@@ -37,7 +35,6 @@ func main() {
 		rules        = flag.String("rules", "", "comma-separated rule subset (default: all of "+strings.Join(lint.AllRules(), ",")+")")
 		detAll       = flag.Bool("det-all", false, "treat every package as deterministic pipeline code (used on the injected-violation fixtures)")
 		relTo        = flag.String("rel", "", "report file paths relative to this directory")
-		sarifOut     = flag.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file")
 		baselineFile = flag.String("baseline", "", "suppress findings recorded in this baseline file; new findings and stale entries fail")
 		explainID    = flag.String("explain", "", "print the call-path witness for the finding with this ID (prefix match)")
 		updateGolden = flag.Bool("update-golden", false, "regenerate internal/lint/testdata goldens in place and exit")
@@ -99,23 +96,6 @@ func main() {
 
 	if *explainID != "" {
 		os.Exit(explain(diags, *explainID))
-	}
-
-	if *sarifOut != "" {
-		// The artifact records every finding, baselined or not: the debt
-		// stays visible to annotation tooling even when the gate passes.
-		sarif, err := lint.FormatSARIF(diags)
-		if err != nil {
-			fatal(err)
-		}
-		if dir := filepath.Dir(*sarifOut); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fatal(err)
-			}
-		}
-		if err := os.WriteFile(*sarifOut, []byte(sarif), 0o644); err != nil {
-			fatal(err)
-		}
 	}
 
 	report := diags

@@ -18,10 +18,10 @@ import (
 // a mandatory justification, mirroring the //lint:ordered comment form.
 //
 // The ledger also pins the per-package counts of the in-source suppression
-// comments (//lint:ordered, //lint:speculative). sftlint -debt recomputes
-// them and fails on any drift in either direction: growth means new
-// suppressions sneaked in without review; shrinkage means the ledger
-// overstates the debt and must be ratcheted down in the same commit.
+// comment //lint:ordered. sftlint -debt recomputes them and fails on any
+// drift in either direction: growth means new suppressions sneaked in
+// without review; shrinkage means the ledger overstates the debt and must
+// be ratcheted down in the same commit.
 
 // BaselineEntry is one accepted finding.
 type BaselineEntry struct {
@@ -31,8 +31,7 @@ type BaselineEntry struct {
 
 // DebtCounts tallies in-source suppression comments for one package.
 type DebtCounts struct {
-	Ordered     int `json:"ordered,omitempty"`
-	Speculative int `json:"speculative,omitempty"`
+	Ordered int `json:"ordered,omitempty"`
 }
 
 // Baseline is the parsed ledger.
@@ -95,8 +94,8 @@ func (b *Baseline) Apply(ds []Diagnostic) (fresh []Diagnostic, stale []string) {
 	return fresh, stale
 }
 
-// CountDebt tallies //lint:ordered and //lint:speculative comments per
-// package (keyed by import path relative to the module).
+// CountDebt tallies //lint:ordered comments per package (keyed by import
+// path relative to the module).
 func CountDebt(l *Loader, pkgs []*Package) map[string]DebtCounts {
 	out := map[string]DebtCounts{}
 	for _, p := range pkgs {
@@ -105,11 +104,8 @@ func CountDebt(l *Loader, pkgs []*Package) map[string]DebtCounts {
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
 				for _, cm := range cg.List {
-					switch {
-					case strings.HasPrefix(cm.Text, "//lint:ordered"):
+					if strings.HasPrefix(cm.Text, "//lint:ordered") {
 						c.Ordered++
-					case strings.HasPrefix(cm.Text, "//lint:speculative"):
-						c.Speculative++
 					}
 				}
 			}
@@ -158,16 +154,15 @@ func DebtReport(current map[string]DebtCounts, b *Baseline) string {
 	}
 	sort.Strings(sorted)
 	var sb strings.Builder
-	var tOrd, tSpec, tBase int
+	var tOrd, tBase int
 	for _, k := range sorted {
 		c := current[k]
 		nb := perPkg[k]
-		fmt.Fprintf(&sb, "%-40s ordered=%-3d speculative=%-3d baselined=%d\n", k, c.Ordered, c.Speculative, nb)
+		fmt.Fprintf(&sb, "%-40s ordered=%-3d baselined=%d\n", k, c.Ordered, nb)
 		tOrd += c.Ordered
-		tSpec += c.Speculative
 		tBase += nb
 	}
-	fmt.Fprintf(&sb, "%-40s ordered=%-3d speculative=%-3d baselined=%d\n", "TOTAL", tOrd, tSpec, tBase)
+	fmt.Fprintf(&sb, "%-40s ordered=%-3d baselined=%d\n", "TOTAL", tOrd, tBase)
 	return sb.String()
 }
 
@@ -189,17 +184,13 @@ func CompareDebt(current map[string]DebtCounts, b *Baseline) []string {
 	}
 	sort.Strings(sorted)
 	for _, k := range sorted {
-		cur, pin := current[k], b.Debt[k]
-		check := func(kind string, c, p int) {
-			switch {
-			case c > p:
-				errs = append(errs, fmt.Sprintf("%s: //lint:%s count grew %d -> %d; new suppressions need review — update the baseline debt in the same commit", k, kind, p, c))
-			case c < p:
-				errs = append(errs, fmt.Sprintf("%s: //lint:%s count shrank %d -> %d; ratchet the baseline debt down to match", k, kind, p, c))
-			}
+		c, p := current[k].Ordered, b.Debt[k].Ordered
+		switch {
+		case c > p:
+			errs = append(errs, fmt.Sprintf("%s: //lint:ordered count grew %d -> %d; new suppressions need review — update the baseline debt in the same commit", k, p, c))
+		case c < p:
+			errs = append(errs, fmt.Sprintf("%s: //lint:ordered count shrank %d -> %d; ratchet the baseline debt down to match", k, p, c))
 		}
-		check("ordered", cur.Ordered, pin.Ordered)
-		check("speculative", cur.Speculative, pin.Speculative)
 	}
 	return errs
 }

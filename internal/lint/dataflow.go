@@ -158,16 +158,11 @@ type parentEdge struct {
 	site *callSite
 }
 
-// reachOpts selects which edges a traversal follows.
-type reachOpts struct {
-	intoSpeculative bool // follow edges into //lint:speculative callees
-}
-
 // reachFrom runs a breadth-first traversal from entry over call edges,
 // skipping boundary and sanitized sites, returning the visit order and the
 // first-discovery parent links (for witness reconstruction). Deterministic:
 // nodes are discovered in call-site order, which is source order.
-func reachFrom(entry *fnode, opts reachOpts) (order []*fnode, parents map[*fnode]parentEdge) {
+func reachFrom(entry *fnode) (order []*fnode, parents map[*fnode]parentEdge) {
 	parents = map[*fnode]parentEdge{entry: {}}
 	order = []*fnode{entry}
 	for qi := 0; qi < len(order); qi++ {
@@ -177,9 +172,6 @@ func reachFrom(entry *fnode, opts reachOpts) (order []*fnode, parents map[*fnode
 				continue
 			}
 			for _, v := range site.callees {
-				if v.speculative && !opts.intoSpeculative {
-					continue
-				}
 				if _, seen := parents[v]; seen {
 					continue
 				}
@@ -223,11 +215,10 @@ type clockHop struct {
 }
 
 // clockReachability computes, for every node, whether a wall-clock fact is
-// reachable along non-boundary, non-sanitized edges that do not enter
-// //lint:speculative functions (the purity rule owns those seams), plus the
-// first hop of a shortest witness path. Reverse BFS from fact nodes; level
-// order makes the recorded hop a shortest path, and iterating nodes in id
-// order keeps it deterministic.
+// reachable along non-boundary, non-sanitized edges, plus the first hop of a
+// shortest witness path. Reverse BFS from fact nodes; level order makes the
+// recorded hop a shortest path, and iterating nodes in id order keeps it
+// deterministic.
 func clockReachability(g *graph) (reach []bool, hops []clockHop) {
 	reach = make([]bool, len(g.nodes))
 	hops = make([]clockHop, len(g.nodes))
@@ -244,9 +235,6 @@ func clockReachability(g *graph) (reach []bool, hops []clockHop) {
 				continue
 			}
 			for _, v := range site.callees {
-				if v.speculative {
-					continue
-				}
 				callers[v.id] = append(callers[v.id], inEdge{from: u, site: site})
 			}
 		}
@@ -265,9 +253,6 @@ func clockReachability(g *graph) (reach []bool, hops []clockHop) {
 			for _, e := range callers[v.id] {
 				if reach[e.from.id] {
 					continue
-				}
-				if e.from.speculative {
-					continue // speculative entries are the purity rule's to report
 				}
 				reach[e.from.id] = true
 				hops[e.from.id] = clockHop{site: e.site, next: v}

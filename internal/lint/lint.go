@@ -19,11 +19,7 @@
 //	             (protects the zero-alloc maphash.Comparable sharding).
 //	nodemut    - outside internal/circuit, circuit nodes must be mutated via
 //	             the journal-touching Circuit methods, never by direct field
-//	             writes (protects the incremental-resynthesis contract); and
-//	             functions annotated //lint:speculative (concurrent workers
-//	             of the sharded resynthesis sweep) must not call mutating
-//	             Circuit methods at all — mutation belongs to the serial
-//	             commit phase.
+//	             writes (protects the incremental-resynthesis contract).
 //
 // Sites that are deliberately order-independent are suppressed with a
 // justification comment on the for statement (or the line above):

@@ -140,10 +140,10 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
-// TestNormalizePin pins the output contract all three formats rely on:
+// TestNormalizePin pins the output contract both formats rely on:
 // diagnostics sorted by (file, line, col, rule, message), exact duplicates
 // dropped, distinct findings at the same position kept. Byte-stability of
-// -json/text/SARIF across runs reduces to exactly this plus deterministic
+// -json/text across runs reduces to exactly this plus deterministic
 // analysis order.
 func TestNormalizePin(t *testing.T) {
 	in := []lint.Diagnostic{

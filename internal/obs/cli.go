@@ -22,7 +22,6 @@ import (
 //	-v                  verbose progress on stderr
 //	-listen ADDR        serve live telemetry (/metrics, /progress, /healthz,
 //	                    /debug/pprof) on ADDR
-//	-pprof ADDR         deprecated alias for -listen
 //	-events FILE        stream NDJSON run events (flight recorder) to FILE
 //	-heartbeat D        heartbeat snapshot interval for -events (0 disables)
 //	-dtrace MODE        decision-trace recording (off, full, sampled:N)
@@ -31,12 +30,10 @@ type Flags struct {
 	Trace      bool
 	Verbose    bool
 	MetricsOut string
-	PprofAddr  string
 
 	// Listen serves the live telemetry endpoints on this address. The
 	// server itself lives in the obs/telemetry subpackage (commands import
-	// it for side effects); -pprof is kept as a deprecated alias and serves
-	// the same mux.
+	// it for side effects).
 	Listen string
 
 	// Events streams NDJSON run events — span begin/end, throttled hot-loop
@@ -81,7 +78,6 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Verbose, "v", false, "verbose progress output on stderr")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write a JSON run report to this file")
 	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /progress, /healthz, /debug/pprof) on this address (e.g. localhost:6060)")
-	fs.StringVar(&f.PprofAddr, "pprof", "", "deprecated alias for -listen")
 	fs.StringVar(&f.Events, "events", "", "stream NDJSON run events (flight recorder) to this file")
 	fs.DurationVar(&f.Heartbeat, "heartbeat", time.Second, "heartbeat snapshot interval for -events (0 disables)")
 	fs.StringVar(&f.Dtrace, "dtrace", "off",
@@ -184,13 +180,9 @@ func (f *Flags) start(tool string) (*Run, error) {
 		flags:   *f,
 		start:   time.Now(),
 	}
-	listen := f.Listen
-	if listen == "" {
-		listen = f.PprofAddr
-	}
 	// The tracer doubles as the live span tree for /progress and the span
 	// event source for -events, so any of those facilities enables it.
-	if f.Trace || f.MetricsOut != "" || f.Events != "" || listen != "" {
+	if f.Trace || f.MetricsOut != "" || f.Events != "" || f.Listen != "" {
 		r.Tracer = NewTracer()
 	}
 	r.base = r.Metrics.Snapshot()
@@ -222,15 +214,15 @@ func (f *Flags) start(tool string) (*Run, error) {
 		r.dtrace = dtrace.New(dmode, rec.Decision)
 		r.Log.Verbosef("recording events to %s", f.Events)
 	}
-	if listen != "" {
+	if f.Listen != "" {
 		if telemetryStart == nil {
 			r.closeRecorder()
-			return nil, fmt.Errorf("-listen %s: telemetry server not linked in (import compsynth/internal/obs/telemetry)", listen)
+			return nil, fmt.Errorf("-listen %s: telemetry server not linked in (import compsynth/internal/obs/telemetry)", f.Listen)
 		}
-		srv, err := telemetryStart(r, listen)
+		srv, err := telemetryStart(r, f.Listen)
 		if err != nil {
 			r.closeRecorder()
-			return nil, fmt.Errorf("-listen %s: %v", listen, err)
+			return nil, fmt.Errorf("-listen %s: %v", f.Listen, err)
 		}
 		r.server = srv
 		r.Log.Verbosef("telemetry on http://%s/metrics (progress at /progress, pprof at /debug/pprof)", srv.Addr())

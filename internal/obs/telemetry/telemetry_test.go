@@ -9,11 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"compsynth/internal/gen"
 	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 	"compsynth/internal/par"
-	"compsynth/internal/resynth"
 )
 
 // TestNewBindFailure pins that a -listen address that cannot be bound is a
@@ -135,91 +133,19 @@ func TestParTelemetryConformance(t *testing.T) {
 	if _, ok := prog.Gauges["par.queue_depth"]; !ok {
 		t.Error("/progress default gauges missing par.queue_depth")
 	}
-}
 
-// TestShardTelemetryConformance pins the sharded-resynthesis telemetry
-// contract: after one sharded Optimize, the region/conflict/requeue/commit
-// counters and the par work-queue instruments surface on /metrics (with
-// dots rendered as underscores) and in the /progress Live section — and
-// stay out of the default registry, so run reports (and their obsdiff
-// zero-tolerance gate) never see these scheduling-adjacent counts.
-func TestShardTelemetryConformance(t *testing.T) {
-	run := (&obs.Flags{}).Start("telemetrytest")
-	defer run.Finish()
-	srv := httptest.NewServer(Handler(run))
-	defer srv.Close()
-
-	// One sharded pass over a generator circuit dense enough to produce
-	// multiple regions, real conflicts and re-queues (workers > 1 does not
-	// change the counts: the partition and the commit order are
-	// deterministic, so the instruments move identically at any count).
-	opt := resynth.DefaultOptions()
-	opt.Shard = true
-	opt.Workers = 4
-	opt.Verify = false
-	if _, err := resynth.Optimize(gen.SmallSuite()[0].Build(), opt); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(body)
-	for _, want := range []string{
-		"# TYPE resynth_shard_regions counter",
-		"# TYPE resynth_shard_conflicts counter",
-		"# TYPE resynth_shard_requeues counter",
-		"# TYPE resynth_shard_commits counter",
-		"# TYPE par_queue_pending gauge",
-		"# TYPE par_queue_drains counter",
-		"# TYPE par_queue_requeued counter",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	resp, err = http.Get(srv.URL + "/progress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prog Progress
-	err = json.NewDecoder(resp.Body).Decode(&prog)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Live == nil {
-		t.Fatal("/progress has no live section after a sharded pass")
-	}
-	for _, name := range []string{
-		"resynth.shard_regions", "resynth.shard_conflicts",
-		"resynth.shard_requeues", "resynth.shard_commits",
-		"par.queue_drains", "par.queue_requeued",
-	} {
-		if _, ok := prog.Live.Counters[name]; !ok {
-			t.Errorf("/progress live section missing %s counter", name)
-		}
-	}
-	if got := prog.Live.Counters["resynth.shard_commits"]; got <= 0 {
-		t.Errorf("resynth.shard_commits = %d after a sharded pass, want > 0", got)
-	}
-	if got := prog.Live.Counters["resynth.shard_regions"]; got <= 0 {
-		t.Errorf("resynth.shard_regions = %d after a sharded pass, want > 0", got)
-	}
-
-	// The families must not leak into the default registry: run reports
-	// diff clean across worker counts only because these live elsewhere.
+	// The scheduling-dependent families must not leak into the default
+	// registry: run reports diff clean across worker counts only because
+	// these live elsewhere.
 	def := metric.Default().Snapshot()
-	for name := range def.Counters {
-		if strings.HasPrefix(name, "resynth.shard_") || strings.HasPrefix(name, "par.queue_") {
+	for _, name := range []string{"par.cache_hits", "par.worker_tasks.w0"} {
+		if _, ok := def.Counters[name]; ok {
 			t.Errorf("default registry contains Live-only counter %s", name)
+		}
+	}
+	for _, name := range []string{"par.task_wait_ms", "par.task_run_ms"} {
+		if _, ok := def.Histograms[name]; ok {
+			t.Errorf("default registry contains Live-only histogram %s", name)
 		}
 	}
 }

@@ -68,21 +68,6 @@ func (c *Cache[K, V]) Set(key K, v V) {
 	s.mu.Unlock()
 }
 
-// GetOrCompute returns the cached value for key, computing and storing it
-// on a miss. compute runs outside the shard lock, so concurrent misses on
-// the same key may compute more than once and race on Set; like raw
-// Get/Set, that is only correct when compute is pure — sftlint's purity
-// rule checks the whole call tree of every compute argument for exactly
-// that reason.
-func (c *Cache[K, V]) GetOrCompute(key K, compute func() V) V {
-	if v, ok := c.Get(key); ok {
-		return v
-	}
-	v := compute()
-	c.Set(key, v)
-	return v
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	n := 0

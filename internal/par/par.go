@@ -167,17 +167,8 @@ func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int))
 	mTasks.Add(int64(n))
 }
 
-// Map runs fn for every index in [0, n) with the given parallelism and
-// returns the results in index order.
-func Map[T any](workers, n int, fn func(task int) T) []T {
-	out := make([]T, n)
-	Run(nil, "par.map", workers, n, func(_, i int) {
-		out[i] = fn(i)
-	})
-	return out
-}
-
-// MapErr is Map for fallible tasks. All tasks run to completion; if any
+// MapErr runs fn for every index in [0, n) with the given parallelism and
+// returns the results in index order. All tasks run to completion; if any
 // failed, the error of the lowest-indexed failing task is returned (so the
 // reported error does not depend on scheduling).
 func MapErr[T any](workers, n int, fn func(task int) (T, error)) ([]T, error) {

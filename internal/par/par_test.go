@@ -46,8 +46,11 @@ func TestRunZeroTasks(t *testing.T) {
 	})
 }
 
-func TestMapPreservesOrder(t *testing.T) {
-	got := Map(5, 100, func(i int) int { return i * i })
+func TestMapErrPreservesOrder(t *testing.T) {
+	got, err := MapErr(5, 100, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("got[%d] = %d", i, v)
@@ -115,30 +118,6 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("phantom key")
-	}
-}
-
-func TestCacheGetOrCompute(t *testing.T) {
-	c := NewCache[int, int]()
-	computes := 0
-	for i := 0; i < 3; i++ {
-		if v := c.GetOrCompute(7, func() int { computes++; return 49 }); v != 49 {
-			t.Fatalf("GetOrCompute = %d, want 49", v)
-		}
-	}
-	if computes != 1 {
-		t.Fatalf("compute ran %d times, want 1", computes)
-	}
-	// Concurrent misses on distinct keys: every key lands its own value.
-	c2 := NewCache[int, int]()
-	Run(nil, "test", 8, 512, func(_, i int) {
-		k := i % 31
-		if v := c2.GetOrCompute(k, func() int { return k * k }); v != k*k {
-			t.Errorf("key %d: got %d", k, v)
-		}
-	})
-	if got := c2.Len(); got != 31 {
-		t.Fatalf("Len = %d, want 31", got)
 	}
 }
 

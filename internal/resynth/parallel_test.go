@@ -2,6 +2,7 @@ package resynth
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"compsynth/internal/bench"
@@ -25,7 +26,8 @@ func runWorkers(t *testing.T, c *circuit.Circuit, opt Options, workers int) (*Re
 
 // TestParallelMatchesSerial is the determinism contract: for every
 // objective, Optimize with 8 workers produces a circuit structurally
-// identical to the serial run, with identical statistics.
+// identical to the serial run, with identical statistics and identical
+// certificate evidence.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, b := range gen.SmallSuite() {
 		c := b.Build()
@@ -34,6 +36,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			opt.Objective = objective
 			opt.MaxPasses = 4
 			opt.Verify = false
+			opt.Certify = true
 			serial, serialNet := runWorkers(t, c, opt, 1)
 			parallel, parallelNet := runWorkers(t, c, opt, 8)
 			if serial.String() != parallel.String() {
@@ -42,6 +45,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 			if serialNet != parallelNet {
 				t.Errorf("%s/%v: netlists diverge under parallelism", b.Name, objective)
+			}
+			if !reflect.DeepEqual(serial.Evidence, parallel.Evidence) {
+				t.Errorf("%s/%v: certificate evidence diverges:\nserial   %+v\nparallel %+v",
+					b.Name, objective, serial.Evidence, parallel.Evidence)
 			}
 		}
 	}

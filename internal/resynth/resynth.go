@@ -97,18 +97,6 @@ type Options struct {
 	// and runs fully serial. The result is bit-identical either way.
 	Workers int
 
-	// Shard switches each pass to the region-sharded sweep (shard.go):
-	// candidate gates are partitioned into disjoint footprint regions,
-	// workers speculatively evaluate whole regions, and a serial commit
-	// phase replays the decisions in the canonical (level, id) order,
-	// validating each speculation against the edit journal and re-queueing
-	// conflict losers. The optimized circuit, the decision-trace stream,
-	// the run report counters, and the certificate evidence are
-	// bit-identical to the serial sweep at every worker count
-	// (TestShardedMatchesSerial); Shard is a machine knob like Workers.
-	// Off (the default) keeps the serial sweep with the prefetch phase.
-	Shard bool
-
 	// UseSampling switches identification to the paper's experimental
 	// method: up to SamplingPerms random permutations, onset and offset.
 	UseSampling   bool
@@ -400,11 +388,6 @@ func (o *optimizer) pass(c *circuit.Circuit) int {
 	csp.End()
 	o.extracts = par.NewCache[subckt.Key, extracted]() // node IDs are only stable within one pass
 	topo := o.topo
-	if o.opt.Shard {
-		// The sharded sweep speculates every gate's evaluation up front, so
-		// the prefetch phase is subsumed; see shard.go.
-		return o.passSharded(c)
-	}
 	if o.workers > 1 {
 		o.prefetch(c, topo)
 	}
@@ -747,20 +730,6 @@ type candidate struct {
 // blocked it (ObjectiveWorse, or PathBound when only the saturated path
 // labels vetoed an otherwise-improving replacement).
 func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
-	return o.evalGate(c, g, nil)
-}
-
-// evalGate is selectReplacement's engine, shared with the sharded sweep's
-// speculation phase. With ev == nil it behaves exactly as the serial sweep
-// always has: counters increment inline and trace records are emitted at the
-// end of the call. With ev != nil the call is speculative — it may run on a
-// worker goroutine concurrently with other evaluations — so every global
-// side effect is buffered into ev instead (candidate count, histogram
-// observations, resolved trace records) for the serial commit phase to
-// replay in canonical order; the circuit is only read, never written.
-//
-//lint:speculative
-func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate {
 	subs := o.db.EnumerateFromCuts(c, g)
 	np, npOK := o.np, o.npOK
 	oldPathsOnG := np[g]
@@ -786,13 +755,8 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 		}
 	}
 	for _, sub := range subs {
-		if ev == nil {
-			mCandidates.Inc()
-			hCandInputs.Observe(float64(len(sub.Inputs)))
-		} else {
-			ev.nCand++
-			ev.widths = append(ev.widths, float64(len(sub.Inputs)))
-		}
+		mCandidates.Inc()
+		hCandInputs.Observe(float64(len(sub.Inputs)))
 		// Extraction drops inputs the function does not depend on: they
 		// contribute no logic and their paths disappear entirely.
 		ex := o.extractTT(c, sub)
@@ -913,12 +877,8 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 				recs[bestRec].Outcome = rejection
 			}
 		}
-		if ev != nil {
-			ev.recs = recs // replayed by the commit phase, in commit order
-		} else {
-			for i := range recs {
-				o.dt.Emit(recs[i])
-			}
+		for i := range recs {
+			o.dt.Emit(recs[i])
 		}
 	}
 	if accepted {

@@ -72,22 +72,3 @@ func BenchmarkResynthParallel(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkResynthSharded is BenchmarkResynthParallel with the region-
-// sharded sweep: same workload, same bit-identical result, but candidate
-// evaluation fans out over footprint regions with OCC validation instead of
-// the prefetch. On the single-CPU CI host the gate is allocs/op (obsdiff
-// -tol-alloc 0.01 against BENCH_*_sharded.json), not wall-clock.
-func BenchmarkResynthSharded(b *testing.B) {
-	c := gen.SmallSuite()[0].Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := resynth.DefaultOptions()
-		opt.Verify = false
-		opt.Workers = 0
-		opt.Shard = true
-		if _, err := resynth.Optimize(c, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -24,8 +24,8 @@ echo "== sftlint =="
 # rules (wall-clock and global-RNG bans in deterministic packages,
 # map-iteration-order hazards, obs metric naming, par.Cache key types,
 # circuit-node mutation discipline) plus the interprocedural rules on the
-# whole-module call graph (purity of par task/cache/speculative seams,
-# transitive wall-clock taint, unsynchronized goroutine-captured writes).
+# whole-module call graph (purity of par.Run/par.MapErr tasks, transitive
+# wall-clock taint, unsynchronized goroutine-captured writes).
 # Two directions: the tree must lint clean beyond the committed
 # lint_baseline.json (new findings fail; stale baseline entries fail), and
 # the injected-violation fixtures must still fail — a rule that silently
@@ -34,15 +34,12 @@ echo "== sftlint =="
 # to 1, and the fixture gates below must distinguish findings (1) from a
 # load failure (2).
 sftlint="$(mktemp)"
-sarif="$(mktemp)"
-trap 'rm -f "$sftlint" "$sarif"' EXIT
+trap 'rm -f "$sftlint"' EXIT
 go build -o "$sftlint" ./cmd/sftlint
-# Tree gate. The SARIF report (every finding, the baselined debt included)
-# goes to a temporary file: it exercises the writer on the real tree
-# without rewriting anything in the checkout.
-"$sftlint" -baseline lint_baseline.json -sarif "$sarif" ./...
-# Suppression-debt gate: the //lint:ordered///lint:speculative comment
-# counts and the baselined-finding tally must match the counts pinned in
+# Tree gate: any finding not accepted in lint_baseline.json fails.
+"$sftlint" -baseline lint_baseline.json ./...
+# Suppression-debt gate: the //lint:ordered comment counts and the
+# baselined-finding tally must match the counts pinned in
 # lint_baseline.json — growing debt without a reviewed baseline update in
 # the same commit fails here.
 "$sftlint" -debt -baseline lint_baseline.json >/dev/null
@@ -82,10 +79,6 @@ go test ./internal/bench -fuzz FuzzParseBench -fuzztime 5s -run '^$' >/dev/null
 # run through a mutation script with an incremental Freeze + deep audit
 # against a from-scratch rebuild after each step.
 go test ./internal/bench -fuzz FuzzCSRFreeze -fuzztime 5s -run '^$' >/dev/null
-# And for the sharded-resynthesis planner: the region partition must be a
-# disjoint cover with contained footprints on every accepted netlist, and a
-# sharded pass must match the serial sweep byte for byte.
-go test ./internal/bench -fuzz FuzzRegionPartition -fuzztime 5s -run '^$' >/dev/null
 
 echo "== bench smoke =="
 # One iteration of every benchmark, no measurement: catches benches that no
@@ -102,7 +95,7 @@ echo "== obsdiff smoke =="
 # circuit fails CI here; the injected-regression direction of the gate is
 # covered by the internal/obsdiff tests.
 fresh="$(mktemp)"
-trap 'rm -f "$sftlint" "$sarif" "$fresh"' EXIT
+trap 'rm -f "$sftlint" "$fresh"' EXIT
 go run ./cmd/sft -in circuits/adder4.bench -report -workers 2 \
     -metrics-out "$fresh" >/dev/null
 go run ./cmd/obsdiff -tol 0 -tol-time 100 \
@@ -110,7 +103,6 @@ go run ./cmd/obsdiff -tol 0 -tol-time 100 \
 # Parser sanity on the committed bench baselines (self-diff must be clean).
 go run ./cmd/obsdiff BENCH_2026-08-06_lean.json BENCH_2026-08-06_lean.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-08_csr.json BENCH_2026-08-08_csr.json >/dev/null
-go run ./cmd/obsdiff BENCH_2026-08-08_sharded.json BENCH_2026-08-08_sharded.json >/dev/null
 
 echo "== bench gate =="
 # Re-measure the resynthesis/identification benchmark set and diff against
@@ -125,7 +117,7 @@ echo "== bench gate =="
 # which is all this hardware can resolve. Tighten on a quiet dedicated
 # machine with e.g. BENCH_TOL_NS=0.10 scripts/ci.sh.
 benchgate="$(mktemp)"
-trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate"' EXIT
+trap 'rm -f "$sftlint" "$fresh" "$benchgate"' EXIT
 scripts/bench.sh 'Table2Procedure2|ResynthParallel|AblationIdentify' 1 "$benchgate" 20x >/dev/null
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS:-1.0}" -tol-alloc 0.01 \
     BENCH_2026-08-06_lean.json "$benchgate"
@@ -142,24 +134,11 @@ echo "== CSR bench gate =="
 # wall clock swings >2x under CI load, so only allocations are a reliable
 # signal at this scale.
 csrgate="$(mktemp)"
-trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate" "$csrgate"' EXIT
+trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate"' EXIT
 scripts/bench.sh 'CSR(Full)?Rebuild|PathCountProcedure1|FaultSimulation$' 1 "$csrgate" 20x \
     . ./internal/circuit >/dev/null
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS_CSR:-4.0}" -tol-alloc 0.01 \
     BENCH_2026-08-08_csr.json "$csrgate"
-
-echo "== sharded bench gate =="
-# The region-sharded sweep's allocation profile (speculation buffers,
-# footprint scratch, queue rounds) is pinned the same way: re-measure
-# BenchmarkResynthSharded and hold allocs/op to 1% of the committed
-# BENCH_2026-08-08_sharded.json baseline. On this single-CPU host the
-# sharded sweep cannot win wall-clock — the gate is that its bookkeeping
-# stays cheap, with ns/op once more only an order-of-magnitude backstop.
-shardgate="$(mktemp)"
-trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate" "$csrgate" "$shardgate"' EXIT
-scripts/bench.sh 'ResynthSharded' 1 "$shardgate" 20x >/dev/null
-go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS:-1.0}" -tol-alloc 0.01 \
-    BENCH_2026-08-08_sharded.json "$shardgate"
 
 echo "== sftverify gate =="
 # Provenance round trip, both directions (README "Provenance & verification").
@@ -170,7 +149,7 @@ echo "== sftverify gate =="
 # with exit 1, distinguished from a usage/IO failure (2). Built binaries,
 # not "go run", for the same exit-code reason as the sftlint gate.
 provdir="$(mktemp -d)"
-trap 'rm -f "$sftlint" "$sarif" "$fresh" "$benchgate" "$csrgate" "$shardgate"; rm -rf "$provdir"' EXIT
+trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate"; rm -rf "$provdir"' EXIT
 go build -o "$provdir/sft" ./cmd/sft
 go build -o "$provdir/sftverify" ./cmd/sftverify
 "$provdir/sft" -in circuits/c17.bench -out "$provdir/c17_out.bench" \
@@ -217,30 +196,23 @@ cmp "$provdir/dt2.records" "$provdir/dt4.records"
 "$provdir/sftexplain" funnel -pass 1 "$provdir/dt2.ndjson" >/dev/null
 "$provdir/sftexplain" diff "$provdir/dt2.ndjson" "$provdir/dt4.ndjson" >/dev/null
 
-echo "== sharded determinism gate =="
-# The region-sharded sweep (-shard) is a machine knob like -workers: the
-# optimized netlist, the run certificate (a pure function of input +
-# semantic options; these runs carry no -events), and the canonical
-# decision-record stream must be byte-identical to the serial sweep at
-# every worker count. A scheduling leak anywhere in the
-# speculate/validate/commit pipeline fails one of these cmps.
+echo "== serial sweep determinism gate =="
+# -workers is a machine knob: at 1 the resynthesis sweep runs fully serial
+# (no prefetch), above 1 a parallel prefetch warms the identification caches
+# first. The optimized netlist and the run certificate (a pure function of
+# input + semantic options; these runs carry no -events) must be
+# byte-identical either way. A scheduling leak into the sweep's decisions
+# fails one of these cmps.
 for cir in c17 adder4; do
-    "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_serial.bench" \
-        -cert "$provdir/${cir}_serial.cert.json" -heartbeat 0 -workers 1 >/dev/null
-    for w in 1 2 4; do
-        "$provdir/sft" -in "circuits/$cir.bench" -shard -workers "$w" \
-            -out "$provdir/${cir}_shard_w$w.bench" \
-            -cert "$provdir/${cir}_shard_w$w.cert.json" -heartbeat 0 >/dev/null
-        cmp "$provdir/${cir}_serial.bench" "$provdir/${cir}_shard_w$w.bench"
-        cmp "$provdir/${cir}_serial.cert.json" "$provdir/${cir}_shard_w$w.cert.json"
+    "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_w1.bench" \
+        -cert "$provdir/${cir}_w1.cert.json" -heartbeat 0 -workers 1 >/dev/null
+    for w in 2 4; do
+        "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_w$w.bench" \
+            -cert "$provdir/${cir}_w$w.cert.json" -heartbeat 0 -workers "$w" >/dev/null
+        cmp "$provdir/${cir}_w1.bench" "$provdir/${cir}_w$w.bench"
+        cmp "$provdir/${cir}_w1.cert.json" "$provdir/${cir}_w$w.cert.json"
     done
 done
-# Decision traces too: a sharded -dtrace=full run must export exactly the
-# record stream the serial runs in the sftexplain gate produced.
-"$provdir/sft" -in circuits/c17.bench -events "$provdir/dts.ndjson" \
-    -dtrace=full -shard -heartbeat 0 -workers 4 >/dev/null
-"$provdir/sftexplain" export "$provdir/dts.ndjson" > "$provdir/dts.records"
-cmp "$provdir/dt2.records" "$provdir/dts.records"
 
 echo "== staleness =="
 # The committed experiment outputs must match what the tree regenerates.
