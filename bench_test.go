@@ -305,13 +305,6 @@ func BenchmarkFaultSimulation(b *testing.B) {
 			faultsim.RunRandom(c, fl, 4096, int64(i))
 		}
 	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			faultsim.RefCampaign(c, fl, 4096, int64(i))
-		}
-	})
 }
 
 func BenchmarkRobustPDFCampaign(b *testing.B) {

@@ -35,6 +35,9 @@ func main() {
 	}
 	run := oflags.Start("atpg")
 	lg := run.Log
+	if *filter < 0 {
+		os.Exit(run.Fail(fmt.Errorf("-filter %d: want a pattern count, or 0 for no filter", *filter)))
+	}
 	c, err := compsynth.LoadBench(flag.Arg(0))
 	if err != nil {
 		os.Exit(run.Fail(err))

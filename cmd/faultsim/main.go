@@ -33,6 +33,9 @@ func main() {
 	}
 	run := oflags.Start("faultsim")
 	lg := run.Log
+	if *patterns < 1 {
+		os.Exit(run.Fail(fmt.Errorf("-patterns %d: want at least 1 pattern", *patterns)))
+	}
 	c, err := compsynth.LoadBench(flag.Arg(0))
 	if err != nil {
 		os.Exit(run.Fail(err))

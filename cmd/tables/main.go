@@ -34,10 +34,6 @@ func main() {
 	)
 	oflags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if *table != "all" && !strings.ContainsAny(*table, "234567") {
-		fmt.Fprintln(os.Stderr, "tables: unknown table:", *table)
-		os.Exit(2)
-	}
 
 	cfg := exper.DefaultConfig()
 	if *quick {
@@ -62,6 +58,9 @@ func main() {
 
 	orun := oflags.Start("tables")
 	lg := orun.Log
+	if *table != "all" && !strings.ContainsAny(*table, "234567") {
+		os.Exit(orun.Fail(fmt.Errorf("-table %s: unknown table (want 2..7 or all)", *table)))
+	}
 	cfg.Tracer = orun.Tracer
 	orun.SetCertOptions(struct {
 		Table    string   `json:"table"`

@@ -1,23 +1,35 @@
-// Package faultsim is a parallel-pattern single-fault-propagation stuck-at
-// fault simulator in the style of FSIM [17]: 64 patterns are simulated per
-// word; each undetected fault is injected and propagated event-driven
-// through its fanout cone only, with early exit when the effect dies out.
+// Package faultsim is a parallel-pattern stuck-at fault simulator in the
+// style of FSIM [17]: 64 patterns are simulated per word, and faults are
+// simulated per fanout-free region (FFR) rather than one at a time.
+//
+// A stem is a node with other than one fanout entry, or a PO driver; every
+// other node has exactly one consumer, so the nodes whose consumer chains
+// end at the same stem form a tree, the stem's FFR. A fault inside an FFR
+// can leave it only through the stem. Critical-path tracing (Abramovici,
+// Menon and Miller, DAC 1983) therefore splits each fault's detection word
+// into three exact factors:
+//
+//   - activation: the lanes in which the fault flips its site's output;
+//   - path: the lanes in which a flip of the site reaches the stem, the
+//     side-input sensitization ANDed down the site's one path;
+//   - observability: the lanes in which a flip of the stem reaches a PO,
+//     found by propagating the stem's flip event-driven, once per block
+//     for all the region's faults.
+//
+// Inside an FFR no side input lies in the site's fanout, so a single-lane
+// flip passes a gate exactly when the gate's Boolean difference with
+// respect to that pin is 1 at the good side-input values; the product is
+// the word a per-fault propagation would compute, lane for lane.
 //
 // Simulation runs on the circuit's frozen CSR view (circuit.Freeze): dense
-// int32 ids, flat adjacency, level-ordered nodes. Dense id order is itself
-// a topological order, so the event queue pops the smallest dense id where
-// it used to pop the smallest cached-topo position. The detection words are
-// identical either way: with pop-smallest under any valid topological
-// order, a node is evaluated at most once per fault and only after every
-// faulty fanin has settled (a fanin can never be queued after its consumer
-// popped in an acyclic circuit), so each PO accumulates exactly the final
-// good-xor-faulty difference.
+// int32 ids in level-major order, so ascending dense id is a topological
+// order and a node's consumers all sit on higher levels.
 package faultsim
 
 import (
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"compsynth/internal/circuit"
@@ -26,32 +38,34 @@ import (
 	"compsynth/internal/par"
 )
 
-// blockGrain is the minimum number of undetected faults in a block worth
-// fanning out over workers; smaller blocks run inline on the calling
-// goroutine.
-const blockGrain = 128
+// shareGrain is the smallest fault list worth splitting over workers; a
+// smaller campaign runs serially, since every worker repeats the
+// good-value simulation of every block.
+const shareGrain = 128
 
-// Simulation metrics (batched adds: one per 64-pattern block).
+// Simulation metrics (batched adds: one per 64-pattern block and worker).
 var (
 	mPatterns  = obs.C("faultsim.patterns_simulated")
 	mFaultEval = obs.C("faultsim.fault_evals")
+	mStemEval  = obs.C("faultsim.stem_evals")
 	mDetected  = obs.C("faultsim.faults_detected")
 	gBlocks    = obs.G("faultsim.blocks_done")
 )
 
-// Simulator simulates one circuit snapshot. All per-node state is indexed
-// by dense CSR id.
+// Simulator simulates one circuit snapshot, 64 patterns per word. All
+// per-node state is indexed by dense CSR id.
 type Simulator struct {
-	c       *circuit.Circuit
-	v       *circuit.CSR
-	good    []uint64
-	cur     []uint64
-	dirty   []bool
-	touched []int32
-	inQueue []bool
-	queue   []int32
-	buf     []uint64
-	po      []bool // dense PO-driver mask
+	v    *circuit.CSR
+	po   []bool  // dense PO-driver mask
+	stem []int32 // dense node -> the stem of its FFR (itself for a stem)
+
+	val    []uint64  // good words of the current block; observe changes them only transiently
+	path   []uint64  // lanes in which a node's flip reaches its stem (last traced FFR)
+	stack  []int32   // trace worklist
+	queued []bool    // node has a pending event in bucket
+	bucket [][]int32 // pending events of a stem flip, by level
+	trail  []int32   // nodes a stem flip changed
+	old    []uint64  // their good words
 }
 
 // New builds a simulator for c's current state.
@@ -61,178 +75,218 @@ func New(c *circuit.Circuit) *Simulator {
 	return s
 }
 
-// Reset rebinds the simulator to c's current state, reusing all buffers.
-// This is the pooling seam: Campaign recycles simulators across calls
-// instead of allocating five node-sized arrays each time.
+// Reset rebinds the simulator to c's current state, reusing all buffers,
+// and splits the view into FFRs.
 func (s *Simulator) Reset(c *circuit.Circuit) {
-	s.c = c
-	s.v = c.Freeze()
-	n := s.v.N()
-	s.good = growU64(s.good, n)
-	s.sizeScratch(n)
-	s.po = growBool(s.po, n)
-	for i := range s.po {
-		s.po[i] = false
-	}
-	for _, o := range s.v.Out {
+	v := c.Freeze()
+	n := v.N()
+	s.v = v
+	s.po = grow(s.po, n)
+	clear(s.po)
+	for _, o := range v.Out {
 		s.po[o] = true
 	}
-}
-
-// sizeScratch (re)sizes and clears the private fault-propagation state.
-func (s *Simulator) sizeScratch(n int) {
-	s.cur = growU64(s.cur, n)
-	s.dirty = growBool(s.dirty, n)
-	s.inQueue = growBool(s.inQueue, n)
-	for i := 0; i < n; i++ {
-		s.dirty[i] = false
-		s.inQueue[i] = false
+	// Consumers have higher dense ids, so a descending sweep sees every
+	// node's consumer first.
+	s.stem = grow(s.stem, n)
+	for d := int32(n - 1); d >= 0; d-- {
+		s.stem[d] = d
+		if out := v.FanoutOf(d); len(out) == 1 && !s.po[d] {
+			s.stem[d] = s.stem[out[0]]
+		}
 	}
-	s.touched = s.touched[:0]
-	s.queue = s.queue[:0]
+	s.sizeScratch()
 }
 
-// attach turns s into a fork of parent: circuit view, good values and PO
-// mask shared read-only, propagation scratch private.
+// attach shares parent's view, PO mask and FFRs read-only and gives s its
+// own block state, so s can simulate blocks concurrently with parent.
 func (s *Simulator) attach(parent *Simulator) {
-	s.c, s.v = parent.c, parent.v
-	s.good, s.po = parent.good, parent.po
-	s.sizeScratch(parent.v.N())
+	s.v, s.po, s.stem = parent.v, parent.po, parent.stem
+	s.sizeScratch()
+}
+
+// sizeScratch (re)sizes and clears the per-block state.
+func (s *Simulator) sizeScratch() {
+	n := s.v.N()
+	s.val = grow(s.val, n)
+	s.path = grow(s.path, n)
+	s.queued = grow(s.queued, n)
+	clear(s.queued)
+	levels := 0
+	if n > 0 {
+		levels = int(s.v.Level[n-1]) + 1
+	}
+	for len(s.bucket) < levels {
+		s.bucket = append(s.bucket, nil)
+	}
+	for l := range s.bucket {
+		s.bucket[l] = s.bucket[l][:0]
+	}
+	s.trail, s.old = s.trail[:0], s.old[:0]
 }
 
 // SetInputs loads one 64-pattern block: words[j] drives primary input j.
 func (s *Simulator) SetInputs(words []uint64) {
 	for j, in := range s.v.In {
-		s.good[in] = words[j]
+		s.val[in] = words[j]
 	}
 }
 
 // RunGood computes the fault-free values for the current block.
 func (s *Simulator) RunGood() {
-	v := s.v
-	for d := 0; d < v.N(); d++ {
-		k := v.Kind[d]
-		if k == circuit.Input {
-			continue
+	start, edge := s.v.FaninStart, s.v.FaninEdge
+	for d, k := range s.v.Kind {
+		if k != circuit.Input {
+			s.val[d] = eval(k, edge[start[d]:start[d+1]], s.val)
 		}
-		s.buf = s.buf[:0]
-		for _, f := range v.FaninOf(int32(d)) {
-			s.buf = append(s.buf, s.good[f])
-		}
-		s.good[d] = k.EvalWords(s.buf)
 	}
 }
 
-// GoodWord returns the fault-free word of sparse node id.
-func (s *Simulator) GoodWord(id int) uint64 { return s.good[s.v.DenseOf[id]] }
-
-// Fork returns a simulator for concurrent DetectWord calls on the same
-// block: circuit structure and the good-value words are shared read-only
-// with s, while the fault-propagation scratch state (cur, dirty, queue) is
-// private. Forks must not call SetInputs or RunGood — load each block
-// through the parent, then detect through the forks.
-func (s *Simulator) Fork() *Simulator {
-	f := &Simulator{}
-	f.attach(s)
-	return f
+// eval computes the word of a gate of kind k with fanins in from val. It is
+// GateType.EvalWords without first gathering the fanin words into a slice,
+// which made whole campaigns measurably slower (EXPERIMENTS.md, "Gate
+// evaluation").
+func eval(k circuit.GateType, in []int32, val []uint64) uint64 {
+	var w uint64
+	switch k {
+	case circuit.And, circuit.Nand:
+		w = ^uint64(0)
+		for _, f := range in {
+			w &= val[f]
+		}
+	case circuit.Or, circuit.Nor:
+		for _, f := range in {
+			w |= val[f]
+		}
+	case circuit.Xor, circuit.Xnor:
+		for _, f := range in {
+			w ^= val[f]
+		}
+	case circuit.Buf, circuit.Not:
+		w = val[in[0]]
+	default:
+		return k.EvalWords(nil) // constants
+	}
+	if k.Inverting() {
+		w = ^w
+	}
+	return w
 }
 
-// DetectWord simulates fault f against the current block and returns the
-// 64-bit word of patterns that detect it (difference observed at any PO).
-func (s *Simulator) DetectWord(f faults.Fault) uint64 {
-	// Faulty values start equal to good values; cur is restored lazily via
-	// the touched list.
-	var detected uint64
-	v := s.v
-	s.queue = s.queue[:0]
-
-	inject := func(d int32, w uint64) {
-		if w == s.good[d] && !s.dirty[d] {
-			return
-		}
-		s.cur[d] = w
-		if !s.dirty[d] {
-			s.dirty[d] = true
-			s.touched = append(s.touched, d)
-		}
-		if s.po[d] {
-			detected |= w ^ s.good[d]
-		}
-		for _, consumer := range v.FanoutOf(d) {
-			s.push(consumer)
-		}
-	}
-
-	faultyWord := uint64(0)
-	if f.Stuck {
-		faultyWord = ^uint64(0)
-	}
-
-	site := v.DenseOf[f.Node]
-	if f.Pin < 0 {
-		inject(site, faultyWord)
-	} else {
-		// Branch fault: re-evaluate the consuming gate with the pin forced.
-		s.buf = s.buf[:0]
-		for pin, fn := range v.FaninOf(site) {
-			w := s.good[fn]
-			if pin == f.Pin {
-				w = faultyWord
+// sens returns the lanes in which flipping fanin pin of gate y flips y:
+// its Boolean difference at the good values of the other pins.
+func (s *Simulator) sens(y int32, pin int) uint64 {
+	w := ^uint64(0)
+	switch s.v.Kind[y] {
+	case circuit.And, circuit.Nand:
+		for i, f := range s.v.FaninOf(y) {
+			if i != pin {
+				w &= s.val[f]
 			}
-			s.buf = append(s.buf, w)
 		}
-		inject(site, v.Kind[site].EvalWords(s.buf))
-	}
-
-	for len(s.queue) > 0 {
-		// Pop the topologically smallest queued node.
-		d := s.pop()
-		s.buf = s.buf[:0]
-		for _, fn := range v.FaninOf(d) {
-			s.buf = append(s.buf, s.val(fn))
-		}
-		w := v.Kind[d].EvalWords(s.buf)
-		if w != s.val(d) {
-			inject(d, w)
+	case circuit.Or, circuit.Nor:
+		for i, f := range s.v.FaninOf(y) {
+			if i != pin {
+				w &^= s.val[f]
+			}
 		}
 	}
-
-	// Restore.
-	for _, d := range s.touched {
-		s.dirty[d] = false
-	}
-	s.touched = s.touched[:0]
-	return detected
+	return w // Buf, Not, Xor, Xnor pass every flip
 }
 
-// val returns the current (possibly faulty) word of a dense node.
-func (s *Simulator) val(d int32) uint64 {
-	if s.dirty[d] {
-		return s.cur[d]
-	}
-	return s.good[d]
-}
-
-func (s *Simulator) push(d int32) {
-	if s.inQueue[d] {
-		return
-	}
-	s.inQueue[d] = true
-	s.queue = append(s.queue, d)
-}
-
-func (s *Simulator) pop() int32 {
-	best := 0
-	for i := 1; i < len(s.queue); i++ {
-		if s.queue[i] < s.queue[best] {
-			best = i
+// trace sets s.path for every node of the FFR rooted at stem st. The
+// region is a tree whose children are the non-stem fanins, each of which
+// has its parent as its only consumer.
+func (s *Simulator) trace(st int32) {
+	s.path[st] = ^uint64(0)
+	stack := append(s.stack[:0], st)
+	for len(stack) > 0 {
+		y := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for pin, x := range s.v.FaninOf(y) {
+			if s.stem[x] != x {
+				s.path[x] = s.sens(y, pin) & s.path[y]
+				stack = append(stack, x)
+			}
 		}
 	}
-	d := s.queue[best]
-	s.queue[best] = s.queue[len(s.queue)-1]
-	s.queue = s.queue[:len(s.queue)-1]
-	s.inQueue[d] = false
-	return d
+	s.stack = stack
+}
+
+// act returns the lanes in which fault f flips the output of site, its
+// node (a stem fault) or its consuming gate (a branch fault).
+func (s *Simulator) act(site int32, f faults.Fault) uint64 {
+	var stuck uint64
+	if f.Stuck {
+		stuck = ^uint64(0)
+	}
+	if f.Pin < 0 {
+		return s.val[site] ^ stuck
+	}
+	return (s.val[s.v.FaninOf(site)[f.Pin]] ^ stuck) & s.sens(site, f.Pin)
+}
+
+// observe flips stem st in the lanes of mask, propagates the flip through
+// its fanout cone in level order, restores the good words, and returns
+// the lanes of mask in which some PO changed.
+func (s *Simulator) observe(st int32, mask uint64) uint64 {
+	if s.po[st] {
+		return mask
+	}
+	var seen uint64
+	top := s.v.Level[st]
+	s.set(st, s.val[st]^mask, &top)
+	for l := s.v.Level[st] + 1; l <= top; l++ {
+		for _, d := range s.bucket[l] {
+			s.queued[d] = false
+			// Every fanin sits on a lower level, so d is final here. Once
+			// every lane of mask is seen, the rest of the cone only drains.
+			if seen == mask {
+				continue
+			}
+			if w := eval(s.v.Kind[d], s.v.FaninOf(d), s.val); w != s.val[d] {
+				if s.po[d] {
+					seen |= w ^ s.val[d]
+				}
+				s.set(d, w, &top)
+			}
+		}
+		s.bucket[l] = s.bucket[l][:0]
+	}
+	for i, d := range s.trail {
+		s.val[d] = s.old[i]
+	}
+	s.trail, s.old = s.trail[:0], s.old[:0]
+	return seen
+}
+
+// set gives node d the flipped word w and schedules its consumers; top
+// tracks the highest level holding an event.
+func (s *Simulator) set(d int32, w uint64, top *int32) {
+	s.trail = append(s.trail, d)
+	s.old = append(s.old, s.val[d])
+	s.val[d] = w
+	for _, c := range s.v.FanoutOf(d) {
+		if !s.queued[c] {
+			s.queued[c] = true
+			l := s.v.Level[c]
+			s.bucket[l] = append(s.bucket[l], c)
+			*top = max(*top, l)
+		}
+	}
+}
+
+// DetectWord returns the word of patterns in the current block that detect
+// fault f (a difference observed at some PO): its activation and path words
+// ANDed with its stem's observability word.
+func (s *Simulator) DetectWord(f faults.Fault) uint64 {
+	site := s.v.DenseOf[f.Node]
+	st := s.stem[site]
+	s.trace(st)
+	if r := s.act(site, f) & s.path[site]; r != 0 {
+		return s.observe(st, r)
+	}
+	return 0
 }
 
 // CampaignResult summarizes a random-pattern campaign (Table 6 columns).
@@ -257,33 +311,51 @@ type CampaignOptions struct {
 	Patterns int   // random patterns to apply (rounded up to blocks of 64)
 	Seed     int64 // pattern generator seed
 
-	// Workers bounds the goroutines detecting faults within each pattern
-	// block (0 = runtime.GOMAXPROCS(0), 1 = serial). The undetected-fault
-	// list is partitioned across workers, each propagating through its own
-	// forked simulator over the shared good values; detection words land in
-	// a fault-indexed slice and are merged serially, so the result is
-	// bit-identical for every worker count.
+	// Workers bounds the goroutines of the campaign (0 =
+	// runtime.GOMAXPROCS(0), 1 = serial). Whole FFRs are dealt to workers
+	// once per campaign; each worker simulates every block on its share
+	// with its own simulator and pattern stream, and a serial merge by
+	// fault index makes the result and every counter identical for every
+	// worker count.
 	Workers int
 
 	// Tracer, when non-nil, wraps the campaign in a span.
 	Tracer *obs.Tracer
 }
 
-// campaignState is the pooled per-campaign allocation bundle: simulators,
-// the RNG (a math/rand source is a ~5KB allocation), the working fault list
-// and the per-block scratch. Reseeding and Reset/attach on every acquisition
-// keep campaigns pure functions of (circuit, faults, options).
-type campaignState struct {
-	sims   []*Simulator
-	words  []uint64
-	detect []uint64
-	rem    []faults.Fault
-	rng    *rand.Rand
+// region is one FFR with undetected faults: faults[lo:lo+n] of its share.
+type region struct{ stem, lo, n int32 }
+
+// share is one worker's part of a campaign and the totals the merge reads.
+type share struct {
+	sim     Simulator
+	rng     *rand.Rand
+	words   []uint64
+	regions []region
+	faults  []int32  // fault indices, grouped by region, ascending in each
+	reach   []uint64 // activation AND path word of each fault of a region
+	load    int      // faults dealt
+
+	detected, last, blocks int
 }
 
-var campPool = sync.Pool{
-	New: func() any { return &campaignState{rng: rand.New(rand.NewSource(0))} },
+// campaignState is the pooled per-campaign allocation bundle: one share
+// per worker (simulator, RNG — a math/rand source is a ~5KB allocation —
+// and fault lists) and the FFR grouping. Reseeding and Reset/attach on
+// every acquisition keep campaigns pure functions of (circuit, faults,
+// options).
+type campaignState struct {
+	shares  []*share
+	site    []int32  // per fault: the node whose output it flips
+	start   []int32  // per dense stem: its faults' offset in order
+	order   []int32  // fault indices grouped by stem
+	regions []region // FFRs holding faults, in stem order
+	deal    []int32  // region indices, largest first
+	owner   []int32  // per region: its share
+	keep    []bool   // per fault: undetected at the end
 }
+
+var campPool = sync.Pool{New: func() any { return &campaignState{} }}
 
 // RunRandom applies maxPatterns random patterns (rounded up to blocks of 64)
 // to the collapsed fault list and reports detection statistics. The same
@@ -298,86 +370,186 @@ func Campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) Campai
 	sp := opt.Tracer.StartSpan("faultsim.campaign")
 	defer sp.End()
 	sp.SetInt("faults", int64(len(fl)))
+	sp.SetInt("workers", int64(par.Workers(opt.Workers)))
 	cs := campPool.Get().(*campaignState)
 	defer campPool.Put(cs)
-	w := par.Workers(opt.Workers)
-	sp.SetInt("workers", int64(w))
-	for len(cs.sims) < w {
-		cs.sims = append(cs.sims, &Simulator{})
-	}
-	sims := cs.sims
-	s := sims[0]
-	s.Reset(c)
-	for i := 1; i < w; i++ {
-		sims[i].attach(s)
-	}
-	cs.rng.Seed(opt.Seed)
-	remaining := append(cs.rem[:0], fl...)
-	cs.rem = remaining[:0]
-	res := CampaignResult{TotalFaults: len(fl)}
-	words := growU64(cs.words, len(c.Inputs))
-	cs.words = words
-	detect := growU64(cs.detect, len(remaining))
-	cs.detect = detect
-	blocks := (opt.Patterns + 63) / 64
-	// One closure for every block's par.Run: it reads the current partition
-	// through rem, so reusing it costs nothing and saves an allocation per
-	// block.
-	var rem []faults.Fault
-	detectOne := func(worker, i int) {
-		detect[i] = sims[worker].DetectWord(rem[i])
-	}
-	for b := 0; b < blocks && len(remaining) > 0; b++ {
-		for j := range words {
-			words[j] = cs.rng.Uint64()
-		}
-		s.SetInputs(words)
-		s.RunGood()
-		mPatterns.Add(64)
-		mFaultEval.Add(int64(len(remaining)))
-		// Detect in parallel into the fault-indexed slice (DetectWord is a
-		// pure function of the fault and the shared good block), then merge
-		// serially in fault order: Detected, Remaining and LastEffective
-		// come out exactly as in the serial loop. Campaign tails with few
-		// undetected faults run inline — the goroutine spawn would cost
-		// more than the block; the threshold only reschedules work, it
-		// cannot change results. The nil tracer keeps the per-block
-		// fan-out from flooding the span buffer.
-		rem = remaining
-		bw := w
-		if len(rem) < blockGrain {
-			bw = 1
-		}
-		par.Run(nil, "faultsim.block", bw, len(rem), detectOne)
-		kept := remaining[:0]
-		for i, f := range remaining {
-			d := detect[i]
-			if d == 0 {
-				kept = append(kept, f)
-				continue
-			}
-			res.Detected++
-			first := b*64 + lowestBit(d) + 1
-			if first > res.LastEffective {
-				res.LastEffective = first
-			}
-		}
-		remaining = kept
-		// Per-block completion for the live gauge and the flight recorder
-		// (the recorder throttles; off path is one atomic store + load).
-		gBlocks.Set(int64(b + 1))
-		obs.EmitProgress("faultsim.blocks", int64(b+1), int64(blocks))
-	}
-	res.Remaining = append([]faults.Fault(nil), remaining...)
-	res.Patterns = blocks * 64
-	mDetected.Add(int64(res.Detected))
+	res := cs.campaign(c, fl, opt)
 	sp.SetInt("patterns", int64(res.Patterns))
 	sp.SetInt("detected", int64(res.Detected))
 	return res
 }
 
-func lowestBit(w uint64) int {
-	return bits.TrailingZeros64(w)
+// campaign runs one campaign on the state bundle cs.
+func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) CampaignResult {
+	w := par.Workers(opt.Workers)
+	for len(cs.shares) < w {
+		cs.shares = append(cs.shares, &share{rng: rand.New(rand.NewSource(0))})
+	}
+	s := &cs.shares[0].sim
+	s.Reset(c)
+
+	// Group the faults by the stem of the node they flip (a counting
+	// sort), so each FFR's faults are one run of order.
+	n := s.v.N()
+	cs.site = grow(cs.site, len(fl))
+	cs.start = grow(cs.start, n+1)
+	clear(cs.start)
+	for i, f := range fl {
+		cs.site[i] = s.v.DenseOf[f.Node]
+		cs.start[s.stem[cs.site[i]]+1]++
+	}
+	cs.regions = cs.regions[:0]
+	for d := int32(0); d < int32(n); d++ {
+		lo, cnt := cs.start[d], cs.start[d+1]
+		cs.start[d+1] = lo + cnt
+		if cnt > 0 {
+			cs.regions = append(cs.regions, region{stem: d, lo: lo, n: cnt})
+		}
+	}
+	cs.order = grow(cs.order, len(fl))
+	for i, d := range cs.site {
+		st := s.stem[d]
+		cs.order[cs.start[st]] = int32(i)
+		cs.start[st]++
+	}
+
+	// Deal whole regions, largest first, each to the least-loaded share.
+	if len(fl) < shareGrain {
+		w = 1
+	}
+	w = max(1, min(w, len(cs.regions)))
+	cs.owner = grow(cs.owner, len(cs.regions))
+	clear(cs.owner)
+	if w > 1 {
+		for k := range cs.shares[:w] {
+			cs.shares[k].load = 0
+		}
+		cs.deal = cs.deal[:0]
+		for r := range cs.regions {
+			cs.deal = append(cs.deal, int32(r))
+		}
+		slices.SortStableFunc(cs.deal, func(a, b int32) int { return int(cs.regions[b].n - cs.regions[a].n) })
+		for _, r := range cs.deal {
+			k := 0
+			for j := 1; j < w; j++ {
+				if cs.shares[j].load < cs.shares[k].load {
+					k = j
+				}
+			}
+			cs.owner[r] = int32(k)
+			cs.shares[k].load += int(cs.regions[r].n)
+		}
+	}
+	shares := cs.shares[:w]
+	for k, sh := range shares {
+		if k > 0 {
+			sh.sim.attach(s)
+		}
+		sh.regions, sh.faults = sh.regions[:0], sh.faults[:0]
+		sh.detected, sh.last, sh.blocks = 0, 0, 0
+		sh.rng.Seed(opt.Seed)
+		sh.words = grow(sh.words, len(c.Inputs))
+	}
+	for r, reg := range cs.regions {
+		sh := shares[cs.owner[r]]
+		sh.regions = append(sh.regions, region{stem: reg.stem, lo: int32(len(sh.faults)), n: reg.n})
+		sh.faults = append(sh.faults, cs.order[reg.lo:reg.lo+reg.n]...)
+		sh.reach = grow(sh.reach, max(len(sh.reach), int(reg.n)))
+	}
+
+	blocks := (opt.Patterns + 63) / 64
+	site := cs.site
+	par.Run(nil, "faultsim.share", w, w, func(_, k int) {
+		shares[k].run(fl, site, blocks, k == 0)
+	})
+
+	// Merge by fault index: the survivors keep their input order.
+	res := CampaignResult{TotalFaults: len(fl), Patterns: blocks * 64}
+	cs.keep = grow(cs.keep, len(fl))
+	clear(cs.keep)
+	run := 0
+	for _, sh := range shares {
+		res.Detected += sh.detected
+		res.LastEffective = max(res.LastEffective, sh.last)
+		run = max(run, sh.blocks)
+		for _, i := range sh.faults {
+			cs.keep[i] = true
+		}
+	}
+	if left := len(fl) - res.Detected; left > 0 {
+		res.Remaining = make([]faults.Fault, 0, left)
+	}
+	for i, f := range fl {
+		if cs.keep[i] {
+			res.Remaining = append(res.Remaining, f)
+		}
+	}
+	if run > 0 {
+		gBlocks.Set(int64(run))
+	}
+	mPatterns.Add(int64(run) * 64)
+	mDetected.Add(int64(res.Detected))
+	return res
+}
+
+// run simulates up to blocks pattern blocks on the share's regions, until
+// none holds an undetected fault. On return sh.faults holds exactly the
+// undetected faults. live marks the share that reports block progress.
+func (sh *share) run(fl []faults.Fault, site []int32, blocks int, live bool) {
+	s := &sh.sim
+	for b := 0; b < blocks && len(sh.regions) > 0; b++ {
+		for j := range sh.words {
+			sh.words[j] = sh.rng.Uint64()
+		}
+		s.SetInputs(sh.words)
+		s.RunGood()
+		evals, stems := 0, 0
+		kept := sh.regions[:0]
+		for _, r := range sh.regions {
+			evals += int(r.n)
+			fs := sh.faults[r.lo : r.lo+r.n]
+			s.trace(r.stem)
+			var mask uint64
+			for k, i := range fs {
+				sh.reach[k] = s.act(site[i], fl[i]) & s.path[site[i]]
+				mask |= sh.reach[k]
+			}
+			if mask != 0 {
+				stems++
+				seen := s.observe(r.stem, mask)
+				r.n = 0
+				for k, i := range fs {
+					if d := sh.reach[k] & seen; d != 0 {
+						sh.detected++
+						sh.last = max(sh.last, b*64+bits.TrailingZeros64(d)+1)
+					} else {
+						fs[r.n] = i
+						r.n++
+					}
+				}
+			}
+			if r.n > 0 {
+				kept = append(kept, r)
+			}
+		}
+		sh.regions = kept
+		sh.blocks = b + 1
+		mFaultEval.Add(int64(evals))
+		mStemEval.Add(int64(stems))
+		if live {
+			// Per-block completion for the live gauge and the flight
+			// recorder (the recorder throttles; off path is one atomic
+			// store + load). The merge sets the gauge's final value.
+			gBlocks.Set(int64(b + 1))
+			obs.EmitProgress("faultsim.blocks", int64(b+1), int64(blocks))
+		}
+	}
+	// Compact the survivors to the front: the merge reads sh.faults.
+	n := 0
+	for _, r := range sh.regions {
+		n += copy(sh.faults[n:], sh.faults[r.lo:r.lo+r.n])
+	}
+	sh.faults = sh.faults[:n]
 }
 
 // DetectedBy reports whether pattern pi (one bool per input) detects fault f.
@@ -394,30 +566,9 @@ func DetectedBy(c *circuit.Circuit, f faults.Fault, pi []bool) bool {
 	return s.DetectWord(f)&1 != 0
 }
 
-// SortFaults orders a fault list deterministically (test helper).
-func SortFaults(fl []faults.Fault) {
-	sort.Slice(fl, func(i, j int) bool {
-		a, b := fl[i], fl[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Pin != b.Pin {
-			return a.Pin < b.Pin
-		}
-		return !a.Stuck && b.Stuck
-	})
-}
-
-func growU64(s []uint64, n int) []uint64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n, n+n/2+8)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n, n+n/2+8)
+		return make([]T, n, n+n/2+8)
 	}
 	return s[:n]
 }

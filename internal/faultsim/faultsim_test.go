@@ -51,28 +51,65 @@ func evalFaulty(c *circuit.Circuit, f faults.Fault, pi []bool) []bool {
 	return out
 }
 
+// edgeCircuit packs the structures FFR tracing must get right into one
+// netlist: a net on two pins of one gate, a PO driver that also feeds a
+// gate, a dangling gate, a PI that is a PO, a doubly designated output, a
+// 3-input XOR and an XNOR, BUF/NOT chains, and constant fanins.
+func edgeCircuit() *circuit.Circuit {
+	c := circuit.New("edges")
+	a := c.AddInput("a")
+	b := c.AddInput("b")
+	x := c.AddInput("x")
+	y := c.AddInput("y")
+	e := c.AddInput("e")
+	k0 := c.AddGate(circuit.Const0, "k0")
+	k1 := c.AddGate(circuit.Const1, "k1")
+	g1 := c.AddGate(circuit.And, "g1", a, a, b) // a on two pins
+	g2 := c.AddGate(circuit.Xor, "g2", g1, x, y)
+	n1 := c.AddGate(circuit.Not, "n1", g2)
+	b1 := c.AddGate(circuit.Buf, "b1", n1)
+	n2 := c.AddGate(circuit.Not, "n2", b1)
+	g3 := c.AddGate(circuit.Xnor, "g3", n2, e)
+	g4 := c.AddGate(circuit.Or, "g4", k0, g3) // g3 is a PO and feeds g4
+	g5 := c.AddGate(circuit.Nand, "g5", k1, b, g4)
+	g6 := c.AddGate(circuit.Nor, "g6", g5, y)
+	c.AddGate(circuit.And, "dangling", x, y)
+	b2 := c.AddGate(circuit.Buf, "b2", g1)
+	g7 := c.AddGate(circuit.Nand, "g7", b2, g5)
+	c.MarkOutput(g3)
+	c.MarkOutput(g6)
+	c.MarkOutput(g6) // doubly designated
+	c.MarkOutput(e)  // a PI that is a PO
+	c.MarkOutput(g7)
+	return c
+}
+
+// TestDetectWordMatchesNaive checks every fault of the full (uncollapsed)
+// list on all 64 lanes of several blocks against the brute-force model,
+// on c17 and on the edge-case circuit.
 func TestDetectWordMatchesNaive(t *testing.T) {
-	c, _ := bench.ParseString(bench.C17, "c17")
-	fl := faults.All(c)
-	s := New(c)
-	rng := rand.New(rand.NewSource(3))
-	words := make([]uint64, 5)
-	for round := 0; round < 4; round++ {
-		for j := range words {
-			words[j] = rng.Uint64()
-		}
-		s.SetInputs(words)
-		s.RunGood()
-		for _, f := range fl {
-			d := s.DetectWord(f)
-			for b := 0; b < 64; b++ {
-				pi := make([]bool, 5)
-				for j := range pi {
-					pi[j] = words[j]&(1<<b) != 0
-				}
-				want := naiveDetect(c, f, pi)
-				if (d&(1<<b) != 0) != want {
-					t.Fatalf("fault %v bit %d: sim=%v naive=%v", f, b, !want, want)
+	c17, _ := bench.ParseString(bench.C17, "c17")
+	for _, c := range []*circuit.Circuit{c17, edgeCircuit()} {
+		fl := faults.All(c)
+		s := New(c)
+		rng := rand.New(rand.NewSource(3))
+		words := make([]uint64, len(c.Inputs))
+		pi := make([]bool, len(c.Inputs))
+		for round := 0; round < 4; round++ {
+			for j := range words {
+				words[j] = rng.Uint64()
+			}
+			s.SetInputs(words)
+			s.RunGood()
+			for _, f := range fl {
+				d := s.DetectWord(f)
+				for b := 0; b < 64; b++ {
+					for j := range pi {
+						pi[j] = words[j]&(1<<b) != 0
+					}
+					if want := naiveDetect(c, f, pi); (d&(1<<b) != 0) != want {
+						t.Fatalf("%s round %d fault %v bit %d: sim=%v naive=%v", c.Name, round, f, b, !want, want)
+					}
 				}
 			}
 		}

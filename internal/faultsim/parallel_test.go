@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"slices"
 	"testing"
 
 	"compsynth/internal/bench"
@@ -9,63 +10,101 @@ import (
 	"compsynth/internal/gen"
 )
 
-func campaignWith(t *testing.T, c *circuit.Circuit, fl []faults.Fault, workers int) CampaignResult {
-	t.Helper()
-	return Campaign(c, fl, CampaignOptions{Patterns: 512, Seed: 42, Workers: workers})
+// campaignWith runs one campaign and returns its result with the blocks
+// gauge and every faultsim counter's delta.
+func campaignWith(c *circuit.Circuit, fl []faults.Fault, workers int) (CampaignResult, []int64) {
+	counters := []interface{ Value() int64 }{mPatterns, mFaultEval, mStemEval, mDetected}
+	before := make([]int64, len(counters))
+	for i, ctr := range counters {
+		before[i] = ctr.Value()
+	}
+	res := Campaign(c, fl, CampaignOptions{Patterns: 512, Seed: 42, Workers: workers})
+	obs := []int64{gBlocks.Value()}
+	for i, ctr := range counters {
+		obs = append(obs, ctr.Value()-before[i])
+	}
+	return res, obs
 }
 
-// TestParallelCampaignMatchesSerial is the determinism contract: the
-// campaign with 8 workers reports the same detections, the same surviving
-// faults in the same order, and the same last-effective pattern as the
-// serial campaign.
+// unevenCircuit holds an easy region, a 32-input XOR tree whose faults all
+// fall in the first block, and a hard one, a 12-input AND whose faults
+// each need 12 specific input values. The deal puts them on different
+// workers, which then stop after different blocks.
+func unevenCircuit() *circuit.Circuit {
+	c := circuit.New("uneven")
+	var xs, as []int
+	for i := 0; i < 32; i++ {
+		xs = append(xs, c.AddInput(""))
+	}
+	for len(xs) > 1 {
+		xs = append(xs[2:], c.AddGate(circuit.Xor, "", xs[0], xs[1]))
+	}
+	c.MarkOutput(xs[0])
+	for i := 0; i < 12; i++ {
+		as = append(as, c.AddInput(""))
+	}
+	c.MarkOutput(c.AddGate(circuit.And, "", as...))
+	return c
+}
+
+// TestParallelCampaignMatchesSerial is the determinism contract: at 2, 4
+// and 8 workers the campaign reports the same detections, the same
+// surviving faults in the same order and the same last-effective pattern
+// as the serial campaign, and moves every faultsim counter (stem
+// evaluations included) and the blocks gauge exactly as it does.
 func TestParallelCampaignMatchesSerial(t *testing.T) {
 	c17, err := bench.ParseString(bench.C17, "c17")
 	if err != nil {
 		t.Fatal(err)
 	}
-	circuits := []*circuit.Circuit{c17}
+	circuits := []*circuit.Circuit{c17, unevenCircuit()}
 	for _, b := range gen.SmallSuite() {
 		circuits = append(circuits, b.Build())
 	}
 	for _, c := range circuits {
 		fl := faults.Collapse(c)
-		serial := campaignWith(t, c, fl, 1)
-		parallel := campaignWith(t, c, fl, 8)
-		if serial.Detected != parallel.Detected ||
-			serial.LastEffective != parallel.LastEffective ||
-			serial.Patterns != parallel.Patterns {
-			t.Errorf("%s: stats diverge: serial %+v parallel %+v", c.Name, serial, parallel)
+		serial, serialObs := campaignWith(c, fl, 1)
+		if serialObs[3] == 0 {
+			t.Fatalf("%s: no stem evaluations counted: %v", c.Name, serialObs)
 		}
-		if len(serial.Remaining) != len(parallel.Remaining) {
-			t.Fatalf("%s: %d vs %d remaining", c.Name, len(serial.Remaining), len(parallel.Remaining))
-		}
-		for i := range serial.Remaining {
-			if serial.Remaining[i] != parallel.Remaining[i] {
-				t.Fatalf("%s: remaining[%d] differs: %v vs %v",
-					c.Name, i, serial.Remaining[i], parallel.Remaining[i])
+		for _, workers := range []int{2, 4, 8} {
+			parallel, obs := campaignWith(c, fl, workers)
+			if !campaignsEqual(serial, parallel) {
+				t.Fatalf("%s workers %d:\nserial   %+v\nparallel %+v", c.Name, workers, serial, parallel)
+			}
+			if !slices.Equal(obs, serialObs) {
+				t.Fatalf("%s workers %d: blocks gauge and counter deltas %v, serial %v",
+					c.Name, workers, obs, serialObs)
 			}
 		}
 	}
 }
 
-// TestForkSharesGoodValues checks a fork sees the parent's loaded block and
-// detects exactly what the parent does.
-func TestForkSharesGoodValues(t *testing.T) {
+// TestCampaignAllocsIndependentOfPatterns pins that a serial campaign's
+// allocations do not grow with its length: blocks run on the campaign's
+// state bundle. The pin drives one bundle directly rather than through the
+// pool, which the race detector empties at random.
+func TestCampaignAllocsIndependentOfPatterns(t *testing.T) {
 	c, err := bench.ParseString(bench.C17, "c17")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(c)
-	words := make([]uint64, len(c.Inputs))
-	for j := range words {
-		words[j] = 0xdeadbeefcafe0000 + uint64(j)
+	// c17's faults all fall within a few blocks; a redundant fault, the
+	// AND of x = OR(a, AND(a, b)), keeps every block busy.
+	a, b := c.Inputs[0], c.Inputs[1]
+	and := c.AddGate(circuit.And, "and", a, b)
+	c.MarkOutput(c.AddGate(circuit.Or, "or", a, and))
+	fl := faults.Collapse(c)
+	if r := Campaign(c, fl, CampaignOptions{Patterns: 1024, Seed: 1, Workers: 1}); len(r.Remaining) == 0 {
+		t.Fatal("the redundant fault was detected")
 	}
-	s.SetInputs(words)
-	s.RunGood()
-	fork := s.Fork()
-	for _, f := range faults.Collapse(c) {
-		if got, want := fork.DetectWord(f), s.DetectWord(f); got != want {
-			t.Fatalf("fault %v: fork %x, parent %x", f, got, want)
-		}
+	cs := &campaignState{}
+	allocs := func(patterns int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			cs.campaign(c, fl, CampaignOptions{Patterns: patterns, Seed: 1, Workers: 1})
+		})
+	}
+	if short, long := allocs(1024), allocs(65536); short != long {
+		t.Fatalf("allocs/run: %v at 1,024 patterns, %v at 65,536", short, long)
 	}
 }
