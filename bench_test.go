@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"testing"
 
-	"compsynth/internal/circuit"
 	"compsynth/internal/compare"
 	"compsynth/internal/delay"
 	"compsynth/internal/exper"
@@ -277,20 +276,30 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 
 func BenchmarkPathCountProcedure1(b *testing.B) {
 	c := gen.Suite(0.3)[3].Build() // rs13207 analog
-	for _, v := range []struct {
-		name  string
-		count func(*circuit.Circuit) (uint64, error)
-	}{{"csr", paths.Count}, {"map", paths.RefCount}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			c.Freeze()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := v.count(c); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("csr", func(b *testing.B) {
+		b.ReportAllocs()
+		c.Freeze()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := paths.Count(c); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
+	})
+}
+
+// BenchmarkResynth runs Procedure 2 on the first small-suite circuit with a
+// fresh optimizer every iteration, so no iteration rides another's caches.
+func BenchmarkResynth(b *testing.B) {
+	c := gen.SmallSuite()[0].Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt := resynth.DefaultOptions()
+		opt.Verify = false
+		if _, err := resynth.Optimize(c, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -110,7 +110,6 @@ func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
 	opt.MaxUnits = maxUnits
 	opt.UseSDC = useSDC
 	opt.Seed = seed
-	opt.Workers = workers
 	opt.Tracer = run.Tracer
 	opt.Dtrace = run.Dtrace()
 	opt.Check = run.CheckEnabled()

@@ -1,7 +1,7 @@
 // Command sftlint runs the repository's static analysis rules (package
 // internal/lint): the syntactic rules (wall-clock/global-RNG bans,
-// map-iteration-order hazards, obs metric naming, par.Cache key types,
-// out-of-package circuit-node mutation) and the interprocedural rules on
+// map-iteration-order hazards, obs metric naming, out-of-package
+// circuit-node mutation) and the interprocedural rules on
 // the whole-module call graph (purity of par fan-out tasks, transitive
 // wall-clock taint, unsynchronized goroutine-captured writes).
 //

@@ -12,7 +12,7 @@ import (
 // FuzzCSRFreeze drives the incremental Freeze machinery over every circuit
 // the parser accepts, reusing FuzzParseBench's seed corpus. After each step
 // of a deterministic mutation sequence it freezes and runs circuit.Check,
-// whose csr_stale audit deep-compares the (possibly journal-patched) view
+// whose csr_stale audit deep-compares the (possibly patched) view
 // against a from-scratch rebuild — so any divergence between the
 // incremental and full paths on a fuzz-discovered netlist is a failure.
 func FuzzCSRFreeze(f *testing.F) {
@@ -47,8 +47,8 @@ func FuzzCSRFreeze(f *testing.F) {
 
 		// A deterministic edit script covering the interesting transitions:
 		// pure additions, output designation, local rewiring, global
-		// simplification and sweeps. Every op goes through the journal-
-		// touching mutators, so each Freeze exercises the patch path (or its
+		// simplification and sweeps. Every op goes through the edit-stamping
+		// mutators, so each Freeze exercises the patch path (or its
 		// churn-threshold fallback) against the reference.
 		in := c.AddInput("fz_in")
 		step("AddInput")

@@ -212,10 +212,10 @@ func checkCSR(c *Circuit) error {
 	if v == nil {
 		return nil
 	}
-	if v.gen > c.fz.gen {
-		return fmt.Errorf("csr_stale: frozen view at generation %d is ahead of the circuit at %d", v.gen, c.fz.gen)
+	if v.gen > c.gen {
+		return fmt.Errorf("csr_stale: frozen view at generation %d is ahead of the circuit at %d", v.gen, c.gen)
 	}
-	if v.gen < c.fz.gen {
+	if v.gen < c.gen {
 		return nil // aged out; the next Freeze refreshes it
 	}
 	ref := &CSR{}

@@ -156,7 +156,8 @@ type Node struct {
 	Name  string
 	Fanin []int // driving node IDs, in pin order
 
-	fanout []int // consumer node IDs (with multiplicity), maintained by Circuit
+	fanout []int  // consumer node IDs (with multiplicity), maintained by Circuit
+	edited uint64 // generation of the node's last edit (see record.go)
 }
 
 // Circuit is a combinational netlist.
@@ -170,8 +171,8 @@ type Circuit struct {
 	fanoutsOK  bool
 	topoCache  []int
 	levelCache []int
-	journal    map[int]bool // touched-node recording; nil = off (see journal.go)
-	fz         frozenState  // frozen CSR view + its edit tracking (see csr.go)
+	gen        uint64      // edit generation (see record.go)
+	fz         frozenState // frozen CSR view + its patch scratch (see csr.go)
 }
 
 // New returns an empty circuit.
@@ -236,10 +237,9 @@ func (c *Circuit) addNode(t GateType, name string, fanin []int) int {
 // MarkOutput designates node id as (driving) a primary output.
 func (c *Circuit) MarkOutput(id int) {
 	c.Outputs = append(c.Outputs, id)
-	// Not a netlist edit (no journal/cache invalidation needed), but the
-	// frozen view's Out array must track the designation.
-	c.fz.gen++
-	c.fz.note(id, len(c.Nodes))
+	// No derived cache reads the designations, but the frozen view's Out
+	// array must track them.
+	c.touch(id)
 }
 
 // NodeByName returns the node ID for name, or -1.

@@ -8,18 +8,17 @@ package circuit
 // chase pointers across the whole heap. Freeze flattens one snapshot of the
 // netlist into a handful of dense arrays — int32 node ids, flat adjacency,
 // level-ordered — that those phases sweep with sequential loads and zero
-// allocation. Mutation stays on the Circuit + edit journal; the frozen view
-// is the read seam.
+// allocation. Mutation stays on the Circuit and its edit recorder; the
+// frozen view is the read seam.
 //
-// Incrementality mirrors the journal-driven dirty-cone refresh in
-// internal/resynth: every mutator records the touched node, and the next
-// Freeze recomputes levels for just the touched nodes plus their transitive
-// fanout (every level outside that cone is a pure function of an unchanged
-// fanin cone). Past a churn threshold — or when the tracking overflowed —
-// Freeze falls back to a full rebuild. Either way the arrays are repacked
-// from scratch into retained storage (offsets shift whenever any fanin
-// count changes, so the repack is O(nodes+edges) regardless), which is what
-// makes the two paths produce bit-identical views.
+// Incrementality: the next Freeze asks the edit recorder (record.go) which
+// nodes were touched since the view's generation and recomputes levels for
+// just those nodes plus their transitive fanout (every level outside that
+// cone is a pure function of an unchanged fanin cone). Past a churn
+// threshold Freeze falls back to a full rebuild. Either way the arrays are
+// repacked from scratch into retained storage (offsets shift whenever any
+// fanin count changes, so the repack is O(nodes+edges) regardless), which
+// is what makes the two paths produce bit-identical views.
 
 import (
 	"fmt"
@@ -92,50 +91,33 @@ func (v *CSR) FanoutOf(d int32) []int32 {
 	return v.FanoutEdge[v.FanoutStart[d]:v.FanoutStart[d+1]]
 }
 
-// frozenState is the Circuit-side bookkeeping behind Freeze: the current
-// edit generation, the last view, and the touched-node set that lets the
-// next Freeze patch levels instead of recomputing them all.
+// frozenState is the Circuit-side bookkeeping behind Freeze: the last view
+// and the scratch that lets the next Freeze patch levels instead of
+// recomputing them all.
 type frozenState struct {
-	gen      uint64 // bumped by every mutation (touch, MarkOutput, Rename)
-	view     *CSR
-	dirty    []int // sparse ids touched since view was built (may repeat)
-	overflow bool  // tracking gave up; next Freeze rebuilds in full
+	view *CSR
 
 	// Reused scratch for the patch path.
 	lv      []int32  // per-sparse-id levels handed to the repack
+	touched []int    // TouchedSince(view.gen) buffer
 	seen    []uint32 // epoch-stamped dirty-closure membership
 	done    []uint32 // epoch-stamped "level recomputed" marks
 	closure []int32  // dirty-cone worklist
 	epoch   uint32
 }
 
-// note records one touched sparse id for the next incremental Freeze.
-// Recording is bounded: past ~2 entries per node the set can no longer beat
-// a full rebuild, so tracking flips to overflow and stops.
-func (fz *frozenState) note(id, nodes int) {
-	if fz.view == nil || fz.overflow {
-		return
-	}
-	if len(fz.dirty) >= 2*nodes+16 {
-		fz.overflow = true
-		fz.dirty = fz.dirty[:0]
-		return
-	}
-	fz.dirty = append(fz.dirty, id)
-}
-
 // Freeze returns the CSR view of the current circuit state, building it on
 // first use, returning it unchanged while no mutation has happened, and
-// otherwise rebuilding it — incrementally from the touched set when the
-// dirty cone is small, from scratch past the churn threshold. The returned
-// view aliases storage that the next post-mutation Freeze recycles, so it
-// is valid until the circuit is next mutated. Freeze itself mutates only
+// otherwise rebuilding it — incrementally from the nodes touched since the
+// view when their cone is small, from scratch past the churn threshold. The
+// returned view aliases storage that the next post-mutation Freeze
+// recycles, so it is valid until the circuit is next mutated. Freeze itself mutates only
 // derived caches (like Topo and RebuildFanouts do) and must not be called
 // concurrently with other Circuit methods; the returned view is safe for
 // concurrent readers.
 func (c *Circuit) Freeze() *CSR {
 	fz := &c.fz
-	if v := fz.view; v != nil && v.gen == fz.gen {
+	if v := fz.view; v != nil && v.gen == c.gen {
 		return v
 	}
 	v := fz.view
@@ -145,25 +127,21 @@ func (c *Circuit) Freeze() *CSR {
 	}
 	lv := growSlice(fz.lv, len(c.Nodes))
 	fz.lv = lv
-	if fresh || fz.overflow || !c.patchLevels(v, lv) {
+	if fresh || !c.patchLevels(v, lv) {
 		csrLevels(c, lv)
 		mCSRFull.Inc()
 	}
 	repackCSR(v, c, lv)
-	v.gen = fz.gen
+	v.gen = c.gen
 	fz.view = v
-	fz.dirty = fz.dirty[:0]
-	fz.overflow = false
 	mCSRRebuilds.Inc()
 	return v
 }
 
-// Thaw drops the frozen view and its edit tracking, releasing the arrays
-// and forcing the next Freeze onto the full-rebuild path.
+// Thaw drops the frozen view, releasing its arrays and forcing the next
+// Freeze onto the full-rebuild path.
 func (c *Circuit) Thaw() {
 	c.fz.view = nil
-	c.fz.dirty = nil
-	c.fz.overflow = false
 }
 
 // patchLevels refreshes lv for the dirty cone only, seeding every clean node
@@ -183,19 +161,18 @@ func (c *Circuit) patchLevels(v *CSR, lv []int32) bool {
 		lv[s] = v.Level[d]
 	}
 
-	// Close the touched set over fanouts: those are the only nodes whose
-	// level can have changed.
+	// Close the nodes touched since the view over fanouts: those are the
+	// only nodes whose level can have changed.
 	fz.seen = growSlice(fz.seen, n)
 	fz.done = growSlice(fz.done, n)
 	fz.epoch++
 	ep := fz.epoch
 	seen := fz.seen
 	closure := fz.closure[:0]
-	for _, s := range fz.dirty {
-		if s < n && seen[s] != ep {
-			seen[s] = ep
-			closure = append(closure, int32(s))
-		}
+	fz.touched = c.TouchedSince(v.gen, fz.touched[:0])
+	for _, s := range fz.touched {
+		seen[s] = ep
+		closure = append(closure, int32(s))
 	}
 	c.RebuildFanouts()
 	for i := 0; i < len(closure); i++ {

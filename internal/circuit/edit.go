@@ -70,8 +70,7 @@ func (c *Circuit) Rename(id int, name string) bool {
 	nd.Name = name
 	c.byName[name] = id
 	// Names ride along in the frozen view; a rename must age it out.
-	c.fz.gen++
-	c.fz.note(id, len(c.Nodes))
+	c.touch(id)
 	return true
 }
 

@@ -1,8 +1,8 @@
 // Package digest provides a cheap 128-bit FNV-1a-style fingerprint over
 // machine words. It replaces the string-building cache keys that used to
 // dominate allocation in the resynthesis hot loops: a D is a fixed-size
-// comparable value, so it can key Go maps and the sharded par.Cache without
-// ever materializing a per-lookup string.
+// comparable value, so it can key Go maps without ever materializing a
+// per-lookup string.
 //
 // The construction is FNV-1a widened to 128 bits and fed 64 bits at a time
 // (xor the word into the low half, multiply by the 128-bit FNV prime

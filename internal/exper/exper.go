@@ -53,12 +53,12 @@ type Config struct {
 	// Workers bounds the concurrency of suite preparation and table
 	// regeneration (0 = runtime.GOMAXPROCS(0), 1 = serial). Benchmark
 	// circuits and table rows are independent, so they run through one
-	// bounded pool; the engines inside each row (resynthesis candidate
-	// prefetch, fault-simulation blocks, the redundancy-removal filter) then
-	// run serial so the machine is not oversubscribed, and inherit the full
-	// worker budget only when the row fan-out cannot use it (a
-	// single-circuit suite). Every level is bit-identical for every worker
-	// count, so the split is purely a scheduling choice.
+	// bounded pool; the engines inside each row (fault simulation, the
+	// redundancy-removal filter) then run serial so the machine is not
+	// oversubscribed, and inherit the full worker budget only when the row
+	// fan-out cannot use it (a single-circuit suite). Every level is
+	// bit-identical for every worker count, so the split is purely a
+	// scheduling choice. Resynthesis always runs serial.
 	Workers int
 
 	// Tracer, when non-nil, is threaded into every optimizer and removal
@@ -155,7 +155,7 @@ func (s *Suite) Proc2(nc Named) (*resynth.Result, int, error) {
 	if ok {
 		return r.res, r.k, nil
 	}
-	res, k, err := runProc(nc.Circuit, resynth.MinGates, s.cfg, s.inner)
+	res, k, err := runProc(nc.Circuit, resynth.MinGates, s.cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -173,7 +173,7 @@ func (s *Suite) Proc3(nc Named) (*resynth.Result, int, error) {
 	if ok {
 		return r.res, r.k, nil
 	}
-	res, k, err := runProc(nc.Circuit, resynth.MinPaths, s.cfg, s.inner)
+	res, k, err := runProc(nc.Circuit, resynth.MinPaths, s.cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -283,9 +283,8 @@ func contains(xs []string, s string) bool {
 }
 
 // runProc runs a resynthesis procedure for each K and returns the best
-// result under the objective. workers is the budget for the optimizer's
-// candidate prefetch (it does not change results).
-func runProc(c *circuit.Circuit, obj resynth.Objective, cfg Config, workers int) (*resynth.Result, int, error) {
+// result under the objective.
+func runProc(c *circuit.Circuit, obj resynth.Objective, cfg Config) (*resynth.Result, int, error) {
 	var best *resynth.Result
 	bestK := 0
 	for _, k := range cfg.Ks {
@@ -294,7 +293,6 @@ func runProc(c *circuit.Circuit, obj resynth.Objective, cfg Config, workers int)
 		opt.Objective = obj
 		opt.Verify = cfg.Verify
 		opt.Check = cfg.Check
-		opt.Workers = workers
 		opt.Tracer = cfg.Tracer
 		res, err := resynth.Optimize(c, opt)
 		if err != nil {
@@ -394,7 +392,7 @@ func Table3(s *Suite) ([]Table3Row, error) {
 		}
 		ccfg := s.cfg
 		ccfg.Ks = []int{6}
-		combo, k, err := runProc(rres.Circuit, resynth.MinGates, ccfg, s.inner)
+		combo, k, err := runProc(rres.Circuit, resynth.MinGates, ccfg)
 		if err != nil {
 			return Table3Row{}, fmt.Errorf("%s: combo: %v", nc.Name, err)
 		}
@@ -446,7 +444,7 @@ func Table4(s *Suite) (partA, partB []Table4Row, err error) {
 		}
 		ccfg := s.cfg
 		ccfg.Ks = []int{6}
-		combo, _, err := runProc(rres.Circuit, resynth.MinGates, ccfg, s.inner)
+		combo, _, err := runProc(rres.Circuit, resynth.MinGates, ccfg)
 		if err != nil {
 			return pair{}, err
 		}
@@ -573,7 +571,7 @@ func Table7(s *Suite) ([]Table7Row, error) {
 	return par.MapErr(s.pool, len(versions), func(i int) (Table7Row, error) {
 		defer rowDone()
 		v := versions[i]
-		mod, _, err := runProc(v.c, resynth.MinGates, cfg, s.inner)
+		mod, _, err := runProc(v.c, resynth.MinGates, cfg)
 		if err != nil {
 			return Table7Row{}, err
 		}

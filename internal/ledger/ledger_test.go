@@ -295,7 +295,7 @@ func TestRunLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	events := filepath.Join(dir, "events.ndjson")
 	cert := filepath.Join(dir, "cert.json")
-	f := &obs.Flags{Events: events, Cert: cert}
+	f := &obs.Flags{Workers: 1, Events: events, Cert: cert}
 	run := f.Start("ledgertest")
 	c := twoGateCircuit()
 	run.CircuitBefore(c)
@@ -376,7 +376,7 @@ func TestRunLifecycle(t *testing.T) {
 func TestCertDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	write := func(path string) {
-		f := &obs.Flags{Cert: path}
+		f := &obs.Flags{Workers: 1, Cert: path}
 		run := f.Start("ledgertest")
 		c := twoGateCircuit()
 		run.CircuitBefore(c)
@@ -418,7 +418,7 @@ func TestRunFailSealsLedger(t *testing.T) {
 	dir := t.TempDir()
 	events := filepath.Join(dir, "events.ndjson")
 	cert := filepath.Join(dir, "cert.json")
-	f := &obs.Flags{Events: events, Cert: cert}
+	f := &obs.Flags{Workers: 1, Events: events, Cert: cert}
 	run := f.Start("ledgertest")
 	run.CircuitBefore(twoGateCircuit())
 	if code := run.Fail(errors.New("synthetic failure")); code == 0 {
@@ -452,7 +452,7 @@ func TestRunFailSealsLedger(t *testing.T) {
 func TestTelemetryLedgerState(t *testing.T) {
 	dir := t.TempDir()
 	events := filepath.Join(dir, "events.ndjson")
-	f := &obs.Flags{Events: events, Listen: "127.0.0.1:0"}
+	f := &obs.Flags{Workers: 1, Events: events, Listen: "127.0.0.1:0"}
 	run := f.Start("ledgertest")
 	addr := run.Server().Addr()
 

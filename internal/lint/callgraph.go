@@ -903,15 +903,14 @@ func (g *graph) classifyCallSites() {
 					}
 				}
 			}
-			// par fan-out and cache primitives: seam boundaries. Each
-			// closure handed to them is independently verified as an entry
-			// point, so reachability does not tunnel through the pool
-			// machinery (whose own discipline the sharedmut rule and the
-			// -race tests cover).
+			// par fan-out primitives: seam boundaries. Each closure handed
+			// to them is independently verified as an entry point, so
+			// reachability does not tunnel through the pool machinery
+			// (whose own discipline the sharedmut rule and the -race tests
+			// cover).
 			if path == parPath {
 				switch callee.Name() {
-				case "Run", "MapErr", "Workers", "SeedFor", "SetClock",
-					"Get", "Set", "Len", "NewCache":
+				case "Run", "MapErr", "Workers", "SeedFor", "SetClock":
 					c.boundary = true
 				}
 			}

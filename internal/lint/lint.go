@@ -15,11 +15,9 @@
 //	metricname - obs.C/G/H registrations must use literal names of the form
 //	             package.snake_case, with the first segment equal to the
 //	             registering package's name.
-//	cachekey   - no string-typed key instantiation of par.Cache/par.NewCache
-//	             (protects the zero-alloc maphash.Comparable sharding).
 //	nodemut    - outside internal/circuit, circuit nodes must be mutated via
-//	             the journal-touching Circuit methods, never by direct field
-//	             writes (protects the incremental-resynthesis contract).
+//	             the Circuit methods, which stamp every edit, never by direct
+//	             field writes (protects the incremental-resynthesis contract).
 //
 // Sites that are deliberately order-independent are suppressed with a
 // justification comment on the for statement (or the line above):
@@ -74,7 +72,7 @@ type Config struct {
 // (and the transitive half of wallclock) are interprocedural: they run on a
 // whole-module call graph rather than per file.
 func AllRules() []string {
-	return []string{"wallclock", "maporder", "metricname", "cachekey", "nodemut", "purity", "sharedmut"}
+	return []string{"wallclock", "maporder", "metricname", "nodemut", "purity", "sharedmut"}
 }
 
 func (cfg Config) ruleEnabled(name string) bool {
@@ -172,9 +170,6 @@ func analyzePackage(l *Loader, p *Package, cfg Config) []Diagnostic {
 	}
 	if cfg.ruleEnabled("metricname") {
 		r.metricname()
-	}
-	if cfg.ruleEnabled("cachekey") {
-		r.cachekey()
 	}
 	if cfg.ruleEnabled("nodemut") && p.Path != l.ModPath+"/internal/circuit" {
 		r.nodemut()

@@ -34,8 +34,8 @@ func fixtureDirs(t *testing.T, root string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dirs) < 9 {
-		t.Fatalf("expected at least 9 fixture packages, got %v", dirs)
+	if len(dirs) < 8 {
+		t.Fatalf("expected at least 8 fixture packages, got %v", dirs)
 	}
 	return dirs
 }
@@ -88,16 +88,16 @@ func TestRuleFilter(t *testing.T) {
 	root := repoRoot(t)
 	diags, err := lint.Analyze(fixtureDirs(t, root), lint.Config{
 		DeterministicAll: true,
-		Rules:            []string{"cachekey"},
+		Rules:            []string{"nodemut"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) == 0 {
-		t.Fatal("cachekey-only run found nothing")
+		t.Fatal("nodemut-only run found nothing")
 	}
 	for _, d := range diags {
-		if d.Rule != "cachekey" {
+		if d.Rule != "nodemut" {
 			t.Errorf("rule filter leaked %s diagnostic: %s", d.Rule, d)
 		}
 	}

@@ -383,36 +383,10 @@ func (r *runner) callee(call *ast.CallExpr) *types.Func {
 }
 
 // ---------------------------------------------------------------------------
-// cachekey: par.Cache must not be instantiated with string keys. String keys
-// allocate on insert and defeat the maphash.Comparable sharding the bench
-// gate pins; build a comparable struct key instead (see subckt.Key).
-
-func (r *runner) cachekey() {
-	parPath := r.l.ModPath + "/internal/par"
-	for id, inst := range r.p.Info.Instances {
-		obj := r.p.Info.ObjectOf(id)
-		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != parPath {
-			continue
-		}
-		if obj.Name() != "Cache" && obj.Name() != "NewCache" {
-			continue
-		}
-		if inst.TypeArgs == nil || inst.TypeArgs.Len() == 0 {
-			continue
-		}
-		key := inst.TypeArgs.At(0)
-		if b, ok := key.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-			r.report(id.Pos(), "cachekey",
-				"par.%s instantiated with string key type %s: string keys allocate per lookup; use a comparable struct key",
-				obj.Name(), key.String())
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// nodemut: circuit nodes are mutated only through the journal-touching
-// methods inside internal/circuit. A direct field write from outside skips
-// the edit journal, so incremental resynthesis would silently miss the node.
+// nodemut: circuit nodes are mutated only through the Circuit methods inside
+// internal/circuit, which stamp every edit. A direct field write from
+// outside skips the edit recorder, so incremental resynthesis and Freeze's
+// level patch would silently miss the node.
 
 func (r *runner) nodemut() {
 	for _, f := range r.p.Files {
@@ -465,13 +439,13 @@ unwrapped:
 	switch obj.Name() {
 	case "Node":
 		r.report(sel.Pos(), "nodemut",
-			"direct write to circuit.Node.%s outside internal/circuit skips the edit journal: use the Circuit mutators (SetFanin, ReplaceUses, Kill, ...)",
+			"direct write to circuit.Node.%s outside internal/circuit skips the edit recorder: use the Circuit mutators (SetFanin, ReplaceUses, Kill, ...)",
 			sel.Sel.Name)
 	case "Circuit":
 		switch sel.Sel.Name {
 		case "Nodes", "Inputs", "Outputs":
 			r.report(sel.Pos(), "nodemut",
-				"direct write to circuit.Circuit.%s outside internal/circuit skips the edit journal and cache invalidation: use the Circuit mutators",
+				"direct write to circuit.Circuit.%s outside internal/circuit skips the edit recorder and cache invalidation: use the Circuit mutators",
 				sel.Sel.Name)
 		}
 	}

@@ -4,7 +4,7 @@ package badnodemut
 
 import "compsynth/internal/circuit"
 
-// Retype flips a gate type behind the edit journal's back.
+// Retype flips a gate type behind the edit recorder's back.
 func Retype(c *circuit.Circuit, id int) {
 	c.Nodes[id].Type = circuit.And
 }
@@ -24,7 +24,7 @@ func Truncate(c *circuit.Circuit) {
 	c.Nodes = nil
 }
 
-// Retarget is clean: reads plus the journal-touching mutator.
+// Retarget is clean: reads plus an edit-stamping mutator.
 func Retarget(c *circuit.Circuit, id, pin, src int) {
 	if c.Nodes[id].Fanin[pin] != src {
 		c.SetFanin(id, pin, src)

@@ -30,9 +30,8 @@ func (t TT) Key() Key {
 }
 
 // Seed folds the key and a base seed into a deterministic RNG seed: a pure
-// function of (base, function), independent of visit order and worker
-// count, as required by sampling-mode identification under the concurrent
-// prefetch.
+// function of (base, function), independent of visit order, as
+// sampling-mode identification requires.
 func (k Key) Seed(base int64) int64 {
 	return int64(digest.New().Word(uint64(base)).Word(uint64(k.N)).Word(k.Lo).Word(k.Hi).Sum64())
 }

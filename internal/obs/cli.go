@@ -57,10 +57,11 @@ type Flags struct {
 	// side effects); cmd/sftverify re-verifies the artifact offline.
 	Cert string
 
-	// Workers is the shared worker-count option threaded into every
-	// parallel engine (resynthesis, fault simulation, the experiment
-	// driver). Results are bit-identical for every value; 1 disables all
-	// fan-out. The default, GOMAXPROCS, uses all available CPUs.
+	// Workers is the shared worker-count option threaded into the parallel
+	// engines: fault simulation, the redundancy-removal filter and the
+	// experiment driver (resynthesis always runs serial). Results are
+	// bit-identical for every value; 1 disables all fan-out. The default,
+	// GOMAXPROCS, uses all available CPUs. Start rejects values below 1.
 	Workers int
 
 	// Check enables circuit IR invariant validation (circuit.Check and the
@@ -84,7 +85,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 		"decision-trace recording for the resynthesis sweep: off, full, or sampled:N (requires -events; queried with sftexplain)")
 	fs.StringVar(&f.Cert, "cert", "", "write a verifiable run certificate (circuit digests, equivalence evidence, ledger binding) to this file")
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0),
-		"worker goroutines for parallel phases (results are identical for any value; 1 = serial)")
+		"worker goroutines for fault simulation, the redundancy filter and the experiment driver (at least 1; results are identical for any value; 1 = serial)")
 	fs.BoolVar(&f.Check, "check", false,
 		"validate circuit IR invariants (acyclicity, arity, fanout consistency, comparison-unit path bound) on inputs, outputs and after every resynthesis pass")
 	return f
@@ -191,6 +192,9 @@ func (f *Flags) start(tool string) (*Run, error) {
 		Args:  os.Args[1:],
 		Start: r.start,
 		Env:   Environment(),
+	}
+	if f.Workers < 1 {
+		return nil, fmt.Errorf("-workers %d: must be at least 1", f.Workers)
 	}
 	if f.Cert != "" && certBody == nil {
 		return nil, fmt.Errorf("-cert %s: certifier not linked in (import compsynth/internal/ledger)", f.Cert)

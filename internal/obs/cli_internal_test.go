@@ -15,7 +15,7 @@ func TestStartTelemetryNotLinked(t *testing.T) {
 	saved := telemetryStart
 	telemetryStart = nil
 	defer func() { telemetryStart = saved }()
-	f := &Flags{Listen: "127.0.0.1:0"}
+	f := &Flags{Workers: 1, Listen: "127.0.0.1:0"}
 	if _, err := f.start("x"); err == nil || !strings.Contains(err.Error(), "not linked in") {
 		t.Fatalf("start with unlinked telemetry: err = %v, want 'not linked in'", err)
 	}
@@ -25,7 +25,7 @@ func TestStartTelemetryNotLinked(t *testing.T) {
 // fails Start (the shell wrapper reports it and exits 2) instead of running
 // without the requested artifact.
 func TestStartEventsOpenError(t *testing.T) {
-	f := &Flags{Events: filepath.Join(t.TempDir(), "no-such-dir", "ev.ndjson")}
+	f := &Flags{Workers: 1, Events: filepath.Join(t.TempDir(), "no-such-dir", "ev.ndjson")}
 	if _, err := f.start("x"); err == nil || !strings.Contains(err.Error(), "-events") {
 		t.Fatalf("start with uncreatable events file: err = %v, want '-events' error", err)
 	}
@@ -37,9 +37,21 @@ func TestStartBadListenAddr(t *testing.T) {
 	if telemetryStart == nil {
 		t.Skip("telemetry not linked")
 	}
-	f := &Flags{Listen: "127.0.0.1:notaport"}
+	f := &Flags{Workers: 1, Listen: "127.0.0.1:notaport"}
 	if _, err := f.start("x"); err == nil || !strings.Contains(err.Error(), "-listen") {
 		t.Fatalf("start with bad listen addr: err = %v, want '-listen' error", err)
+	}
+}
+
+// TestStartRejectsWorkersBelowOne pins that -workers 0 or a negative count
+// fails Start (exit 2, naming the flag) instead of silently running with
+// GOMAXPROCS workers.
+func TestStartRejectsWorkersBelowOne(t *testing.T) {
+	for _, w := range []int{0, -3} {
+		f := &Flags{Workers: w}
+		if _, err := f.start("x"); err == nil || !strings.Contains(err.Error(), "-workers") {
+			t.Fatalf("start with -workers %d: err = %v, want '-workers' error", w, err)
+		}
 	}
 }
 

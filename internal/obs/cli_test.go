@@ -49,6 +49,7 @@ func TestLiveTelemetryRoundTrip(t *testing.T) {
 	eventsPath := filepath.Join(dir, "events.ndjson")
 	reportPath := filepath.Join(dir, "report.json")
 	f := &obs.Flags{
+		Workers:    1,
 		MetricsOut: reportPath,
 		Listen:     "127.0.0.1:0",
 		Events:     eventsPath,
@@ -265,7 +266,7 @@ func checkExposition(t *testing.T, body string) {
 // TestMetricsEndpointMatchesSnapshot pins that /metrics is rendered from the
 // same registry the run report snapshots.
 func TestMetricsEndpointMatchesSnapshot(t *testing.T) {
-	f := &obs.Flags{Listen: "127.0.0.1:0"}
+	f := &obs.Flags{Workers: 1, Listen: "127.0.0.1:0"}
 	run := f.Start("clitest2")
 	defer run.Finish()
 	c := obs.C("clitest2.events")

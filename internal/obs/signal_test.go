@@ -19,7 +19,7 @@ func TestInterruptFlushesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	eventsPath := filepath.Join(dir, "ev.ndjson")
 	reportPath := filepath.Join(dir, "report.json")
-	f := &obs.Flags{Events: eventsPath, MetricsOut: reportPath, Heartbeat: 0}
+	f := &obs.Flags{Workers: 1, Events: eventsPath, MetricsOut: reportPath, Heartbeat: 0}
 	run := f.Start("sigtest")
 
 	// A live span and some progress, as if resynthesis were mid-pass.
@@ -78,15 +78,15 @@ func TestInterruptFlushesArtifacts(t *testing.T) {
 // mode without -events both fail Start, and a valid mode yields a live
 // tracer whose records land on the event stream.
 func TestDtraceFlagValidation(t *testing.T) {
-	if run := startErr(t, &obs.Flags{Dtrace: "verbose"}); run == "" {
+	if run := startErr(t, &obs.Flags{Workers: 1, Dtrace: "verbose"}); run == "" {
 		t.Error("start with -dtrace=verbose succeeded, want mode parse error")
 	}
-	if run := startErr(t, &obs.Flags{Dtrace: "full"}); !strings.Contains(run, "-events") {
+	if run := startErr(t, &obs.Flags{Workers: 1, Dtrace: "full"}); !strings.Contains(run, "-events") {
 		t.Errorf("start with -dtrace=full and no -events: %q, want an -events requirement error", run)
 	}
 
 	dir := t.TempDir()
-	f := &obs.Flags{Events: filepath.Join(dir, "ev.ndjson"), Heartbeat: 0, Dtrace: "full"}
+	f := &obs.Flags{Workers: 1, Events: filepath.Join(dir, "ev.ndjson"), Heartbeat: 0, Dtrace: "full"}
 	run := f.Start("dtracetest")
 	dt := run.Dtrace()
 	if dt == nil {
@@ -97,7 +97,7 @@ func TestDtraceFlagValidation(t *testing.T) {
 	}
 
 	// Off is the default and yields the nil (no-op) tracer.
-	f2 := &obs.Flags{Events: filepath.Join(dir, "ev2.ndjson"), Heartbeat: 0}
+	f2 := &obs.Flags{Workers: 1, Events: filepath.Join(dir, "ev2.ndjson"), Heartbeat: 0}
 	run2 := f2.Start("dtracetest")
 	if run2.Dtrace() != nil {
 		t.Error("Dtrace() is non-nil without -dtrace")

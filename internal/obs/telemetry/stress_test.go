@@ -7,19 +7,22 @@ import (
 	"sync"
 	"testing"
 
+	"compsynth/internal/faults"
+	"compsynth/internal/faultsim"
 	"compsynth/internal/gen"
 	"compsynth/internal/obs"
 	"compsynth/internal/resynth"
 )
 
 // TestStressEndpointsDuringRun hammers /metrics and /progress from several
-// goroutines while a live parallel resynthesis run mutates the span tree,
-// the progress gauges, and both metric registries underneath them. It proves
+// goroutines while live resynthesis and parallel fault-simulation runs
+// mutate the span tree, the progress gauges, and both metric registries
+// underneath them. It proves
 // (under -race, which CI runs for every test) that the live telemetry reads
 // are properly synchronized against the pipeline's writes — the endpoints
 // must never serve during a run what they could not serve safely.
 func TestStressEndpointsDuringRun(t *testing.T) {
-	run := (&obs.Flags{Trace: true}).Start("stresstest")
+	run := (&obs.Flags{Workers: 1, Trace: true}).Start("stresstest")
 	defer run.Finish()
 	srv := httptest.NewServer(Handler(run))
 	defer srv.Close()
@@ -48,17 +51,21 @@ func TestStressEndpointsDuringRun(t *testing.T) {
 		}()
 	}
 
-	// Drive real work under the readers: parallel resynthesis with spans,
-	// progress events, par queue telemetry and cache traffic all live.
+	// Drive real work under the readers: resynthesis spans and progress
+	// events, then a parallel fault-simulation campaign for the par queue
+	// telemetry.
 	for _, b := range gen.SmallSuite() {
 		opt := resynth.DefaultOptions()
 		opt.Verify = false
 		opt.MaxPasses = 2
-		opt.Workers = 4
 		opt.Tracer = run.Tracer
-		if _, err := resynth.Optimize(b.Build(), opt); err != nil {
+		res, err := resynth.Optimize(b.Build(), opt)
+		if err != nil {
 			t.Fatal(err)
 		}
+		faultsim.Campaign(res.Circuit, faults.Collapse(res.Circuit), faultsim.CampaignOptions{
+			Patterns: 4096, Seed: 1, Workers: 4, Tracer: run.Tracer,
+		})
 	}
 	close(done)
 	wg.Wait()

@@ -30,7 +30,7 @@ func TestNewBindFailure(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	// A flagless Start: no server, no recorder, nil tracer — the handler
 	// must cope with all of that.
-	run := (&obs.Flags{}).Start("telemetrytest")
+	run := (&obs.Flags{Workers: 1}).Start("telemetrytest")
 	defer run.Finish()
 	srv := httptest.NewServer(Handler(run))
 	defer srv.Close()
@@ -70,22 +70,16 @@ func TestHandlerEndpoints(t *testing.T) {
 
 // TestParTelemetryConformance pins the worker-pool telemetry contract: after
 // a parallel fan-out (with the clock this package's init installed), the
-// queue-depth gauge, task wait/run histograms, per-worker claim counters and
-// cache hit/miss counters all surface on /metrics, and /progress carries the
-// Live-registry section.
+// queue-depth gauge, task wait/run histograms and per-worker claim counters
+// all surface on /metrics, and /progress carries the Live-registry section.
 func TestParTelemetryConformance(t *testing.T) {
-	run := (&obs.Flags{}).Start("telemetrytest")
+	run := (&obs.Flags{Workers: 1}).Start("telemetrytest")
 	defer run.Finish()
 	srv := httptest.NewServer(Handler(run))
 	defer srv.Close()
 
-	// One parallel fan-out plus one cache hit and miss to populate the
-	// instruments this test asserts on.
+	// One parallel fan-out to populate the instruments this test asserts on.
 	par.Run(nil, "conformance", 4, 64, func(_, _ int) {})
-	cache := par.NewCache[int, int]()
-	cache.Get(1)
-	cache.Set(1, 1)
-	cache.Get(1)
 
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -101,8 +95,6 @@ func TestParTelemetryConformance(t *testing.T) {
 		"# TYPE par_queue_depth gauge",
 		"par_task_wait_ms_bucket{le=",
 		"par_task_run_ms_count",
-		"# TYPE par_cache_hits counter",
-		"# TYPE par_cache_misses counter",
 		"# TYPE par_worker_tasks_w0 counter",
 		"# TYPE par_tasks counter",
 	} {
@@ -127,8 +119,8 @@ func TestParTelemetryConformance(t *testing.T) {
 	if _, ok := prog.Live.Histograms["par.task_wait_ms"]; !ok {
 		t.Error("/progress live section missing par.task_wait_ms histogram")
 	}
-	if _, ok := prog.Live.Counters["par.cache_hits"]; !ok {
-		t.Error("/progress live section missing par.cache_hits counter")
+	if _, ok := prog.Live.Counters["par.worker_tasks.w0"]; !ok {
+		t.Error("/progress live section missing par.worker_tasks.w0 counter")
 	}
 	if _, ok := prog.Gauges["par.queue_depth"]; !ok {
 		t.Error("/progress default gauges missing par.queue_depth")
@@ -138,7 +130,7 @@ func TestParTelemetryConformance(t *testing.T) {
 	// registry: run reports diff clean across worker counts only because
 	// these live elsewhere.
 	def := metric.Default().Snapshot()
-	for _, name := range []string{"par.cache_hits", "par.worker_tasks.w0"} {
+	for _, name := range []string{"par.worker_tasks.w0"} {
 		if _, ok := def.Counters[name]; ok {
 			t.Errorf("default registry contains Live-only counter %s", name)
 		}

@@ -1,12 +1,11 @@
 // Package par provides the deterministic worker-pool primitives shared by
-// the pipeline's hot paths: candidate evaluation in resynthesis, fault
-// partitioning in fault simulation, and independent circuits/rows in the
+// the pipeline's hot paths: fault-region partitioning in fault simulation,
+// the redundancy-removal filter, and independent circuits/rows in the
 // experiment driver.
 //
 // The contract throughout is that parallelism never changes results: tasks
-// write only task-indexed state (or insert into pure-function caches), so
-// the output of every fan-out is bit-identical for any worker count,
-// including 1. Which worker runs which task IS nondeterministic (tasks are
+// write only task-indexed state, so the output of every fan-out is
+// bit-identical for any worker count, including 1. Which worker runs which task IS nondeterministic (tasks are
 // claimed from an atomic counter), so anything order- or worker-dependent
 // must be derived per task — see SeedFor for deterministic per-key RNG
 // seeding.
@@ -42,8 +41,6 @@ var (
 var (
 	lWaitMS  = metric.Live().Histogram("par.task_wait_ms")
 	lRunMS   = metric.Live().Histogram("par.task_run_ms")
-	lHits    = metric.Live().Counter("par.cache_hits")
-	lMisses  = metric.Live().Counter("par.cache_misses")
 	workerMu sync.Mutex
 	workerCs []*metric.Counter
 )

@@ -2,7 +2,6 @@ package par
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -101,55 +100,6 @@ func TestRunSerialRecordsNoSpan(t *testing.T) {
 	Run(tr, "par.test", 1, 4, func(worker, task int) {})
 	if got := len(tr.Export()); got != 0 {
 		t.Fatalf("serial Run recorded %d spans", got)
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	c := NewCache[string, int]()
-	Run(nil, "test", 8, 4096, func(_, i int) {
-		key := fmt.Sprintf("k%d", i%97)
-		c.Set(key, i%97)
-		if v, ok := c.Get(key); ok && v != i%97 {
-			t.Errorf("key %s: got %d", key, v)
-		}
-	})
-	if got := c.Len(); got != 97 {
-		t.Fatalf("Len = %d, want 97", got)
-	}
-	if _, ok := c.Get("missing"); ok {
-		t.Fatal("phantom key")
-	}
-}
-
-// TestCacheStructKeys exercises the comparable-key form the resynthesis
-// caches use: fixed-size struct keys, no per-lookup string.
-func TestCacheStructKeys(t *testing.T) {
-	type key struct {
-		N      int32
-		Lo, Hi uint64
-	}
-	c := NewCache[key, string]()
-	Run(nil, "test", 8, 1024, func(_, i int) {
-		k := key{N: int32(i % 13), Lo: uint64(i % 7), Hi: uint64(i % 3)}
-		want := fmt.Sprintf("%d:%d:%d", k.N, k.Lo, k.Hi)
-		c.Set(k, want)
-		if v, ok := c.Get(k); ok && v != want {
-			t.Errorf("key %+v: got %q", k, v)
-		}
-	})
-	if got, want := c.Len(), 13*7*3; got > want {
-		t.Fatalf("Len = %d, want <= %d", got, want)
-	}
-	k := key{N: 1, Lo: 2, Hi: 0}
-	if v, ok := c.Get(k); !ok || v != "1:2:0" {
-		t.Fatalf("Get(%+v) = %q, %v", k, v, ok)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := c.Get(k); !ok {
-			t.Error("lost key")
-		}
-	}); n != 0 {
-		t.Fatalf("warm struct-key Get allocates: %v allocs/run", n)
 	}
 }
 

@@ -71,24 +71,3 @@ func TestClockFeedsTimingHistograms(t *testing.T) {
 		t.Errorf("task_run_ms grew by %d samples, want 32", got)
 	}
 }
-
-// TestCacheHitMissCounters pins the aggregate live cache accounting.
-func TestCacheHitMissCounters(t *testing.T) {
-	hits := metric.Live().Counter("par.cache_hits")
-	misses := metric.Live().Counter("par.cache_misses")
-	c := NewCache[int, int]()
-	h0, m0 := hits.Value(), misses.Value()
-	if _, ok := c.Get(1); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Set(1, 10)
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("cache miss after Set")
-	}
-	if got := hits.Value() - h0; got != 1 {
-		t.Errorf("par.cache_hits grew by %d, want 1", got)
-	}
-	if got := misses.Value() - m0; got != 1 {
-		t.Errorf("par.cache_misses grew by %d, want 1", got)
-	}
-}

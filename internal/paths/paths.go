@@ -110,7 +110,8 @@ func denseLabels(v *circuit.CSR, np []uint64) (ok bool) {
 
 // Count returns the total number of PI-to-PO paths. It runs on the frozen
 // CSR view of the circuit (Freeze is a cache hit when nothing changed) and
-// returns exactly what RefCount computes on the mutable representation.
+// returns exactly what the reference RefCount (ref_test.go) computes on the
+// mutable representation.
 func Count(c *circuit.Circuit) (uint64, error) {
 	v := c.Freeze()
 	s := countPool.Get().(*countScratch)

@@ -82,3 +82,38 @@ func TestFanoutWeightsMatchSparseSweep(t *testing.T) {
 		}
 	}
 }
+
+// RefCount is the pre-CSR Count implementation, kept as the executable
+// reference: it labels through the mutable pointer-based representation via
+// Labels/LabelNode. The tests above pin Count == RefCount on every circuit.
+func RefCount(c *circuit.Circuit) (uint64, error) {
+	np, ok := Labels(c)
+	if !ok {
+		return 0, ErrOverflow
+	}
+	var total uint64
+	for _, o := range c.Outputs {
+		s := total + np[o]
+		if s < total {
+			return 0, ErrOverflow
+		}
+		total = s
+	}
+	return total, nil
+}
+
+// RefThrough is the pre-CSR Through implementation.
+func RefThrough(c *circuit.Circuit, id int) uint64 {
+	np, _ := Labels(c)
+	w := make([]uint64, len(c.Nodes))
+	for _, o := range c.Outputs {
+		w[o]++
+	}
+	topo := c.Topo()
+	for i := len(topo) - 1; i >= 0; i-- {
+		for _, f := range c.Nodes[topo[i]].Fanin {
+			w[f] += w[topo[i]]
+		}
+	}
+	return np[id] * w[id]
+}

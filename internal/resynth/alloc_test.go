@@ -5,25 +5,23 @@ import (
 
 	"compsynth/internal/gen"
 	"compsynth/internal/logic"
-	"compsynth/internal/par"
 	"compsynth/internal/subckt"
 )
 
-// Warm-path allocation pins: a repeated candidate must cost nothing beyond
-// the cache lookup. Both the extraction cache (subckt.Key) and the
-// identification caches (logic.Key) use fixed-size comparable keys, so a
-// hit allocates nothing — these tests keep it that way.
+// Warm-path allocation pins: a repeated candidate function must cost
+// nothing beyond the map lookup. The identification caches key on the
+// fixed-size comparable logic.Key, so a hit allocates nothing — these
+// tests keep it that way.
 
 func warmOptimizer(t *testing.T) (*optimizer, *subckt.Subcircuit, logic.TT) {
 	t.Helper()
 	c := gen.SmallSuite()[0].Build()
 	c.Simplify()
 	o := &optimizer{
-		opt:      DefaultOptions(),
-		cache:    par.NewCache[logic.Key, cachedSpec](),
-		extracts: par.NewCache[subckt.Key, extracted](),
+		opt:   DefaultOptions(),
+		cache: map[logic.Key]cachedSpec{},
 	}
-	o.rebuildFull(c)
+	o.refresh(c)
 	var sub *subckt.Subcircuit
 	for i := len(o.topo) - 1; i >= 0 && sub == nil; i-- {
 		for _, s := range o.db.EnumerateFromCuts(c, o.topo[i]) {
@@ -36,20 +34,9 @@ func warmOptimizer(t *testing.T) (*optimizer, *subckt.Subcircuit, logic.TT) {
 	if sub == nil {
 		t.Fatal("no multi-gate candidate in the warm-up circuit")
 	}
-	ex := o.extractTT(c, sub) // warm both caches
-	o.identify(ex.stt)
-	return o, sub, ex.stt
-}
-
-func TestExtractCacheHitZeroAlloc(t *testing.T) {
-	o, sub, _ := warmOptimizer(t)
-	c := gen.SmallSuite()[0].Build() // extract reads the circuit only on a miss
-	c.Simplify()
-	if n := testing.AllocsPerRun(200, func() {
-		o.extractTT(c, sub)
-	}); n != 0 {
-		t.Fatalf("warm extractTT allocates %v times per call, want 0", n)
-	}
+	stt, _ := sub.Extract(c).Shrink()
+	o.identify(stt) // warm the cache
+	return o, sub, stt
 }
 
 func TestIdentifyCacheHitZeroAlloc(t *testing.T) {

@@ -1,7 +1,6 @@
 package resynth
 
 import (
-	"encoding/json"
 	"testing"
 
 	"compsynth/internal/gen"
@@ -10,50 +9,18 @@ import (
 
 // traceRun optimizes c with a capturing decision-trace sink and returns the
 // records plus the result.
-func traceRun(t *testing.T, opt Options, workers int) ([]dtrace.Record, *Result) {
+func traceRun(t *testing.T, opt Options) ([]dtrace.Record, *Result) {
 	t.Helper()
 	var recs []dtrace.Record
-	opt.Workers = workers
 	opt.Dtrace = dtrace.New(dtrace.Mode{Level: dtrace.LevelFull}, func(r *dtrace.Record) {
 		recs = append(recs, *r)
 	})
 	c := gen.SmallSuite()[0].Build()
 	res, err := Optimize(c, opt)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	return recs, res
-}
-
-// TestDtraceDeterministicAcrossWorkers is the decision-trace half of the
-// determinism contract: the full trace — every record, in order, marshaled —
-// is byte-identical for serial and parallel runs. Records are emitted only
-// from the serial sweep and carry no scheduling-dependent fields, so any
-// divergence here means a worker leaked into the decision path.
-func TestDtraceDeterministicAcrossWorkers(t *testing.T) {
-	for _, objective := range []Objective{MinGates, MinPaths, Combined} {
-		opt := DefaultOptions()
-		opt.Objective = objective
-		opt.MaxPasses = 4
-		opt.Verify = false
-		serial, _ := traceRun(t, opt, 1)
-		parallel, _ := traceRun(t, opt, 8)
-		sj, err := json.Marshal(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pj, err := json.Marshal(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(sj) != string(pj) {
-			t.Errorf("%v: decision traces diverge across workers (%d vs %d records)",
-				objective, len(serial), len(parallel))
-		}
-		if len(serial) == 0 {
-			t.Errorf("%v: empty decision trace", objective)
-		}
-	}
 }
 
 // TestDtraceAccountsForEveryDecision pins the trace's completeness
@@ -64,7 +31,7 @@ func TestDtraceAccountsForEveryDecision(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxPasses = 4
 	opt.Verify = false
-	recs, res := traceRun(t, opt, 4)
+	recs, res := traceRun(t, opt)
 
 	candOutcomes := map[dtrace.Reason]bool{
 		dtrace.Accepted:         true,
@@ -117,7 +84,7 @@ func TestDtraceSeqDense(t *testing.T) {
 	opt := DefaultOptions()
 	opt.MaxPasses = 2
 	opt.Verify = false
-	recs, _ := traceRun(t, opt, 1)
+	recs, _ := traceRun(t, opt)
 	for i, r := range recs {
 		if r.Seq != int64(i) {
 			t.Fatalf("record %d carries seq %d, want dense numbering", i, r.Seq)

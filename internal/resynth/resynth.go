@@ -5,34 +5,27 @@
 // primary outputs toward the inputs, replacing subcircuits that implement
 // comparison functions by comparison units, until a fixpoint.
 //
-// Parallelism: with Options.Workers != 1 each pass runs a concurrent
-// prefetch phase that evaluates every candidate subcircuit of the pass
-// snapshot — truth-table extraction and comparison-function identification,
-// the dominant cost — across worker goroutines, filling sharded
-// memoization caches keyed purely by the candidate's function. The sweep
-// that selects and applies replacements then runs serially in topological
-// order exactly as in the serial algorithm, so the optimized circuit is
-// bit-identical for every worker count. Sampling-mode identification seeds
-// its RNG per truth table (derived from Options.Seed), never from a shared
-// stream, so it too is independent of visit order and worker count.
+// Each pass is one serial sweep in topological order, as in the paper.
+// Sampling-mode identification seeds its RNG per truth table (derived from
+// Options.Seed), never from a shared stream, so its draws are independent of
+// visit order.
 //
-// Incremental pass state: each pass needs K-feasible cuts, path labels,
-// levels and (in SDC mode) exhaustive-simulation values for every node. A
-// replacement only invalidates the transitive fanout cone of the rewired
-// nodes — every one of these quantities is a pure function of a node's
-// fanin cone — so between passes the optimizer recomputes exactly the
-// dirty cone reported by the circuit's edit journal instead of rebuilding
-// from scratch. The sweep order is the canonical topological order
-// (level, id), which is identical whether the state was refreshed
-// incrementally or rebuilt in full, so both paths produce bit-identical
-// circuits (TestIncrementalMatchesFull pins this).
+// Incremental pass state: each pass needs K-feasible cuts, path labels and
+// (in SDC mode) exhaustive-simulation values for every node. Each is a pure
+// function of a node's fanin cone, so a replacement only invalidates the
+// transitive fanout cone of the rewired nodes. Between passes the optimizer
+// therefore recomputes exactly the nodes the circuit's edit recorder reports
+// touched since the last pass (circuit.TouchedSince), closed over fanouts,
+// instead of rebuilding from scratch. The sweep order is the frozen view's
+// dense order (level, id), a pure function of the circuit, so incremental
+// and full rebuilds produce bit-identical circuits
+// (TestIncrementalMatchesFull pins this).
 package resynth
 
 import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/compare"
@@ -41,7 +34,6 @@ import (
 	"compsynth/internal/logic"
 	"compsynth/internal/obs"
 	"compsynth/internal/obs/dtrace"
-	"compsynth/internal/par"
 	"compsynth/internal/paths"
 	"compsynth/internal/simulate"
 	"compsynth/internal/subckt"
@@ -53,7 +45,6 @@ var (
 	mReplacements = obs.C("resynth.replacements_accepted")
 	mPasses       = obs.C("resynth.passes")
 	mCacheHits    = obs.C("resynth.identify_cache_hits")
-	mExtractHits  = obs.C("resynth.extract_cache_hits")
 	mDirty        = obs.C("resynth.dirty_nodes")
 	hCandInputs   = obs.H("resynth.candidate_inputs")
 	gPass         = obs.G("resynth.pass")
@@ -92,11 +83,6 @@ type Options struct {
 	Check         bool      // validate IR invariants after every pass (circuit.Check)
 	Merge         bool      // merge same-type chain gates (Figure 4)
 
-	// Workers bounds the goroutines used by the per-pass candidate
-	// prefetch. 0 selects runtime.GOMAXPROCS(0); 1 disables the prefetch
-	// and runs fully serial. The result is bit-identical either way.
-	Workers int
-
 	// UseSampling switches identification to the paper's experimental
 	// method: up to SamplingPerms random permutations, onset and offset.
 	UseSampling   bool
@@ -133,11 +119,9 @@ type Options struct {
 	Tracer *obs.Tracer
 
 	// Dtrace streams one decision record per gate and per candidate the
-	// serial sweep considers (see internal/obs/dtrace). Records are emitted
-	// only from the serial sweep — never from the concurrent prefetch — and
-	// carry no timing or cache provenance, so the stream is byte-identical
-	// for every Workers value. The nil tracer (the default) no-ops without
-	// allocating.
+	// sweep considers (see internal/obs/dtrace). Records carry no timing or
+	// cache provenance, so the stream is a pure function of the input and
+	// the options. The nil tracer (the default) no-ops without allocating.
 	Dtrace *dtrace.Tracer
 
 	// forceFull disables the incremental between-pass refresh, rebuilding
@@ -223,18 +207,15 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	o := &optimizer{
 		opt:        opt,
 		dt:         opt.Dtrace,
-		workers:    par.Workers(opt.Workers),
-		cache:      par.NewCache[logic.Key, cachedSpec](),
-		multiCache: par.NewCache[logic.Key, cachedMulti](),
-		dcCache:    par.NewCache[dcKey, cachedSpec](),
-		allCache:   par.NewCache[logic.Key, []compare.Spec](),
+		cache:      map[logic.Key]cachedSpec{},
+		multiCache: map[logic.Key]cachedMulti{},
+		dcCache:    map[dcKey]cachedSpec{},
+		allCache:   map[logic.Key][]compare.Spec{},
 	}
-	sp.SetInt("workers", int64(o.workers))
-	// The journal records which nodes each pass's rewrites and the
-	// follow-up Simplify touch, so the next pass refreshes only that cone.
-	// Node IDs therefore must stay stable across passes: compaction happens
-	// once, after the fixpoint.
-	work.BeginJournal()
+	// Each pass refreshes only the cone of the nodes the previous pass's
+	// rewrites and the follow-up Simplify touched. Node IDs therefore must
+	// stay stable across passes: compaction happens once, after the
+	// fixpoint.
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		o.passNo = pass + 1
 		gPass.Set(int64(pass + 1))
@@ -281,7 +262,6 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 			break
 		}
 	}
-	work.EndJournal()
 	work, _ = work.Compact()
 	work.PreservePONames(poNames)
 	if opt.Check {
@@ -315,51 +295,40 @@ type dcKey struct {
 	f, care logic.Key
 }
 
-// extracted memoizes one candidate's extraction AND its support reduction:
-// cuts repeat across the fanout of shared logic, so a cache hit skips both
-// the simulation and the Shrink. kept is shared — callers must not mutate.
-type extracted struct {
-	tt   logic.TT // function over sub.Inputs
-	stt  logic.TT // support-reduced table
-	kept []int    // 1-based indices of retained inputs, in order
-}
-
 // optimizer carries the per-run state. The identification caches persist
-// across passes (they are keyed by the candidate's function, which is
-// circuit-independent); the extraction cache is rebuilt per pass because
-// its keys are node IDs of the current snapshot. All caches are sharded
-// and safe for the concurrent prefetch; every cached value is a pure
-// function of its key, so racing fills store equal values.
+// across passes: they are keyed by the candidate's function, which is
+// circuit-independent, and every cached value is a pure function of its key.
 type optimizer struct {
 	opt        Options
 	dt         *dtrace.Tracer // decision-trace sink; nil = off
-	workers    int
-	cache      *par.Cache[logic.Key, cachedSpec]
-	multiCache *par.Cache[logic.Key, cachedMulti]
-	dcCache    *par.Cache[dcKey, cachedSpec]
-	allCache   *par.Cache[logic.Key, []compare.Spec]
-	extracts   *par.Cache[subckt.Key, extracted]
+	cache      map[logic.Key]cachedSpec
+	multiCache map[logic.Key]cachedMulti
+	dcCache    map[dcKey]cachedSpec
+	allCache   map[logic.Key][]compare.Spec
 	db         *subckt.CutDB
 
 	// Incremental per-pass state. Every field below is a per-node pure
 	// function of that node's fanin cone, so after a pass only the dirty
-	// cone (journal-touched nodes plus their transitive fanout) needs
-	// recomputation; everything else is reused verbatim. stateOK gates the
+	// cone (the nodes touched since gen plus their transitive fanout) needs
+	// recomputation; everything else is reused verbatim. A nil db sends the
 	// first pass onto the full-rebuild path.
-	stateOK bool
-	levels  []int
-	topo    []int // live nodes in canonical topological order: (level, id)
-	np      []uint64
-	npOver  []bool // per-node label saturation, so npOK survives node death
-	npOK    bool
+	gen    uint64 // circuit generation the state was last refreshed at
+	topo   []int  // live nodes in canonical topological order: (level, id)
+	np     []uint64
+	npOver []bool // per-node label saturation, so npOK survives node death
+	npOK   bool
 
 	// SDC state: per-node value over all 2^nPI patterns (nil when the mode
 	// is off or out of range).
 	valbits   [][]uint64
 	nPI       int
-	careCache *par.Cache[digest.D, logic.TT]
+	careCache map[digest.D]logic.TT
 
-	scratch []int // reused worklist for the dirty-cone closure
+	// Reused refresh scratch: dirty-cone membership, the touched list and
+	// the closure worklist.
+	dirty   []bool
+	touched []int
+	stack   []int32
 
 	// Certificate evidence, appended by apply when Options.Certify is set.
 	passNo   int
@@ -369,28 +338,18 @@ type optimizer struct {
 // rngFor derives the RNG for one sampling-style identification call.
 // Seeding from (Options.Seed, truth-table key) makes the draw a pure
 // function of the function being identified — independent of gate visit
-// order, of the interleaving of other identifications, and of which worker
-// performs it — which is what keeps sampling mode deterministic under the
-// concurrent prefetch (and fixes the historical shared-RNG coupling).
+// order and of which other identifications ran first (a shared RNG stream
+// would couple them).
 func (o *optimizer) rngFor(k logic.Key) *rand.Rand {
 	return rand.New(rand.NewSource(k.Seed(o.opt.Seed)))
 }
 
 // pass performs one output-to-input sweep and returns the replacement count.
 func (o *optimizer) pass(c *circuit.Circuit) int {
-	touched := c.TakeJournal()
 	csp := o.opt.Tracer.StartSpan("resynth.cuts")
-	if !o.stateOK || touched == nil || o.opt.forceFull {
-		o.rebuildFull(c)
-	} else {
-		o.refresh(c, touched)
-	}
+	o.refresh(c)
 	csp.End()
-	o.extracts = par.NewCache[subckt.Key, extracted]() // node IDs are only stable within one pass
 	topo := o.topo
-	if o.workers > 1 {
-		o.prefetch(c, topo)
-	}
 	marked := make([]bool, len(c.Nodes))
 	mark := func(id int) {
 		for id >= len(marked) {
@@ -490,150 +449,73 @@ func (o *optimizer) candRec(recs []dtrace.Record, c *circuit.Circuit, g int, sub
 	})
 }
 
-// sortTopo orders o.topo by (level, id). Levels increase along every edge,
-// so this is a topological order — and unlike a worklist order it is a pure
-// function of the circuit, identical whether levels were computed from
-// scratch or refreshed incrementally.
-func (o *optimizer) sortTopo() {
-	lv := o.levels
-	t := o.topo
-	sort.Slice(t, func(i, j int) bool {
-		if lv[t[i]] != lv[t[j]] {
-			return lv[t[i]] < lv[t[j]]
-		}
-		return t[i] < t[j]
-	})
-}
-
-func (o *optimizer) collectLive(c *circuit.Circuit) {
+// refresh brings the per-pass state up to date with c. The first pass (and
+// every pass under forceFull) marks every node dirty; later passes mark the
+// nodes touched since the last refresh plus their transitive fanout.
+// Everything outside that cone is a pure function of an unchanged fanin
+// cone, so its stored value already equals what a full rebuild would
+// produce.
+func (o *optimizer) refresh(c *circuit.Circuit) {
+	v := c.Freeze()
+	n := len(c.Nodes)
+	// Copy the sweep order: the next Freeze recycles the view's storage.
 	o.topo = o.topo[:0]
-	for id := 0; id < len(c.Nodes); id++ {
-		if c.Alive(id) {
-			o.topo = append(o.topo, id)
-		}
+	for _, id := range v.NodeID {
+		o.topo = append(o.topo, int(id))
 	}
-}
-
-// rebuildFull computes every piece of per-pass state from scratch.
-func (o *optimizer) rebuildFull(c *circuit.Circuit) {
-	n := len(c.Nodes)
-	o.levels = append(o.levels[:0], c.Levels()...)
-	o.collectLive(c)
-	o.sortTopo()
-	o.db = subckt.NewCutDB(c, o.opt.K, o.opt.MaxCandidates)
-	o.np = growU64(o.np[:0], n)
-	o.npOver = growBool(o.npOver[:0], n)
-	for _, id := range o.topo {
-		o.db.ComputeNode(c, id)
-		v, ok := paths.LabelNode(c, o.np, id)
-		o.np[id] = v
-		o.npOver[id] = !ok
-	}
-	o.recomputeNpOK()
-	o.rebuildSDC(c)
-	o.stateOK = true
-}
-
-// refresh recomputes state for the dirty cone only: the journal-touched
-// nodes plus their transitive fanout. Everything outside the cone is a pure
-// function of an unchanged fanin cone, so its stored value already equals
-// what a full rebuild would produce.
-func (o *optimizer) refresh(c *circuit.Circuit, touched map[int]bool) {
-	c.RebuildFanouts()
-	n := len(c.Nodes)
-	o.levels = growInts(o.levels, n)
 	o.np = growU64(o.np, n)
 	o.npOver = growBool(o.npOver, n)
-	if o.valbits != nil {
-		for len(o.valbits) < n {
-			o.valbits = append(o.valbits, nil)
+	o.dirty = growBool(o.dirty[:0], n)
+	dirty := o.dirty
+	full := o.db == nil || o.opt.forceFull
+	if full {
+		o.db = subckt.NewCutDB(c, o.opt.K, o.opt.MaxCandidates)
+		for i := range dirty {
+			dirty[i] = true
 		}
-	}
-
-	// Dirty closure over fanouts.
-	dirty := make([]bool, n)
-	stack := o.scratch[:0]
-	//lint:ordered stack seeds a reachability closure; the dirty[] fixpoint is the same set for any visit order
-	for id := range touched {
-		if id < n && !dirty[id] {
-			stack = append(stack, id)
-		}
-	}
-	count := int64(0)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if dirty[id] {
-			continue
-		}
-		dirty[id] = true
-		count++
-		for _, f := range c.Fanouts(id) {
-			if !dirty[f] {
-				stack = append(stack, f)
+	} else {
+		o.db.Grow(c)
+		// Dirty closure over the view's fanouts. Touched nodes that died
+		// this pass count as dirty but have no dense id, hence no fanout.
+		o.touched = c.TouchedSince(o.gen, o.touched[:0])
+		stack := o.stack[:0]
+		count := int64(0)
+		for _, id := range o.touched {
+			dirty[id] = true
+			count++
+			if d := v.DenseOf[id]; d >= 0 {
+				stack = append(stack, d)
 			}
 		}
-	}
-	o.scratch = stack[:0]
-	mDirty.Add(count)
-
-	// Levels of dirty nodes, in dependency order via DFS (clean fanins keep
-	// their stored level).
-	done := make([]bool, n)
-	var lvl func(id int) int
-	lvl = func(id int) int {
-		if !dirty[id] || done[id] {
-			return o.levels[id]
-		}
-		done[id] = true
-		nd := c.Nodes[id]
-		m := -1
-		for _, f := range nd.Fanin {
-			if l := lvl(f); l > m {
-				m = l
+		for len(stack) > 0 {
+			d := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, f := range v.FanoutOf(d) {
+				if id := v.NodeID[f]; !dirty[id] {
+					dirty[id] = true
+					count++
+					stack = append(stack, f)
+				}
 			}
 		}
-		o.levels[id] = m + 1
-		return m + 1
+		o.stack = stack
+		mDirty.Add(count)
 	}
-	for id := 0; id < n; id++ {
-		if dirty[id] && c.Alive(id) {
-			lvl(id)
-		}
-	}
+	o.gen = c.Gen()
 
-	o.collectLive(c)
-	o.sortTopo()
-
-	o.db.Grow(c)
-	for _, id := range o.topo {
-		if !dirty[id] {
-			continue
-		}
-		o.db.ComputeNode(c, id)
-		v, ok := paths.LabelNode(c, o.np, id)
-		o.np[id] = v
-		o.npOver[id] = !ok
-	}
-	o.recomputeNpOK()
-	o.refreshSDC(c, dirty)
-}
-
-func (o *optimizer) recomputeNpOK() {
 	o.npOK = true
 	for _, id := range o.topo {
+		if dirty[id] {
+			o.db.ComputeNode(c, id)
+			label, ok := paths.LabelNode(c, o.np, id)
+			o.np[id] = label
+			o.npOver[id] = !ok
+		}
 		if o.npOver[id] {
 			o.npOK = false
-			break
 		}
 	}
-}
-
-func growInts(s []int, n int) []int {
-	for len(s) < n {
-		s = append(s, 0)
-	}
-	return s
+	o.refreshSDC(c, full)
 }
 
 func growU64(s []uint64, n int) []uint64 {
@@ -648,60 +530,6 @@ func growBool(s []bool, n int) []bool {
 		s = append(s, false)
 	}
 	return s
-}
-
-// prefetch warms the extraction and identification caches for every gate of
-// the pass snapshot, in parallel. Every cached value is a pure function of
-// its key, so warming cannot change what the serial sweep below decides: a
-// candidate whose function only arises after a mid-sweep mutation simply
-// misses the cache and is computed inline. The prefetch reads the circuit
-// but never mutates it (structural caches — topo, fanouts — were built by
-// the state rebuild above).
-func (o *optimizer) prefetch(c *circuit.Circuit, topo []int) {
-	ids := make([]int, 0, len(topo))
-	for i := len(topo) - 1; i >= 0; i-- {
-		g := topo[i]
-		t := c.Nodes[g].Type
-		if t == circuit.Input || t == circuit.Const0 || t == circuit.Const1 {
-			continue
-		}
-		ids = append(ids, g)
-	}
-	par.Run(o.opt.Tracer, "resynth.prefetch", o.workers, len(ids), func(_, i int) {
-		o.prefetchGate(c, ids[i])
-	})
-}
-
-// prefetchGate mirrors the identification cascade of selectReplacement for
-// one gate, computing (and caching) everything expensive while skipping the
-// cost accounting that stays serial.
-func (o *optimizer) prefetchGate(c *circuit.Circuit, g int) {
-	for _, sub := range o.db.EnumerateFromCuts(c, g) {
-		ex := o.extractTT(c, sub)
-		if ex.stt.Vars() == 0 {
-			continue
-		}
-		_, ok := o.identify(ex.stt)
-		if !ok && o.valbits != nil {
-			keep := make([]int, len(ex.kept))
-			for j, v := range ex.kept {
-				keep[j] = sub.Inputs[v-1]
-			}
-			care := o.careSet(keep)
-			if !care.IsConst(true) {
-				_, ok = o.identifyDC(ex.stt, care)
-			}
-		}
-		if !ok && o.opt.MaxUnits > 1 {
-			_, ok = o.identifyMulti(ex.stt)
-		}
-		if !ok {
-			continue
-		}
-		if o.opt.MaxSpecs > 1 && !o.opt.UseSampling {
-			o.identifyAll(ex.stt)
-		}
-	}
 }
 
 // candidate pairs a subcircuit with its chosen unit realization and costs.
@@ -759,14 +587,13 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 		hCandInputs.Observe(float64(len(sub.Inputs)))
 		// Extraction drops inputs the function does not depend on: they
 		// contribute no logic and their paths disappear entirely.
-		ex := o.extractTT(c, sub)
-		if ex.stt.Vars() == 0 {
+		stt, kept := sub.Extract(c).Shrink()
+		if stt.Vars() == 0 {
 			if o.dt != nil {
 				recs = o.candRec(recs, c, g, sub, oldPathsOnG, dtrace.ConstFunction)
 			}
 			continue // constant function: left to Simplify
 		}
-		stt, kept := ex.stt, ex.kept
 		var spec compare.Realization
 		var dcCare logic.TT
 		usedDC := false
@@ -804,11 +631,12 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			keepInputs[j] = sub.Inputs[v-1]
 			subNp[j] = np[keepInputs[j]]
 		}
+		saved := sub.GateSavings(c) // the same for every realization
 		cand := &candidate{
 			sub:        sub,
 			spec:       spec,
 			keepInputs: keepInputs,
-			gateSave:   sub.GateSavings(c) - spec.GateCost(),
+			gateSave:   saved - spec.GateCost(),
 			pathsOnG:   spec.PathCost(subNp),
 			stt:        stt,
 			care:       dcCare,
@@ -819,7 +647,7 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			for _, alt := range o.identifyAll(stt) {
 				ac := *cand
 				ac.spec = alt
-				ac.gateSave = sub.GateSavings(c) - alt.GateCost()
+				ac.gateSave = saved - alt.GateCost()
 				ac.pathsOnG = alt.PathCost(subNp)
 				if better(&ac, cand) {
 					*cand = ac
@@ -887,72 +715,47 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 	return nil
 }
 
-// extractTT memoizes Subcircuit.Extract (and the follow-up support
-// reduction) per pass: cuts repeat across the fanout of shared logic, and
-// the prefetch phase plus the serial sweep visit every repeated cut at
-// least twice. A warm hit performs no allocation.
-func (o *optimizer) extractTT(c *circuit.Circuit, sub *subckt.Subcircuit) extracted {
-	key := sub.Key()
-	if ex, ok := o.extracts.Get(key); ok {
-		mExtractHits.Inc()
-		return ex
-	}
-	tt := sub.Extract(c)
-	stt, kept := tt.Shrink()
-	ex := extracted{tt: tt, stt: stt, kept: kept}
-	o.extracts.Set(key, ex)
-	return ex
-}
-
-// rebuildSDC precomputes every node's value over the full primary-input
-// space (64 patterns per word) when the SDC mode is engaged.
-func (o *optimizer) rebuildSDC(c *circuit.Circuit) {
-	o.valbits = nil
-	o.careCache = nil
-	nPI := len(c.Inputs)
-	max := o.opt.SDCMaxInputs
-	if max <= 0 {
-		max = 14
-	}
-	if !o.opt.UseSDC || nPI > max || nPI >= 30 {
-		return
-	}
-	ssp := o.opt.Tracer.StartSpan("resynth.sdc")
-	defer ssp.End()
-	o.nPI = nPI
-	words := ((1 << nPI) + 63) / 64
-	o.valbits = make([][]uint64, len(c.Nodes))
-	for j, id := range c.Inputs {
-		o.valbits[id] = inputRow(j, words)
-	}
-	buf := make([]uint64, 0, 8)
-	for _, id := range o.topo {
-		if c.Nodes[id].Type == circuit.Input {
-			continue
+// refreshSDC brings every node's value over the full primary-input space
+// (64 patterns per word) up to date when the SDC mode is engaged: from
+// scratch on a full refresh, otherwise for the dirty cone only (clean rows
+// are values of unchanged fanin cones and stay valid). The care cache
+// restarts because its entries project rows that may have changed.
+func (o *optimizer) refreshSDC(c *circuit.Circuit, full bool) {
+	if full {
+		o.valbits = nil
+		nPI := len(c.Inputs)
+		max := o.opt.SDCMaxInputs
+		if max <= 0 {
+			max = 14
 		}
-		o.valbits[id] = o.evalRow(c, id, words, &buf)
+		if !o.opt.UseSDC || nPI > max || nPI >= 30 {
+			return
+		}
+		o.nPI = nPI
+		o.valbits = make([][]uint64, len(c.Nodes))
 	}
-	o.careCache = par.NewCache[digest.D, logic.TT]()
-}
-
-// refreshSDC re-simulates only the dirty cone; clean rows are values of
-// unchanged fanin cones and stay valid. The care cache restarts because its
-// entries project rows that may have changed.
-func (o *optimizer) refreshSDC(c *circuit.Circuit, dirty []bool) {
 	if o.valbits == nil {
 		return // mode off or out of range; PI count never changes mid-run
 	}
 	ssp := o.opt.Tracer.StartSpan("resynth.sdc")
 	defer ssp.End()
 	words := ((1 << o.nPI) + 63) / 64
+	for len(o.valbits) < len(c.Nodes) {
+		o.valbits = append(o.valbits, nil)
+	}
+	if full {
+		for j, id := range c.Inputs {
+			o.valbits[id] = inputRow(j, words)
+		}
+	}
 	buf := make([]uint64, 0, 8)
 	for _, id := range o.topo {
-		if !dirty[id] || c.Nodes[id].Type == circuit.Input {
+		if !o.dirty[id] || c.Nodes[id].Type == circuit.Input {
 			continue
 		}
 		o.valbits[id] = o.evalRow(c, id, words, &buf)
 	}
-	o.careCache = par.NewCache[digest.D, logic.TT]()
+	o.careCache = map[digest.D]logic.TT{}
 }
 
 // inputRow is primary input j's value over all patterns: bit p = bit j of p.
@@ -992,7 +795,7 @@ func (o *optimizer) evalRow(c *circuit.Circuit, id, words int, buf *[]uint64) []
 // per word.
 func (o *optimizer) careSet(inputs []int) logic.TT {
 	key := digest.New().Ints(inputs)
-	if tt, ok := o.careCache.Get(key); ok {
+	if tt, ok := o.careCache[key]; ok {
 		return tt
 	}
 	n := len(inputs)
@@ -1018,7 +821,7 @@ func (o *optimizer) careSet(inputs []int) logic.TT {
 			care.Set(idx, true)
 		}
 	}
-	o.careCache.Set(key, care)
+	o.careCache[key] = care
 	return care
 }
 
@@ -1026,22 +829,21 @@ func (o *optimizer) careSet(inputs []int) logic.TT {
 // memoization.
 func (o *optimizer) identifyMulti(tt logic.TT) (compare.MultiSpec, bool) {
 	key := tt.Key()
-	if r, ok := o.multiCache.Get(key); ok {
+	if r, ok := o.multiCache[key]; ok {
 		mCacheHits.Inc()
 		return r.spec, r.ok
 	}
 	spec, ok := compare.IdentifyMulti(tt, o.opt.MaxUnits, o.opt.MultiPerms, o.rngFor(key))
-	o.multiCache.Set(key, cachedMulti{spec, ok})
+	o.multiCache[key] = cachedMulti{spec, ok}
 	return spec, ok
 }
 
 // identify finds a unit realization for tt, via the exact search or the
 // paper's sampling method, with memoization. A warm hit performs no
-// allocation: the key is a fixed-size value and the cache shards on it
-// without building a string.
+// allocation: the key is a fixed-size comparable value, never a string.
 func (o *optimizer) identify(tt logic.TT) (compare.Spec, bool) {
 	key := tt.Key()
-	if r, ok := o.cache.Get(key); ok {
+	if r, ok := o.cache[key]; ok {
 		mCacheHits.Inc()
 		return r.spec, r.ok
 	}
@@ -1052,7 +854,7 @@ func (o *optimizer) identify(tt logic.TT) (compare.Spec, bool) {
 	} else {
 		spec, ok = compare.IdentifyBest(tt)
 	}
-	o.cache.Set(key, cachedSpec{spec, ok})
+	o.cache[key] = cachedSpec{spec, ok}
 	return spec, ok
 }
 
@@ -1060,12 +862,12 @@ func (o *optimizer) identify(tt logic.TT) (compare.Spec, bool) {
 // memoization (the search is exact, so the cache is pure).
 func (o *optimizer) identifyDC(tt, care logic.TT) (compare.Spec, bool) {
 	key := dcKey{f: tt.Key(), care: care.Key()}
-	if r, ok := o.dcCache.Get(key); ok {
+	if r, ok := o.dcCache[key]; ok {
 		mCacheHits.Inc()
 		return r.spec, r.ok
 	}
 	spec, ok := compare.IdentifyDC(tt, care)
-	o.dcCache.Set(key, cachedSpec{spec, ok})
+	o.dcCache[key] = cachedSpec{spec, ok}
 	return spec, ok
 }
 
@@ -1073,12 +875,12 @@ func (o *optimizer) identifyDC(tt, care logic.TT) (compare.Spec, bool) {
 // constant for the run, so the truth table alone keys it).
 func (o *optimizer) identifyAll(tt logic.TT) []compare.Spec {
 	key := tt.Key()
-	if specs, ok := o.allCache.Get(key); ok {
+	if specs, ok := o.allCache[key]; ok {
 		mCacheHits.Inc()
 		return specs
 	}
 	specs := compare.IdentifyAll(tt, o.opt.MaxSpecs)
-	o.allCache.Set(key, specs)
+	o.allCache[key] = specs
 	return specs
 }
 

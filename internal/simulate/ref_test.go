@@ -1,9 +1,11 @@
 package simulate
 
 import (
+	"math/rand"
 	"testing"
 
 	"compsynth/internal/bench"
+	"compsynth/internal/circuit"
 	"compsynth/internal/gen"
 )
 
@@ -38,4 +40,86 @@ func TestEquivalentRandomMatchesRef(t *testing.T) {
 			t.Fatalf("random mutated pair seed %d: %v vs ref %v", seed, got, want)
 		}
 	}
+}
+
+// refSim is the pre-CSR simulator: per-sparse-node words, topological order
+// from the circuit's cache, pointer-chasing fanin reads. Kept as the
+// executable reference the determinism tests pin EquivalentRandom against.
+type refSim struct {
+	c     *circuit.Circuit
+	words []uint64 // indexed by sparse node ID
+	topo  []int
+	buf   []uint64
+}
+
+func newRefSim(c *circuit.Circuit) *refSim {
+	return &refSim{c: c, words: make([]uint64, len(c.Nodes)), topo: c.Topo()}
+}
+
+func (s *refSim) run() {
+	for _, id := range s.topo {
+		nd := s.c.Nodes[id]
+		if nd.Type == circuit.Input {
+			continue
+		}
+		s.buf = s.buf[:0]
+		for _, f := range nd.Fanin {
+			s.buf = append(s.buf, s.words[f])
+		}
+		s.words[id] = nd.Type.EvalWords(s.buf)
+	}
+}
+
+// RefEquivalentRandom is the pre-CSR EquivalentRandom: same patterns, same
+// seed discipline, evaluated through the mutable representation.
+func RefEquivalentRandom(a, b *circuit.Circuit, rounds int, maxExhaustive int, seed int64) bool {
+	if len(a.Inputs) != len(b.Inputs) || len(a.Outputs) != len(b.Outputs) {
+		return false
+	}
+	n := len(a.Inputs)
+	sa, sb := newRefSim(a), newRefSim(b)
+	if n <= maxExhaustive && n < 30 {
+		return refEquivalentExhaustive(sa, sb, n)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for r := 0; r < rounds; r++ {
+		for j := 0; j < n; j++ {
+			w := rng.Uint64()
+			sa.words[a.Inputs[j]] = w
+			sb.words[b.Inputs[j]] = w
+		}
+		sa.run()
+		sb.run()
+		for j := range a.Outputs {
+			if sa.words[a.Outputs[j]] != sb.words[b.Outputs[j]] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func refEquivalentExhaustive(sa, sb *refSim, n int) bool {
+	total := uint64(1) << n
+	for base := uint64(0); base < total; base += 64 {
+		for j := 0; j < n; j++ {
+			var w uint64
+			for b := uint64(0); b < 64 && base+b < total; b++ {
+				if (base+b)>>(uint(j))&1 == 1 {
+					w |= 1 << b
+				}
+			}
+			sa.words[sa.c.Inputs[j]] = w
+			sb.words[sb.c.Inputs[j]] = w
+		}
+		sa.run()
+		sb.run()
+		for j := range sa.c.Outputs {
+			m := mask64(total - base)
+			if (sa.words[sa.c.Outputs[j]]^sb.words[sb.c.Outputs[j]])&m != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -39,7 +39,7 @@ func TestSimMatchesEval(t *testing.T) {
 }
 
 // swapFirstNandForNor replaces the first NAND with a NOR over the same
-// fanins, going through the journal-touching mutators (a direct Node.Type
+// fanins, going through the edit-stamping mutators (a direct Node.Type
 // write would bypass edit tracking and leave any frozen view stale).
 func swapFirstNandForNor(c *circuit.Circuit) {
 	for _, nd := range c.Nodes {

@@ -192,7 +192,8 @@ func varTablesFor(n int) []logic.TT {
 // linear-scan association from node ID to its current 64-pattern word (the
 // sets involved are tiny — |gates| + |inputs| is bounded by the cut size),
 // the internal topological order, and the fanin word buffer. Pooled so
-// concurrent prefetch workers each grab their own.
+// concurrent callers (the experiment driver runs one optimizer per table
+// row) each grab their own.
 type extractScratch struct {
 	ids   []int
 	vals  []uint64

@@ -4,9 +4,9 @@
 // (results are bit-identical; only wall-clock changes). scripts/bench.sh
 // records the sweep as BENCH_<date>.json.
 //
-// Unlike the table benches above, these rebuild their state each iteration
-// (fresh Suite, fresh optimizer) so iteration 2+ cannot ride the memo
-// caches and every measured iteration performs the full workload.
+// Unlike the table benches, these rebuild their state each iteration
+// (fresh Suite) so iteration 2+ cannot ride the memo caches and every
+// measured iteration performs the full workload.
 package compsynth
 
 import (
@@ -16,7 +16,6 @@ import (
 	"compsynth/internal/faults"
 	"compsynth/internal/faultsim"
 	"compsynth/internal/gen"
-	"compsynth/internal/resynth"
 )
 
 var parallelItems []exper.Named
@@ -57,18 +56,5 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 		faultsim.Campaign(c, fl, faultsim.CampaignOptions{
 			Patterns: 4096, Seed: int64(i), Workers: 0,
 		})
-	}
-}
-
-func BenchmarkResynthParallel(b *testing.B) {
-	c := gen.SmallSuite()[0].Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := resynth.DefaultOptions()
-		opt.Verify = false
-		opt.Workers = 0
-		if _, err := resynth.Optimize(c, opt); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 pattern="${1:-}"
-[ -n "$pattern" ] || pattern='Table2Parallel|FaultSimParallel|ResynthParallel|Table2Procedure2|FaultSimulation'
+[ -n "$pattern" ] || pattern='Table2Parallel|FaultSimParallel|Resynth$|Table2Procedure2|FaultSimulation'
 cpus="${2:-}"
 [ -n "$cpus" ] || cpus='1,4'
 out="${3:-}"

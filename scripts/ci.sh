@@ -22,8 +22,8 @@ go build ./...
 echo "== sftlint =="
 # Repo-specific static analysis (cmd/sftlint, internal/lint): the syntactic
 # rules (wall-clock and global-RNG bans in deterministic packages,
-# map-iteration-order hazards, obs metric naming, par.Cache key types,
-# circuit-node mutation discipline) plus the interprocedural rules on the
+# map-iteration-order hazards, obs metric naming, circuit-node mutation
+# discipline) plus the interprocedural rules on the
 # whole-module call graph (purity of par.Run/par.MapErr tasks, transitive
 # wall-clock taint, unsynchronized goroutine-captured writes).
 # Two directions: the tree must lint clean beyond the committed
@@ -118,15 +118,15 @@ echo "== bench gate =="
 # machine with e.g. BENCH_TOL_NS=0.10 scripts/ci.sh.
 benchgate="$(mktemp)"
 trap 'rm -f "$sftlint" "$fresh" "$benchgate"' EXIT
-scripts/bench.sh 'Table2Procedure2|ResynthParallel|AblationIdentify' 1 "$benchgate" 20x >/dev/null
+scripts/bench.sh 'Table2Procedure2|Resynth$|AblationIdentify' 1 "$benchgate" 20x >/dev/null
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS:-1.0}" -tol-alloc 0.01 \
     BENCH_2026-08-06_lean.json "$benchgate"
 
 echo "== CSR bench gate =="
 # Same contract for the frozen-CSR phase benches (BENCH_2026-08-08_csr.json):
-# the csr path count must stay allocation-free (its map variant, the
-# paths.RefCount reference, runs alongside at 1 alloc/op), a serial
-# fault-sim campaign must stay at 3 allocs/op or fewer however many blocks
+# the csr path count must stay allocation-free (its pre-CSR reference,
+# paths.RefCount, lives only in the paths tests), a serial fault-sim
+# campaign must stay at 3 allocs/op or fewer however many blocks
 # it runs (its per-fault reference lives only in the faultsim tests), and
 # the incremental CSRRebuild must stay allocation-free. A change that
 # quietly un-ports a phase back to map lookups, allocates per block, or
@@ -175,10 +175,10 @@ fi
 cmp "$provdir/a1.json" "$provdir/a2.json"
 
 echo "== sftexplain gate =="
-# The decision trace is part of the determinism contract: records are
-# emitted only from the serial sweep and carry no scheduling-dependent
-# fields, so two -dtrace=full runs differing only in -workers must export
-# byte-identical canonical record streams. The query surface (why, reasons,
+# The decision trace is part of the determinism contract: records come from
+# the serial sweep and carry no scheduling-dependent fields, so two
+# -dtrace=full runs differing only in -workers must export byte-identical
+# canonical record streams. The query surface (why, reasons,
 # funnel, diff) must answer over a real c17 trace without error; 22 is a
 # c17 primary-output NAND. See README "Decision trace (-dtrace)".
 go build -o "$provdir/sftexplain" ./cmd/sftexplain
@@ -198,12 +198,12 @@ cmp "$provdir/dt2.records" "$provdir/dt4.records"
 "$provdir/sftexplain" diff "$provdir/dt2.ndjson" "$provdir/dt4.ndjson" >/dev/null
 
 echo "== serial sweep determinism gate =="
-# -workers is a machine knob: at 1 the resynthesis sweep runs fully serial
-# (no prefetch), above 1 a parallel prefetch warms the identification caches
-# first. The optimized netlist and the run certificate (a pure function of
-# input + semantic options; these runs carry no -events) must be
-# byte-identical either way. A scheduling leak into the sweep's decisions
-# fails one of these cmps.
+# -workers is a machine knob: resynthesis always runs one serial sweep, and
+# the worker count reaches only fault simulation and the redundancy filter.
+# The optimized netlist and the run certificate (a pure function of input +
+# semantic options; these runs carry no -events) must be byte-identical at
+# any count. A scheduling leak into the pipeline's decisions fails one of
+# these cmps.
 for cir in c17 adder4; do
     "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_w1.bench" \
         -cert "$provdir/${cir}_w1.cert.json" -heartbeat 0 -workers 1 >/dev/null
