@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-func TestTouchedSinceRecordsEdits(t *testing.T) {
+// Tests of the edit recorder (record.go), the circuit's journal of edits.
+
+func TestJournalRecordsEdits(t *testing.T) {
 	c := New("j")
 	a := c.AddInput("a")
 	b := c.AddInput("b")
@@ -43,7 +45,7 @@ func TestTouchedSinceRecordsEdits(t *testing.T) {
 	}
 }
 
-func TestTouchedSinceCoversSimplify(t *testing.T) {
+func TestJournalCoversSimplify(t *testing.T) {
 	c := New("s")
 	a := c.AddInput("a")
 	one := c.AddGate(Const1, "one")
@@ -59,5 +61,36 @@ func TestTouchedSinceCoversSimplify(t *testing.T) {
 	}
 	if !slices.Contains(got, h) {
 		t.Fatalf("Simplify missing rewritten gate h: %v", got)
+	}
+}
+
+// TestJournalOffByDefault: only edits record. A new circuit starts at
+// generation 0; reads — TouchedSince, Freeze — neither advance the generation
+// nor touch a node; a clone starts with nothing recorded.
+func TestJournalOffByDefault(t *testing.T) {
+	c := New("off")
+	if g := c.Gen(); g != 0 {
+		t.Fatalf("new circuit at generation %d, want 0", g)
+	}
+	a := c.AddInput("a")
+	g := c.AddGate(Not, "g", a)
+	c.MarkOutput(g)
+
+	gen := c.Gen()
+	c.TouchedSince(0, nil)
+	c.Freeze()
+	if c.Gen() != gen {
+		t.Fatalf("reads advanced the generation: %d -> %d", gen, c.Gen())
+	}
+	if got := c.TouchedSince(gen, nil); len(got) != 0 {
+		t.Fatalf("reads touched nodes: %v", got)
+	}
+
+	cl := c.Clone()
+	if cl.Gen() != 0 {
+		t.Fatalf("clone at generation %d, want 0", cl.Gen())
+	}
+	if got := cl.TouchedSince(0, nil); len(got) != 0 {
+		t.Fatalf("clone records edits it never made: %v", got)
 	}
 }
