@@ -1,23 +1,21 @@
 // Command sftlint runs the repository's static analysis rules (package
-// internal/lint): the syntactic rules (wall-clock/global-RNG bans,
-// map-iteration-order hazards, obs metric naming, out-of-package
-// circuit-node mutation) and the interprocedural rules on
-// the whole-module call graph (purity of par fan-out tasks, transitive
-// wall-clock taint, unsynchronized goroutine-captured writes).
+// internal/lint): wall-clock and global-RNG bans in deterministic packages,
+// map-iteration-order hazards, obs metric naming and out-of-package
+// circuit-node mutation. Every rule is syntactic and runs per package.
 //
 // Usage:
 //
 //	sftlint [flags] [packages]
 //
 // Packages are directories, optionally ending in /... for a recursive walk;
-// the default is ./... . Exit status: 0 clean, 1 findings (or baseline /
-// debt drift), 2 usage or load failure.
+// the default is ./... . Exit status: 0 clean, 1 findings (or debt drift),
+// 2 usage or load failure, an unknown -rules name included.
 //
-// CI runs `sftlint -baseline lint_baseline.json`: baselined findings are
-// suppression debt, and any new finding fails. `-explain ID`
-// prints the call-path witness for one finding; `-debt` tallies
-// suppression comments and fails on drift against the baseline's pinned
-// counts; `-update-golden` regenerates the fixture goldens in place.
+// CI runs `sftlint ./...`, where any finding fails, and
+// `sftlint -debt lint_baseline.json`, which tallies the //lint:ordered
+// suppression comments per package and fails on drift from the counts
+// pinned in that file. `-update-golden` regenerates the fixture goldens in
+// place.
 package main
 
 import (
@@ -35,10 +33,8 @@ func main() {
 		rules        = flag.String("rules", "", "comma-separated rule subset (default: all of "+strings.Join(lint.AllRules(), ",")+")")
 		detAll       = flag.Bool("det-all", false, "treat every package as deterministic pipeline code (used on the injected-violation fixtures)")
 		relTo        = flag.String("rel", "", "report file paths relative to this directory")
-		baselineFile = flag.String("baseline", "", "suppress findings recorded in this baseline file; new findings and stale entries fail")
-		explainID    = flag.String("explain", "", "print the call-path witness for the finding with this ID (prefix match)")
 		updateGolden = flag.Bool("update-golden", false, "regenerate internal/lint/testdata goldens in place and exit")
-		debt         = flag.Bool("debt", false, "report suppression debt per package; with -baseline, fail on drift from the pinned counts")
+		debtFile     = flag.String("debt", "", "report suppression debt per package and fail on drift from the counts pinned in this baseline file")
 	)
 	flag.Parse()
 
@@ -73,16 +69,8 @@ func main() {
 		fatal(fmt.Errorf("no packages matched"))
 	}
 
-	var baseline *lint.Baseline
-	if *baselineFile != "" {
-		baseline, err = lint.LoadBaseline(*baselineFile)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	if *debt {
-		os.Exit(runDebt(dirs, baseline))
+	if *debtFile != "" {
+		os.Exit(runDebt(dirs, *debtFile))
 	}
 
 	cfg := lint.Config{DeterministicAll: *detAll, RelativeTo: *relTo}
@@ -94,69 +82,32 @@ func main() {
 		fatal(err)
 	}
 
-	if *explainID != "" {
-		os.Exit(explain(diags, *explainID))
-	}
-
-	report := diags
-	var stale []string
-	if baseline != nil {
-		report, stale = baseline.Apply(diags)
-	}
-
 	if *jsonOut {
-		out, err := lint.FormatJSON(report)
+		out, err := lint.FormatJSON(diags)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Print(out)
 	} else {
-		fmt.Print(lint.FormatText(report))
+		fmt.Print(lint.FormatText(diags))
 	}
-	for _, id := range stale {
-		fmt.Fprintf(os.Stderr, "sftlint: baseline entry %s no longer matches any finding — delete it from the baseline\n", id)
-	}
-	if len(report) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }
 
-// explain prints the finding(s) whose ID starts with the given prefix,
-// including the call-path witness. Exit 0 when found, 2 when not.
-func explain(diags []lint.Diagnostic, prefix string) int {
-	found := false
-	for _, d := range diags {
-		if !strings.HasPrefix(d.ID, prefix) {
-			continue
-		}
-		found = true
-		fmt.Printf("%s\n  id: %s\n", d.String(), d.ID)
-		if len(d.Witness) == 0 {
-			fmt.Println("  (syntactic finding: the flagged line is the whole story)")
-			continue
-		}
-		for _, w := range d.Witness {
-			fmt.Println("  " + w)
-		}
+// runDebt prints the suppression-debt tally and fails on drift from the
+// counts pinned in the baseline file.
+func runDebt(dirs []string, file string) int {
+	baseline, err := lint.LoadBaseline(file)
+	if err != nil {
+		fatal(err)
 	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "sftlint: no finding with id prefix %q\n", prefix)
-		return 2
-	}
-	return 0
-}
-
-// runDebt prints the suppression-debt tally and, when a baseline is given,
-// fails on drift from its pinned counts.
-func runDebt(dirs []string, baseline *lint.Baseline) int {
 	counts, err := lint.Debt(dirs)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(lint.DebtReport(counts, baseline))
-	if baseline == nil {
-		return 0
-	}
+	fmt.Print(lint.DebtReport(counts))
 	errs := lint.CompareDebt(counts, baseline)
 	for _, e := range errs {
 		fmt.Fprintln(os.Stderr, "sftlint:", e)

@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"compsynth/internal/circuit"
@@ -200,9 +199,8 @@ func ParseString(s, name string) (*circuit.Circuit, error) {
 func Write(w io.Writer, c *circuit.Circuit) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n", c.Name)
-	st := c.Stats()
 	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates (%d equiv-2-input)\n",
-		st.Inputs, st.Outputs, st.Gates, st.Equiv2)
+		len(c.Inputs), len(c.Outputs), c.NumGates(), c.Equiv2Count())
 	for _, id := range c.Inputs {
 		fmt.Fprintf(bw, "INPUT(%s)\n", c.Nodes[id].Name)
 	}
@@ -234,14 +232,4 @@ func String(c *circuit.Circuit) string {
 		return "# error: " + err.Error()
 	}
 	return b.String()
-}
-
-// SortedOutputNames is a test helper returning PO names in sorted order.
-func SortedOutputNames(c *circuit.Circuit) []string {
-	names := make([]string, len(c.Outputs))
-	for i, o := range c.Outputs {
-		names[i] = c.Nodes[o].Name
-	}
-	sort.Strings(names)
-	return names
 }

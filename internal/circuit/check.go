@@ -11,7 +11,7 @@ import (
 // run behind the -check flag of the commands and after every resynthesis
 // pass in tests. Beyond Validate it proves acyclicity with an explicit
 // witness, verifies per-gate-type fanin arity, cross-checks the cached
-// derived state (name index, fanout lists, topological order, levels)
+// derived state (name index, fanout lists, topological order, frozen view)
 // against a fresh recomputation, verifies level monotonicity along every
 // edge, and rejects dangling or unreachable nodes. CheckComparisonUnits
 // additionally audits the paper's headline structural guarantee on
@@ -149,13 +149,6 @@ func CheckWith(c *Circuit, opt CheckOptions) error {
 
 	// Cached derived state must agree with a fresh recomputation: a mutator
 	// that forgot to invalidate shows up here, not as silently wrong results.
-	if c.levelCache != nil {
-		for id, want := range lv {
-			if c.levelCache[id] != want {
-				return fmt.Errorf("stale level cache at node %d: cached %d, recomputed %d", id, c.levelCache[id], want)
-			}
-		}
-	}
 	if c.topoCache != nil {
 		if err := checkTopoCache(c); err != nil {
 			return err

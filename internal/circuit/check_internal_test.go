@@ -48,16 +48,6 @@ func TestCheckStaleTopoCache(t *testing.T) {
 	}
 }
 
-func TestCheckStaleLevelCache(t *testing.T) {
-	c := buildInternal()
-	c.Levels()
-	c.levelCache[c.NodeByName("g")] += 3
-	err := Check(c)
-	if err == nil || !strings.Contains(err.Error(), "stale level cache") {
-		t.Fatalf("stale level cache not caught: %v", err)
-	}
-}
-
 // TestCheckAfterMutators runs the real mutator sequence resynthesis uses and
 // verifies Check stays green at every step: the mutators themselves must
 // maintain every invariant Check audits.

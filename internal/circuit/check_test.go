@@ -145,9 +145,25 @@ func TestCheckPositive(t *testing.T) {
 	// recomputation.
 	c.RebuildFanouts()
 	c.Topo()
-	c.Levels()
+	c.Depth()
 	if err := circuit.Check(c); err != nil {
 		t.Fatalf("Check rejected a clean circuit with warm caches: %v", err)
+	}
+}
+
+// TestDepthAfterKill: Depth reads the frozen view, whose levels cover live
+// nodes only, so a tombstone left by Kill does not trip Check afterwards.
+func TestDepthAfterKill(t *testing.T) {
+	c, ids := base()
+	x := c.AddGate(circuit.Xor, "x", ids["a"], ids["b"])
+	y := c.AddGate(circuit.Not, "y", x)
+	c.MarkOutput(x)
+	c.Kill(y)
+	if d := c.Depth(); d != 2 {
+		t.Fatalf("Depth = %d, want 2", d)
+	}
+	if err := circuit.Check(c); err != nil {
+		t.Fatalf("Check after Kill and Depth: %v", err)
 	}
 }
 

@@ -167,12 +167,11 @@ type Circuit struct {
 	Inputs  []int   // primary input node IDs in declaration order
 	Outputs []int   // primary output driver node IDs in declaration order
 
-	byName     map[string]int
-	fanoutsOK  bool
-	topoCache  []int
-	levelCache []int
-	gen        uint64      // edit generation (see record.go)
-	fz         frozenState // frozen CSR view + its patch scratch (see csr.go)
+	byName    map[string]int
+	fanoutsOK bool
+	topoCache []int
+	gen       uint64      // edit generation (see record.go)
+	fz        frozenState // frozen CSR view + its patch scratch (see csr.go)
 }
 
 // New returns an empty circuit.
@@ -183,7 +182,6 @@ func New(name string) *Circuit {
 func (c *Circuit) invalidate() {
 	c.fanoutsOK = false
 	c.topoCache = nil
-	c.levelCache = nil
 }
 
 // AddInput adds a primary input with the given name.
@@ -379,45 +377,17 @@ func (c *Circuit) Topo() []int {
 	return order
 }
 
-// Levels returns per-node levels: inputs/constants are level 0 and each gate
-// is 1 + max(level of fanins). Dead nodes have level -1.
-func (c *Circuit) Levels() []int {
-	if c.levelCache != nil {
-		return c.levelCache
-	}
-	lv := make([]int, len(c.Nodes))
-	for i := range lv {
-		lv[i] = -1
-	}
-	for _, id := range c.Topo() {
-		nd := c.Nodes[id]
-		if len(nd.Fanin) == 0 {
-			lv[id] = 0
-			continue
-		}
-		m := 0
-		for _, f := range nd.Fanin {
-			if lv[f] > m {
-				m = lv[f]
-			}
-		}
-		lv[id] = m + 1
-	}
-	c.levelCache = lv
-	return lv
-}
-
 // Depth returns the number of gates on the longest PI-to-PO path
-// (each gate, including inverters, counts 1).
+// (each gate, including inverters, counts 1). It reads the levels of the
+// frozen view, so, like Freeze, it must not run concurrently with other
+// Circuit methods.
 func (c *Circuit) Depth() int {
-	lv := c.Levels()
-	d := 0
-	for _, o := range c.Outputs {
-		if lv[o] > d {
-			d = lv[o]
-		}
+	v := c.Freeze()
+	d := int32(0)
+	for _, o := range v.Out {
+		d = max(d, v.Level[o])
 	}
-	return d
+	return int(d)
 }
 
 // Validate checks structural invariants and returns the first violation.

@@ -95,8 +95,8 @@ func TestCSRBasicShape(t *testing.T) {
 			}
 		}
 	}
-	// Levels agree with the circuit's own levelization.
-	lv := c.Levels()
+	// Levels agree with Check's independent DFS levelization.
+	lv := freshLevels(c)
 	for d := 0; d < v.N(); d++ {
 		if int(v.Level[d]) != lv[v.NodeID[d]] {
 			t.Fatalf("level of node %d: %d vs %d", v.NodeID[d], v.Level[d], lv[v.NodeID[d]])
@@ -112,7 +112,7 @@ func TestFreezeCachesUntilMutation(t *testing.T) {
 	}
 	// Read-only derived-state calls must not age the view.
 	c.Topo()
-	c.Levels()
+	c.Depth()
 	c.RebuildFanouts()
 	if v2 := c.Freeze(); v2 != v1 {
 		t.Fatal("cache queries aged the frozen view")

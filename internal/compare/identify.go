@@ -398,9 +398,3 @@ func identifySampling(f logic.TT, maxPerms int, rng *rand.Rand) (Spec, bool) {
 	}
 	return Spec{}, false
 }
-
-// IsComparison reports whether f is a comparison function (onset form).
-func IsComparison(f logic.TT) bool {
-	_, ok := Identify(f)
-	return ok
-}

@@ -106,16 +106,6 @@ func (s Spec) Kp(i int) int {
 	return k
 }
 
-// KpOriginal returns Kp for the original (unpermuted) input index (0-based).
-func (s Spec) KpOriginal(orig int) int {
-	for i, p := range s.Perm {
-		if p == orig {
-			return s.Kp(i + 1)
-		}
-	}
-	panic("compare: input index not in permutation")
-}
-
 // GateCost returns the equivalent-2-input gate count of the unit: each block
 // with t participating variables costs t-1 gates, the output AND costs
 // (#terms - 1), and inverters are free (weight 0), matching the paper's

@@ -1,33 +1,20 @@
 package lint
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path"
 	"sort"
 	"strings"
 )
 
-// The baseline is the committed ledger of accepted findings and suppression
-// debt (lint_baseline.json at the repo root). In -baseline mode, findings
-// whose IDs appear in the ledger are suppressed — they are debt, not
-// regressions — while any finding NOT in the ledger fails the run, and any
-// ledger entry that no longer matches a finding fails too (paid-off debt
-// must be deleted from the ledger, keeping it honest). Every entry carries
-// a mandatory justification, mirroring the //lint:ordered comment form.
-//
-// The ledger also pins the per-package counts of the in-source suppression
-// comment //lint:ordered. sftlint -debt recomputes them and fails on any
-// drift in either direction: growth means new suppressions sneaked in
-// without review; shrinkage means the ledger overstates the debt and must
-// be ratcheted down in the same commit.
-
-// BaselineEntry is one accepted finding.
-type BaselineEntry struct {
-	ID            string `json:"id"`
-	Justification string `json:"justification"`
-}
+// The baseline (lint_baseline.json at the repo root) pins the per-package
+// counts of the in-source suppression comment //lint:ordered. The -debt gate
+// recomputes them and fails on any drift in either direction: growth means
+// new suppressions sneaked in without review; shrinkage means the ledger
+// overstates the debt and must be ratcheted down in the same commit.
+// Findings are never baselined: any finding fails the tree gate.
 
 // DebtCounts tallies in-source suppression comments for one package.
 type DebtCounts struct {
@@ -36,62 +23,28 @@ type DebtCounts struct {
 
 // Baseline is the parsed ledger.
 type Baseline struct {
-	Version  int                   `json:"version"`
-	Findings []BaselineEntry       `json:"findings"`
-	Debt     map[string]DebtCounts `json:"debt"`
+	Version int                   `json:"version"`
+	Debt    map[string]DebtCounts `json:"debt"`
 }
 
-// LoadBaseline reads and validates a ledger file.
+// LoadBaseline reads and validates a ledger file. Unknown fields are
+// rejected, so a ledger written for another format fails loudly instead of
+// being half read.
 func LoadBaseline(file string) (*Baseline, error) {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
+	if err := dec.Decode(&b); err != nil {
 		return nil, fmt.Errorf("lint: parsing baseline %s: %v", file, err)
 	}
 	if b.Version != 1 {
 		return nil, fmt.Errorf("lint: baseline %s has version %d, want 1", file, b.Version)
 	}
-	seen := map[string]bool{}
-	for _, e := range b.Findings {
-		if e.ID == "" {
-			return nil, fmt.Errorf("lint: baseline %s has an entry without an id", file)
-		}
-		if strings.TrimSpace(e.Justification) == "" {
-			return nil, fmt.Errorf("lint: baseline entry %s has no justification — accepted findings must say why", e.ID)
-		}
-		if seen[e.ID] {
-			return nil, fmt.Errorf("lint: baseline entry %s is duplicated", e.ID)
-		}
-		seen[e.ID] = true
-	}
 	return &b, nil
-}
-
-// Apply splits diagnostics against the ledger: fresh findings (not
-// baselined — these fail CI) and stale entry IDs (baselined but no longer
-// found — the ledger must shed them).
-func (b *Baseline) Apply(ds []Diagnostic) (fresh []Diagnostic, stale []string) {
-	baselined := map[string]bool{}
-	for _, e := range b.Findings {
-		baselined[e.ID] = false
-	}
-	for _, d := range ds {
-		if _, ok := baselined[d.ID]; ok {
-			baselined[d.ID] = true
-		} else {
-			fresh = append(fresh, d)
-		}
-	}
-	for _, e := range b.Findings {
-		if !baselined[e.ID] {
-			stale = append(stale, e.ID)
-		}
-	}
-	sort.Strings(stale)
-	return fresh, stale
 }
 
 // CountDebt tallies //lint:ordered comments per package (keyed by import
@@ -117,52 +70,33 @@ func CountDebt(l *Loader, pkgs []*Package) map[string]DebtCounts {
 	return out
 }
 
-// baselinedPerPackage derives, from the ledger's finding IDs (which embed
-// module-relative file paths for syntactic rules), how many accepted
-// findings each package directory carries. Interprocedural IDs carry no
-// path and are tallied under "(interprocedural)".
-func (b *Baseline) baselinedPerPackage() map[string]int {
-	out := map[string]int{}
-	for _, e := range b.Findings {
-		parts := strings.Split(e.ID, "/")
-		if len(parts) >= 3 && strings.HasSuffix(parts[len(parts)-2], ".go") {
-			out[path.Dir(strings.Join(parts[1:len(parts)-1], "/"))]++
-		} else {
-			out["(interprocedural)"]++
-		}
-	}
-	return out
-}
-
-// DebtReport renders the suppression-debt tally: per-package counts of
-// in-source suppressions plus baselined findings, with totals.
-func DebtReport(current map[string]DebtCounts, b *Baseline) string {
-	perPkg := map[string]int{}
-	if b != nil {
-		perPkg = b.baselinedPerPackage()
-	}
+// sortedKeys returns the union of both tallies' package keys, sorted.
+func sortedKeys(a, b map[string]DebtCounts) []string {
 	keys := map[string]bool{}
-	for k := range current {
+	for k := range a {
 		keys[k] = true
 	}
-	for k := range perPkg {
+	for k := range b {
 		keys[k] = true
 	}
-	var sorted []string
+	sorted := make([]string, 0, len(keys))
 	for k := range keys {
 		sorted = append(sorted, k)
 	}
 	sort.Strings(sorted)
+	return sorted
+}
+
+// DebtReport renders the suppression-debt tally: per-package counts of
+// in-source suppressions, with the total.
+func DebtReport(current map[string]DebtCounts) string {
 	var sb strings.Builder
-	var tOrd, tBase int
-	for _, k := range sorted {
-		c := current[k]
-		nb := perPkg[k]
-		fmt.Fprintf(&sb, "%-40s ordered=%-3d baselined=%d\n", k, c.Ordered, nb)
-		tOrd += c.Ordered
-		tBase += nb
+	total := 0
+	for _, k := range sortedKeys(current, nil) {
+		fmt.Fprintf(&sb, "%-40s ordered=%d\n", k, current[k].Ordered)
+		total += current[k].Ordered
 	}
-	fmt.Fprintf(&sb, "%-40s ordered=%-3d baselined=%d\n", "TOTAL", tOrd, tBase)
+	fmt.Fprintf(&sb, "%-40s ordered=%d\n", "TOTAL", total)
 	return sb.String()
 }
 
@@ -171,19 +105,7 @@ func DebtReport(current map[string]DebtCounts, b *Baseline) string {
 // new debt, shrinkage is a stale ledger.
 func CompareDebt(current map[string]DebtCounts, b *Baseline) []string {
 	var errs []string
-	keys := map[string]bool{}
-	for k := range current {
-		keys[k] = true
-	}
-	for k := range b.Debt {
-		keys[k] = true
-	}
-	var sorted []string
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
+	for _, k := range sortedKeys(current, b.Debt) {
 		c, p := current[k].Ordered, b.Debt[k].Ordered
 		switch {
 		case c > p:

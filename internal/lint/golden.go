@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 )
@@ -60,22 +59,11 @@ func UpdateGoldens(root string) ([]string, error) {
 }
 
 // Debt loads the given package directories and tallies their in-source
-// suppression comments (the -debt subcommand's engine).
+// suppression comments (the -debt gate's engine).
 func Debt(dirs []string) (map[string]DebtCounts, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("lint: no packages to analyze")
-	}
-	l, err := NewLoader(dirs[0])
+	l, pkgs, err := loadAll(dirs)
 	if err != nil {
 		return nil, err
-	}
-	var pkgs []*Package
-	for _, d := range dirs {
-		p, err := l.Load(d)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
 	}
 	return CountDebt(l, pkgs), nil
 }

@@ -30,23 +30,18 @@ import (
 	"fmt"
 	"go/token"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// Diagnostic is one rule violation. ID is stable across unrelated edits
-// (rule + file + message hash for syntactic rules, rule + entry + sink hash
-// for interprocedural ones) so the baseline survives line-number churn.
-// Witness, present on interprocedural findings, is the call path from the
-// seam to the violating statement.
+// Diagnostic is one rule violation.
 type Diagnostic struct {
-	File    string   `json:"file"`
-	Line    int      `json:"line"`
-	Col     int      `json:"col"`
-	Rule    string   `json:"rule"`
-	Msg     string   `json:"message"`
-	ID      string   `json:"id"`
-	Witness []string `json:"witness,omitempty"`
+	File string `json:"file"`
+	Line int    `json:"line"`
+	Col  int    `json:"col"`
+	Rule string `json:"rule"`
+	Msg  string `json:"message"`
 }
 
 func (d Diagnostic) String() string {
@@ -55,7 +50,8 @@ func (d Diagnostic) String() string {
 
 // Config selects rules and scopes.
 type Config struct {
-	// Rules restricts the run to the named rules; empty means all.
+	// Rules restricts the run to the named rules; empty means all. A name
+	// outside AllRules is an error, not an empty selection.
 	Rules []string
 
 	// DeterministicAll treats every analyzed package as a deterministic
@@ -68,11 +64,21 @@ type Config struct {
 	RelativeTo string
 }
 
-// AllRules lists every rule name, in reporting order. purity and sharedmut
-// (and the transitive half of wallclock) are interprocedural: they run on a
-// whole-module call graph rather than per file.
+// AllRules lists every rule name, in reporting order.
 func AllRules() []string {
-	return []string{"wallclock", "maporder", "metricname", "nodemut", "purity", "sharedmut"}
+	return []string{"wallclock", "maporder", "metricname", "nodemut"}
+}
+
+// checkRules rejects rule names outside AllRules, so a misspelled or
+// retired rule cannot turn a gate into a run that checks nothing.
+func (cfg Config) checkRules() error {
+	all := AllRules()
+	for _, r := range cfg.Rules {
+		if !slices.Contains(all, r) {
+			return fmt.Errorf("lint: unknown rule %q (rules: %s)", r, strings.Join(all, ", "))
+		}
+	}
+	return nil
 }
 
 func (cfg Config) ruleEnabled(name string) bool {
@@ -116,45 +122,28 @@ func (cfg Config) deterministic(pkgPath, modPath string) bool {
 	return true
 }
 
-// Analyze loads every directory and runs the configured rules, returning
-// normalized (deduplicated, position-sorted) diagnostics. The syntactic
-// rules run per package; the interprocedural rules (purity, sharedmut, the
-// transitive half of wallclock) run once on a call graph spanning every
-// loaded package, reporting only on the requested ones. The returned error
-// reports load or type-check failures, which are distinct from findings: a
-// package that does not compile cannot be certified.
+// Analyze loads every directory and runs the configured rules on each
+// package, returning normalized (deduplicated, position-sorted)
+// diagnostics. The returned error reports an unknown rule name or a load or
+// type-check failure, which are distinct from findings: a package that does
+// not compile cannot be certified.
 func Analyze(dirs []string, cfg Config) ([]Diagnostic, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("lint: no packages to analyze")
+	if err := cfg.checkRules(); err != nil {
+		return nil, err
 	}
-	l, err := NewLoader(dirs[0])
+	l, pkgs, err := loadAll(dirs)
 	if err != nil {
 		return nil, err
 	}
-	var requested []*Package
-	for _, dir := range dirs {
-		p, err := l.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		requested = append(requested, p)
-	}
 	var diags []Diagnostic
-	for _, p := range requested {
+	for _, p := range pkgs {
 		diags = append(diags, analyzePackage(l, p, cfg)...)
 	}
-	diags = append(diags, analyzeInterproc(l, requested, cfg)...)
-	for i := range diags {
-		if cfg.RelativeTo != "" {
+	if cfg.RelativeTo != "" {
+		for i := range diags {
 			if rel, ok := strings.CutPrefix(diags[i].File, cfg.RelativeTo+"/"); ok {
 				diags[i].File = rel
 			}
-			diags[i].Witness = relativizeWitness(diags[i].Witness, cfg.RelativeTo)
-		}
-		if diags[i].ID == "" {
-			// Syntactic rules: rule + file + message hash. Line-independent,
-			// so reformatting does not invalidate the baseline.
-			diags[i].ID = fmt.Sprintf("%s/%s/%08x", diags[i].Rule, diags[i].File, fnv32a(diags[i].Msg))
 		}
 	}
 	return Normalize(diags), nil
@@ -197,9 +186,7 @@ func (r *runner) report(pos token.Pos, rule, format string, args ...any) {
 }
 
 // Normalize sorts diagnostics by (file, line, col, rule, message) and drops
-// exact duplicates, making every output format byte-stable across runs. Two
-// call paths reaching the same sink through different seams are distinct
-// findings (different IDs and witnesses) and both survive.
+// exact duplicates, making every output format byte-stable across runs.
 func Normalize(ds []Diagnostic) []Diagnostic {
 	sort.Slice(ds, func(i, j int) bool {
 		if ds[i].File != ds[j].File {
@@ -214,16 +201,11 @@ func Normalize(ds []Diagnostic) []Diagnostic {
 		if ds[i].Rule != ds[j].Rule {
 			return ds[i].Rule < ds[j].Rule
 		}
-		if ds[i].Msg != ds[j].Msg {
-			return ds[i].Msg < ds[j].Msg
-		}
-		return ds[i].ID < ds[j].ID
+		return ds[i].Msg < ds[j].Msg
 	})
 	out := ds[:0]
 	for i, d := range ds {
-		if i > 0 && d.File == out[len(out)-1].File && d.Line == out[len(out)-1].Line &&
-			d.Col == out[len(out)-1].Col && d.Rule == out[len(out)-1].Rule &&
-			d.Msg == out[len(out)-1].Msg && d.ID == out[len(out)-1].ID {
+		if i > 0 && d == out[len(out)-1] {
 			continue
 		}
 		out = append(out, d)
@@ -231,17 +213,12 @@ func Normalize(ds []Diagnostic) []Diagnostic {
 	return out
 }
 
-// FormatText renders diagnostics one per line, witnesses indented below.
+// FormatText renders diagnostics one per line.
 func FormatText(ds []Diagnostic) string {
 	var b strings.Builder
 	for _, d := range ds {
 		b.WriteString(d.String())
 		b.WriteByte('\n')
-		for _, w := range d.Witness {
-			b.WriteString("    ")
-			b.WriteString(w)
-			b.WriteByte('\n')
-		}
 	}
 	return b.String()
 }

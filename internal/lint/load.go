@@ -191,19 +191,24 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return p, nil
 }
 
-// Loaded returns every package the loader has type-checked so far —
-// requested directories and their transitively imported module packages —
-// sorted by import path. The call-graph builder derives node ids from this
-// order, so it must be deterministic.
-func (l *Loader) Loaded() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		if p != nil {
-			out = append(out, p)
-		}
+// loadAll type-checks every directory with one loader, in argument order.
+func loadAll(dirs []string) (*Loader, []*Package, error) {
+	if len(dirs) == 0 {
+		return nil, nil, fmt.Errorf("lint: no packages to analyze")
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
+	l, err := NewLoader(dirs[0])
+	if err != nil {
+		return nil, nil, err
+	}
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, d := range dirs {
+		p, err := l.Load(d)
+		if err != nil {
+			return nil, nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return l, pkgs, nil
 }
 
 // buildTagsMatch evaluates a file's leading build constraints (//go:build

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"go/ast"
 	"path/filepath"
 	"testing"
 
@@ -103,35 +102,5 @@ func TestLoaderEdgeCases(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Errorf("loadedge should be clean:\n%s", lint.FormatText(diags))
-	}
-}
-
-// TestLoadedDeterministic: Loaded() returns packages sorted by import path;
-// node ids and therefore diagnostic order downstream depend on it.
-func TestLoadedDeterministic(t *testing.T) {
-	root := repoRoot(t)
-	l, err := lint.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []string{"internal/lint/testdata/src/badpurity", "internal/lint/testdata/src/loadedge"} {
-		if _, err := l.Load(filepath.Join(root, d)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pkgs := l.Loaded()
-	if len(pkgs) < 4 { // the two fixtures + at least par and circuit
-		t.Fatalf("Loaded returned %d packages, want the transitive module closure", len(pkgs))
-	}
-	for i := 1; i < len(pkgs); i++ {
-		if pkgs[i-1].Path >= pkgs[i].Path {
-			t.Errorf("Loaded not sorted: %s before %s", pkgs[i-1].Path, pkgs[i].Path)
-		}
-	}
-	for _, p := range pkgs {
-		if len(p.Files) == 0 {
-			t.Errorf("package %s has no files", p.Path)
-		}
-		ast.Inspect(p.Files[0], func(ast.Node) bool { return false }) // parsed ASTs, not shells
 	}
 }

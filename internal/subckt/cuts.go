@@ -12,9 +12,9 @@ import (
 // A cut of gate g is a set of lines such that every path from the primary
 // inputs to g passes through a line of the set; the gates strictly between
 // the cut and g form a single-output subcircuit with the cut as its inputs.
-// Cuts reach through arbitrarily wide gates, which the incremental growth of
-// Enumerate cannot (a 6-input gate's trivial subcircuit already has 6
-// inputs), so the optimizer enumerates candidates from cuts.
+// Cuts reach through arbitrarily wide gates: a 6-input gate's own fanins
+// exceed K = 5, yet a cut through its drivers has five lines or fewer when
+// those drivers share inputs.
 //
 // cuts(PI)       = { {PI} }
 // cuts(constant) = { {} }

@@ -53,6 +53,16 @@ func TestCutsOfC17(t *testing.T) {
 	if !full {
 		t.Fatal("PI-level cut of output 22 not enumerated")
 	}
+	// The per-node cap bounds the cuts, and so the candidates, of a node.
+	capped := ComputeCuts(c, 5, 2)
+	for _, nd := range c.Nodes {
+		if n := len(capped.Cuts(nd.ID)); n > 2 {
+			t.Fatalf("gate %s has %d cuts under a cap of 2", nd.Name, n)
+		}
+	}
+	if n := len(capped.EnumerateFromCuts(c, g)); n == 0 || n > 2 {
+		t.Fatalf("output 22 has %d candidates under a cap of 2", n)
+	}
 }
 
 func TestCutsAreRealCuts(t *testing.T) {

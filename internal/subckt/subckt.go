@@ -2,9 +2,9 @@
 // extracts the functions they implement (Section 4.1 of the paper).
 //
 // A candidate C' is a set of gates with a designated output g. Its inputs I'
-// are the lines that feed gates of C' from outside. Starting from the single
-// gate driving g, candidates grow by absorbing a gate that drives one of the
-// current inputs, as long as the input count stays within the limit K.
+// are the lines that feed gates of C' from outside, at most K of them. The
+// candidates of g are the subcircuits induced by g's K-feasible cuts
+// (cuts.go).
 package subckt
 
 import (
@@ -24,67 +24,6 @@ type Subcircuit struct {
 
 	key   Key // lazily computed by Key()
 	keyed bool
-}
-
-// Options bounds the enumeration.
-type Options struct {
-	// MaxInputs is K, the input limit for candidate subcircuits.
-	MaxInputs int
-	// MaxCandidates caps the number of candidates generated per output
-	// (0 = unlimited). The paper's enumeration is exhaustive; the cap keeps
-	// worst-case gates from dominating runtime.
-	MaxCandidates int
-}
-
-// DefaultOptions matches the paper's experiments (K = 5).
-func DefaultOptions() Options {
-	return Options{MaxInputs: 5, MaxCandidates: 300}
-}
-
-// Enumerate generates the candidate subcircuits with output g, in expansion
-// order, starting with the single-gate subcircuit. g must be a gate output.
-func Enumerate(c *circuit.Circuit, g int, opt Options) []*Subcircuit {
-	nd := c.Nodes[g]
-	if nd.Type == circuit.Input {
-		panic("subckt: enumeration from a primary input")
-	}
-	first := newSub(c, g, map[int]bool{g: true})
-	if len(first.Inputs) > opt.MaxInputs {
-		return nil
-	}
-	out := []*Subcircuit{first}
-	seen := map[Key]bool{first.Key(): true}
-	for i := 0; i < len(out); i++ {
-		if opt.MaxCandidates > 0 && len(out) >= opt.MaxCandidates {
-			break
-		}
-		cur := out[i]
-		for _, in := range cur.Inputs {
-			h := c.Nodes[in]
-			if h.Type == circuit.Input {
-				continue
-			}
-			gates := make(map[int]bool, len(cur.Gates)+1)
-			for id := range cur.Gates {
-				gates[id] = true
-			}
-			gates[in] = true
-			cand := newSub(c, g, gates)
-			if len(cand.Inputs) > opt.MaxInputs || len(cand.Inputs) == 0 {
-				continue
-			}
-			k := cand.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, cand)
-			if opt.MaxCandidates > 0 && len(out) >= opt.MaxCandidates {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // newSub computes the input set and absorbs constant drivers.

@@ -8,34 +8,10 @@ import (
 	"compsynth/internal/logic"
 )
 
-func TestEnumerateSingleGateFirst(t *testing.T) {
-	c, _ := bench.ParseString(bench.C17, "c17")
-	g := c.NodeByName("22")
-	subs := Enumerate(c, g, Options{MaxInputs: 5, MaxCandidates: 100})
-	if len(subs) == 0 {
-		t.Fatal("no candidates")
-	}
-	if len(subs[0].Gates) != 1 || !subs[0].Gates[g] {
-		t.Fatalf("first candidate not the single gate: %v", subs[0].Gates)
-	}
-	// Growing candidates exist: 22 = NAND(10,16), absorbing 10 or 16.
-	if len(subs) < 3 {
-		t.Fatalf("expected more candidates, got %d", len(subs))
-	}
-}
-
-func TestEnumerateRespectsInputLimit(t *testing.T) {
-	c, _ := bench.ParseString(bench.C17, "c17")
-	for _, g := range []string{"22", "23", "16"} {
-		for k := 2; k <= 6; k++ {
-			subs := Enumerate(c, c.NodeByName(g), Options{MaxInputs: k})
-			for _, s := range subs {
-				if len(s.Inputs) > k {
-					t.Fatalf("g=%s k=%d: candidate with %d inputs", g, k, len(s.Inputs))
-				}
-			}
-		}
-	}
+// candidates returns g's cut-based candidates at K = 5, the pipeline's
+// enumeration.
+func candidates(c *circuit.Circuit, g int) []*Subcircuit {
+	return ComputeCuts(c, 5, 0).EnumerateFromCuts(c, g)
 }
 
 func TestExtractSingleGate(t *testing.T) {
@@ -44,7 +20,10 @@ func TestExtractSingleGate(t *testing.T) {
 	b := c.AddInput("b")
 	g := c.AddGate(circuit.Nand, "g", a, b)
 	c.MarkOutput(g)
-	subs := Enumerate(c, g, DefaultOptions())
+	subs := candidates(c, g)
+	if len(subs) != 1 || len(subs[0].Gates) != 1 {
+		t.Fatalf("want the single-gate candidate only, got %d candidates", len(subs))
+	}
 	tt := subs[0].Extract(c)
 	want := logic.Var(2, 1).And(logic.Var(2, 2)).Not()
 	// Inputs sorted ascending: a (id 0) is y1, b (id 1) is y2.
@@ -54,8 +33,8 @@ func TestExtractSingleGate(t *testing.T) {
 }
 
 func TestExtractDeepSubcircuit(t *testing.T) {
-	// f = (a AND b) OR (NOT c): enumerate from the OR; the full 3-gate
-	// candidate must extract the right 3-input function.
+	// f = (a AND b) OR (NOT c): the cut {a, b, c} of the OR induces the
+	// full 3-gate candidate, which must extract the right 3-input function.
 	c := circuit.New("t")
 	a := c.AddInput("a")
 	b := c.AddInput("b")
@@ -64,7 +43,7 @@ func TestExtractDeepSubcircuit(t *testing.T) {
 	g2 := c.AddGate(circuit.Not, "", cc)
 	g3 := c.AddGate(circuit.Or, "", g1, g2)
 	c.MarkOutput(g3)
-	subs := Enumerate(c, g3, DefaultOptions())
+	subs := candidates(c, g3)
 	var full *Subcircuit
 	for _, s := range subs {
 		if len(s.Gates) == 3 {
@@ -85,7 +64,7 @@ func TestExtractMatchesHostSimulation(t *testing.T) {
 	c, _ := bench.ParseString(bench.C17, "c17")
 	for _, gname := range []string{"22", "23", "16", "19"} {
 		g := c.NodeByName(gname)
-		for _, s := range Enumerate(c, g, Options{MaxInputs: 5, MaxCandidates: 50}) {
+		for _, s := range candidates(c, g) {
 			tt := s.Extract(c)
 			// Check on concrete patterns: drive the host circuit's PIs with
 			// every combination and compare the node value against the TT of
@@ -194,21 +173,16 @@ func TestConstantAbsorption(t *testing.T) {
 	k := c.AddGate(circuit.Const1, "")
 	g := c.AddGate(circuit.Xor, "g", a, k)
 	c.MarkOutput(g)
-	subs := Enumerate(c, g, DefaultOptions())
+	subs := candidates(c, g)
+	if len(subs) != 1 {
+		t.Fatalf("want one candidate, got %d", len(subs))
+	}
 	s := subs[0]
-	if len(s.Inputs) != 1 || s.Inputs[0] != a {
+	if len(s.Inputs) != 1 || s.Inputs[0] != a || !s.Gates[k] {
 		t.Fatalf("constant not absorbed: inputs %v", s.Inputs)
 	}
 	tt := s.Extract(c)
 	if !tt.Equal(logic.Var(1, 1).Not()) {
 		t.Fatalf("extract with absorbed const = %s", tt)
-	}
-}
-
-func TestEnumerateCapsCandidates(t *testing.T) {
-	c, _ := bench.ParseString(bench.C17, "c17")
-	subs := Enumerate(c, c.NodeByName("22"), Options{MaxInputs: 5, MaxCandidates: 2})
-	if len(subs) > 2 {
-		t.Fatalf("cap ignored: %d candidates", len(subs))
 	}
 }
