@@ -75,9 +75,9 @@ func identifyBest(f logic.TT) (Spec, bool) {
 // forms, then complemented forms). Useful for picking the cheapest unit.
 func IdentifyAll(f logic.TT, limit int) []Spec {
 	var specs []Spec
-	seen := map[string]bool{}
+	seen := map[specKey]bool{}
 	add := func(s Spec) bool {
-		k := s.String()
+		k := keyOf(s)
 		if !seen[k] {
 			seen[k] = true
 			specs = append(specs, s)
@@ -89,6 +89,24 @@ func IdentifyAll(f logic.TT, limit int) []Spec {
 		enumerateNot(f, add)
 	}
 	return specs
+}
+
+// specKey identifies a Spec among the realizations of one function (N is
+// fixed): the permutation packed 4 bits per position (N <= logic.MaxVars =
+// 16 positions of values below 16 fill at most 64 bits), the bounds and the
+// complement flag.
+type specKey struct {
+	perm       uint64
+	l, u       int
+	complement bool
+}
+
+func keyOf(s Spec) specKey {
+	var p uint64
+	for _, v := range s.Perm {
+		p = p<<4 | uint64(v)
+	}
+	return specKey{perm: p, l: s.L, u: s.U, complement: s.Complement}
 }
 
 // searchCtx is the pooled working set of one exact search over n variables:

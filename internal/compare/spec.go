@@ -11,6 +11,7 @@ package compare
 
 import (
 	"fmt"
+	"math/bits"
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/logic"
@@ -42,16 +43,10 @@ func (s Spec) lbit(i int) int { return (s.L >> (s.N - i)) & 1 }
 func (s Spec) ubit(i int) int { return (s.U >> (s.N - i)) & 1 }
 
 // FreeCount returns the number of free variables (Definition 2): the longest
-// prefix of positions on which L and U agree.
+// prefix of positions on which L and U agree, i.e. the positions above the
+// highest bit where they differ.
 func (s Spec) FreeCount() int {
-	f := 0
-	for i := 1; i <= s.N; i++ {
-		if s.lbit(i) != s.ubit(i) {
-			break
-		}
-		f++
-	}
-	return f
+	return s.N - bits.Len(uint(s.L^s.U))
 }
 
 // suffix returns the value of bits i..N of x (i is 1-based).
@@ -60,6 +55,14 @@ func (s Spec) suffix(x, i int) int {
 		return 0
 	}
 	return x & ((1 << (s.N - i + 1)) - 1)
+}
+
+// blocks reports whether position i (1-based), taken as non-free, has a path
+// through the >=L block (bits i..N of L are not all zero) and through the
+// <=U block (bits i..N of U are not all one).
+func (s Spec) blocks(i int) (geq, leq bool) {
+	m := 1<<(s.N-i+1) - 1 // bits i..N
+	return s.L&m != 0, s.U&m != m
 }
 
 // GeqPresent reports whether the >=L block exists (Sec. 3.2.2: it is omitted
@@ -81,29 +84,37 @@ func (s Spec) LeqPresent() bool {
 // InGeq reports whether position i (1-based) has a path through the >=L
 // block: the variable is non-free and bits i..N of L are not all zero.
 func (s Spec) InGeq(i int) bool {
-	return i > s.FreeCount() && s.suffix(s.L, i) != 0
+	geq, _ := s.blocks(i)
+	return i > s.FreeCount() && geq
 }
 
 // InLeq reports whether position i has a path through the <=U block.
 func (s Spec) InLeq(i int) bool {
-	return i > s.FreeCount() && s.suffix(s.U, i) != (1<<(s.N-i+1))-1
+	_, leq := s.blocks(i)
+	return i > s.FreeCount() && leq
 }
 
 // Kp returns the number of paths from position i (1-based) to the unit
 // output: 1 for a free variable, and the number of blocks the variable
 // participates in otherwise (0, 1 or 2). This is the K_p of Section 2.
 func (s Spec) Kp(i int) int {
-	if i <= s.FreeCount() {
+	return s.kp(i, s.FreeCount())
+}
+
+// kp is Kp for a spec with f free variables.
+func (s Spec) kp(i, f int) int {
+	if i <= f {
 		return 1
 	}
-	k := 0
-	if s.InGeq(i) {
-		k++
+	geq, leq := s.blocks(i)
+	return b2i(geq) + b2i(leq)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	if s.InLeq(i) {
-		k++
-	}
-	return k
+	return 0
 }
 
 // GateCost returns the equivalent-2-input gate count of the unit: each block
@@ -115,12 +126,9 @@ func (s Spec) GateCost() int {
 	cost, terms := 0, f
 	tGeq, tLeq := 0, 0
 	for i := f + 1; i <= s.N; i++ {
-		if s.InGeq(i) {
-			tGeq++
-		}
-		if s.InLeq(i) {
-			tLeq++
-		}
+		geq, leq := s.blocks(i)
+		tGeq += b2i(geq)
+		tLeq += b2i(leq)
 	}
 	if tGeq > 0 {
 		cost += tGeq - 1
@@ -144,9 +152,10 @@ func (s Spec) PathCost(np []uint64) uint64 {
 	if len(np) != s.N {
 		panic("compare: np length mismatch")
 	}
+	f := s.FreeCount()
 	var total uint64
 	for i := 1; i <= s.N; i++ {
-		total += np[s.Perm[i-1]] * uint64(s.Kp(i))
+		total += np[s.Perm[i-1]] * uint64(s.kp(i, f))
 	}
 	return total
 }

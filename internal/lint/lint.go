@@ -135,6 +135,12 @@ func Analyze(dirs []string, cfg Config) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
+	return analyzeLoaded(l, pkgs, cfg), nil
+}
+
+// analyzeLoaded runs the configured rules on packages loadAll returned, so
+// a caller that also needs the packages for CountDebt type-checks them once.
+func analyzeLoaded(l *Loader, pkgs []*Package, cfg Config) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		diags = append(diags, analyzePackage(l, p, cfg)...)
@@ -146,7 +152,7 @@ func Analyze(dirs []string, cfg Config) ([]Diagnostic, error) {
 			}
 		}
 	}
-	return Normalize(diags), nil
+	return Normalize(diags)
 }
 
 func analyzePackage(l *Loader, p *Package, cfg Config) []Diagnostic {

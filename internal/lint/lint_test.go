@@ -128,38 +128,6 @@ func TestUnknownRuleRejected(t *testing.T) {
 	}
 }
 
-// TestTreeClean is the in-process version of the CI gates: the repository's
-// own packages must produce zero diagnostics, and the //lint:ordered counts
-// must match the debt pinned in lint_baseline.json.
-func TestTreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root := repoRoot(t)
-	dirs, err := lint.ExpandPatterns([]string{root + "/..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.Analyze(dirs, lint.Config{RelativeTo: root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := lint.LoadBaseline(filepath.Join(root, "lint_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) > 0 {
-		t.Errorf("tree has findings:\n%s", lint.FormatText(diags))
-	}
-	counts, err := lint.Debt(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range lint.CompareDebt(counts, baseline) {
-		t.Errorf("suppression-debt drift: %s", msg)
-	}
-}
-
 // TestNormalizePin pins the output contract both formats rely on:
 // diagnostics sorted by (file, line, col, rule, message), exact duplicates
 // dropped, distinct findings at the same position kept. Byte-stability of

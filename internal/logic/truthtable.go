@@ -360,7 +360,7 @@ func (t TT) DependsOn(i int) bool {
 
 // Support returns the 1-based indices of variables f depends on.
 func (t TT) Support() []int {
-	var s []int
+	s := make([]int, 0, t.n) // one allocation, not one per doubling
 	for i := 1; i <= t.n; i++ {
 		if t.DependsOn(i) {
 			s = append(s, i)

@@ -330,6 +330,10 @@ type optimizer struct {
 	touched []int
 	stack   []int32
 
+	// Reused candidate scratch: the path counts on a candidate's kept
+	// inputs, in spec variable order.
+	subNp []uint64
+
 	// Certificate evidence, appended by apply when Options.Certify is set.
 	passNo   int
 	evidence []ledger.Evidence
@@ -532,13 +536,19 @@ func growBool(s []bool, n int) []bool {
 	return s
 }
 
+// score is what the objectives compare: the gate saving N - N' and the
+// path count on g after the replacement.
+type score struct {
+	gateSave int
+	pathsOnG uint64
+}
+
 // candidate pairs a subcircuit with its chosen unit realization and costs.
 type candidate struct {
+	score
 	sub        *subckt.Subcircuit
 	spec       compare.Realization
 	keepInputs []int // host node IDs for the spec's variables, in order
-	gateSave   int   // N - N'
-	pathsOnG   uint64
 
 	// Evidence inputs (the tables are cache-shared; no extra allocation):
 	// the support-reduced extracted function and, when identification used
@@ -562,9 +572,9 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 	np, npOK := o.np, o.npOK
 	oldPathsOnG := np[g]
 	var best *candidate
-	var recs []dtrace.Record               // per-candidate trace, nil unless o.dt != nil
-	bestRec := -1                          // index in recs of the current best's record
-	better := func(a, b *candidate) bool { // is a better than b?
+	var recs []dtrace.Record          // per-candidate trace, nil unless o.dt != nil
+	bestRec := -1                     // index in recs of the current best's record
+	better := func(a, b score) bool { // is a better than b?
 		switch o.opt.Objective {
 		case MinGates:
 			if a.gateSave != b.gateSave {
@@ -594,11 +604,9 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			}
 			continue // constant function: left to Simplify
 		}
-		var spec compare.Realization
 		var dcCare logic.TT
 		usedDC := false
 		single, ok := o.identify(stt)
-		spec = single
 		if !ok && o.valbits != nil {
 			// Reachability don't-cares may still admit a single unit.
 			keep := make([]int, len(kept))
@@ -608,16 +616,16 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			care := o.careSet(keep)
 			if !care.IsConst(true) {
 				single, ok = o.identifyDC(stt, care)
-				spec = single
 				if ok {
 					dcCare, usedDC = care, true
 				}
 			}
 		}
+		var multi compare.MultiSpec
+		isMulti := false
 		if !ok && o.opt.MaxUnits > 1 {
-			var multi compare.MultiSpec
 			multi, ok = o.identifyMulti(stt)
-			spec = multi
+			isMulti = true
 		}
 		if !ok {
 			if o.dt != nil {
@@ -626,35 +634,42 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			continue
 		}
 		keepInputs := make([]int, len(kept))
-		subNp := make([]uint64, len(kept))
+		subNp := o.subNp[:0] // read only by the cost calls below
 		for j, v := range kept {
 			keepInputs[j] = sub.Inputs[v-1]
-			subNp[j] = np[keepInputs[j]]
+			subNp = append(subNp, np[keepInputs[j]])
 		}
+		o.subNp = subNp
 		saved := sub.GateSavings(c) // the same for every realization
+		var sc score
+		if isMulti {
+			sc = score{saved - multi.GateCost(), multi.PathCost(subNp)}
+		} else {
+			sc = score{saved - single.GateCost(), single.PathCost(subNp)}
+		}
+		// Try alternative realizations when available. They are compared on
+		// the concrete Spec; only the winner is boxed into the candidate.
+		if o.opt.MaxSpecs > 1 && !o.opt.UseSampling {
+			for _, alt := range o.identifyAll(stt) {
+				if as := (score{saved - alt.GateCost(), alt.PathCost(subNp)}); better(as, sc) {
+					single, sc, isMulti = alt, as, false
+				}
+			}
+		}
+		var spec compare.Realization = single
+		if isMulti {
+			spec = multi
+		}
 		cand := &candidate{
+			score:      sc,
 			sub:        sub,
 			spec:       spec,
 			keepInputs: keepInputs,
-			gateSave:   saved - spec.GateCost(),
-			pathsOnG:   spec.PathCost(subNp),
 			stt:        stt,
 			care:       dcCare,
 			hasCare:    usedDC,
 		}
-		// Try alternative realizations when available.
-		if o.opt.MaxSpecs > 1 && !o.opt.UseSampling {
-			for _, alt := range o.identifyAll(stt) {
-				ac := *cand
-				ac.spec = alt
-				ac.gateSave = saved - alt.GateCost()
-				ac.pathsOnG = alt.PathCost(subNp)
-				if better(&ac, cand) {
-					*cand = ac
-				}
-			}
-		}
-		if best == nil || better(cand, best) {
+		if best == nil || better(cand.score, best.score) {
 			best = cand
 			bestRec = len(recs) // the record appended just below
 		}

@@ -1,6 +1,7 @@
 package subckt
 
 import (
+	"slices"
 	"testing"
 
 	"compsynth/internal/bench"
@@ -172,17 +173,18 @@ func TestSubcircuitForRejectsBadCuts(t *testing.T) {
 }
 
 func TestUnionSorted(t *testing.T) {
-	u := unionSorted([]int{1, 3, 5}, []int{2, 3, 6}, 5)
+	m := &merger{slab: []int{1, 3, 5}}
+	a := cutRef{off: 0, n: 3}
+	u, ok := m.union(a, []int{2, 3, 6}, 5)
 	want := []int{1, 2, 3, 5, 6}
-	if len(u) != len(want) {
-		t.Fatalf("union = %v", u)
+	if !ok || !slices.Equal(m.slab[u.off:u.off+u.n], want) {
+		t.Fatalf("union = %v, %v; want %v", m.slab[u.off:u.off+u.n], ok, want)
 	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("union = %v", u)
-		}
-	}
-	if unionSorted([]int{1, 2, 3}, []int{4, 5, 6}, 5) != nil {
+	m.slab = []int{1, 2, 3}
+	if _, ok := m.union(a, []int{4, 5, 6}, 5); ok {
 		t.Fatal("oversize union not rejected")
+	}
+	if len(m.slab) != 3 {
+		t.Fatalf("rejected union left %d entries in the slab, want 3", len(m.slab))
 	}
 }

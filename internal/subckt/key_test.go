@@ -2,19 +2,16 @@ package subckt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 func subWithGates(out int, ids ...int) *Subcircuit {
-	g := map[int]bool{}
-	for _, id := range ids {
-		g[id] = true
-	}
-	return &Subcircuit{Out: out, Gates: g}
+	return &Subcircuit{Out: out, Gates: ids}
 }
 
-// TestKeyOrderIndependent: the key is a set identity — insertion order of
-// the gate map must not matter.
+// TestKeyOrderIndependent: the key is a set identity — the order of the
+// gate list must not matter.
 func TestKeyOrderIndependent(t *testing.T) {
 	a := subWithGates(5, 1, 2, 3, 4, 5)
 	b := subWithGates(5, 5, 4, 3, 2, 1)
@@ -54,18 +51,20 @@ func TestKeyBeatsNaivePacking(t *testing.T) {
 func TestKeyNoRandomCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	seen := map[Key]string{}
-	canon := func(g map[int]bool) string {
+	canon := func(g []int) string {
 		b := make([]byte, 4096)
-		for id := range g {
+		for _, id := range g {
 			b[id] = 1
 		}
 		return string(b)
 	}
 	for trial := 0; trial < 5000; trial++ {
 		n := 1 + rng.Intn(8)
-		s := &Subcircuit{Out: 0, Gates: map[int]bool{}}
+		s := &Subcircuit{Out: 0}
 		for j := 0; j < n; j++ {
-			s.Gates[rng.Intn(4096)] = true
+			if id := rng.Intn(4096); !slices.Contains(s.Gates, id) {
+				s.Gates = append(s.Gates, id)
+			}
 		}
 		c := canon(s.Gates)
 		if prev, ok := seen[s.Key()]; ok && prev != c {

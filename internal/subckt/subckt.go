@@ -9,7 +9,6 @@ package subckt
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 
 	"compsynth/internal/circuit"
@@ -18,39 +17,82 @@ import (
 
 // Subcircuit is one candidate C' with output Out.
 type Subcircuit struct {
-	Out    int          // output node ID (a gate of the host circuit)
-	Gates  map[int]bool // node IDs inside C' (includes absorbed constants)
-	Inputs []int        // external driving node IDs, sorted ascending
+	Out int // output node ID (a gate of the host circuit)
+	// Gates lists the node IDs inside C', absorbed constants included, with
+	// fanins before consumers: every gate comes after the gates of C' that
+	// drive it, so Out is last. Extract evaluates in this order and
+	// GateSavings decides removability in the reverse order.
+	Gates  []int
+	Inputs []int // external driving node IDs, sorted ascending
 
 	key   Key // lazily computed by Key()
 	keyed bool
 }
 
-// newSub computes the input set and absorbs constant drivers.
-func newSub(c *circuit.Circuit, g int, gates map[int]bool) *Subcircuit {
-	// Constants inside cost nothing and have fixed values; absorb them so
-	// they never occupy input slots.
-	inSet := map[int]bool{}
-	//lint:ordered inserted entries are constants with no fanin, so visiting them is a no-op and inSet is the same either way
-	for id := range gates {
-		for _, f := range c.Nodes[id].Fanin {
-			if gates[f] {
-				continue
-			}
-			t := c.Nodes[f].Type
-			if t == circuit.Const0 || t == circuit.Const1 {
-				gates[f] = true
-				continue
-			}
-			inSet[f] = true
-		}
+// scratch is the pooled working set of the subcircuit kernels: per-node
+// marks, per-node 64-pattern words for Extract, and the walk's stack and
+// output buffers. A node's mark is live only while its stamp equals the
+// current epoch, so starting a new marking costs one increment instead of a
+// clear. Pooled so concurrent callers (the experiment driver runs one
+// optimizer per table row) each grab their own.
+type scratch struct {
+	stamp []uint32
+	mark  []uint8 // meaningful only where stamp == epoch
+	epoch uint32
+
+	vals  []uint64 // Extract: current word per node ID
+	buf   []uint64 // Extract: fanin words of one gate
+	stack []walkFrame
+	ids   []int // walk: the gates, before the copy-out
+	in    []int // walk: the inputs, before the copy-out
+	flat  []int // EnumerateFromCuts: every candidate's gates and inputs
+	sizes []int // EnumerateFromCuts: per candidate, len(Gates), len(Inputs)
+}
+
+// Marks a node can carry within one epoch.
+const (
+	markCut       uint8 = iota + 1 // cut line not yet reached from C'
+	markInput                      // cut line feeding a gate of C'
+	markGate                       // gate of C' (or absorbed constant)
+	markRemovable                  // GateSavings: disappears with C'
+)
+
+type walkFrame struct{ id, pin int }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// begin starts a fresh marking over node IDs 0..n-1.
+func (sc *scratch) begin(n int) {
+	sc.stamp = grow(sc.stamp, n)
+	sc.mark = grow(sc.mark, n)
+	sc.epoch++
+	if sc.epoch == 0 {
+		// The counter wrapped: stamps from 2^32 epochs ago would read as
+		// current.
+		clear(sc.stamp)
+		sc.epoch = 1
 	}
-	inputs := make([]int, 0, len(inSet))
-	for id := range inSet {
-		inputs = append(inputs, id)
+}
+
+func (sc *scratch) set(id int, m uint8) {
+	sc.stamp[id] = sc.epoch
+	sc.mark[id] = m
+}
+
+func (sc *scratch) get(id int) uint8 {
+	if sc.stamp[id] != sc.epoch {
+		return 0
 	}
-	sort.Ints(inputs)
-	return &Subcircuit{Out: g, Gates: gates, Inputs: inputs}
+	return sc.mark[id]
+}
+
+// grow extends s with zero values to length n; growth is amortized by
+// append, and elements past the old length are always fresh zeros.
+func grow[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // Key is a canonical, fixed-size, comparable identity for a subcircuit
@@ -84,8 +126,7 @@ func (s *Subcircuit) Key() Key {
 		return s.key
 	}
 	k := Key{Out: int32(s.Out), N: int32(len(s.Gates))}
-	//lint:ordered commutative fold: mod-2^128 addition and XOR of per-gate hashes give the same key for any order
-	for id := range s.Gates {
+	for _, id := range s.Gates {
 		lo, hi := mix64(uint64(id)^0x243f6a8885a308d3), mix64(uint64(id)^0x13198a2e03707344)
 		var carry uint64
 		k.SumLo, carry = bits.Add64(k.SumLo, lo, 0)
@@ -127,161 +168,84 @@ func varTablesFor(n int) []logic.TT {
 	return t
 }
 
-// extractScratch is the reusable per-Extract working set: a small
-// linear-scan association from node ID to its current 64-pattern word (the
-// sets involved are tiny — |gates| + |inputs| is bounded by the cut size),
-// the internal topological order, and the fanin word buffer. Pooled so
-// concurrent callers (the experiment driver runs one optimizer per table
-// row) each grab their own.
-type extractScratch struct {
-	ids   []int
-	vals  []uint64
-	state []int8 // DFS state per ids entry: 0 unseen, 1 visiting, 2 done
-	order []int
-	buf   []uint64
-}
-
-var extractPool = sync.Pool{New: func() any { return new(extractScratch) }}
-
-func (sc *extractScratch) reset() {
-	sc.ids = sc.ids[:0]
-	sc.vals = sc.vals[:0]
-	sc.state = sc.state[:0]
-	sc.order = sc.order[:0]
-	sc.buf = sc.buf[:0]
-}
-
-func (sc *extractScratch) idx(id int) int {
-	for i, x := range sc.ids {
-		if x == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func (sc *extractScratch) add(id int) int {
-	if i := sc.idx(id); i >= 0 {
-		return i
-	}
-	sc.ids = append(sc.ids, id)
-	sc.vals = append(sc.vals, 0)
-	sc.state = append(sc.state, 0)
-	return len(sc.ids) - 1
-}
-
 // Extract computes the truth table of the function C' implements on Out,
 // over the inputs in Subcircuit.Inputs order (input j = variable y_{j+1},
-// most significant first, per the logic package convention). All working
-// storage comes from a pooled scratch, so steady-state calls allocate only
-// the returned table.
+// most significant first, per the logic package convention). It evaluates
+// Gates in order, 64 minterms at a time, on a pooled word array indexed by
+// node ID, so steady-state calls allocate only the returned table.
 func (s *Subcircuit) Extract(c *circuit.Circuit) logic.TT {
+	sc := scratchPool.Get().(*scratch)
+	tt := sc.extract(s, c)
+	scratchPool.Put(sc)
+	return tt
+}
+
+func (sc *scratch) extract(s *Subcircuit, c *circuit.Circuit) logic.TT {
 	n := len(s.Inputs)
 	tt := logic.New(n)
 	vt := varTablesFor(n)
-	sc := extractPool.Get().(*extractScratch)
-	sc.reset()
-	for _, in := range s.Inputs {
-		sc.add(in)
-	}
-	s.topoInto(c, sc)
-	// Evaluate internal gates in topological order, 64 minterms at a time,
-	// driving each input with its variable pattern.
+	sc.vals = grow(sc.vals, len(c.Nodes))
+	vals := sc.vals
 	words := tt.Words()
-	outIdx := sc.idx(s.Out)
 	for w := range words {
 		for j, in := range s.Inputs {
-			sc.vals[sc.idx(in)] = vt[j].Words()[w]
+			vals[in] = vt[j].Words()[w]
 		}
-		for _, id := range sc.order {
+		for _, id := range s.Gates {
 			nd := c.Nodes[id]
-			sc.buf = sc.buf[:0]
+			buf := sc.buf[:0]
 			for _, f := range nd.Fanin {
-				sc.buf = append(sc.buf, sc.vals[sc.idx(f)])
+				buf = append(buf, vals[f])
 			}
-			sc.vals[sc.idx(id)] = nd.Type.EvalWords(sc.buf)
+			sc.buf = buf
+			vals[id] = nd.Type.EvalWords(buf)
 		}
-		words[w] = sc.vals[outIdx]
+		words[w] = vals[s.Out]
 	}
 	// Trim invalid high bits for n < 6.
 	if n < 6 {
 		words[0] &= (uint64(1) << (1 << n)) - 1
 	}
-	extractPool.Put(sc)
 	return tt
 }
 
-// topoInto appends the subcircuit's gates to sc.order in topological order,
-// registering each in the scratch association.
-func (s *Subcircuit) topoInto(c *circuit.Circuit, sc *extractScratch) {
-	var visit func(id int)
-	visit = func(id int) {
-		if !s.Gates[id] {
-			return
-		}
-		i := sc.add(id)
-		if sc.state[i] == 2 {
-			return
-		}
-		if sc.state[i] == 1 {
-			panic("subckt: cycle inside subcircuit")
-		}
-		sc.state[i] = 1
-		for _, f := range c.Nodes[id].Fanin {
-			visit(f)
-		}
-		sc.state[i] = 2
-		sc.order = append(sc.order, id)
-	}
-	visit(s.Out)
-	// Gates unreachable from Out (can happen when an absorbed gate only
-	// feeds outside) are appended; they do not affect the function.
-	for id := range s.Gates {
-		visit(id)
-	}
-}
-
-// Removable returns the set of gates that disappear if C' is replaced by a
-// new realization driving Out: a gate is removable iff it is not a PO driver
-// (Out excepted: its consumers are rewired to the replacement) and every
-// fanout pin goes to a removable gate of C'. This implements the paper's
-// "common gates are not included in the count N".
-func (s *Subcircuit) Removable(c *circuit.Circuit) map[int]bool {
-	rm := map[int]bool{s.Out: true}
-	for {
-		changed := false
-		for id := range s.Gates {
-			if rm[id] || id == s.Out {
-				continue
-			}
-			if c.NumPOUses(id) > 0 {
-				continue
-			}
-			ok := true
-			for _, consumer := range c.Fanouts(id) {
-				if !rm[consumer] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				rm[id] = true
-				changed = true
-			}
-		}
-		if !changed {
-			return rm
-		}
-	}
-}
-
-// GateSavings returns the equivalent-2-input weight of the removable gates:
-// the paper's N for this candidate.
+// GateSavings returns the equivalent-2-input weight of the gates that
+// disappear if C' is replaced by a new realization driving Out: the paper's
+// N for this candidate ("common gates are not included in the count N").
+// A gate is removable iff it is Out (its consumers are rewired to the
+// replacement), or it drives no primary output and every fanout pin goes to
+// a removable gate of C'. Gates lists consumers after their fanins, so one
+// reverse pass decides every consumer inside C' before its producers.
 func (s *Subcircuit) GateSavings(c *circuit.Circuit) int {
+	sc := scratchPool.Get().(*scratch)
+	n := sc.gateSavings(s, c)
+	scratchPool.Put(sc)
+	return n
+}
+
+func (sc *scratch) gateSavings(s *Subcircuit, c *circuit.Circuit) int {
+	sc.begin(len(c.Nodes))
 	n := 0
-	for id := range s.Removable(c) {
+	for i := len(s.Gates) - 1; i >= 0; i-- {
+		id := s.Gates[i]
+		if id != s.Out && !sc.removable(c, id) {
+			continue
+		}
+		sc.set(id, markRemovable)
 		nd := c.Nodes[id]
 		n += circuit.Equiv2Weight(nd.Type, len(nd.Fanin))
 	}
 	return n
+}
+
+// removable reports whether every consumer of id is already marked
+// removable and id drives no primary output. The consumer test runs first:
+// it usually fails, and the PO scan walks every output.
+func (sc *scratch) removable(c *circuit.Circuit, id int) bool {
+	for _, consumer := range c.Fanouts(id) {
+		if sc.get(consumer) != markRemovable {
+			return false
+		}
+	}
+	return c.NumPOUses(id) == 0
 }

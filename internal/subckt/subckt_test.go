@@ -1,6 +1,7 @@
 package subckt
 
 import (
+	"slices"
 	"testing"
 
 	"compsynth/internal/bench"
@@ -110,7 +111,8 @@ func evalAll(c *circuit.Circuit, pi []bool) []bool {
 }
 
 func TestRemovableRespectsFanout(t *testing.T) {
-	// g1 fans out to g2 (inside) and g3 (outside): not removable.
+	// g1 fans out to g2 (inside) and g3 (outside): not removable, so its
+	// AND weight is not saved.
 	c := circuit.New("t")
 	a := c.AddInput("a")
 	b := c.AddInput("b")
@@ -119,17 +121,17 @@ func TestRemovableRespectsFanout(t *testing.T) {
 	g3 := c.AddGate(circuit.Or, "g3", g1, a)
 	c.MarkOutput(g2)
 	c.MarkOutput(g3)
-	s := &Subcircuit{Out: g2, Gates: map[int]bool{g1: true, g2: true}, Inputs: []int{a, b}}
-	rm := s.Removable(c)
-	if !rm[g2] {
-		t.Fatal("output gate must be removable")
-	}
-	if rm[g1] {
-		t.Fatal("shared gate g1 must not be removable")
-	}
+	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b}}
 	if s.GateSavings(c) != 0 {
 		// g2 is a NOT: weight 0; g1 shared.
 		t.Fatalf("savings = %d, want 0", s.GateSavings(c))
+	}
+	// With the outside consumer gone, g1 becomes removable.
+	g4 := c.AddGate(circuit.Or, "g4", a, b)
+	c.ReplaceUses(g3, g4)
+	c.SweepDead()
+	if s.GateSavings(c) != 1 {
+		t.Fatalf("savings without the outside consumer = %d, want 1", s.GateSavings(c))
 	}
 }
 
@@ -142,11 +144,7 @@ func TestRemovableChain(t *testing.T) {
 	g1 := c.AddGate(circuit.And, "g1", a, b)
 	g2 := c.AddGate(circuit.Or, "g2", g1, d)
 	c.MarkOutput(g2)
-	s := &Subcircuit{Out: g2, Gates: map[int]bool{g1: true, g2: true}, Inputs: []int{a, b, d}}
-	rm := s.Removable(c)
-	if !rm[g1] || !rm[g2] {
-		t.Fatalf("removable = %v", rm)
-	}
+	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b, d}}
 	if s.GateSavings(c) != 2 {
 		t.Fatalf("savings = %d, want 2", s.GateSavings(c))
 	}
@@ -161,9 +159,27 @@ func TestRemovablePODriverInside(t *testing.T) {
 	g2 := c.AddGate(circuit.Not, "g2", g1)
 	c.MarkOutput(g1)
 	c.MarkOutput(g2)
-	s := &Subcircuit{Out: g2, Gates: map[int]bool{g1: true, g2: true}, Inputs: []int{a, b}}
-	if s.Removable(c)[g1] {
-		t.Fatal("PO driver marked removable")
+	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b}}
+	if n := s.GateSavings(c); n != 0 {
+		t.Fatalf("savings = %d, want 0: the PO driver g1 was counted", n)
+	}
+}
+
+// TestRemovableDeepChain needs the decision to propagate through several
+// levels: g1 is removable only because g2 is, which is removable only
+// because g3 (the output) is.
+func TestRemovableDeepChain(t *testing.T) {
+	c := circuit.New("t")
+	a := c.AddInput("a")
+	b := c.AddInput("b")
+	d := c.AddInput("d")
+	g1 := c.AddGate(circuit.And, "g1", a, b)
+	g2 := c.AddGate(circuit.Nand, "g2", g1, d)
+	g3 := c.AddGate(circuit.Or, "g3", g2, g1)
+	c.MarkOutput(g3)
+	s := &Subcircuit{Out: g3, Gates: []int{g1, g2, g3}, Inputs: []int{a, b, d}}
+	if n := s.GateSavings(c); n != 3 {
+		t.Fatalf("savings = %d, want 3", n)
 	}
 }
 
@@ -178,7 +194,7 @@ func TestConstantAbsorption(t *testing.T) {
 		t.Fatalf("want one candidate, got %d", len(subs))
 	}
 	s := subs[0]
-	if len(s.Inputs) != 1 || s.Inputs[0] != a || !s.Gates[k] {
+	if len(s.Inputs) != 1 || s.Inputs[0] != a || !slices.Contains(s.Gates, k) {
 		t.Fatalf("constant not absorbed: inputs %v", s.Inputs)
 	}
 	tt := s.Extract(c)
