@@ -27,18 +27,34 @@ import (
 // fixed per-depth slots — see logic.CofactorKeepInto), the permutation is
 // assembled top-down in one buffer, and L/U accumulate on the way down.
 // Identification is the innermost hot loop of resynthesis; a warm search
-// that finds nothing allocates nothing.
+// that finds nothing allocates nothing. The unateness prefilter
+// (prefilter.go) runs before every search and skips the forms it proves
+// unrealizable.
 
 // Identify returns a Spec for f if f is a comparison function with its
 // onset forming the interval (Complement = false). The constant-0 function
 // is not a comparison function; constant-1 is (the full interval).
 func Identify(f logic.TT) (Spec, bool) {
+	if !prefilter(f, false) {
+		return Spec{}, false
+	}
+	return first(f, false)
+}
+
+// first returns the first realization the exact search finds for f's onset
+// or, with complement, for its offset.
+func first(f logic.TT, complement bool) (Spec, bool) {
 	var found Spec
 	ok := false
-	enumerate(f, false, func(s Spec) bool {
+	stop := func(s Spec) bool {
 		found, ok = s, true
-		return false // stop at the first spec
-	})
+		return false
+	}
+	if complement {
+		enumerateNot(f, stop)
+	} else {
+		enumerate(f, false, stop)
+	}
 	return found, ok
 }
 
@@ -52,28 +68,46 @@ func IdentifyBest(f logic.TT) (Spec, bool) {
 }
 
 func identifyBest(f logic.TT) (Spec, bool) {
-	if f.IsConst(false) || f.IsConst(true) {
-		// Constants are not implemented as units; resynthesis folds them.
-		if f.IsConst(true) {
-			return Identify(f)
-		}
+	// Constants are not implemented as units; resynthesis folds them.
+	if f.IsConst(false) {
 		return Spec{}, false
 	}
-	if s, ok := Identify(f); ok {
-		return s, true
+	if f.IsConst(true) {
+		return first(f, false)
 	}
-	var found Spec
-	ok := false
-	enumerateNot(f, func(s Spec) bool {
-		found, ok = s, true
-		return false
-	})
-	return found, ok
+	onset := prefilter(f, false)
+	if onset {
+		if s, ok := first(f, false); ok {
+			return s, true
+		}
+	}
+	if prefilter(f, true) {
+		return first(f, true)
+	}
+	if !onset {
+		mPrefilterRejects.Inc() // settled without any search
+	}
+	return Spec{}, false
 }
 
 // IdentifyAll enumerates up to limit distinct Specs realizing f (onset
-// forms, then complemented forms). Useful for picking the cheapest unit.
+// forms, then complemented forms), so its first Spec is IdentifyBest's.
+// Useful for picking the cheapest unit.
 func IdentifyAll(f logic.TT, limit int) []Spec {
+	specs := identifyAll(f, limit)
+	countIdentify(len(specs) > 0)
+	return specs
+}
+
+func identifyAll(f logic.TT, limit int) []Spec {
+	// A constant gets the onset search only, unfiltered.
+	constant := f.IsConst(false) || f.IsConst(true)
+	onset := constant || prefilter(f, false)
+	offset := !constant && prefilter(f, true)
+	if !onset && !offset {
+		mPrefilterRejects.Inc() // settled without any search
+		return nil
+	}
 	var specs []Spec
 	seen := map[specKey]bool{}
 	add := func(s Spec) bool {
@@ -84,8 +118,10 @@ func IdentifyAll(f logic.TT, limit int) []Spec {
 		}
 		return len(specs) < limit
 	}
-	enumerate(f, false, add)
-	if len(specs) < limit && !f.IsConst(false) && !f.IsConst(true) {
+	if onset {
+		enumerate(f, false, add)
+	}
+	if offset && len(specs) < limit {
 		enumerateNot(f, add)
 	}
 	return specs

@@ -5,10 +5,12 @@ import "compsynth/internal/obs"
 // Identification metrics: one counter bump per public identification call
 // (Identify* cover the exact search, the paper's sampling method, the
 // don't-care variant and the multi-unit extension), plus a hit counter so
-// reports show the comparison-function yield.
+// reports show the comparison-function yield, and the number of exact
+// identifications the unateness prefilter settled without any search.
 var (
-	mIdentifyCalls = obs.C("compare.identify_calls")
-	mIdentifyHits  = obs.C("compare.identify_hits")
+	mIdentifyCalls    = obs.C("compare.identify_calls")
+	mIdentifyHits     = obs.C("compare.identify_hits")
+	mPrefilterRejects = obs.C("compare.prefilter_rejects")
 )
 
 func countIdentify(ok bool) bool {

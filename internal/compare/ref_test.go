@@ -79,7 +79,20 @@ func refPathCost(s Spec, np []uint64) uint64 {
 	return total
 }
 
-// refIdentifyAll dedupes the enumerated realizations on their String form.
+// refIdentifyBest is IdentifyBest without the prefilter: the exact search
+// over the onset, then over the offset.
+func refIdentifyBest(f logic.TT) (Spec, bool) {
+	if f.IsConst(false) {
+		return Spec{}, false
+	}
+	if s, ok := first(f, false); ok || f.IsConst(true) {
+		return s, ok
+	}
+	return first(f, true)
+}
+
+// refIdentifyAll is IdentifyAll without the prefilter, deduping the
+// enumerated realizations on their String form.
 func refIdentifyAll(f logic.TT, limit int) []Spec {
 	var specs []Spec
 	seen := map[string]bool{}

@@ -36,18 +36,8 @@ func (t TT) CofactorKeepInto(dst TT, i int, v bool) {
 	}
 	pos := t.n - i
 	if pos < 6 {
-		mask := varMask6[pos]
-		shift := uint(1) << uint(pos)
-		if v {
-			for j, w := range t.words {
-				x := w & mask
-				dst.words[j] = x | x>>shift
-			}
-		} else {
-			for j, w := range t.words {
-				x := w &^ mask
-				dst.words[j] = x | x<<shift
-			}
+		for j, w := range t.words {
+			dst.words[j] = CofactorWord(w, pos, v)
 		}
 		return
 	}
@@ -59,6 +49,19 @@ func (t TT) CofactorKeepInto(dst TT, i int, v bool) {
 		}
 		dst.words[j] = t.words[src]
 	}
+}
+
+// CofactorWord is CofactorKeepInto on one word of a table: the variable at
+// minterm bit position pos (0..5; x_i of an n-variable table sits at n-i)
+// is fixed to v and the chosen half duplicated into the other.
+func CofactorWord(w uint64, pos int, v bool) uint64 {
+	mask, shift := varMask6[pos], uint(1)<<pos
+	if v {
+		w &= mask
+		return w | w>>shift
+	}
+	w &^= mask
+	return w | w<<shift
 }
 
 // PermuteInto is Permute writing into caller-owned dst (from New(t.Vars())).

@@ -191,3 +191,35 @@ func TestLoggerRouting(t *testing.T) {
 		t.Errorf("verbose progress missing: %q", errw.String())
 	}
 }
+
+// allocSink keeps the span test's allocations reachable.
+var allocSink [][]byte
+
+// TestSpanAllocExact pins per-span allocation accounting. A span reads
+// runtime.ReadMemStats at start and end, which flushes every mcache first,
+// so it is charged its own allocations and none made before it opened. The
+// runtime/metrics counter /gc/heap/allocs:bytes is not flushed that way: it
+// credits small allocations when their span leaves an mcache, and read
+// around an empty region right after a busy one it charged 60-67 KB.
+func TestSpanAllocExact(t *testing.T) {
+	tr := NewTracer()
+	span := func(name string, n int) {
+		allocSink = make([][]byte, n)
+		sp := tr.StartSpan(name)
+		for i := range allocSink {
+			allocSink[i] = make([]byte, 48)
+		}
+		sp.End()
+	}
+	span("busy", 1000)
+	span("empty", 0)
+	span("ten", 10)
+	got := map[string]int64{}
+	for _, s := range tr.Export() {
+		got[s.Name] = s.AllocBytes
+	}
+	if got["busy"] < 48000 || got["empty"] >= 1024 || got["ten"] < 480 {
+		t.Fatalf("span allocations busy=%d empty=%d ten=%d, want >= 48000, < 1024, >= 480",
+			got["busy"], got["empty"], got["ten"])
+	}
+}

@@ -19,7 +19,7 @@ func warmOptimizer(t *testing.T) (*optimizer, *subckt.Subcircuit, logic.TT) {
 	c.Simplify()
 	o := &optimizer{
 		opt:   DefaultOptions(),
-		cache: map[logic.Key]cachedSpec{},
+		cache: map[logic.Key][]realization{},
 	}
 	o.refresh(c)
 	var sub *subckt.Subcircuit

@@ -207,10 +207,9 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	o := &optimizer{
 		opt:        opt,
 		dt:         opt.Dtrace,
-		cache:      map[logic.Key]cachedSpec{},
+		cache:      map[logic.Key][]realization{},
 		multiCache: map[logic.Key]cachedMulti{},
 		dcCache:    map[dcKey]cachedSpec{},
-		allCache:   map[logic.Key][]compare.Spec{},
 	}
 	// Each pass refreshes only the cone of the nodes the previous pass's
 	// rewrites and the follow-up Simplify touched. Node IDs therefore must
@@ -279,6 +278,35 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// realization is one cached unit realization of a candidate function, with
+// the costs selectReplacement scores precomputed: the unit's gate cost and
+// the path multiplicity Kp (0, 1 or 2) of each spec variable, packed two
+// bits per variable (N <= logic.MaxVars = 16 fills 32 bits).
+type realization struct {
+	spec  compare.Spec
+	gates int32
+	kp    uint32 // Kp of spec variable j in bits 2j and 2j+1
+}
+
+func newRealization(s compare.Spec) realization {
+	r := realization{spec: s, gates: int32(s.GateCost())}
+	for i, v := range s.Perm {
+		r.kp |= uint32(s.Kp(i+1)) << (2 * v)
+	}
+	return r
+}
+
+// pathCost is Spec.PathCost from the packed multiplicities: the sum over
+// spec variables j of np[j]·Kp(j). uint64 arithmetic wraps the same in any
+// summation order, so a sum that overflows still equals PathCost's.
+func (r *realization) pathCost(np []uint64) uint64 {
+	var total uint64
+	for j, p := range np {
+		total += p * uint64(r.kp>>(2*j)&3)
+	}
+	return total
+}
+
 type cachedSpec struct {
 	spec compare.Spec
 	ok   bool
@@ -301,10 +329,9 @@ type dcKey struct {
 type optimizer struct {
 	opt        Options
 	dt         *dtrace.Tracer // decision-trace sink; nil = off
-	cache      map[logic.Key]cachedSpec
+	cache      map[logic.Key][]realization
 	multiCache map[logic.Key]cachedMulti
 	dcCache    map[dcKey]cachedSpec
-	allCache   map[logic.Key][]compare.Spec
 	db         *subckt.CutDB
 
 	// Incremental per-pass state. Every field below is a per-node pure
@@ -604,30 +631,30 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			}
 			continue // constant function: left to Simplify
 		}
+		reals := o.identify(stt)
+		// Without a realization, the Section 6 extensions may still admit
+		// one unit under reachability don't-cares, or an OR of units.
+		var fallback compare.Realization
 		var dcCare logic.TT
 		usedDC := false
-		single, ok := o.identify(stt)
-		if !ok && o.valbits != nil {
-			// Reachability don't-cares may still admit a single unit.
+		if len(reals) == 0 && o.valbits != nil {
 			keep := make([]int, len(kept))
 			for j, v := range kept {
 				keep[j] = sub.Inputs[v-1]
 			}
 			care := o.careSet(keep)
 			if !care.IsConst(true) {
-				single, ok = o.identifyDC(stt, care)
-				if ok {
-					dcCare, usedDC = care, true
+				if s, ok := o.identifyDC(stt, care); ok {
+					fallback, dcCare, usedDC = s, care, true
 				}
 			}
 		}
-		var multi compare.MultiSpec
-		isMulti := false
-		if !ok && o.opt.MaxUnits > 1 {
-			multi, ok = o.identifyMulti(stt)
-			isMulti = true
+		if len(reals) == 0 && fallback == nil && o.opt.MaxUnits > 1 {
+			if m, ok := o.identifyMulti(stt); ok {
+				fallback = m
+			}
 		}
-		if !ok {
+		if len(reals) == 0 && fallback == nil {
 			if o.dt != nil {
 				recs = o.candRec(recs, c, g, sub, oldPathsOnG, dtrace.NoComparisonUnit)
 			}
@@ -641,24 +668,21 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 		}
 		o.subNp = subNp
 		saved := sub.GateSavings(c) // the same for every realization
-		var sc score
-		if isMulti {
-			sc = score{saved - multi.GateCost(), multi.PathCost(subNp)}
+		// The first realization is taken; a later one replaces it only
+		// when strictly better. Only the winner is boxed into the
+		// candidate. A fallback scores its own spec.
+		spec, sc := fallback, score{}
+		if fallback != nil {
+			sc = score{saved - fallback.GateCost(), fallback.PathCost(subNp)}
 		} else {
-			sc = score{saved - single.GateCost(), single.PathCost(subNp)}
-		}
-		// Try alternative realizations when available. They are compared on
-		// the concrete Spec; only the winner is boxed into the candidate.
-		if o.opt.MaxSpecs > 1 && !o.opt.UseSampling {
-			for _, alt := range o.identifyAll(stt) {
-				if as := (score{saved - alt.GateCost(), alt.PathCost(subNp)}); better(as, sc) {
-					single, sc, isMulti = alt, as, false
+			win := 0
+			for i := range reals {
+				r := &reals[i]
+				if rs := (score{saved - int(r.gates), r.pathCost(subNp)}); i == 0 || better(rs, sc) {
+					win, sc = i, rs
 				}
 			}
-		}
-		var spec compare.Realization = single
-		if isMulti {
-			spec = multi
+			spec = reals[win].spec
 		}
 		cand := &candidate{
 			score:      sc,
@@ -853,24 +877,31 @@ func (o *optimizer) identifyMulti(tt logic.TT) (compare.MultiSpec, bool) {
 	return spec, ok
 }
 
-// identify finds a unit realization for tt, via the exact search or the
-// paper's sampling method, with memoization. A warm hit performs no
-// allocation: the key is a fixed-size comparable value, never a string.
-func (o *optimizer) identify(tt logic.TT) (compare.Spec, bool) {
+// identify returns tt's unit realizations in enumeration order, with
+// memoization; none means tt is not a comparison function. Exact mode keeps
+// up to MaxSpecs of them from one IdentifyAll enumeration, whose first is
+// IdentifyBest's; the paper's sampling method finds at most one. A warm hit
+// performs no allocation: the key is a fixed-size comparable value, never a
+// string.
+func (o *optimizer) identify(tt logic.TT) []realization {
 	key := tt.Key()
 	if r, ok := o.cache[key]; ok {
 		mCacheHits.Inc()
-		return r.spec, r.ok
+		return r
 	}
-	var spec compare.Spec
-	var ok bool
+	var reals []realization
 	if o.opt.UseSampling {
-		spec, ok = compare.IdentifySampling(tt, o.opt.SamplingPerms, o.rngFor(key))
-	} else {
-		spec, ok = compare.IdentifyBest(tt)
+		if s, ok := compare.IdentifySampling(tt, o.opt.SamplingPerms, o.rngFor(key)); ok {
+			reals = []realization{newRealization(s)}
+		}
+	} else if specs := compare.IdentifyAll(tt, max(o.opt.MaxSpecs, 1)); len(specs) > 0 {
+		reals = make([]realization, len(specs))
+		for i, s := range specs {
+			reals[i] = newRealization(s)
+		}
 	}
-	o.cache[key] = cachedSpec{spec, ok}
-	return spec, ok
+	o.cache[key] = reals
+	return reals
 }
 
 // identifyDC finds a unit realization of tt under the care set, with
@@ -884,19 +915,6 @@ func (o *optimizer) identifyDC(tt, care logic.TT) (compare.Spec, bool) {
 	spec, ok := compare.IdentifyDC(tt, care)
 	o.dcCache[key] = cachedSpec{spec, ok}
 	return spec, ok
-}
-
-// identifyAll memoizes the alternative-realization enumeration (MaxSpecs is
-// constant for the run, so the truth table alone keys it).
-func (o *optimizer) identifyAll(tt logic.TT) []compare.Spec {
-	key := tt.Key()
-	if specs, ok := o.allCache[key]; ok {
-		mCacheHits.Inc()
-		return specs
-	}
-	specs := compare.IdentifyAll(tt, o.opt.MaxSpecs)
-	o.allCache[key] = specs
-	return specs
 }
 
 // apply builds the unit, rewires g's consumers to it and sweeps dead logic.
