@@ -72,9 +72,6 @@ func identifyBest(f logic.TT) (Spec, bool) {
 	if f.IsConst(false) {
 		return Spec{}, false
 	}
-	if f.IsConst(true) {
-		return first(f, false)
-	}
 	onset := prefilter(f, false)
 	if onset {
 		if s, ok := first(f, false); ok {
@@ -100,10 +97,12 @@ func IdentifyAll(f logic.TT, limit int) []Spec {
 }
 
 func identifyAll(f logic.TT, limit int) []Spec {
-	// A constant gets the onset search only, unfiltered.
-	constant := f.IsConst(false) || f.IsConst(true)
-	onset := constant || prefilter(f, false)
-	offset := !constant && prefilter(f, true)
+	// Constant 0 is no comparison function (IdentifyBest's rule); the
+	// prefilter passes constant 1 as a cube and rejects its empty offset.
+	if f.IsConst(false) {
+		return nil
+	}
+	onset, offset := prefilter(f, false), prefilter(f, true)
 	if !onset && !offset {
 		mPrefilterRejects.Inc() // settled without any search
 		return nil
@@ -296,39 +295,38 @@ func (cx *searchCtx) split(fs, fp logic.TT, rem []int, depth, lAcc, uAcc int) bo
 	fr := &cx.fr[depth]
 	fs0, fs1, fp0, fp1 := fr.t[0], fr.t[1], fr.t[2], fr.t[3]
 	for p := 0; p < k; p++ {
+		half := 1 << (k - 1)
+		// Suffix side: either l-bit = 0 (fs1 = 1, fs0 suffix) or l-bit = 1
+		// (fs0 = 0, fs1 suffix). The suffix left must stay non-empty, so
+		// the two exclude each other: at most one applies.
 		fs.CofactorKeepInto(fs0, rem[p]+1, false)
 		fs.CofactorKeepInto(fs1, rem[p]+1, true)
+		var fsRest, fpRest logic.TT
+		lAdd, uAdd := 0, 0
+		switch {
+		case fs1.IsConst(true) && !fs0.IsConst(false):
+			fsRest = fs0
+		case fs0.IsConst(false) && !fs1.IsConst(false):
+			fsRest, lAdd = fs1, half
+		default:
+			continue
+		}
+		// Prefix side, the same way: either u-bit = 1 (fp0 = 1, fp1
+		// prefix) or u-bit = 0 (fp1 = 0, fp0 prefix).
 		fp.CofactorKeepInto(fp0, rem[p]+1, false)
 		fp.CofactorKeepInto(fp1, rem[p]+1, true)
-		rest := restInto(fr.rest[:0], rem, p)
-		half := 1 << (k - 1)
+		switch {
+		case fp0.IsConst(true) && !fp1.IsConst(false):
+			fpRest, uAdd = fp1, half
+		case fp1.IsConst(false) && !fp0.IsConst(false):
+			fpRest = fp0
+		default:
+			continue
+		}
 		cx.perm[depth] = rem[p]
-
-		// Suffix side: either l-bit = 0 (fs1 = 1, fs0 suffix) or
-		// l-bit = 1 (fs0 = 0, fs1 suffix).
-		// Prefix side: either u-bit = 1 (fp0 = 1, fp1 prefix) or
-		// u-bit = 0 (fp1 = 0, fp0 prefix).
-		type branch struct {
-			fsRest, fpRest logic.TT
-			lAdd, uAdd     int
-			okS, okP       bool
-		}
-		branches := [4]branch{
-			{fs0, fp1, 0, half, fs1.IsConst(true), fp0.IsConst(true)},
-			{fs0, fp0, 0, 0, fs1.IsConst(true), fp1.IsConst(false)},
-			{fs1, fp1, half, half, fs0.IsConst(false), fp0.IsConst(true)},
-			{fs1, fp0, half, 0, fs0.IsConst(false), fp1.IsConst(false)},
-		}
-		for _, b := range branches {
-			if !b.okS || !b.okP {
-				continue
-			}
-			if b.fsRest.IsConst(false) || b.fpRest.IsConst(false) {
-				continue // suffix/prefix sets must stay non-empty
-			}
-			if !cx.split(b.fsRest, b.fpRest, rest, depth+1, lAcc+b.lAdd, uAcc+b.uAdd) {
-				return false
-			}
+		rest := restInto(fr.rest[:0], rem, p)
+		if !cx.split(fsRest, fpRest, rest, depth+1, lAcc+lAdd, uAcc+uAdd) {
+			return false
 		}
 	}
 	return true

@@ -74,29 +74,29 @@ func mayBeInterval(w uint64, n int) bool {
 		return true // a cube
 	}
 	// up[y] holds the minterms where raising y turns g off, down[y] those
-	// where it turns g on. g|x=0 is positive unate in y exactly when up[y]
-	// has no minterm with x = 0, and g|x=1 negative unate when down[y] has
-	// none with x = 1 (cofactors commute).
+	// where it turns g on (both empty at a fixed y). g|x=0 is positive unate
+	// in every other y exactly when the union of up[y] over y != x has no
+	// minterm with x = 0, and g|x=1 negative unate when that of down[y] has
+	// none with x = 1 (cofactors commute). Each union over y != x joins the
+	// sets below x and the sets above it.
 	var up, down [6]uint64
-	for y := 0; y < n; y++ {
+	var upAbove, downAbove [7]uint64 // unions over positions y and up
+	for y := n - 1; y >= 0; y-- {
 		if free&(1<<y) != 0 {
 			g0, g1 := logic.CofactorWord(g, y, false), logic.CofactorWord(g, y, true)
 			up[y], down[y] = g0&^g1, g1&^g0
 		}
+		upAbove[y], downAbove[y] = upAbove[y+1]|up[y], downAbove[y+1]|down[y]
 	}
+	var upBelow, downBelow uint64
 	for x := 0; x < n; x++ {
-		if free&(1<<x) == 0 {
-			continue
-		}
-		var upx, downx uint64 // over the free variables other than x
-		for y := 0; y < n; y++ {
-			if y != x {
-				upx, downx = upx|up[y], downx|down[y]
+		if free&(1<<x) != 0 {
+			upx, downx := upBelow|upAbove[x+1], downBelow|downAbove[x+1]
+			if logic.CofactorWord(upx, x, false) == 0 && logic.CofactorWord(downx, x, true) == 0 {
+				return true
 			}
 		}
-		if logic.CofactorWord(upx, x, false) == 0 && logic.CofactorWord(downx, x, true) == 0 {
-			return true
-		}
+		upBelow, downBelow = upBelow|up[x], downBelow|down[x]
 	}
 	return false
 }

@@ -76,3 +76,19 @@ func TestRealizationCostsMatchSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestRealizationPathCostLengthMismatch: a path-count vector of the wrong
+// length panics, as Spec.PathCost does, instead of scoring silently.
+func TestRealizationPathCostLengthMismatch(t *testing.T) {
+	r := newRealization(compare.Spec{N: 3, Perm: []int{2, 0, 1}, L: 1, U: 6})
+	for _, n := range []int{2, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("pathCost over %d path counts for a 3-input spec did not panic", n)
+				}
+			}()
+			r.pathCost(make([]uint64, n))
+		}()
+	}
+}

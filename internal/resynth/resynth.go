@@ -300,6 +300,9 @@ func newRealization(s compare.Spec) realization {
 // spec variables j of np[j]·Kp(j). uint64 arithmetic wraps the same in any
 // summation order, so a sum that overflows still equals PathCost's.
 func (r *realization) pathCost(np []uint64) uint64 {
+	if len(np) != r.spec.N {
+		panic("resynth: np length mismatch")
+	}
 	var total uint64
 	for j, p := range np {
 		total += p * uint64(r.kp>>(2*j)&3)
