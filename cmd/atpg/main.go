@@ -24,17 +24,20 @@ import (
 )
 
 func main() {
-	backtracks := flag.Int("backtracks", 20000, "PODEM backtrack limit")
+	backtracks := flag.Int("backtracks", 20000, "PODEM backtrack limit per fault (at least 1)")
 	filter := flag.Int("filter", 2048, "random patterns to drop easy faults first (0 = none)")
 	showTests := flag.Bool("tests", false, "print a test per hard testable fault")
 	oflags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: atpg [-backtracks n] circuit.bench")
+		fmt.Fprintln(os.Stderr, "usage: atpg [-backtracks n] [-filter n] [-tests] circuit.bench")
 		os.Exit(2)
 	}
 	run := oflags.Start("atpg")
 	lg := run.Log
+	if *backtracks < 1 {
+		os.Exit(run.Fail(fmt.Errorf("-backtracks %d: want a limit of at least 1", *backtracks)))
+	}
 	if *filter < 0 {
 		os.Exit(run.Fail(fmt.Errorf("-filter %d: want a pattern count, or 0 for no filter", *filter)))
 	}

@@ -11,9 +11,19 @@
 // line is a function of the input assignment alone, so the values always
 // equal a full re-simulation, and the objective, backtrace and D-frontier
 // choices are those of a PODEM that re-simulates after every step.
+//
+// The implication step is table-driven. A Value is four bit planes, one
+// per (component, value) pair, so a gate's inputs fold into two words: the
+// AND and the OR of their planes. Each AND, NAND, OR, NOR, BUF and NOT line
+// carries an op code, and one lookup in a 1 KB table turns the two folded
+// words into its output. Parity gates, constants and the fault site take
+// a slower path that applies the fault. Lines to re-evaluate wait in a
+// bitset over local indices, drained from the lowest set bit up: a line's
+// consumers always lie above it, so the scan never moves back.
 package atpg
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -32,16 +42,26 @@ var (
 	hBacktracks = obs.H("atpg.backtracks_per_call")
 )
 
-// Value is a 5-valued signal: a (good, faulty) pair.
+// Value is a 5-valued signal: a (good, faulty) pair, held as bit planes. A
+// plane says that one component is known to hold one value; a component
+// with neither of its planes set is unknown.
 type Value int8
+
+// The planes of a Value.
+const (
+	g0 Value = 1 << iota // the good component is 0
+	g1                   // the good component is 1
+	b0                   // the faulty component is 0
+	b1                   // the faulty component is 1
+)
 
 // The 5 values of the PODEM algebra.
 const (
-	X    Value = iota // unknown
-	Zero              // 0/0
-	One               // 1/1
-	D                 // 1/0: good 1, faulty 0
-	Dbar              // 0/1
+	X    Value = 0       // unknown
+	Zero Value = g0 | b0 // 0/0
+	One  Value = g1 | b1 // 1/1
+	D    Value = g1 | b0 // 1/0: good 1, faulty 0
+	Dbar Value = g0 | b1 // 0/1
 )
 
 func (v Value) String() string {
@@ -60,10 +80,10 @@ func (v Value) String() string {
 
 // good returns the fault-free component (0, 1, or -1 for unknown).
 func (v Value) good() int {
-	switch v {
-	case Zero, Dbar:
+	switch v & (g0 | g1) {
+	case g0:
 		return 0
-	case One, D:
+	case g1:
 		return 1
 	}
 	return -1
@@ -72,19 +92,78 @@ func (v Value) good() int {
 // isD reports whether v carries the fault effect (D or D').
 func (v Value) isD() bool { return v == D || v == Dbar }
 
-func fromPair(g, b int) Value {
-	switch {
-	case g < 0 || b < 0:
-		return X
-	case g == 0 && b == 0:
-		return Zero
-	case g == 1 && b == 1:
-		return One
-	case g == 1 && b == 0:
-		return D
-	default:
-		return Dbar
+// op selects how eval computes a line.
+type op uint8
+
+// Op codes: the four table rows, then the lines the table cannot compute.
+const (
+	opAnd  op = iota // AND, BUF
+	opNand           // NAND, NOT
+	opOr             // OR
+	opNor            // NOR
+	opSlow           // parity gates, constants and inputs, the fault site
+)
+
+// opOf returns the op code of a gate kind, opSlow unless a table row
+// computes it. Only inputs and constants have no fanin (circuit.AddGate
+// and the .bench parser reject a gate without one), and they take opSlow.
+func opOf(k circuit.GateType) op {
+	switch k {
+	case circuit.And, circuit.Buf:
+		return opAnd
+	case circuit.Nand, circuit.Not:
+		return opNand
+	case circuit.Or:
+		return opOr
+	case circuit.Nor:
+		return opNor
 	}
+	return opSlow
+}
+
+// gateTable maps a table op and the planes of its inputs, folded as
+// all | some<<4, to the line's value: all is the AND of the inputs' planes
+// (a component is 1, or 0, in every input) and some their OR (in at least
+// one input).
+var gateTable = func() (t [opSlow][256]Value) {
+	for o := range opSlow {
+		for i := range 256 {
+			t[o][i] = collapse(rule(o, Value(i&0xf), Value(i>>4)))
+		}
+	}
+	return t
+}()
+
+// rule applies a table op to folded planes, one component at a time. Under
+// the AND rule (opAnd, opNand) a component is 1 when every input's is 1 and
+// 0 when any input's is 0; the OR rule is the dual. opNand and opNor then
+// invert the output.
+func rule(o op, all, some Value) Value {
+	ones, zeros := all, some
+	if o == opOr || o == opNor {
+		ones, zeros = some, all
+	}
+	v := ones&(g1|b1) | zeros&(g0|b0)
+	if o == opNand || o == opNor {
+		v = invert(v)
+	}
+	return v
+}
+
+// invert complements both components: it swaps each 0-plane with its
+// 1-plane.
+func invert(v Value) Value { return (v&(g0|b0))<<1 | (v&(g1|b1))>>1 }
+
+// collapse turns a pair with an unknown component into X. The planes can
+// hold more than the 5-valued algebra, such as "good 1, faulty unknown";
+// keeping that would make a 9-valued algebra, which prunes differently and
+// so changes the search. Collapsing keeps every value, and with it every
+// decision, those of the 5-valued PODEM.
+func collapse(v Value) Value {
+	if v&(g0|g1) == 0 || v&(b0|b1) == 0 {
+		return X
+	}
+	return v
 }
 
 // Status reports the outcome of test generation.
@@ -165,6 +244,7 @@ type change struct {
 type search struct {
 	// The relevant cone, rebuilt by load on every call.
 	kind  []circuit.GateType
+	op    []op    // how eval computes each line
 	fiOff []int32 // fanins of i are fi[fiOff[i]:fiOff[i+1]], in pin order
 	fi    []int32
 	foOff []int32 // consumers of i inside the cone: fo[foOff[i]:foOff[i+1]]
@@ -178,21 +258,22 @@ type search struct {
 	cone   []int // node IDs of the cone in local order
 
 	// Search state.
-	val    []Value
-	trail  []change
-	heap   []int32 // lines to re-evaluate, a min-heap on local index
-	queued []bool
-	stack  []decision
-	dLines []int32 // lines holding D or D', in the order they got it
-	dPOs   int     // primary outputs among dLines
-	seen   []bool  // X-path walk marks, all false between walks
-	walk   []int32 // DFS stack of the cone walks and the X-path walk
-	marked []int32 // lines the X-path walk marked seen
+	val     []Value
+	trail   []change
+	queue   []uint64 // lines to re-evaluate, one bit per local index
+	cursor  int      // queue word that pop scans from; no line below it is queued
+	pending int      // lines queued
+	stack   []decision
+	dLines  []int32 // lines holding D or D', in the order they got it
+	dPOs    int     // primary outputs among dLines
+	seen    []bool  // X-path walk marks, all false between walks
+	walk    []int32 // DFS stack of the cone walks and the X-path walk
+	marked  []int32 // lines the X-path walk marked seen
 
 	limit, backs int
 	site, driver int32 // local indices
 	pin          int   // faulty pin of the site, -1 for a stem fault
-	stuck        int   // the stuck value, 0 or 1
+	stuck        Value // the stuck value as a faulty-component plane, b0 or b1
 	want         bool  // activation value (opposite of the stuck value)
 }
 
@@ -285,12 +366,13 @@ func (s *search) load(c *circuit.Circuit, f faults.Fault) {
 		}
 	}
 	n := len(s.cone)
-	s.kind = s.kind[:0]
+	s.kind, s.op = s.kind[:0], s.op[:0]
 	s.fiOff, s.fi = append(s.fiOff[:0], 0), s.fi[:0]
 	s.foOff, s.fo = append(s.foOff[:0], 0), s.fo[:0]
 	for _, id := range s.cone {
 		nd := c.Nodes[id]
 		s.kind = append(s.kind, nd.Type)
+		s.op = append(s.op, opOf(nd.Type))
 		for _, g := range nd.Fanin {
 			s.fi = append(s.fi, s.local[g])
 		}
@@ -319,10 +401,11 @@ func (s *search) load(c *circuit.Circuit, f faults.Fault) {
 		}
 	}
 
-	s.site, s.pin, s.stuck, s.want = s.local[f.Node], f.Pin, 0, !f.Stuck
+	s.site, s.pin, s.stuck, s.want = s.local[f.Node], f.Pin, b0, !f.Stuck
 	if f.Stuck {
-		s.stuck = 1
+		s.stuck = b1
 	}
+	s.op[s.site] = opSlow // the fault overrides the gate's own rule
 	s.driver = s.site
 	if f.Pin >= 0 {
 		s.driver = s.local[c.Nodes[f.Node].Fanin[f.Pin]]
@@ -333,11 +416,13 @@ func (s *search) load(c *circuit.Circuit, f faults.Fault) {
 	}
 
 	s.val = slices.Grow(s.val[:0], n)[:n]
-	s.queued = slices.Grow(s.queued[:0], n)[:n]
-	clear(s.queued)
+	words := (n + 63) / 64
+	s.queue = slices.Grow(s.queue[:0], words)[:words]
+	clear(s.queue)
+	s.pending = 0
 	s.seen = slices.Grow(s.seen[:0], n)[:n]
 	clear(s.seen)
-	s.trail, s.heap, s.stack = s.trail[:0], s.heap[:0], s.stack[:0]
+	s.trail, s.stack = s.trail[:0], s.stack[:0]
 	s.dLines, s.dPOs = s.dLines[:0], 0
 }
 
@@ -355,18 +440,20 @@ func (s *search) simulate() {
 }
 
 // assign implies input line i = value: the line takes its value (overlaid
-// with a stem fault on it) and the change propagates event-driven.
+// with a stem fault on it) and the change propagates event-driven. The
+// lines queued while it drains are consumers of lines already evaluated,
+// so each lies above the line pop last returned.
 func (s *search) assign(i int32, value bool) {
-	g := 0
+	v := Zero
 	if value {
-		g = 1
+		v = One
 	}
-	b := g
 	if i == s.site && s.pin < 0 {
-		b = s.stuck
+		v = s.faulty(v)
 	}
-	s.set(i, fromPair(g, b))
-	for len(s.heap) > 0 {
+	s.cursor = int(i) >> 6
+	s.set(i, v)
+	for s.pending > 0 {
 		j := s.pop()
 		if v := s.eval(j); v != s.val[j] {
 			s.set(j, v)
@@ -415,133 +502,93 @@ func (s *search) undo(mark int) {
 }
 
 func (s *search) push(i int32) {
-	if s.queued[i] {
-		return
+	w, bit := &s.queue[i>>6], uint64(1)<<(i&63)
+	if *w&bit == 0 {
+		*w |= bit
+		s.pending++
 	}
-	s.queued[i] = true
-	h := append(s.heap, i)
-	for j := len(h) - 1; j > 0; {
-		p := (j - 1) / 2
-		if h[p] <= h[j] {
-			break
-		}
-		h[p], h[j] = h[j], h[p]
-		j = p
-	}
-	s.heap = h
 }
 
 // pop removes and returns the lowest queued local index. Consumers follow
 // their fanins in local order, so a line is evaluated once, after every
-// fanin that changed has settled.
+// fanin that changed has settled; any topological order gives the same
+// values, and this one is the order the D-frontier scan assumes.
 func (s *search) pop() int32 {
-	h := s.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for j := 0; ; {
-		m := 2*j + 1
-		if m >= len(h) {
-			break
-		}
-		if r := m + 1; r < len(h) && h[r] < h[m] {
-			m = r
-		}
-		if h[j] <= h[m] {
-			break
-		}
-		h[j], h[m] = h[m], h[j]
-		j = m
+	for s.queue[s.cursor] == 0 {
+		s.cursor++
 	}
-	s.heap = h
-	s.queued[top] = false
-	return top
+	w := s.queue[s.cursor]
+	s.queue[s.cursor] = w & (w - 1)
+	s.pending--
+	return int32(s.cursor<<6 | bits.TrailingZeros64(w))
 }
 
-// Summary bits for eval: which of 0, 1 and unknown occur among a gate's
-// input components.
-const (
-	sawX = 1 << iota
-	saw0
-	saw1
-)
-
-// sawOf packs each value's components as summary bits: the good one in the
-// low nibble, the faulty one in the high nibble.
-var sawOf = [8]uint8{
-	X:    sawX | sawX<<4,
-	Zero: saw0 | saw0<<4,
-	One:  saw1 | saw1<<4,
-	D:    saw1 | saw0<<4,
-	Dbar: saw0 | saw1<<4,
-}
-
-// eval computes the 5-valued output of gate i from its fanins, with the
-// fault injected: a branch fault forces the faulty component of its pin, a
-// stem fault the faulty component of the site's output.
+// eval computes the 5-valued output of line i from its fanins: the table
+// path folds their planes and looks the result up.
 func (s *search) eval(i int32) Value {
-	var g, b int
-	switch k := s.kind[i]; k {
-	case circuit.Const0:
-		g, b = 0, 0
-	case circuit.Const1:
-		g, b = 1, 1
+	o := s.op[i]
+	if o == opSlow {
+		return s.evalSlow(i)
+	}
+	all, some := Value(0xf), X
+	for _, f := range s.fanin(i) {
+		v := s.val[f]
+		all &= v
+		some |= v
+	}
+	return gateTable[o][uint8(all)|uint8(some)<<4]
+}
+
+// evalSlow computes the lines the table does not: constants, inputs,
+// parity gates and the fault site. A branch fault forces the faulty
+// component of its pin, and a stem fault the faulty component of the
+// site's output. A parity gate's component is known only when every
+// input's is, and is then their parity.
+func (s *search) evalSlow(i int32) Value {
+	var v Value
+	switch k := s.kind[i]; {
+	case k == circuit.Const0:
+		v = Zero
+	case k == circuit.Const1:
+		v = One
+	case s.fiOff[i] == s.fiOff[i+1]:
+		return X // no fanin: nothing decides the gate
 	default:
 		faultyPin := -1
 		if i == s.site {
 			faultyPin = s.pin
 		}
-		// saw collects the summary bits of every input; par is their xor,
-		// whose saw1 bits are the parity of the inputs' components.
-		var saw, par uint8
+		// known gets a component's 0-plane while every input's component
+		// is known; odd gets its 1-plane while an odd number are 1.
+		all, some, known, odd := Value(0xf), X, g0|b0, X
 		for pin, f := range s.fanin(i) {
-			c := sawOf[s.val[f]&7]
+			v := s.val[f]
 			if pin == faultyPin {
-				c = c&0x0f | sawOf[Zero+Value(s.stuck)]&0xf0
+				v = s.faulty(v)
 			}
-			saw |= c
-			par ^= c
+			all &= v
+			some |= v
+			known &= v | v>>1
+			odd ^= v & (g1 | b1)
 		}
-		if saw == 0 {
-			return X // no fanin: nothing decides the gate
+		if o := opOf(k); o != opSlow {
+			v = rule(o, all, some)
+		} else {
+			v = odd | (odd^(g1|b1))>>1 // each component's parity as a plane
+			v &= known | known<<1
+			if k.Inverting() {
+				v = invert(v)
+			}
 		}
-		g, b = resolve(k, saw&0x0f, par&saw1), resolve(k, saw>>4, par>>4&saw1)
 	}
 	if i == s.site && s.pin < 0 {
-		b = s.stuck
+		v = s.faulty(v)
 	}
-	return fromPair(g, b)
+	return collapse(v)
 }
 
-// resolve is the ternary output (0, 1, or -1 for unknown) of a gate of kind
-// k whose inputs' components include the values in saw; par is saw1 when
-// an odd number of them are 1.
-func resolve(k circuit.GateType, saw, par uint8) int {
-	v := -1
-	switch k {
-	case circuit.And, circuit.Nand, circuit.Buf, circuit.Not:
-		if saw&saw0 != 0 {
-			v = 0
-		} else if saw&sawX == 0 {
-			v = 1
-		}
-	case circuit.Or, circuit.Nor:
-		if saw&saw1 != 0 {
-			v = 1
-		} else if saw&sawX == 0 {
-			v = 0
-		}
-	default: // Xor, Xnor
-		if saw&sawX == 0 {
-			v = int(par / saw1)
-		}
-	}
-	if v >= 0 && k.Inverting() {
-		v = 1 - v
-	}
-	return v
-}
+// faulty returns v with its faulty component stuck at the fault's value.
+func (s *search) faulty(v Value) Value { return v&(g0|g1) | s.stuck }
 
 // feasible reports whether the current assignment can still be extended to
 // a test: the fault must remain activatable and the effect propagatable.

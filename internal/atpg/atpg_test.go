@@ -134,15 +134,117 @@ func TestGenerateXorChain(t *testing.T) {
 }
 
 func TestValueAlgebra(t *testing.T) {
-	if D.good() != 1 || D.bad() != 0 || Dbar.good() != 0 || Dbar.bad() != 1 {
-		t.Fatal("D semantics wrong")
+	// Every value's planes, components, name and fault-effect flag, and the
+	// pair that builds it.
+	for _, tc := range []struct {
+		v, planes Value
+		good, bad int
+		name      string
+		isD       bool
+	}{
+		{X, 0, -1, -1, "X", false},
+		{Zero, g0 | b0, 0, 0, "0", false},
+		{One, g1 | b1, 1, 1, "1", false},
+		{D, g1 | b0, 1, 0, "D", true},
+		{Dbar, g0 | b1, 0, 1, "D'", true},
+	} {
+		if tc.v != tc.planes || tc.v.good() != tc.good || tc.v.bad() != tc.bad ||
+			tc.v.String() != tc.name || tc.v.isD() != tc.isD {
+			t.Errorf("%s: planes %04b, good %d, bad %d, isD %v; want %04b, %d, %d, %v",
+				tc.v, uint8(tc.v), tc.v.good(), tc.v.bad(), tc.v.isD(), uint8(tc.planes), tc.good, tc.bad, tc.isD)
+		}
+		if got := fromPair(tc.good, tc.bad); got != tc.v {
+			t.Errorf("fromPair(%d, %d) = %v, want %v", tc.good, tc.bad, got, tc.v)
+		}
 	}
-	if fromPair(1, 0) != D || fromPair(0, 1) != Dbar || fromPair(1, 1) != One ||
-		fromPair(0, 0) != Zero || fromPair(-1, 0) != X {
-		t.Fatal("fromPair wrong")
+	// A pair with an unknown component is X, and so is every plane set
+	// collapse sees with a component missing; full pairs stay themselves.
+	for _, gp := range []Value{0, g0, g1} {
+		for _, bp := range []Value{0, b0, b1} {
+			want := gp | bp
+			if gp == 0 || bp == 0 {
+				want = X
+			}
+			if got := collapse(gp | bp); got != want {
+				t.Errorf("collapse(%04b) = %04b, want %04b", uint8(gp|bp), uint8(got), uint8(want))
+			}
+			if got := fromPair((gp | bp).good(), (gp | bp).bad()); got != want {
+				t.Errorf("fromPair of %04b's components = %04b, want %04b", uint8(gp|bp), uint8(got), uint8(want))
+			}
+		}
 	}
-	if X.String() != "X" || D.String() != "D" || Dbar.String() != "D'" {
-		t.Fatal("String wrong")
+}
+
+// TestEvalMatchesRef pins eval, on its table path and its slow path, to the
+// summary-bit oracle refEval: every gate kind at fanin 1 to 4 (BUF and NOT
+// at 1) and the constants, under every tuple of the five values on the
+// gate's inputs, with the gate fault-free, each of its pins stuck at 0 and
+// at 1, and its output stuck at 0 and at 1.
+func TestEvalMatchesRef(t *testing.T) {
+	values := []Value{X, Zero, One, D, Dbar}
+	type shape struct {
+		kind  circuit.GateType
+		fanin int
+	}
+	shapes := []shape{{circuit.Buf, 1}, {circuit.Not, 1}, {circuit.Const0, 0}, {circuit.Const1, 0}}
+	for _, k := range []circuit.GateType{circuit.And, circuit.Nand, circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor} {
+		for n := 1; n <= 4; n++ {
+			shapes = append(shapes, shape{k, n})
+		}
+	}
+	s := new(search)
+	evals := 0
+	for _, sh := range shapes {
+		// Gate g drives the output buffer o: a fault on o leaves g
+		// fault-free, and a fault on g makes it the site.
+		c := circuit.New("gate")
+		in := make([]int, sh.fanin)
+		for j := range in {
+			in[j] = c.AddInput(fmt.Sprintf("i%d", j))
+		}
+		g := c.AddGate(sh.kind, "g", in...)
+		o := c.AddGate(circuit.Buf, "o", g)
+		c.MarkOutput(o)
+		fl := []faults.Fault{{Node: o, Pin: -1}}
+		for pin := -1; pin < sh.fanin; pin++ {
+			fl = append(fl, faults.Fault{Node: g, Pin: pin}, faults.Fault{Node: g, Pin: pin, Stuck: true})
+		}
+		for _, f := range fl {
+			s.load(c, f)
+			line := int32(slices.Index(s.cone, g))
+			ins := make([]int32, len(in))
+			for j, id := range in {
+				ins[j] = int32(slices.Index(s.cone, id))
+				if got, want := s.eval(ins[j]), s.refEval(ins[j]); got != want {
+					t.Fatalf("input line %d: eval %v, reference %v", j, got, want)
+				}
+			}
+			tuples := 1
+			for range ins {
+				tuples *= len(values)
+			}
+			for code := range tuples {
+				rest := code
+				for _, l := range ins {
+					s.val[l] = values[rest%len(values)]
+					rest /= len(values)
+				}
+				evals++
+				if got, want := s.eval(line), s.refEval(line); got != want {
+					tuple := make([]Value, len(ins))
+					for j, l := range ins {
+						tuple[j] = s.val[l]
+					}
+					t.Fatalf("%v/%d, fault %v, inputs %v: eval %v, reference %v",
+						sh.kind, sh.fanin, f, tuple, got, want)
+				}
+			}
+		}
+	}
+	// Each shape's 5^fanin tuples under its 2*fanin+3 fault placements: BUF
+	// and NOT, the constants, and 6 kinds at fanin 1 to 4.
+	if want := 2*5*5 + 2*3 + 6*(5*5+25*7+125*9+625*11); evals != want {
+		t.Fatalf("%d evaluations, want %d", evals, want)
 	}
 }
 
@@ -259,16 +361,21 @@ func TestGenerateMatchesRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs9234 := gen.Suite(0.15)[2].Build()
+	rs35932, hard := hardFaults(5)
 	type run struct {
 		c     *circuit.Circuit
+		fl    []faults.Fault // nil: every collapsed fault
 		limit int
 	}
 	// The small circuits get room for deep searches; quick-scale rs9234
 	// gets a limit at which a third of its faults abort, which also keeps
 	// the reference engine's full re-simulations affordable under -race.
-	runs := []run{{c17, 200}, {adder4, 200}, {rs9234, 5}, {shuffleDecl(t, rs9234, 1), 5}}
+	// Quick rs35932 contributes the faults redundancy removal leaves for
+	// PODEM after its random filter: its wide gates and its aborts.
+	runs := []run{{c17, nil, 200}, {adder4, nil, 200}, {rs9234, nil, 5},
+		{shuffleDecl(t, rs9234, 1), nil, 5}, {rs35932, hard, 5}}
 	for _, b := range gen.SmallSuite() {
-		runs = append(runs, run{b.Build(), 200})
+		runs = append(runs, run{b.Build(), nil, 200})
 	}
 	var mu sync.Mutex
 	seen := map[Status]int{}
@@ -278,7 +385,11 @@ func TestGenerateMatchesRef(t *testing.T) {
 		for _, r := range runs {
 			t.Run(r.c.Name, func(t *testing.T) {
 				t.Parallel()
-				for _, f := range faults.Collapse(r.c) {
+				fl := r.fl
+				if fl == nil {
+					fl = faults.Collapse(r.c)
+				}
+				for _, f := range fl {
 					st := matchRef(t, r.c.Name, r.c, f, r.limit).Status
 					mu.Lock()
 					seen[st]++

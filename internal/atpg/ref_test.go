@@ -1,12 +1,19 @@
 package atpg
 
-// The PODEM engine this package shipped before the event-driven one,
-// kept as the test oracle: after every decision and backtrack it resets
-// every node to X and re-simulates the fault's whole relevant cone, then
-// rescans the cone for the D-frontier and the X-path. TestGenerateMatchesRef
-// pins Generate to it call for call (Status, Test and Backtracks). Apart
-// from the ref prefix on its type and function names, the code below is
-// unchanged; Value.bad, which only this engine reads, moved here with it.
+// Two oracles. The first is the PODEM engine this package shipped before
+// the event-driven one: after every decision and backtrack it resets every
+// node to X and re-simulates the fault's whole relevant cone, then rescans
+// the cone for the D-frontier and the X-path. TestGenerateMatchesRef pins
+// Generate to it call for call (Status, Test and Backtracks). Apart from
+// the ref prefix on its type and function names, its code is unchanged;
+// Value.bad and fromPair, which only the oracles read, live here with it.
+//
+// The second is the event-driven engine's gate evaluation before the
+// table path: summary bits of which of 0, 1 and unknown occur among the
+// inputs' components, resolved per gate kind. TestEvalMatchesRef pins eval
+// to it on every gate kind, input tuple and fault placement. Its code is
+// unchanged but for the ref prefix, a summary table indexed by the named
+// values, and the stuck value, which the search now holds as a plane.
 
 import (
 	"compsynth/internal/circuit"
@@ -395,6 +402,23 @@ func (e *refEngine) evalGate(nd *circuit.Node) Value {
 	return fromPair(goodAcc, badAcc)
 }
 
+// fromPair builds the value with good component g and faulty component b
+// (0, 1, or -1 for unknown).
+func fromPair(g, b int) Value {
+	switch {
+	case g < 0 || b < 0:
+		return X
+	case g == 0 && b == 0:
+		return Zero
+	case g == 1 && b == 1:
+		return One
+	case g == 1 && b == 0:
+		return D
+	default:
+		return Dbar
+	}
+}
+
 // bad returns the faulty component.
 func (v Value) bad() int {
 	switch v {
@@ -441,4 +465,92 @@ func invVal(v int) int {
 		return v
 	}
 	return 1 - v
+}
+
+// Summary bits for refEval: which of 0, 1 and unknown occur among a gate's
+// input components.
+const (
+	sawX = 1 << iota
+	saw0
+	saw1
+)
+
+// refSawOf packs each value's components as summary bits: the good one in
+// the low nibble, the faulty one in the high nibble.
+var refSawOf = [16]uint8{
+	X:    sawX | sawX<<4,
+	Zero: saw0 | saw0<<4,
+	One:  saw1 | saw1<<4,
+	D:    saw1 | saw0<<4,
+	Dbar: saw0 | saw1<<4,
+}
+
+// refEval computes the 5-valued output of gate i from its fanins, with the
+// fault injected: a branch fault forces the faulty component of its pin, a
+// stem fault the faulty component of the site's output.
+func (s *search) refEval(i int32) Value {
+	stuck := 0
+	if s.stuck == b1 {
+		stuck = 1
+	}
+	var g, b int
+	switch k := s.kind[i]; k {
+	case circuit.Const0:
+		g, b = 0, 0
+	case circuit.Const1:
+		g, b = 1, 1
+	default:
+		faultyPin := -1
+		if i == s.site {
+			faultyPin = s.pin
+		}
+		// saw collects the summary bits of every input; par is their xor,
+		// whose saw1 bits are the parity of the inputs' components.
+		var saw, par uint8
+		for pin, f := range s.fanin(i) {
+			c := refSawOf[s.val[f]]
+			if pin == faultyPin {
+				c = c&0x0f | refSawOf[fromPair(stuck, stuck)]&0xf0
+			}
+			saw |= c
+			par ^= c
+		}
+		if saw == 0 {
+			return X // no fanin: nothing decides the gate
+		}
+		g, b = refResolve(k, saw&0x0f, par&saw1), refResolve(k, saw>>4, par>>4&saw1)
+	}
+	if i == s.site && s.pin < 0 {
+		b = stuck
+	}
+	return fromPair(g, b)
+}
+
+// refResolve is the ternary output (0, 1, or -1 for unknown) of a gate of
+// kind k whose inputs' components include the values in saw; par is saw1
+// when an odd number of them are 1.
+func refResolve(k circuit.GateType, saw, par uint8) int {
+	v := -1
+	switch k {
+	case circuit.And, circuit.Nand, circuit.Buf, circuit.Not:
+		if saw&saw0 != 0 {
+			v = 0
+		} else if saw&sawX == 0 {
+			v = 1
+		}
+	case circuit.Or, circuit.Nor:
+		if saw&saw1 != 0 {
+			v = 1
+		} else if saw&sawX == 0 {
+			v = 0
+		}
+	default: // Xor, Xnor
+		if saw&sawX == 0 {
+			v = int(par / saw1)
+		}
+	}
+	if v >= 0 && k.Inverting() {
+		v = 1 - v
+	}
+	return v
 }

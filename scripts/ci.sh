@@ -159,6 +159,21 @@ fi
     -heartbeat 0 -workers 4 >/dev/null
 cmp "$provdir/a1.json" "$provdir/a2.json"
 
+echo "== atpg flag gate =="
+# A flag value the tool cannot honour must fail, not run at a default:
+# -backtracks below 1 exits 1 through the shared Run.Fail path (a flag
+# parse error would exit 2). Built binary, not "go run", for the same
+# exit-code reason as the sftlint gate.
+go build -o "$provdir/atpg" ./cmd/atpg
+set +e
+"$provdir/atpg" -backtracks 0 circuits/c17.bench >/dev/null 2>&1
+atpg_status=$?
+set -e
+if [ "$atpg_status" -ne 1 ]; then
+    echo "atpg: -backtracks 0 exited $atpg_status, want 1 (rejected flag value)" >&2
+    exit 1
+fi
+
 echo "== sftexplain gate =="
 # The decision trace is part of the determinism contract: records come from
 # the serial sweep and carry no scheduling-dependent fields, so two
