@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -21,45 +22,77 @@ import (
 	_ "compsynth/internal/obs/telemetry" // wires the -listen telemetry server
 )
 
+// options holds the command's own flags.
+type options struct {
+	table, circuits string
+	scale           float64
+	quick, noverify bool
+	seed            int64
+	patterns, pairs int
+}
+
+func addFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.table, "table", "all", "which table to regenerate (2..7 or all)")
+	fs.Float64Var(&o.scale, "scale", 1.0, "suite size multiplier (above 0)")
+	fs.BoolVar(&o.quick, "quick", false, "fast smoke-test configuration")
+	fs.Int64Var(&o.seed, "seed", 1995, "campaign seed")
+	fs.IntVar(&o.patterns, "patterns", 1<<20, "random patterns for Table 6 (at least 1)")
+	fs.IntVar(&o.pairs, "pairs", 20000, "two-pattern budget for Table 7 (at least 1)")
+	fs.StringVar(&o.circuits, "circuits", "", "comma-separated circuit filter")
+	fs.BoolVar(&o.noverify, "noverify", false, "skip per-pass equivalence checks (faster)")
+	return o
+}
+
+// config builds the experiment configuration from the full-scale or -quick
+// defaults and every flag set on fs, and rejects a value no table can
+// honour.
+func (o *options) config(fs *flag.FlagSet) (exper.Config, error) {
+	cfg := exper.DefaultConfig()
+	if o.quick {
+		cfg = exper.QuickConfig()
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			cfg.Scale = o.scale
+		case "patterns":
+			cfg.StuckPatterns = o.patterns
+		case "pairs":
+			cfg.PDFPairs = o.pairs
+		}
+	})
+	cfg.Seed = o.seed
+	if o.circuits != "" {
+		cfg.Circuits = strings.Split(o.circuits, ",")
+	}
+	cfg.Verify = !o.noverify
+	switch {
+	case o.table != "all" && (len(o.table) != 1 || !strings.Contains("234567", o.table)):
+		return cfg, fmt.Errorf("-table %s: unknown table (want 2..7 or all)", o.table)
+	case !(cfg.Scale > 0) || math.IsInf(cfg.Scale, 1):
+		return cfg, fmt.Errorf("-scale %v: want a finite multiplier above 0", cfg.Scale)
+	case cfg.StuckPatterns < 1:
+		return cfg, fmt.Errorf("-patterns %d: want at least 1 pattern", cfg.StuckPatterns)
+	case cfg.PDFPairs < 1:
+		return cfg, fmt.Errorf("-pairs %d: want at least 1 pair", cfg.PDFPairs)
+	}
+	return cfg, nil
+}
+
 func main() {
-	var (
-		table    = flag.String("table", "all", "which table to regenerate (2..7 or all)")
-		scale    = flag.Float64("scale", 1.0, "suite size multiplier")
-		quick    = flag.Bool("quick", false, "fast smoke-test configuration")
-		seed     = flag.Int64("seed", 1995, "campaign seed")
-		patterns = flag.Int("patterns", 1<<20, "random patterns for Table 6")
-		pairs    = flag.Int("pairs", 20000, "two-pattern budget for Table 7")
-		circuits = flag.String("circuits", "", "comma-separated circuit filter")
-		noverify = flag.Bool("noverify", false, "skip per-pass equivalence checks (faster)")
-	)
+	o := addFlags(flag.CommandLine)
 	oflags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := exper.DefaultConfig()
-	if *quick {
-		cfg = exper.QuickConfig()
-	}
-	if *scale != 1.0 {
-		cfg.Scale = *scale
-	}
-	cfg.Seed = *seed
-	if *patterns != 1<<20 {
-		cfg.StuckPatterns = *patterns
-	}
-	if *pairs != 20000 {
-		cfg.PDFPairs = *pairs
-	}
-	if *circuits != "" {
-		cfg.Circuits = strings.Split(*circuits, ",")
-	}
-	cfg.Verify = !*noverify
+	cfg, cfgErr := o.config(flag.CommandLine)
 	cfg.Workers = oflags.Workers
 	cfg.Check = oflags.Check
 
 	orun := oflags.Start("tables")
 	lg := orun.Log
-	if *table != "all" && !strings.ContainsAny(*table, "234567") {
-		os.Exit(orun.Fail(fmt.Errorf("-table %s: unknown table (want 2..7 or all)", *table)))
+	if cfgErr != nil {
+		os.Exit(orun.Fail(cfgErr))
 	}
 	cfg.Tracer = orun.Tracer
 	orun.SetCertOptions(struct {
@@ -71,7 +104,7 @@ func main() {
 		Pairs    int      `json:"pairs"`
 		Circuits []string `json:"circuits,omitempty"`
 		Verify   bool     `json:"verify"`
-	}{*table, cfg.Scale, *quick, cfg.Seed, cfg.StuckPatterns, cfg.PDFPairs, cfg.Circuits, cfg.Verify})
+	}{o.table, cfg.Scale, o.quick, cfg.Seed, cfg.StuckPatterns, cfg.PDFPairs, cfg.Circuits, cfg.Verify})
 
 	start := time.Now()
 	lg.Printf("# preparing suite (scale=%.2f, irredundant=%v)", cfg.Scale, cfg.MakeIrredundant)
@@ -87,7 +120,7 @@ func main() {
 	}
 	lg.Printf("# suite ready in %v\n", time.Since(start).Round(time.Millisecond))
 
-	want := func(t string) bool { return *table == "all" || *table == t }
+	want := func(t string) bool { return o.table == "all" || o.table == t }
 	run := func(name string, f func() (string, error)) {
 		if !want(name) {
 			return

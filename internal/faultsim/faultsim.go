@@ -1,6 +1,7 @@
 // Package faultsim is a parallel-pattern stuck-at fault simulator in the
-// style of FSIM [17]: 64 patterns are simulated per word, and faults are
-// simulated per fanout-free region (FFR) rather than one at a time.
+// style of FSIM [17]: every node carries four 64-bit words, so one sweep
+// of the circuit simulates 256 patterns, and faults are simulated per
+// fanout-free region (FFR) rather than one at a time.
 //
 // A stem is a node with other than one fanout entry, or a PO driver; every
 // other node has exactly one consumer, so the nodes whose consumer chains
@@ -13,13 +14,18 @@
 //   - path: the lanes in which a flip of the site reaches the stem, the
 //     side-input sensitization ANDed down the site's one path;
 //   - observability: the lanes in which a flip of the stem reaches a PO,
-//     found by propagating the stem's flip event-driven, once per block
-//     for all the region's faults.
+//     found by propagating the stem's flip event-driven, once per wide
+//     block for all the region's faults.
 //
 // Inside an FFR no side input lies in the site's fanout, so a single-lane
 // flip passes a gate exactly when the gate's Boolean difference with
 // respect to that pin is 1 at the good side-input values; the product is
 // the word a per-fault propagation would compute, lane for lane.
+//
+// Lanes are independent, so a wide block of four 64-pattern blocks gives,
+// restricted to any one block, exactly what simulating that block alone
+// would. The campaign replays each wide block's detections block by block,
+// which keeps its results and counters those of a 64-pattern campaign.
 //
 // Simulation runs on the circuit's frozen CSR view (circuit.Freeze): dense
 // int32 ids in level-major order, so ascending dense id is a topological
@@ -43,7 +49,18 @@ import (
 // good-value simulation of every block.
 const shareGrain = 128
 
-// Simulation metrics (batched adds: one per 64-pattern block and worker).
+// width is the number of 64-pattern blocks simulated together. The gate
+// kernels spell out its four words in locals, which measured faster than
+// loops over width (EXPERIMENTS.md, "Wide blocks in the stuck-at
+// campaign"), so changing it means rewriting them.
+const width = 4
+
+// vec is one node's value in a wide block: word k holds block k's 64
+// patterns.
+type vec [width]uint64
+
+// Simulation metrics (batched adds: one per wide block and worker). Every
+// count is that of a serial 64-pattern campaign.
 var (
 	mPatterns  = obs.C("faultsim.patterns_simulated")
 	mFaultEval = obs.C("faultsim.fault_evals")
@@ -52,32 +69,32 @@ var (
 	gBlocks    = obs.G("faultsim.blocks_done")
 )
 
-// Simulator simulates one circuit snapshot, 64 patterns per word. All
+// simulator simulates one circuit snapshot, 256 patterns per sweep. All
 // per-node state is indexed by dense CSR id.
-type Simulator struct {
+type simulator struct {
 	v    *circuit.CSR
 	po   []bool  // dense PO-driver mask
 	stem []int32 // dense node -> the stem of its FFR (itself for a stem)
 
-	val    []uint64  // good words of the current block; observe changes them only transiently
-	path   []uint64  // lanes in which a node's flip reaches its stem (last traced FFR)
+	val    []vec     // good values of the current wide block; observe changes them only transiently
+	path   []vec     // lanes in which a node's flip reaches its stem (last traced FFR)
 	stack  []int32   // trace worklist
 	queued []bool    // node has a pending event in bucket
 	bucket [][]int32 // pending events of a stem flip, by level
 	trail  []int32   // nodes a stem flip changed
-	old    []uint64  // their good words
+	old    []vec     // their good values
 }
 
-// New builds a simulator for c's current state.
-func New(c *circuit.Circuit) *Simulator {
-	s := &Simulator{}
-	s.Reset(c)
+// newSimulator builds a simulator for c's current state.
+func newSimulator(c *circuit.Circuit) *simulator {
+	s := &simulator{}
+	s.reset(c)
 	return s
 }
 
-// Reset rebinds the simulator to c's current state, reusing all buffers,
+// reset rebinds the simulator to c's current state, reusing all buffers,
 // and splits the view into FFRs.
-func (s *Simulator) Reset(c *circuit.Circuit) {
+func (s *simulator) reset(c *circuit.Circuit) {
 	v := c.Freeze()
 	n := v.N()
 	s.v = v
@@ -100,13 +117,13 @@ func (s *Simulator) Reset(c *circuit.Circuit) {
 
 // attach shares parent's view, PO mask and FFRs read-only and gives s its
 // own block state, so s can simulate blocks concurrently with parent.
-func (s *Simulator) attach(parent *Simulator) {
+func (s *simulator) attach(parent *simulator) {
 	s.v, s.po, s.stem = parent.v, parent.po, parent.stem
 	s.sizeScratch()
 }
 
 // sizeScratch (re)sizes and clears the per-block state.
-func (s *Simulator) sizeScratch() {
+func (s *simulator) sizeScratch() {
 	n := s.v.N()
 	s.val = grow(s.val, n)
 	s.path = grow(s.path, n)
@@ -125,15 +142,15 @@ func (s *Simulator) sizeScratch() {
 	s.trail, s.old = s.trail[:0], s.old[:0]
 }
 
-// SetInputs loads one 64-pattern block: words[j] drives primary input j.
-func (s *Simulator) SetInputs(words []uint64) {
+// setInputs loads one wide block: words[j] drives primary input j.
+func (s *simulator) setInputs(words []vec) {
 	for j, in := range s.v.In {
 		s.val[in] = words[j]
 	}
 }
 
-// RunGood computes the fault-free values for the current block.
-func (s *Simulator) RunGood() {
+// runGood computes the fault-free values of the current wide block.
+func (s *simulator) runGood() {
 	start, edge := s.v.FaninStart, s.v.FaninEdge
 	for d, k := range s.v.Kind {
 		if k != circuit.Input {
@@ -142,70 +159,78 @@ func (s *Simulator) RunGood() {
 	}
 }
 
-// eval computes the word of a gate of kind k with fanins in from val. It is
-// GateType.EvalWords without first gathering the fanin words into a slice,
-// which made whole campaigns measurably slower (EXPERIMENTS.md, "Gate
-// evaluation").
-func eval(k circuit.GateType, in []int32, val []uint64) uint64 {
-	var w uint64
+// eval computes the value of a gate of kind k with fanins in from val. It
+// is GateType.EvalWords without first gathering the fanin words into a
+// slice, which made whole campaigns measurably slower (EXPERIMENTS.md,
+// "Gate evaluation"), and with the four words in locals.
+func eval(k circuit.GateType, in []int32, val []vec) vec {
+	var w0, w1, w2, w3 uint64
 	switch k {
 	case circuit.And, circuit.Nand:
-		w = ^uint64(0)
+		w0, w1, w2, w3 = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 		for _, f := range in {
-			w &= val[f]
+			v := &val[f]
+			w0, w1, w2, w3 = w0&v[0], w1&v[1], w2&v[2], w3&v[3]
 		}
 	case circuit.Or, circuit.Nor:
 		for _, f := range in {
-			w |= val[f]
+			v := &val[f]
+			w0, w1, w2, w3 = w0|v[0], w1|v[1], w2|v[2], w3|v[3]
 		}
 	case circuit.Xor, circuit.Xnor:
 		for _, f := range in {
-			w ^= val[f]
+			v := &val[f]
+			w0, w1, w2, w3 = w0^v[0], w1^v[1], w2^v[2], w3^v[3]
 		}
 	case circuit.Buf, circuit.Not:
-		w = val[in[0]]
+		v := &val[in[0]]
+		w0, w1, w2, w3 = v[0], v[1], v[2], v[3]
 	default:
-		return k.EvalWords(nil) // constants
+		w := k.EvalWords(nil) // constants
+		return vec{w, w, w, w}
 	}
 	if k.Inverting() {
-		w = ^w
+		w0, w1, w2, w3 = ^w0, ^w1, ^w2, ^w3
 	}
-	return w
+	return vec{w0, w1, w2, w3}
 }
 
 // sens returns the lanes in which flipping fanin pin of gate y flips y:
 // its Boolean difference at the good values of the other pins.
-func (s *Simulator) sens(y int32, pin int) uint64 {
-	w := ^uint64(0)
+func (s *simulator) sens(y int32, pin int) vec {
+	w0, w1, w2, w3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	switch s.v.Kind[y] {
 	case circuit.And, circuit.Nand:
 		for i, f := range s.v.FaninOf(y) {
 			if i != pin {
-				w &= s.val[f]
+				v := &s.val[f]
+				w0, w1, w2, w3 = w0&v[0], w1&v[1], w2&v[2], w3&v[3]
 			}
 		}
 	case circuit.Or, circuit.Nor:
 		for i, f := range s.v.FaninOf(y) {
 			if i != pin {
-				w &^= s.val[f]
+				v := &s.val[f]
+				w0, w1, w2, w3 = w0&^v[0], w1&^v[1], w2&^v[2], w3&^v[3]
 			}
 		}
 	}
-	return w // Buf, Not, Xor, Xnor pass every flip
+	return vec{w0, w1, w2, w3} // Buf, Not, Xor, Xnor pass every flip
 }
 
 // trace sets s.path for every node of the FFR rooted at stem st. The
 // region is a tree whose children are the non-stem fanins, each of which
 // has its parent as its only consumer.
-func (s *Simulator) trace(st int32) {
-	s.path[st] = ^uint64(0)
+func (s *simulator) trace(st int32) {
+	s.path[st] = vec{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 	stack := append(s.stack[:0], st)
 	for len(stack) > 0 {
 		y := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for pin, x := range s.v.FaninOf(y) {
 			if s.stem[x] != x {
-				s.path[x] = s.sens(y, pin) & s.path[y]
+				e, p := s.sens(y, pin), &s.path[y]
+				s.path[x] = vec{e[0] & p[0], e[1] & p[1], e[2] & p[2], e[3] & p[3]}
 				stack = append(stack, x)
 			}
 		}
@@ -215,27 +240,32 @@ func (s *Simulator) trace(st int32) {
 
 // act returns the lanes in which fault f flips the output of site, its
 // node (a stem fault) or its consuming gate (a branch fault).
-func (s *Simulator) act(site int32, f faults.Fault) uint64 {
+func (s *simulator) act(site int32, f faults.Fault) vec {
 	var stuck uint64
 	if f.Stuck {
 		stuck = ^uint64(0)
 	}
 	if f.Pin < 0 {
-		return s.val[site] ^ stuck
+		v := &s.val[site]
+		return vec{v[0] ^ stuck, v[1] ^ stuck, v[2] ^ stuck, v[3] ^ stuck}
 	}
-	return (s.val[s.v.FaninOf(site)[f.Pin]] ^ stuck) & s.sens(site, f.Pin)
+	v, e := &s.val[s.v.FaninOf(site)[f.Pin]], s.sens(site, f.Pin)
+	return vec{(v[0] ^ stuck) & e[0], (v[1] ^ stuck) & e[1], (v[2] ^ stuck) & e[2], (v[3] ^ stuck) & e[3]}
 }
 
 // observe flips stem st in the lanes of mask, propagates the flip through
-// its fanout cone in level order, restores the good words, and returns
-// the lanes of mask in which some PO changed.
-func (s *Simulator) observe(st int32, mask uint64) uint64 {
+// its fanout cone in level order, restores the good values, and returns
+// the lanes of mask in which some PO changed. A flip in one lane changes
+// no other lane, so the result restricted to any smaller mask is what
+// observe would return for that mask.
+func (s *simulator) observe(st int32, mask vec) vec {
 	if s.po[st] {
 		return mask
 	}
-	var seen uint64
+	var seen vec
 	top := s.v.Level[st]
-	s.set(st, s.val[st]^mask, &top)
+	v := &s.val[st]
+	s.set(st, vec{v[0] ^ mask[0], v[1] ^ mask[1], v[2] ^ mask[2], v[3] ^ mask[3]}, &top)
 	for l := s.v.Level[st] + 1; l <= top; l++ {
 		for _, d := range s.bucket[l] {
 			s.queued[d] = false
@@ -246,7 +276,8 @@ func (s *Simulator) observe(st int32, mask uint64) uint64 {
 			}
 			if w := eval(s.v.Kind[d], s.v.FaninOf(d), s.val); w != s.val[d] {
 				if s.po[d] {
-					seen |= w ^ s.val[d]
+					g := &s.val[d]
+					seen = vec{seen[0] | (w[0] ^ g[0]), seen[1] | (w[1] ^ g[1]), seen[2] | (w[2] ^ g[2]), seen[3] | (w[3] ^ g[3])}
 				}
 				s.set(d, w, &top)
 			}
@@ -260,9 +291,9 @@ func (s *Simulator) observe(st int32, mask uint64) uint64 {
 	return seen
 }
 
-// set gives node d the flipped word w and schedules its consumers; top
+// set gives node d the flipped value w and schedules its consumers; top
 // tracks the highest level holding an event.
-func (s *Simulator) set(d int32, w uint64, top *int32) {
+func (s *simulator) set(d int32, w vec, top *int32) {
 	s.trail = append(s.trail, d)
 	s.old = append(s.old, s.val[d])
 	s.val[d] = w
@@ -276,17 +307,18 @@ func (s *Simulator) set(d int32, w uint64, top *int32) {
 	}
 }
 
-// DetectWord returns the word of patterns in the current block that detect
-// fault f (a difference observed at some PO): its activation and path words
-// ANDed with its stem's observability word.
-func (s *Simulator) DetectWord(f faults.Fault) uint64 {
+// detectWord returns the lanes of the current wide block that detect
+// fault f (a difference observed at some PO): its activation and path
+// words ANDed with its stem's observability word.
+func (s *simulator) detectWord(f faults.Fault) vec {
 	site := s.v.DenseOf[f.Node]
 	st := s.stem[site]
 	s.trace(st)
-	if r := s.act(site, f) & s.path[site]; r != 0 {
+	a, p := s.act(site, f), &s.path[site]
+	if r := (vec{a[0] & p[0], a[1] & p[1], a[2] & p[2], a[3] & p[3]}); r != (vec{}) {
 		return s.observe(st, r)
 	}
-	return 0
+	return vec{}
 }
 
 // CampaignResult summarizes a random-pattern campaign (Table 6 columns).
@@ -313,10 +345,10 @@ type CampaignOptions struct {
 
 	// Workers bounds the goroutines of the campaign (0 =
 	// runtime.GOMAXPROCS(0), 1 = serial). Whole FFRs are dealt to workers
-	// once per campaign; each worker simulates every block on its share
-	// with its own simulator and pattern stream, and a serial merge by
-	// fault index makes the result and every counter identical for every
-	// worker count.
+	// once per campaign; each worker simulates every wide block on its
+	// share with its own simulator and pattern stream, and a serial merge
+	// by fault index makes the result and every counter identical for
+	// every worker count.
 	Workers int
 
 	// Tracer, when non-nil, wraps the campaign in a span.
@@ -328,13 +360,12 @@ type region struct{ stem, lo, n int32 }
 
 // share is one worker's part of a campaign and the totals the merge reads.
 type share struct {
-	sim     Simulator
+	sim     simulator
 	rng     *rand.Rand
-	words   []uint64
 	regions []region
-	faults  []int32  // fault indices, grouped by region, ascending in each
-	reach   []uint64 // activation AND path word of each fault of a region
-	load    int      // faults dealt
+	faults  []int32 // fault indices, grouped by region, ascending in each
+	reach   []vec   // activation AND path of each fault of a region
+	load    int     // faults dealt
 
 	detected, last, blocks int
 }
@@ -386,7 +417,7 @@ func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt Cam
 		cs.shares = append(cs.shares, &share{rng: rand.New(rand.NewSource(0))})
 	}
 	s := &cs.shares[0].sim
-	s.Reset(c)
+	s.reset(c)
 
 	// Group the faults by the stem of the node they flip (a counting
 	// sort), so each FFR's faults are one run of order.
@@ -448,7 +479,6 @@ func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt Cam
 		sh.regions, sh.faults = sh.regions[:0], sh.faults[:0]
 		sh.detected, sh.last, sh.blocks = 0, 0, 0
 		sh.rng.Seed(opt.Seed)
-		sh.words = grow(sh.words, len(c.Inputs))
 	}
 	for r, reg := range cs.regions {
 		sh := shares[cs.owner[r]]
@@ -492,56 +522,98 @@ func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt Cam
 	return res
 }
 
-// run simulates up to blocks pattern blocks on the share's regions, until
-// none holds an undetected fault. On return sh.faults holds exactly the
-// undetected faults. live marks the share that reports block progress.
+// run simulates up to blocks 64-pattern blocks on the share's regions,
+// width at a time, until none holds an undetected fault. On return
+// sh.faults holds exactly the undetected faults, and sh.blocks, sh.last and
+// every counter are those of simulating the blocks one at a time. live
+// marks the share that reports block progress.
 func (sh *share) run(fl []faults.Fault, site []int32, blocks int, live bool) {
 	s := &sh.sim
-	for b := 0; b < blocks && len(sh.regions) > 0; b++ {
-		for j := range sh.words {
-			sh.words[j] = sh.rng.Uint64()
+	for b0 := 0; b0 < blocks && len(sh.regions) > 0; b0 += width {
+		// Block b0+k fills word k with the draws a 64-pattern campaign
+		// takes for it, input by input. The n blocks within the budget
+		// are lanes; the words past it are 0, and masking them out of
+		// every reach word keeps observe from flipping them. The replay
+		// reads only the first n words.
+		n := min(width, blocks-b0)
+		var lanes vec
+		for k := range width {
+			if k < n {
+				lanes[k] = ^uint64(0)
+			}
+			for _, in := range s.v.In {
+				s.val[in][k] = sh.rng.Uint64() & lanes[k]
+			}
 		}
-		s.SetInputs(sh.words)
-		s.RunGood()
-		evals, stems := 0, 0
+		s.runGood()
+		evals, stems, ran := 0, 0, 0 // ran: blocks in which some fault was live
 		kept := sh.regions[:0]
 		for _, r := range sh.regions {
-			evals += int(r.n)
 			fs := sh.faults[r.lo : r.lo+r.n]
 			s.trace(r.stem)
-			var mask uint64
-			for k, i := range fs {
-				sh.reach[k] = s.act(site[i], fl[i]) & s.path[site[i]]
-				mask |= sh.reach[k]
-			}
-			if mask != 0 {
-				stems++
-				seen := s.observe(r.stem, mask)
-				r.n = 0
-				for k, i := range fs {
-					if d := sh.reach[k] & seen; d != 0 {
-						sh.detected++
-						sh.last = max(sh.last, b*64+bits.TrailingZeros64(d)+1)
-					} else {
-						fs[r.n] = i
-						r.n++
-					}
+			var mask vec
+			for j, i := range fs {
+				a, p := s.act(site[i], fl[i]), &s.path[site[i]]
+				rc := &sh.reach[j]
+				for k := range width {
+					rc[k] = a[k] & p[k] & lanes[k]
+					mask[k] |= rc[k]
 				}
 			}
+			var seen vec
+			if mask != (vec{}) {
+				seen = s.observe(r.stem, mask)
+			}
+			if seen == (vec{}) {
+				// Nothing detected: every fault is live in every block,
+				// and the stem is flipped in each block it is reached in.
+				evals += n * len(fs)
+				stems += nonzero(mask[:n])
+				ran = n
+				kept = append(kept, r)
+				continue
+			}
+			// Replay the blocks in order: a fault is live up to and
+			// including its first detecting block, and the stem is flipped
+			// in a block where a live fault reaches it.
+			var flipped vec
+			r.n = 0
+			for j, i := range fs {
+				rc := &sh.reach[j]
+				k, d := 0, uint64(0)
+				for ; k < n; k++ {
+					flipped[k] |= rc[k]
+					if d = rc[k] & seen[k]; d != 0 {
+						break
+					}
+				}
+				if d != 0 {
+					evals += k + 1
+					ran = max(ran, k+1)
+					sh.detected++
+					sh.last = max(sh.last, (b0+k)*64+bits.TrailingZeros64(d)+1)
+				} else {
+					evals += n
+					ran = n
+					fs[r.n] = i
+					r.n++
+				}
+			}
+			stems += nonzero(flipped[:n])
 			if r.n > 0 {
 				kept = append(kept, r)
 			}
 		}
 		sh.regions = kept
-		sh.blocks = b + 1
+		sh.blocks = b0 + ran
 		mFaultEval.Add(int64(evals))
 		mStemEval.Add(int64(stems))
 		if live {
-			// Per-block completion for the live gauge and the flight
+			// Per-wide-block completion for the live gauge and the flight
 			// recorder (the recorder throttles; off path is one atomic
 			// store + load). The merge sets the gauge's final value.
-			gBlocks.Set(int64(b + 1))
-			obs.EmitProgress("faultsim.blocks", int64(b+1), int64(blocks))
+			gBlocks.Set(int64(sh.blocks))
+			obs.EmitProgress("faultsim.blocks", int64(sh.blocks), int64(blocks))
 		}
 	}
 	// Compact the survivors to the front: the merge reads sh.faults.
@@ -552,18 +624,29 @@ func (sh *share) run(fl []faults.Fault, site []int32, blocks int, live bool) {
 	sh.faults = sh.faults[:n]
 }
 
-// DetectedBy reports whether pattern pi (one bool per input) detects fault f.
-func DetectedBy(c *circuit.Circuit, f faults.Fault, pi []bool) bool {
-	s := New(c)
-	words := make([]uint64, len(pi))
-	for j, v := range pi {
-		if v {
-			words[j] = 1
+// nonzero counts the non-zero words of ws.
+func nonzero(ws []uint64) int {
+	n := 0
+	for _, w := range ws {
+		if w != 0 {
+			n++
 		}
 	}
-	s.SetInputs(words)
-	s.RunGood()
-	return s.DetectWord(f)&1 != 0
+	return n
+}
+
+// DetectedBy reports whether pattern pi (one bool per input) detects fault f.
+func DetectedBy(c *circuit.Circuit, f faults.Fault, pi []bool) bool {
+	s := newSimulator(c)
+	words := make([]vec, len(pi))
+	for j, v := range pi {
+		if v {
+			words[j][0] = 1
+		}
+	}
+	s.setInputs(words)
+	s.runGood()
+	return s.detectWord(f)[0]&1 != 0
 }
 
 func grow[T any](s []T, n int) []T {

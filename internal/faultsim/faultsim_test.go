@@ -85,30 +85,35 @@ func edgeCircuit() *circuit.Circuit {
 }
 
 // TestDetectWordMatchesNaive checks every fault of the full (uncollapsed)
-// list on all 64 lanes of several blocks against the brute-force model,
-// on c17 and on the edge-case circuit.
+// list on every lane of all four words of several wide blocks against the
+// brute-force model, on c17 and on the edge-case circuit.
 func TestDetectWordMatchesNaive(t *testing.T) {
 	c17, _ := bench.ParseString(bench.C17, "c17")
 	for _, c := range []*circuit.Circuit{c17, edgeCircuit()} {
 		fl := faults.All(c)
-		s := New(c)
+		s := newSimulator(c)
 		rng := rand.New(rand.NewSource(3))
-		words := make([]uint64, len(c.Inputs))
+		words := make([]vec, len(c.Inputs))
 		pi := make([]bool, len(c.Inputs))
 		for round := 0; round < 4; round++ {
 			for j := range words {
-				words[j] = rng.Uint64()
+				for k := range words[j] {
+					words[j][k] = rng.Uint64()
+				}
 			}
-			s.SetInputs(words)
-			s.RunGood()
+			s.setInputs(words)
+			s.runGood()
 			for _, f := range fl {
-				d := s.DetectWord(f)
-				for b := 0; b < 64; b++ {
-					for j := range pi {
-						pi[j] = words[j]&(1<<b) != 0
-					}
-					if want := naiveDetect(c, f, pi); (d&(1<<b) != 0) != want {
-						t.Fatalf("%s round %d fault %v bit %d: sim=%v naive=%v", c.Name, round, f, b, !want, want)
+				d := s.detectWord(f)
+				for k := range d {
+					for b := 0; b < 64; b++ {
+						for j := range pi {
+							pi[j] = words[j][k]&(1<<b) != 0
+						}
+						if want := naiveDetect(c, f, pi); (d[k]&(1<<b) != 0) != want {
+							t.Fatalf("%s round %d fault %v word %d bit %d: sim=%v naive=%v",
+								c.Name, round, f, k, b, !want, want)
+						}
 					}
 				}
 			}
@@ -116,28 +121,31 @@ func TestDetectWordMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestDetectWordRandomCircuits samples one lane of each word of a wide
+// block for every collapsed fault of two generated circuits.
 func TestDetectWordRandomCircuits(t *testing.T) {
 	for _, b := range gen.SmallSuite()[:2] {
 		c := b.Build()
 		fl := faults.Collapse(c)
-		s := New(c)
+		s := newSimulator(c)
 		rng := rand.New(rand.NewSource(11))
-		words := make([]uint64, len(c.Inputs))
+		words := make([]vec, len(c.Inputs))
 		for j := range words {
-			words[j] = rng.Uint64()
+			for k := range words[j] {
+				words[j][k] = rng.Uint64()
+			}
 		}
-		s.SetInputs(words)
-		s.RunGood()
+		s.setInputs(words)
+		s.runGood()
+		pi := make([]bool, len(c.Inputs))
 		for _, f := range fl {
-			d := s.DetectWord(f)
-			// Verify two sampled bits against the naive model.
-			for _, bit := range []int{0, 37} {
-				pi := make([]bool, len(c.Inputs))
+			d := s.detectWord(f)
+			for k, bit := range [width]int{0, 37, 13, 63} {
 				for j := range pi {
-					pi[j] = words[j]&(1<<bit) != 0
+					pi[j] = words[j][k]&(1<<bit) != 0
 				}
-				if (d&(1<<bit) != 0) != naiveDetect(c, f, pi) {
-					t.Fatalf("%s fault %v bit %d mismatch", b.Name, f, bit)
+				if (d[k]&(1<<bit) != 0) != naiveDetect(c, f, pi) {
+					t.Fatalf("%s fault %v word %d bit %d mismatch", b.Name, f, k, bit)
 				}
 			}
 		}

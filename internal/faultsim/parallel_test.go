@@ -11,14 +11,15 @@ import (
 )
 
 // campaignWith runs one campaign and returns its result with the blocks
-// gauge and every faultsim counter's delta.
-func campaignWith(c *circuit.Circuit, fl []faults.Fault, workers int) (CampaignResult, []int64) {
+// gauge and the deltas of every faultsim counter: patterns, fault
+// evaluations, stem evaluations and detections.
+func campaignWith(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) (CampaignResult, []int64) {
 	counters := []interface{ Value() int64 }{mPatterns, mFaultEval, mStemEval, mDetected}
 	before := make([]int64, len(counters))
 	for i, ctr := range counters {
 		before[i] = ctr.Value()
 	}
-	res := Campaign(c, fl, CampaignOptions{Patterns: 512, Seed: 42, Workers: workers})
+	res := Campaign(c, fl, opt)
 	obs := []int64{gBlocks.Value()}
 	for i, ctr := range counters {
 		obs = append(obs, ctr.Value()-before[i])
@@ -63,12 +64,14 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 	}
 	for _, c := range circuits {
 		fl := faults.Collapse(c)
-		serial, serialObs := campaignWith(c, fl, 1)
+		opt := CampaignOptions{Patterns: 512, Seed: 42, Workers: 1}
+		serial, serialObs := campaignWith(c, fl, opt)
 		if serialObs[3] == 0 {
 			t.Fatalf("%s: no stem evaluations counted: %v", c.Name, serialObs)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			parallel, obs := campaignWith(c, fl, workers)
+			opt.Workers = workers
+			parallel, obs := campaignWith(c, fl, opt)
 			if !campaignsEqual(serial, parallel) {
 				t.Fatalf("%s workers %d:\nserial   %+v\nparallel %+v", c.Name, workers, serial, parallel)
 			}

@@ -3,6 +3,7 @@ package faultsim
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,16 +165,19 @@ func (s *refSimulator) pop() int {
 }
 
 // RefCampaign is the pre-CSR serial campaign: same pattern sequence, same
-// merge discipline, evaluated through the mutable representation.
-func RefCampaign(c *circuit.Circuit, fl []faults.Fault, patterns int, seed int64) CampaignResult {
+// merge discipline, evaluated through the mutable representation, one
+// 64-pattern block at a time. It also returns the blocks it ran and its
+// fault evaluations, the undetected faults summed over those blocks.
+func RefCampaign(c *circuit.Circuit, fl []faults.Fault, patterns int, seed int64) (res CampaignResult, blocks, evals int) {
 	s := newRefSimulator(c)
 	rng := rand.New(rand.NewSource(seed))
 	remaining := append([]faults.Fault(nil), fl...)
-	res := CampaignResult{TotalFaults: len(fl)}
+	res = CampaignResult{TotalFaults: len(fl)}
 	words := make([]uint64, len(c.Inputs))
 	detect := make([]uint64, len(remaining))
-	blocks := (patterns + 63) / 64
-	for b := 0; b < blocks && len(remaining) > 0; b++ {
+	budget := (patterns + 63) / 64
+	for ; blocks < budget && len(remaining) > 0; blocks++ {
+		evals += len(remaining)
 		for j := range words {
 			words[j] = rng.Uint64()
 		}
@@ -190,7 +194,7 @@ func RefCampaign(c *circuit.Circuit, fl []faults.Fault, patterns int, seed int64
 				continue
 			}
 			res.Detected++
-			first := b*64 + bits.TrailingZeros64(d) + 1
+			first := blocks*64 + bits.TrailingZeros64(d) + 1
 			if first > res.LastEffective {
 				res.LastEffective = first
 			}
@@ -198,8 +202,8 @@ func RefCampaign(c *circuit.Circuit, fl []faults.Fault, patterns int, seed int64
 		remaining = kept
 	}
 	res.Remaining = append([]faults.Fault(nil), remaining...)
-	res.Patterns = blocks * 64
-	return res
+	res.Patterns = budget * 64
+	return res, blocks, evals
 }
 
 func campaignsEqual(a, b CampaignResult) bool {
@@ -238,8 +242,10 @@ func shuffled(t *testing.T, c *circuit.Circuit, seed int64) *circuit.Circuit {
 
 // TestCampaignMatchesRef pins the FFR campaign to the per-fault serial
 // reference: identical results field for field including the order of the
-// surviving fault list, across worker counts (3 deals the regions
-// unevenly) and repeated (pool-recycling) invocations.
+// surviving fault list, and the blocks, patterns, fault evaluations and
+// detections the reference counts, across worker counts (3 deals the regions
+// unevenly) and repeated (pool-recycling) invocations. The budgets below
+// that are not a multiple of 256 patterns end in a partial wide block.
 func TestCampaignMatchesRef(t *testing.T) {
 	c17, err := bench.ParseString(bench.C17, "c17")
 	if err != nil {
@@ -249,32 +255,62 @@ func TestCampaignMatchesRef(t *testing.T) {
 		c        *circuit.Circuit
 		patterns int
 	}
-	runs := []campaign{{c17, 256}}
+	partial := []int{64, 100, 320, 2112}
+	var runs []campaign
+	addRuns := func(c *circuit.Circuit, budgets ...int) {
+		for _, p := range budgets {
+			runs = append(runs, campaign{c, p})
+		}
+	}
+	addRuns(c17, append([]int{256}, partial...)...)
 	for seed := int64(3); seed <= 5; seed++ {
-		runs = append(runs, campaign{gen.Random(gen.Params{
+		r := gen.Random(gen.Params{
 			Name: "r", Inputs: 14, Outputs: 6, Gates: 150, Layers: 8,
 			MaxFanin: 4, Locality: 0.6, Seed: seed,
-		}), 256})
+		})
+		addRuns(r, 256)
+		if seed == 3 {
+			addRuns(r, partial...)
+		}
 	}
 	for _, b := range gen.Suite(0.15) {
 		if b.Name == "rs9234" || b.Name == "rs38584" {
 			c := b.Build()
-			runs = append(runs, campaign{c, 1 << 13}, campaign{shuffled(t, c, 29), 1 << 13})
+			addRuns(c, 1<<13)
+			addRuns(shuffled(t, c, 29), 1<<13)
+			if b.Name == "rs9234" {
+				addRuns(c, partial...)
+			}
 		}
 	}
-	if len(runs) != 8 {
+	if len(runs) != 20 {
 		t.Fatalf("quick suite lacks rs9234 or rs38584: %d campaigns", len(runs))
 	}
+	// Stem evaluations have no per-fault analogue: these are the counts of
+	// the 64-pattern engine at 2^13 patterns and seed 7. A shuffled copy
+	// is the same netlist, so it flips the same stems as often.
+	stemEvals := map[string]int64{"rs9234": 4461, "rs38584": 7793}
 	for _, r := range runs {
 		fl := faults.Collapse(r.c)
-		want := RefCampaign(r.c, fl, r.patterns, 7)
+		want, blocks, evals := RefCampaign(r.c, fl, r.patterns, 7)
+		wantObs := []int64{int64(blocks), int64(blocks) * 64, int64(evals), int64(want.Detected)}
 		for _, workers := range []int{1, 2, 3} {
 			// Twice per worker count: the second run reuses pooled state.
 			for round := 0; round < 2; round++ {
-				got := Campaign(r.c, fl, CampaignOptions{Patterns: r.patterns, Seed: 7, Workers: workers})
+				opt := CampaignOptions{Patterns: r.patterns, Seed: 7, Workers: workers}
+				got, obs := campaignWith(r.c, fl, opt)
 				if !campaignsEqual(got, want) {
-					t.Fatalf("%s workers %d round %d:\ngot  %+v\nwant %+v",
-						r.c.Name, workers, round, got, want)
+					t.Fatalf("%s %d patterns workers %d round %d:\ngot  %+v\nwant %+v",
+						r.c.Name, r.patterns, workers, round, got, want)
+				}
+				// obs is the blocks gauge, then the patterns, fault
+				// evaluation, stem evaluation and detection deltas.
+				if gotObs := []int64{obs[0], obs[1], obs[2], obs[4]}; !slices.Equal(gotObs, wantObs) {
+					t.Fatalf("%s %d patterns workers %d: blocks, patterns, fault evals, detections %v, reference %v",
+						r.c.Name, r.patterns, workers, gotObs, wantObs)
+				}
+				if pin, ok := stemEvals[strings.TrimSuffix(r.c.Name, "-shuffled")]; ok && r.patterns == 1<<13 && obs[3] != pin {
+					t.Fatalf("%s workers %d: %d stem evaluations, want %d", r.c.Name, workers, obs[3], pin)
 				}
 			}
 		}
@@ -297,7 +333,7 @@ func TestCampaignAfterEditMatchesRef(t *testing.T) {
 	c.MarkOutput(g)
 	fl = faults.Collapse(c)
 	got := Campaign(c, fl, CampaignOptions{Patterns: 128, Seed: 3})
-	want := RefCampaign(c, fl, 128, 3)
+	want, _, _ := RefCampaign(c, fl, 128, 3)
 	if !campaignsEqual(got, want) {
 		t.Fatalf("post-edit campaign:\ngot  %+v\nwant %+v", got, want)
 	}

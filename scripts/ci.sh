@@ -159,20 +159,28 @@ fi
     -heartbeat 0 -workers 4 >/dev/null
 cmp "$provdir/a1.json" "$provdir/a2.json"
 
-echo "== atpg flag gate =="
-# A flag value the tool cannot honour must fail, not run at a default:
-# -backtracks below 1 exits 1 through the shared Run.Fail path (a flag
-# parse error would exit 2). Built binary, not "go run", for the same
-# exit-code reason as the sftlint gate.
+echo "== flag gate =="
+# A flag value a tool cannot honour must fail, not run at a default or be
+# dropped: each case below exits 1 through the shared Run.Fail path (a flag
+# parse error would exit 2). The tables cases fail before suite
+# preparation, so they cost no table run. Built binaries, not "go run", for
+# the same exit-code reason as the sftlint gate.
 go build -o "$provdir/atpg" ./cmd/atpg
-set +e
-"$provdir/atpg" -backtracks 0 circuits/c17.bench >/dev/null 2>&1
-atpg_status=$?
-set -e
-if [ "$atpg_status" -ne 1 ]; then
-    echo "atpg: -backtracks 0 exited $atpg_status, want 1 (rejected flag value)" >&2
-    exit 1
-fi
+go build -o "$provdir/tables" ./cmd/tables
+want_exit1() {
+    set +e
+    "$@" >/dev/null 2>&1
+    local status=$?
+    set -e
+    if [ "$status" -ne 1 ]; then
+        echo "flag gate: '$*' exited $status, want 1 (rejected flag value)" >&2
+        exit 1
+    fi
+}
+want_exit1 "$provdir/atpg" -backtracks 0 circuits/c17.bench
+want_exit1 "$provdir/tables" -table 23
+want_exit1 "$provdir/tables" -quick -pairs 0
+want_exit1 "$provdir/tables" -quick -scale 0
 
 echo "== sftexplain gate =="
 # The decision trace is part of the determinism contract: records come from
