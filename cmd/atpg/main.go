@@ -5,7 +5,7 @@
 // Usage:
 //
 //	atpg [-backtracks n] [-filter n] [-tests]
-//	     [-trace] [-metrics-out report.json] [-v] [-listen addr]
+//	     [-trace] [-metrics-out report.json] [-v]
 //	     [-events file] circuit.bench
 package main
 
@@ -20,7 +20,6 @@ import (
 	"compsynth/internal/faultsim"
 	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
 	"compsynth/internal/obs"
-	_ "compsynth/internal/obs/telemetry" // wires the -listen telemetry server
 )
 
 func main() {

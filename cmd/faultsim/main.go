@@ -4,7 +4,7 @@
 // Usage:
 //
 //	faultsim [-patterns n] [-seed n] [-list-remaining] [-workers n]
-//	         [-trace] [-metrics-out report.json] [-v] [-listen addr]
+//	         [-trace] [-metrics-out report.json] [-v]
 //	         [-events file] circuit.bench
 package main
 
@@ -18,7 +18,6 @@ import (
 	"compsynth/internal/faultsim"
 	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
 	"compsynth/internal/obs"
-	_ "compsynth/internal/obs/telemetry" // wires the -listen telemetry server
 )
 
 func main() {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	figures [-trace] [-metrics-out report.json] [-v] [-listen addr] [-events file]
+//	figures [-trace] [-metrics-out report.json] [-v] [-events file]
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"compsynth/internal/delay"
 	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
 	"compsynth/internal/obs"
-	_ "compsynth/internal/obs/telemetry" // wires the -listen telemetry server
 	"compsynth/internal/paths"
 )
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	pathcount [-per-output] [-through line]
-//	          [-trace] [-metrics-out report.json] [-v] [-listen addr]
+//	          [-trace] [-metrics-out report.json] [-v]
 //	          [-events file] circuit.bench
 package main
 
@@ -16,7 +16,6 @@ import (
 	"compsynth"
 	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
 	"compsynth/internal/obs"
-	_ "compsynth/internal/obs/telemetry" // wires the -listen telemetry server
 	"compsynth/internal/paths"
 )
 

@@ -6,7 +6,7 @@
 //
 //	sft -in circuit.bench [-out out.bench] [-objective gates|paths|combined]
 //	    [-k 5] [-sampling] [-redundancy] [-report] [-workers n]
-//	    [-trace] [-metrics-out report.json] [-v] [-listen addr] [-events file]
+//	    [-trace] [-metrics-out report.json] [-v] [-events file]
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"compsynth/internal/faultsim"
 	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
 	"compsynth/internal/obs"
-	_ "compsynth/internal/obs/telemetry" // wires the -listen telemetry server
 	"compsynth/internal/redundancy"
 	"compsynth/internal/resynth"
 )

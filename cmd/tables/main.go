@@ -5,7 +5,7 @@
 //
 //	tables [-table all|2|3|4|5|6|7] [-scale f] [-quick] [-seed n]
 //	       [-patterns n] [-pairs n] [-circuits a,b,c] [-noverify] [-workers n]
-//	       [-trace] [-metrics-out report.json] [-v] [-listen addr] [-events file]
+//	       [-trace] [-metrics-out report.json] [-v] [-events file]
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"compsynth/internal/exper"
 	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
 	"compsynth/internal/obs"
-	_ "compsynth/internal/obs/telemetry" // wires the -listen telemetry server
 )
 
 // options holds the command's own flags.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/delay"
@@ -28,14 +27,6 @@ var (
 	mRows     = obs.C("exper.rows_completed")
 	mPrepared = obs.C("exper.circuits_prepared")
 )
-
-// rowDone records one finished table row: the cumulative counter feeds the
-// run report, the progress event feeds the flight recorder (nil-safe and
-// allocation-free when no recorder is installed).
-func rowDone() {
-	mRows.Inc()
-	obs.EmitProgress("exper.rows", mRows.Value(), 0)
-}
 
 // Config scales the experiments.
 type Config struct {
@@ -233,23 +224,35 @@ func (s *Suite) ModifiedRR(nc Named) (*redundancy.Result, error) {
 // PrepareSuite generates the benchmark circuits (optionally made
 // irredundant, as the paper requires). Circuits are independent — each is
 // generated from its own seed — so preparation fans out over cfg.Workers.
+// A name in cfg.Circuits that is not in the suite fails it before any
+// circuit is built.
 func PrepareSuite(cfg Config) ([]Named, error) {
+	suite := gen.Suite(cfg.Scale)
+	names := make([]string, len(suite))
+	for i, b := range suite {
+		names[i] = b.Name
+	}
+	var unknown []string
+	for _, name := range cfg.Circuits {
+		if !contains(names, name) {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("circuits not in the suite: %s (it has %s)",
+			strings.Join(unknown, ", "), strings.Join(names, ", "))
+	}
 	var benches []gen.Bench
-	for _, b := range gen.Suite(cfg.Scale) {
+	for _, b := range suite {
 		if len(cfg.Circuits) > 0 && !contains(cfg.Circuits, b.Name) {
 			continue
 		}
 		benches = append(benches, b)
 	}
-	var done atomic.Int64
-	total := int64(len(benches))
 	pool := par.Workers(cfg.Workers)
 	inner := innerWorkers(pool, len(benches))
 	return par.MapErr(pool, len(benches), func(i int) (Named, error) {
-		defer func() {
-			mPrepared.Inc()
-			obs.EmitProgress("exper.prepare", done.Add(1), total)
-		}()
+		defer mPrepared.Inc()
 		b := benches[i]
 		c := b.Build()
 		if cfg.MakeIrredundant {
@@ -336,7 +339,7 @@ type Table2Row struct {
 func Table2(s *Suite) ([]Table2Row, error) {
 	items := s.Items()
 	return par.MapErr(s.pool, len(items), func(i int) (Table2Row, error) {
-		defer rowDone()
+		defer mRows.Inc()
 		nc := items[i]
 		res, k, err := s.Proc2(nc)
 		if err != nil {
@@ -384,7 +387,7 @@ func Table3(s *Suite) ([]Table3Row, error) {
 		}
 	}
 	return par.MapErr(s.pool, len(subset), func(i int) (Table3Row, error) {
-		defer rowDone()
+		defer mRows.Inc()
 		nc := subset[i]
 		rres, err := s.Rambo(nc)
 		if err != nil {
@@ -427,7 +430,7 @@ func Table4(s *Suite) (partA, partB []Table4Row, err error) {
 	}
 	type pair struct{ a, b Table4Row }
 	rows, err := par.MapErr(s.pool, len(subset), func(i int) (pair, error) {
-		defer rowDone()
+		defer mRows.Inc()
 		nc := subset[i]
 		p2, _, err := s.Proc2(nc)
 		if err != nil {
@@ -477,7 +480,7 @@ type Table5Row struct {
 func Table5(s *Suite) ([]Table5Row, error) {
 	items := s.Items()
 	return par.MapErr(s.pool, len(items), func(i int) (Table5Row, error) {
-		defer rowDone()
+		defer mRows.Inc()
 		nc := items[i]
 		res, k, err := s.Proc3(nc)
 		if err != nil {
@@ -506,7 +509,7 @@ func Table6(s *Suite) ([]Table6Row, error) {
 	cfg := s.cfg
 	items := s.Items()
 	return par.MapErr(s.pool, len(items), func(i int) (Table6Row, error) {
-		defer rowDone()
+		defer mRows.Inc()
 		nc := items[i]
 		rr, err := s.ModifiedRR(nc)
 		if err != nil {
@@ -569,7 +572,7 @@ func Table7(s *Suite) ([]Table7Row, error) {
 	// The two versions derive from distinct circuit objects (the original
 	// and the RAMBO result), so they run through the pool like table rows.
 	return par.MapErr(s.pool, len(versions), func(i int) (Table7Row, error) {
-		defer rowDone()
+		defer mRows.Inc()
 		v := versions[i]
 		mod, _, err := runProc(v.c, resynth.MinGates, cfg)
 		if err != nil {

@@ -119,6 +119,30 @@ func TestPipelineTiny(t *testing.T) {
 	}
 }
 
+// TestPrepareSuiteRejectsUnknownCircuit pins that a circuit name outside
+// the suite fails preparation before any circuit is built, naming it,
+// instead of silently dropping that row.
+func TestPrepareSuiteRejectsUnknownCircuit(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Circuits = []string{"rs1423", "nothere"}
+	before := mPrepared.Value()
+	_, err := PrepareSuite(cfg)
+	if err == nil || !strings.Contains(err.Error(), `not in the suite: "nothere" (`) {
+		t.Fatalf("PrepareSuite(rs1423,nothere) err = %v, want one naming only nothere", err)
+	}
+	if got := mPrepared.Value() - before; got != 0 {
+		t.Fatalf("failed preparation built %d circuits, want 0", got)
+	}
+	cfg.Circuits = []string{"rs1423"}
+	items, err := PrepareSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 1 || items[0].Name != "rs1423" {
+		t.Fatalf("PrepareSuite(rs1423) prepared %d circuits, want rs1423 alone", len(items))
+	}
+}
+
 func TestComma(t *testing.T) {
 	cases := map[uint64]string{
 		0:        "0",

@@ -58,7 +58,7 @@ func Load(path string) (*Trace, error) {
 // Read is Load over an open stream.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24) // dtrace lines are small; heartbeats can be wide
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24) // dtrace lines are small; older recordings hold wide heartbeat lines
 	tr := &Trace{}
 	events, lineNo := 0, 0
 	for sc.Scan() {

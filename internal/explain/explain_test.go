@@ -21,7 +21,7 @@ import (
 func writeFramed(t *testing.T, recs []dtrace.Record) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ev.ndjson")
-	r, err := obs.NewRecorder(path, 0, obs.Default())
+	r, err := obs.NewRecorder(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -490,7 +490,7 @@ func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt Cam
 	blocks := (opt.Patterns + 63) / 64
 	site := cs.site
 	par.Run(nil, "faultsim.share", w, w, func(_, k int) {
-		shares[k].run(fl, site, blocks, k == 0)
+		shares[k].run(fl, site, blocks)
 	})
 
 	// Merge by fault index: the survivors keep their input order.
@@ -525,9 +525,8 @@ func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt Cam
 // run simulates up to blocks 64-pattern blocks on the share's regions,
 // width at a time, until none holds an undetected fault. On return
 // sh.faults holds exactly the undetected faults, and sh.blocks, sh.last and
-// every counter are those of simulating the blocks one at a time. live
-// marks the share that reports block progress.
-func (sh *share) run(fl []faults.Fault, site []int32, blocks int, live bool) {
+// every counter are those of simulating the blocks one at a time.
+func (sh *share) run(fl []faults.Fault, site []int32, blocks int) {
 	s := &sh.sim
 	for b0 := 0; b0 < blocks && len(sh.regions) > 0; b0 += width {
 		// Block b0+k fills word k with the draws a 64-pattern campaign
@@ -608,13 +607,6 @@ func (sh *share) run(fl []faults.Fault, site []int32, blocks int, live bool) {
 		sh.blocks = b0 + ran
 		mFaultEval.Add(int64(evals))
 		mStemEval.Add(int64(stems))
-		if live {
-			// Per-wide-block completion for the live gauge and the flight
-			// recorder (the recorder throttles; off path is one atomic
-			// store + load). The merge sets the gauge's final value.
-			gBlocks.Set(int64(sh.blocks))
-			obs.EmitProgress("faultsim.blocks", int64(sh.blocks), int64(blocks))
-		}
 	}
 	// Compact the survivors to the front: the merge reads sh.faults.
 	n := 0

@@ -16,7 +16,7 @@ func TestForgedRootWithValidChain(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriterSize(&buf, 2)
 	for i := 0; i < 4; i++ {
-		w.Append(obs.Event{Type: "progress", Done: int64(i)})
+		w.Append(obs.Event{Type: "span_end", Depth: i})
 	}
 	w.Close()
 	lines := bytes.Split(buf.Bytes(), []byte("\n"))

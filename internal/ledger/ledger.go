@@ -36,7 +36,7 @@
 //
 // Importing the package installs the ledger sink and the certificate
 // builder into internal/obs (side-effect registration, mirroring
-// obs/telemetry):
+// net/http/pprof):
 //
 //	import _ "compsynth/internal/ledger"
 package ledger
@@ -50,7 +50,7 @@ import (
 )
 
 // Ledger metrics (process-wide): records and batches sealed, and the current
-// sequence number, mirrored onto the live telemetry endpoints.
+// sequence number, snapshot into the run report.
 var (
 	mRecords = obs.C("ledger.records")
 	mBatches = obs.C("ledger.batches")
@@ -63,9 +63,8 @@ func init() {
 }
 
 // DefaultBatchSize is the number of event records per Merkle batch. Small
-// enough that a consumer tailing a live run sees a sealed root within a few
-// heartbeats, large enough that batch records stay a negligible fraction of
-// the stream.
+// enough that a consumer tailing a live run sees sealed roots often, large
+// enough that batch records stay a negligible fraction of the stream.
 const DefaultBatchSize = 64
 
 // ledgerMagic seeds the hash chain (and is the Merkle root of an empty

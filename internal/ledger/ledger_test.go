@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +16,6 @@ import (
 	"compsynth/internal/ledger"
 	"compsynth/internal/logic"
 	"compsynth/internal/obs"
-	_ "compsynth/internal/obs/telemetry"
 )
 
 // buildStream produces a sealed ledger of n generic events with the given
@@ -28,7 +25,7 @@ func buildStream(t *testing.T, n, batchSize int) []byte {
 	var buf bytes.Buffer
 	w := ledger.NewWriterSize(&buf, batchSize)
 	for i := 0; i < n; i++ {
-		if err := w.Append(obs.Event{Type: "progress", Stage: "s", Done: int64(i + 1), Total: int64(n)}); err != nil {
+		if err := w.Append(obs.Event{Type: "span_end", Name: "s", Depth: i + 1}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -82,8 +79,8 @@ func TestTamperTable(t *testing.T) {
 		{
 			name: "flip-byte",
 			mutate: func(ls [][]byte) [][]byte {
-				// Flip a digit inside event 3's payload (Done: 4 -> 5).
-				ls[3] = bytes.Replace(ls[3], []byte(`"done":4`), []byte(`"done":5`), 1)
+				// Flip a digit inside event 3's payload (Depth: 4 -> 5).
+				ls[3] = bytes.Replace(ls[3], []byte(`"depth":4`), []byte(`"depth":5`), 1)
 				return ls
 			},
 			wantErr: "record 3: chain mismatch",
@@ -112,7 +109,7 @@ func TestTamperTable(t *testing.T) {
 					var buf bytes.Buffer
 					w := ledger.NewWriterSize(&buf, 4)
 					for i := 0; i < 10; i++ {
-						w.Append(obs.Event{Type: "progress", Stage: "other", Done: int64(i + 1), Total: 10})
+						w.Append(obs.Event{Type: "span_end", Name: "other", Depth: i + 1})
 					}
 					w.Close()
 					return buf.Bytes()
@@ -444,51 +441,6 @@ func TestRunFailSealsLedger(t *testing.T) {
 	}
 	if cc.Ledger == nil || cc.Ledger.FinalRoot != chain.FinalRoot {
 		t.Fatalf("failed run's certificate not bound to its ledger: %+v", cc.Ledger)
-	}
-}
-
-// TestTelemetryLedgerState checks the live surfaces: the chain-head info
-// metric on /metrics and the ledger block in /progress.
-func TestTelemetryLedgerState(t *testing.T) {
-	dir := t.TempDir()
-	events := filepath.Join(dir, "events.ndjson")
-	f := &obs.Flags{Workers: 1, Events: events, Listen: "127.0.0.1:0"}
-	run := f.Start("ledgertest")
-	addr := run.Server().Addr()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	metrics := get("/metrics")
-	if !strings.Contains(metrics, "ledger_chain_head_info{head=\"") {
-		t.Fatalf("/metrics missing chain head info metric:\n%s", metrics)
-	}
-	var prog struct {
-		Ledger *obs.LedgerState `json:"ledger"`
-	}
-	if err := json.Unmarshal([]byte(get("/progress")), &prog); err != nil {
-		t.Fatal(err)
-	}
-	if prog.Ledger == nil || prog.Ledger.Head == "" {
-		t.Fatalf("/progress missing ledger state: %+v", prog.Ledger)
-	}
-	if prog.Ledger.FinalRoot != "" {
-		t.Fatal("/progress shows a final root on a live run")
-	}
-	if err := run.Finish(); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	if ls, ok := run.LedgerState(); !ok || ls.FinalRoot == "" {
-		t.Fatalf("post-run ledger state not retained: %+v ok=%v", ls, ok)
 	}
 }
 

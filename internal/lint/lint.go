@@ -98,7 +98,7 @@ func (cfg Config) ruleEnabled(name string) bool {
 // Everything else in the module is pipeline code whose results must be a
 // pure function of (inputs, options, seed).
 var nondeterministicPkgs = []string{
-	"internal/obs",     // wall-clock telemetry is its whole job
+	"internal/obs",     // span durations and event timestamps are its whole job
 	"internal/metric",  // registry substrate under obs (snapshot formatting sorts its output)
 	"internal/obsdiff", // offline report diffing
 	"internal/lint",    // this analyzer

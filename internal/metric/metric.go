@@ -1,10 +1,10 @@
 // Package metric is the process-wide instrument registry: named counters,
-// gauges and histograms behind the pipeline's telemetry. It sits below every
-// other internal package (no compsynth imports) so that even the circuit core
-// can register instruments without an import cycle; internal/obs re-exports
-// the whole API under its own name, and most packages keep registering
-// through obs. The sftlint metricname rule audits registrations from either
-// path.
+// gauges and histograms behind the pipeline's run reports. It sits below
+// every other internal package (no compsynth imports) so that even the
+// circuit core can register instruments without an import cycle;
+// internal/obs re-exports the whole API under its own name, and most
+// packages keep registering through obs. The sftlint metricname rule audits
+// registrations from either path.
 package metric
 
 import (
@@ -38,17 +38,6 @@ var std = NewMetrics()
 // Default returns the process-wide registry. Pipeline packages register
 // their instruments here at init; commands snapshot it into the run report.
 func Default() *Metrics { return std }
-
-var live = NewMetrics()
-
-// Live returns the process-wide live-only registry: instruments whose values
-// depend on scheduling, timing or worker interleaving — queue wait/run
-// histograms, per-worker task tallies, memo-cache hit rates. The telemetry
-// endpoints (/metrics, /progress) surface it next to Default, but run
-// reports deliberately exclude it: reports feed the obsdiff determinism
-// gates, which diff deterministic quantities at tolerance zero, and a
-// scheduling-dependent value there would make every CI run a coin flip.
-func Live() *Metrics { return live }
 
 // C returns (creating if needed) the counter with this name in the Default
 // registry. Shorthand for package-level instrument declarations.

@@ -58,24 +58,3 @@ func TestSnapshotDiff(t *testing.T) {
 		t.Error("observed histogram dropped by Diff")
 	}
 }
-
-// TestLiveRegistrySeparate pins that the live-only registry is distinct from
-// Default: instruments registered on one never leak into the other's
-// snapshot (run reports snapshot Default; a live instrument appearing there
-// would break the obsdiff determinism gates).
-func TestLiveRegistrySeparate(t *testing.T) {
-	if Live() == Default() {
-		t.Fatal("Live() and Default() are the same registry")
-	}
-	if Live() != Live() {
-		t.Fatal("Live() is not stable")
-	}
-	name := "metric.live_separation_probe"
-	Live().Counter(name).Add(2)
-	if _, ok := Default().Snapshot().Counters[name]; ok {
-		t.Errorf("live counter %q leaked into the Default snapshot", name)
-	}
-	if got := Live().Snapshot().Counters[name]; got < 2 {
-		t.Errorf("live counter %q = %d, want >= 2", name, got)
-	}
-}

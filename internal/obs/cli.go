@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -20,10 +19,7 @@ import (
 //	-trace              record and print a span tree for the run
 //	-metrics-out FILE   write the JSON run report to FILE
 //	-v                  verbose progress on stderr
-//	-listen ADDR        serve live telemetry (/metrics, /progress, /healthz,
-//	                    /debug/pprof) on ADDR
 //	-events FILE        stream NDJSON run events (flight recorder) to FILE
-//	-heartbeat D        heartbeat snapshot interval for -events (0 disables)
 //	-dtrace MODE        decision-trace recording (off, full, sampled:N)
 //	-workers N          worker goroutines for the parallel phases
 type Flags struct {
@@ -31,17 +27,10 @@ type Flags struct {
 	Verbose    bool
 	MetricsOut string
 
-	// Listen serves the live telemetry endpoints on this address. The
-	// server itself lives in the obs/telemetry subpackage (commands import
-	// it for side effects).
-	Listen string
-
-	// Events streams NDJSON run events — span begin/end, throttled hot-loop
-	// progress, periodic heartbeats — to this file while the run is live.
+	// Events streams NDJSON run events — run start/end, span begin/end,
+	// decision-trace records and the certificate digest — to this file
+	// while the run is live.
 	Events string
-
-	// Heartbeat is the -events snapshot interval (0 disables heartbeats).
-	Heartbeat time.Duration
 
 	// Dtrace selects decision-trace recording for the resynthesis sweep:
 	// "off" (default), "full", or "sampled:N" (acceptances always recorded,
@@ -78,9 +67,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Trace, "trace", false, "record per-phase spans and print the span tree on exit")
 	fs.BoolVar(&f.Verbose, "v", false, "verbose progress output on stderr")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write a JSON run report to this file")
-	fs.StringVar(&f.Listen, "listen", "", "serve live telemetry (/metrics, /progress, /healthz, /debug/pprof) on this address (e.g. localhost:6060)")
 	fs.StringVar(&f.Events, "events", "", "stream NDJSON run events (flight recorder) to this file")
-	fs.DurationVar(&f.Heartbeat, "heartbeat", time.Second, "heartbeat snapshot interval for -events (0 disables)")
 	fs.StringVar(&f.Dtrace, "dtrace", "off",
 		"decision-trace recording for the resynthesis sweep: off, full, or sampled:N (requires -events; queried with sftexplain)")
 	fs.StringVar(&f.Cert, "cert", "", "write a verifiable run certificate (circuit digests, equivalence evidence, ledger binding) to this file")
@@ -91,27 +78,8 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// TelemetryServer is the handle Run.Finish uses to stop the -listen HTTP
-// server gracefully. The obs/telemetry subpackage implements it.
-type TelemetryServer interface {
-	Addr() string
-	Shutdown(ctx context.Context) error
-}
-
-// telemetryStart is installed by the obs/telemetry package's init. The
-// indirection keeps the server (which imports obs for the registry and the
-// span tree) out of obs's own import graph; commands blank-import
-// compsynth/internal/obs/telemetry to link it in, mirroring how
-// net/http/pprof registers itself.
-var telemetryStart func(r *Run, addr string) (TelemetryServer, error)
-
-// RegisterTelemetry installs the -listen server constructor.
-func RegisterTelemetry(start func(r *Run, addr string) (TelemetryServer, error)) {
-	telemetryStart = start
-}
-
 // certBody and certWrite are installed by the internal/ledger package's
-// init, mirroring the telemetry seam: obs never imports the ledger. certBody
+// init, mirroring the ledger sink seam: obs never imports the ledger. certBody
 // assembles the deterministic certificate body from the run state and
 // returns it with its digest; certWrite attaches the (nondeterministic)
 // ledger binding and writes the file. The split lets Finish append the body
@@ -133,7 +101,7 @@ func RegisterCertifier(
 
 // Run bundles the live observability state of one tool invocation.
 type Run struct {
-	Tracer  *Tracer // nil unless -trace, -metrics-out, -events or -listen was given
+	Tracer  *Tracer // nil unless -trace, -metrics-out or -events was given
 	Log     *Logger
 	Metrics *Metrics
 	Report  *Report
@@ -142,7 +110,6 @@ type Run struct {
 	root     *Span
 	base     Snapshot
 	start    time.Time
-	server   TelemetryServer
 	recorder *Recorder
 	dtrace   *dtrace.Tracer
 	sigCh    chan os.Signal
@@ -160,9 +127,9 @@ type Run struct {
 
 // Start builds the run state from the parsed flags. Failures to honor an
 // explicitly requested facility — an -events file that cannot be created, a
-// -listen address that cannot be bound — are reported unconditionally on
-// stderr and exit the process with status 2: an artifact or endpoint the
-// user asked for must never go missing silently.
+// -cert without the certifier linked in — are reported unconditionally on
+// stderr and exit the process with status 2: an artifact the user asked for
+// must never go missing silently.
 func (f *Flags) Start(tool string) *Run {
 	r, err := f.start(tool)
 	if err != nil {
@@ -181,9 +148,9 @@ func (f *Flags) start(tool string) (*Run, error) {
 		flags:   *f,
 		start:   time.Now(),
 	}
-	// The tracer doubles as the live span tree for /progress and the span
-	// event source for -events, so any of those facilities enables it.
-	if f.Trace || f.MetricsOut != "" || f.Events != "" || f.Listen != "" {
+	// The tracer records the span tree for -trace and -metrics-out and is
+	// the span event source for -events, so any of them enables it.
+	if f.Trace || f.MetricsOut != "" || f.Events != "" {
 		r.Tracer = NewTracer()
 	}
 	r.base = r.Metrics.Snapshot()
@@ -207,37 +174,19 @@ func (f *Flags) start(tool string) (*Run, error) {
 		return nil, fmt.Errorf("-dtrace %s: requires -events (the decision trace streams through the flight recorder)", f.Dtrace)
 	}
 	if f.Events != "" {
-		rec, err := NewRecorder(f.Events, f.Heartbeat, r.Metrics)
+		rec, err := NewRecorder(f.Events)
 		if err != nil {
 			return nil, fmt.Errorf("-events: %v", err)
 		}
 		r.recorder = rec
 		rec.RunStart(tool, os.Args[1:])
 		r.Tracer.SetObserver(rec)
-		SetProgressSink(rec)
 		r.dtrace = dtrace.New(dmode, rec.Decision)
 		r.Log.Verbosef("recording events to %s", f.Events)
-	}
-	if f.Listen != "" {
-		if telemetryStart == nil {
-			r.closeRecorder()
-			return nil, fmt.Errorf("-listen %s: telemetry server not linked in (import compsynth/internal/obs/telemetry)", f.Listen)
-		}
-		srv, err := telemetryStart(r, f.Listen)
-		if err != nil {
-			r.closeRecorder()
-			return nil, fmt.Errorf("-listen %s: %v", f.Listen, err)
-		}
-		r.server = srv
-		r.Log.Verbosef("telemetry on http://%s/metrics (progress at /progress, pprof at /debug/pprof)", srv.Addr())
 	}
 	r.root = r.Tracer.StartSpan(tool)
 	return r, nil
 }
-
-// Server returns the live telemetry server, or nil when -listen is off
-// (tests use it to reach the bound address).
-func (r *Run) Server() TelemetryServer { return r.server }
 
 // CheckEnabled reports whether the run was started with -check; commands use
 // it to thread per-pass validation into resynth.Options.Check and
@@ -352,19 +301,6 @@ func (r *Run) CertOptions() json.RawMessage { return r.certOptions }
 // CertEvidence returns the evidence recorded by AddEvidence.
 func (r *Run) CertEvidence() []any { return r.certEvidence }
 
-// LedgerState reports the event ledger's current (or, after the recorder
-// closed, final) state. ok is false when -events is off or no ledger is
-// linked in.
-func (r *Run) LedgerState() (LedgerState, bool) {
-	if r.recorder != nil {
-		return r.recorder.LedgerState()
-	}
-	if r.ledgerFinal != nil {
-		return *r.ledgerFinal, true
-	}
-	return LedgerState{}, false
-}
-
 // CheckCircuit validates c's IR invariants — circuit.Check plus the paper's
 // comparison-unit path bound — when the run was started with -check; without
 // the flag it is a no-op. label names the circuit in the error ("input",
@@ -389,13 +325,11 @@ func (r *Run) CheckCircuit(label string, c *circuit.Circuit) error {
 
 // closeRecorder detaches and closes the flight recorder (sealing the event
 // ledger when one is linked), returning the first recording error. The
-// sealed ledger's final state is retained for the certificate binding and
-// for post-run LedgerState queries.
+// sealed ledger's final state is retained for the certificate binding.
 func (r *Run) closeRecorder() error {
 	if r.recorder == nil {
 		return nil
 	}
-	SetProgressSink(nil)
 	r.Tracer.SetObserver(nil)
 	err := r.recorder.Close()
 	if ls, ok := r.recorder.LedgerState(); ok {
@@ -406,8 +340,8 @@ func (r *Run) closeRecorder() error {
 }
 
 // Finish closes the root span, snapshots metrics into the report, prints
-// the span tree under -trace, shuts the telemetry server down gracefully,
-// closes the flight recorder, and writes the JSON report when requested.
+// the span tree under -trace, closes the flight recorder, and writes the
+// JSON report when requested.
 // It returns the first artifact error (report or event stream); callers
 // treat it as fatal so a missing artifact never passes silently.
 func (r *Run) Finish() error {
@@ -416,14 +350,6 @@ func (r *Run) Finish() error {
 	r.Report.DurationMS = float64(time.Since(r.start)) / float64(time.Millisecond)
 	r.Report.Spans = r.Tracer.Export()
 	r.Report.Metrics = r.Metrics.Snapshot().Diff(r.base)
-	if r.server != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := r.server.Shutdown(ctx); err != nil {
-			r.Log.Verbosef("telemetry shutdown: %v", err)
-		}
-		cancel()
-		r.server = nil
-	}
 	var firstErr error
 	// Certificate body first: its digest is appended to the event ledger as
 	// a "cert" record, so the sealed stream names the certificate it

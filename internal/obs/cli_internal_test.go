@@ -1,23 +1,22 @@
 package obs
 
 import (
+	"flag"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestStartTelemetryNotLinked pins the error a command gets when -listen is
-// given but the telemetry package was not blank-imported. The test binary
-// does link it (the external tests import it), so the registered starter is
-// saved and restored around the check; tests in one package run
-// sequentially, so the swap is race-free.
-func TestStartTelemetryNotLinked(t *testing.T) {
-	saved := telemetryStart
-	telemetryStart = nil
-	defer func() { telemetryStart = saved }()
-	f := &Flags{Workers: 1, Listen: "127.0.0.1:0"}
-	if _, err := f.start("x"); err == nil || !strings.Contains(err.Error(), "not linked in") {
-		t.Fatalf("start with unlinked telemetry: err = %v, want 'not linked in'", err)
+// TestAddFlagsOmitsLiveFlags pins that the shared flag set has no -listen
+// and no -heartbeat: every command rejects both as undefined flags (exit 2)
+// instead of accepting a live-telemetry knob that does nothing.
+func TestAddFlagsOmitsLiveFlags(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	AddFlags(fs)
+	for _, name := range []string{"listen", "heartbeat"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("AddFlags registers -%s", name)
+		}
 	}
 }
 
@@ -28,18 +27,6 @@ func TestStartEventsOpenError(t *testing.T) {
 	f := &Flags{Workers: 1, Events: filepath.Join(t.TempDir(), "no-such-dir", "ev.ndjson")}
 	if _, err := f.start("x"); err == nil || !strings.Contains(err.Error(), "-events") {
 		t.Fatalf("start with uncreatable events file: err = %v, want '-events' error", err)
-	}
-}
-
-// TestStartBadListenAddr exercises the real telemetry starter's bind-failure
-// path through start (the external tests link the server in).
-func TestStartBadListenAddr(t *testing.T) {
-	if telemetryStart == nil {
-		t.Skip("telemetry not linked")
-	}
-	f := &Flags{Workers: 1, Listen: "127.0.0.1:notaport"}
-	if _, err := f.start("x"); err == nil || !strings.Contains(err.Error(), "-listen") {
-		t.Fatalf("start with bad listen addr: err = %v, want '-listen' error", err)
 	}
 }
 

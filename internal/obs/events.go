@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"compsynth/internal/obs/dtrace"
@@ -19,30 +17,21 @@ import (
 //	run_start   tool, args
 //	span_begin  name, depth
 //	span_end    name, depth, dur_ms, alloc_bytes
-//	progress    stage, done, total (total 0 = unbounded)
-//	heartbeat   counters, gauges, goroutines, heap_bytes
 //	dtrace      d (one decision-trace record; see internal/obs/dtrace)
 //	cert        digest (body digest of the certificate emitted by this run)
 //	run_end     dur_ms, error
 type Event struct {
-	Type       string           `json:"t"`
-	ElapsedMS  float64          `json:"ms"`
-	Tool       string           `json:"tool,omitempty"`
-	Args       []string         `json:"args,omitempty"`
-	Name       string           `json:"name,omitempty"`
-	Depth      int              `json:"depth,omitempty"`
-	DurMS      float64          `json:"dur_ms,omitempty"`
-	AllocBytes int64            `json:"alloc_bytes,omitempty"`
-	Stage      string           `json:"stage,omitempty"`
-	Done       int64            `json:"done,omitempty"`
-	Total      int64            `json:"total,omitempty"`
-	Goroutines int              `json:"goroutines,omitempty"`
-	HeapBytes  uint64           `json:"heap_bytes,omitempty"`
-	Counters   map[string]int64 `json:"counters,omitempty"`
-	Gauges     map[string]int64 `json:"gauges,omitempty"`
-	Digest     string           `json:"digest,omitempty"`
-	Error      string           `json:"error,omitempty"`
-	Decision   *dtrace.Record   `json:"d,omitempty"`
+	Type       string         `json:"t"`
+	ElapsedMS  float64        `json:"ms"`
+	Tool       string         `json:"tool,omitempty"`
+	Args       []string       `json:"args,omitempty"`
+	Name       string         `json:"name,omitempty"`
+	Depth      int            `json:"depth,omitempty"`
+	DurMS      float64        `json:"dur_ms,omitempty"`
+	AllocBytes int64          `json:"alloc_bytes,omitempty"`
+	Digest     string         `json:"digest,omitempty"`
+	Error      string         `json:"error,omitempty"`
+	Decision   *dtrace.Record `json:"d,omitempty"`
 }
 
 // LedgerState is a snapshot of the tamper-evident ledger wrapped around the
@@ -70,7 +59,8 @@ type LedgerSink interface {
 // newLedgerSink is installed by the internal/ledger package's init. The
 // indirection keeps the ledger (which imports obs for the Event type and its
 // own metrics) out of obs's import graph; commands blank-import
-// compsynth/internal/ledger to link it in, mirroring obs/telemetry.
+// compsynth/internal/ledger to link it in, mirroring how net/http/pprof
+// registers itself.
 var newLedgerSink func(w io.Writer) LedgerSink
 
 // RegisterLedger installs the ledger sink constructor the recorder wraps
@@ -79,53 +69,30 @@ func RegisterLedger(fn func(w io.Writer) LedgerSink) {
 	newLedgerSink = fn
 }
 
-// progressMinInterval throttles per-stage progress events: hot loops may
-// emit thousands per second (one per fault-simulation block), and the
-// recorder keeps only the freshest per stage at this cadence. Final events
-// (done == total) always pass so a consumer sees every completion.
-const progressMinInterval = 100 * time.Millisecond
-
 // Recorder streams run events to an NDJSON file — a flight recorder for
 // in-flight runs. All methods are safe for concurrent use; a nil *Recorder
 // no-ops. Events are written (and flushed) one JSON object per line as they
 // happen, so `tail -f` on the file follows a live run.
 type Recorder struct {
-	mu       sync.Mutex
-	f        *os.File
-	enc      *json.Encoder // plain NDJSON path, used when no ledger is linked
-	sink     LedgerSink    // framing ledger, when internal/ledger is linked in
-	start    time.Time
-	err      error // first write error; reported by Close
-	lastProg map[string]time.Time
-
-	metrics *Metrics
-	stop    chan struct{}
-	done    chan struct{}
+	mu    sync.Mutex
+	f     *os.File
+	enc   *json.Encoder // plain NDJSON path, used when no ledger is linked
+	sink  LedgerSink    // framing ledger, when internal/ledger is linked in
+	start time.Time
+	err   error // first write error; reported by Close
 }
 
-// NewRecorder opens path for writing and, when interval > 0, starts a
-// heartbeat goroutine that records a counters/gauges snapshot every
-// interval until Close.
-func NewRecorder(path string, interval time.Duration, m *Metrics) (*Recorder, error) {
+// NewRecorder opens path for writing.
+func NewRecorder(path string) (*Recorder, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Recorder{
-		f:        f,
-		start:    time.Now(),
-		lastProg: map[string]time.Time{},
-		metrics:  m,
-	}
+	r := &Recorder{f: f, start: time.Now()}
 	if newLedgerSink != nil {
 		r.sink = newLedgerSink(f)
 	} else {
 		r.enc = json.NewEncoder(f)
-	}
-	if interval > 0 {
-		r.stop = make(chan struct{})
-		r.done = make(chan struct{})
-		go r.heartbeatLoop(interval)
 	}
 	return r, nil
 }
@@ -206,63 +173,12 @@ func (r *Recorder) SpanEnd(name string, depth int, dur time.Duration, allocBytes
 	})
 }
 
-// Progress records one hot-loop progress event, throttled per stage to
-// progressMinInterval (completion events always pass).
-func (r *Recorder) Progress(stage string, done, total int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	now := time.Now()
-	final := total > 0 && done >= total
-	if !final && now.Sub(r.lastProg[stage]) < progressMinInterval {
-		r.mu.Unlock()
-		return
-	}
-	r.lastProg[stage] = now
-	r.mu.Unlock()
-	r.write(Event{Type: "progress", Stage: stage, Done: done, Total: total})
-}
-
-// heartbeat records one periodic snapshot event.
-func (r *Recorder) heartbeat() {
-	snap := r.metrics.Snapshot()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	r.write(Event{
-		Type:       "heartbeat",
-		Counters:   snap.Counters,
-		Gauges:     snap.Gauges,
-		Goroutines: runtime.NumGoroutine(),
-		HeapBytes:  ms.HeapAlloc,
-	})
-}
-
-func (r *Recorder) heartbeatLoop(interval time.Duration) {
-	defer close(r.done)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			r.heartbeat()
-		case <-r.stop:
-			return
-		}
-	}
-}
-
-// Close stops the heartbeat, flushes and closes the file, and returns the
-// first error encountered while recording (so a broken event stream fails
-// the run rather than passing silently).
+// Close flushes and closes the file, and returns the first error
+// encountered while recording (so a broken event stream fails the run
+// rather than passing silently).
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
-	}
-	if r.stop != nil {
-		close(r.stop)
-		<-r.done
-		r.stop = nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -278,25 +194,4 @@ func (r *Recorder) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// progressSink is the process-wide flight recorder, installed by Flags.Start
-// when -events is given. The hot loops reach it through EmitProgress; an
-// atomic pointer keeps the disabled path to a single load.
-var progressSink atomic.Pointer[Recorder]
-
-// SetProgressSink installs (or, with nil, removes) the process-wide
-// progress event sink.
-func SetProgressSink(r *Recorder) {
-	progressSink.Store(r)
-}
-
-// EmitProgress records a progress event on the installed flight recorder.
-// The call is nil-safe and allocation-free when no recorder is installed,
-// so hot loops (resynthesis passes, fault-simulation blocks, experiment
-// rows) call it unconditionally.
-func EmitProgress(stage string, done, total int64) {
-	if r := progressSink.Load(); r != nil {
-		r.Progress(stage, done, total)
-	}
 }

@@ -1,10 +1,9 @@
 // Package obs is the observability substrate for the synthesis-for-
 // testability pipeline: hierarchical tracing spans, a process-wide metrics
 // registry, a verbose run logger, a JSON run report that ties them all
-// together, and the live half — an NDJSON flight recorder (-events) and the
-// hooks for the -listen telemetry server implemented in the obs/telemetry
-// subpackage (/metrics in Prometheus exposition format, /progress, /healthz,
-// /debug/pprof; commands blank-import that package to link it in).
+// together, and an NDJSON flight recorder (-events) that streams span
+// events, decision-trace records and the certificate digest while the run
+// is live.
 //
 // Design constraints, in order:
 //
@@ -12,8 +11,7 @@
 //     *Span, *Logger or *Recorder no-ops without allocating — so the
 //     pipeline packages instrument their hot loops unconditionally and pay
 //     nothing unless a command enables tracing. Counters are single atomic
-//     adds and stay on permanently; EmitProgress is a single atomic load
-//     until a flight recorder is installed.
+//     adds and stay on permanently.
 //  2. No dependencies beyond the standard library, matching the rest of the
 //     module.
 //  3. One JSON artifact per run. A Report serializes the tool name and

@@ -151,14 +151,6 @@ func TestNilNoopZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("nil instruments allocate %v per run, want 0", n)
 	}
-	// The flight-recorder off path: with no sink installed, the hot-loop
-	// progress hook is a single atomic load.
-	SetProgressSink(nil)
-	if n := testing.AllocsPerRun(100, func() {
-		EmitProgress("stage", 1, 2)
-	}); n != 0 {
-		t.Errorf("EmitProgress without a sink allocates %v per run, want 0", n)
-	}
 }
 
 func TestNilTracerSafe(t *testing.T) {

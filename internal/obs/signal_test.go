@@ -19,12 +19,11 @@ func TestInterruptFlushesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	eventsPath := filepath.Join(dir, "ev.ndjson")
 	reportPath := filepath.Join(dir, "report.json")
-	f := &obs.Flags{Workers: 1, Events: eventsPath, MetricsOut: reportPath, Heartbeat: 0}
+	f := &obs.Flags{Workers: 1, Events: eventsPath, MetricsOut: reportPath}
 	run := f.Start("sigtest")
 
-	// A live span and some progress, as if resynthesis were mid-pass.
+	// A live span, as if resynthesis were mid-pass.
 	sp := run.Tracer.StartSpan("sigtest.pass")
-	obs.EmitProgress("sigtest.stage", 1, 4)
 	_ = sp // deliberately left open: the interrupt arrives mid-span
 
 	status := run.Interrupt(os.Interrupt)
@@ -45,12 +44,12 @@ func TestInterruptFlushesArtifacts(t *testing.T) {
 	}
 
 	// The event stream must be flushed and terminated: a run_end event
-	// carrying the interrupt error, after the recorded span/progress tail.
+	// carrying the interrupt error, after the open span's span_begin.
 	evRaw, err := os.ReadFile(eventsPath)
 	if err != nil {
 		t.Fatalf("event stream not written: %v", err)
 	}
-	var sawEnd, sawProgress bool
+	var sawEnd, sawOpen bool
 	for i, line := range strings.Split(strings.TrimRight(string(evRaw), "\n"), "\n") {
 		var ev obs.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -62,15 +61,17 @@ func TestInterruptFlushesArtifacts(t *testing.T) {
 			if !strings.Contains(ev.Error, "interrupt") {
 				t.Errorf("run_end error = %q, want the interrupt recorded", ev.Error)
 			}
-		case "progress":
-			sawProgress = true
+		case "span_begin":
+			if ev.Name == "sigtest.pass" {
+				sawOpen = true
+			}
 		}
 	}
 	if !sawEnd {
 		t.Error("event stream lost its run_end tail on interrupt")
 	}
-	if !sawProgress {
-		t.Error("event stream lost the progress tail on interrupt")
+	if !sawOpen {
+		t.Error("event stream lost the open span's span_begin on interrupt")
 	}
 }
 
@@ -86,7 +87,7 @@ func TestDtraceFlagValidation(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	f := &obs.Flags{Workers: 1, Events: filepath.Join(dir, "ev.ndjson"), Heartbeat: 0, Dtrace: "full"}
+	f := &obs.Flags{Workers: 1, Events: filepath.Join(dir, "ev.ndjson"), Dtrace: "full"}
 	run := f.Start("dtracetest")
 	dt := run.Dtrace()
 	if dt == nil {
@@ -97,7 +98,7 @@ func TestDtraceFlagValidation(t *testing.T) {
 	}
 
 	// Off is the default and yields the nil (no-op) tracer.
-	f2 := &obs.Flags{Workers: 1, Events: filepath.Join(dir, "ev2.ndjson"), Heartbeat: 0}
+	f2 := &obs.Flags{Workers: 1, Events: filepath.Join(dir, "ev2.ndjson")}
 	run2 := f2.Start("dtracetest")
 	if run2.Dtrace() != nil {
 		t.Error("Dtrace() is non-nil without -dtrace")

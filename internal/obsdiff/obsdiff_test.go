@@ -46,8 +46,8 @@ func TestDiffReportsCounterRegression(t *testing.T) {
 
 // TestHistogramTimingTolerance pins the histogram hygiene rule: sample
 // counts are deterministic and diff at Tol (zero), but the mean of a
-// wall-clock histogram (_ms / duration names, e.g. the par.task_wait_ms
-// queue telemetry) varies run to run and diffs at TolTime instead.
+// wall-clock histogram (a name with _ms or duration in it) varies run to
+// run and diffs at TolTime instead.
 func TestHistogramTimingTolerance(t *testing.T) {
 	hist := func(name string, count int64, mean float64) *obs.Report {
 		return &obs.Report{Tool: "t", Metrics: obs.Snapshot{

@@ -15,66 +15,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 )
 
-// Pool metrics (process-wide; atomic adds only). The queue-depth gauge lives
-// in the Default registry — it is deterministic at every snapshot point the
-// reports see (always back to 0 when Run returns) — while everything
-// scheduling-dependent goes to the Live registry below.
+// Pool metrics (process-wide; atomic adds only).
 var (
 	mRuns  = obs.C("par.parallel_runs")
 	mTasks = obs.C("par.tasks")
-	gDepth = obs.G("par.queue_depth")
 )
-
-// Live pool telemetry: values here depend on scheduling and wall-clock, so
-// they are surfaced on /metrics and /progress but never snapshot into run
-// reports (see metric.Live). Per-worker tasks-claimed counters are
-// registered lazily per worker id in workerCounter.
-var (
-	lWaitMS  = metric.Live().Histogram("par.task_wait_ms")
-	lRunMS   = metric.Live().Histogram("par.task_run_ms")
-	workerMu sync.Mutex
-	workerCs []*metric.Counter
-)
-
-// workerCounter returns the live tasks-claimed counter for one dense worker
-// id ("par.worker_tasks.wN"), memoized so the per-Run accounting loop does
-// not rebuild names.
-func workerCounter(wk int) *metric.Counter {
-	workerMu.Lock()
-	defer workerMu.Unlock()
-	for len(workerCs) <= wk {
-		workerCs = append(workerCs,
-			metric.Live().Counter("par.worker_tasks.w"+strconv.Itoa(len(workerCs))))
-	}
-	return workerCs[wk]
-}
-
-// clock, when installed, timestamps task claim/completion for the live
-// wait/run histograms. It is nil by default: par is a deterministic pipeline
-// package (sftlint's wallclock rule bans time.Now here), so the wall-clock
-// read is injected by the observability layer — internal/obs/telemetry
-// installs time.Now from its init, which every command links in. With no
-// clock the histograms simply stay empty; results never depend on it.
-var clock atomic.Pointer[func() time.Time]
-
-// SetClock installs the wall-clock source for the live task-timing
-// histograms (nil uninstalls). Called from non-deterministic packages only.
-func SetClock(fn func() time.Time) {
-	if fn == nil {
-		clock.Store(nil)
-		return
-	}
-	clock.Store(&fn)
-}
 
 // Workers resolves a worker-count option: n <= 0 selects
 // runtime.GOMAXPROCS(0) (all available CPUs), anything else is returned
@@ -117,12 +68,6 @@ func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int))
 	sp := tr.StartSpan(name)
 	sp.SetInt("workers", int64(w))
 	sp.SetInt("tasks", int64(n))
-	ck := clock.Load()
-	var fanout time.Time
-	if ck != nil {
-		fanout = (*ck)()
-	}
-	gDepth.Set(int64(n))
 	counts := make([]int64, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -135,29 +80,14 @@ func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int))
 				if i >= n {
 					return
 				}
-				// Depth is the tasks still unclaimed; last-write-wins races
-				// between workers only ever disagree by a few claims, which
-				// is fine for a live gauge (it is exact again — zero — by
-				// the time Run returns and anything deterministic looks).
-				gDepth.Set(int64(n - i - 1))
-				var t0 time.Time
-				if ck != nil {
-					t0 = (*ck)()
-					lWaitMS.Observe(float64(t0.Sub(fanout)) / float64(time.Millisecond))
-				}
 				fn(wk, i)
-				if ck != nil {
-					lRunMS.Observe(float64((*ck)().Sub(t0)) / float64(time.Millisecond))
-				}
 				counts[wk]++
 			}
 		}(wk)
 	}
 	wg.Wait()
-	gDepth.Set(0)
 	for wk, c := range counts {
 		sp.SetInt(fmt.Sprintf("worker%d_tasks", wk), c)
-		workerCounter(wk).Add(c)
 	}
 	sp.End()
 	mRuns.Inc()

@@ -2,6 +2,7 @@ package par
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -92,6 +93,16 @@ func TestRunRecordsSpan(t *testing.T) {
 	}
 	if spans[0].Attrs["workers"] != int64(4) || spans[0].Attrs["tasks"] != int64(16) {
 		t.Fatalf("attrs = %v", spans[0].Attrs)
+	}
+	// The per-worker tallies sum to the task count, however the claims
+	// were distributed.
+	var sum int64
+	for wk := 0; wk < 4; wk++ {
+		n, _ := spans[0].Attrs[fmt.Sprintf("worker%d_tasks", wk)].(int64)
+		sum += n
+	}
+	if sum != 16 {
+		t.Fatalf("workerN_tasks sum to %d, want 16 (attrs %v)", sum, spans[0].Attrs)
 	}
 }
 

@@ -218,7 +218,6 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		o.passNo = pass + 1
 		gPass.Set(int64(pass + 1))
-		obs.EmitProgress("resynth.pass", int64(pass+1), int64(opt.MaxPasses))
 		psp := opt.Tracer.StartSpan("resynth.pass")
 		psp.SetInt("pass", int64(pass))
 		var before *circuit.Circuit
@@ -411,9 +410,6 @@ func (o *optimizer) pass(c *circuit.Circuit) int {
 			continue
 		}
 		best := o.selectReplacement(c, g)
-		// Cumulative candidate progress for the flight recorder (the sink
-		// throttles; the off path is one atomic load).
-		obs.EmitProgress("resynth.candidates", mCandidates.Value(), 0)
 		if best != nil {
 			// Traced before apply, while g and its path label are live.
 			o.traceGate(c, g, dtrace.Replaced, best)

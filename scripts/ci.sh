@@ -140,7 +140,7 @@ go build -o "$provdir/sft" ./cmd/sft
 go build -o "$provdir/sftverify" ./cmd/sftverify
 "$provdir/sft" -in circuits/c17.bench -out "$provdir/c17_out.bench" \
     -events "$provdir/c17.ndjson" -cert "$provdir/c17.cert.json" \
-    -heartbeat 0 -workers 2 >/dev/null
+    -workers 2 >/dev/null
 "$provdir/sftverify" -ledger "$provdir/c17.ndjson" -cert "$provdir/c17.cert.json" \
     -in circuits/c17.bench -out "$provdir/c17_out.bench" >/dev/null
 set +e
@@ -154,9 +154,9 @@ fi
 # Certificates are a pure function of input + options: two runs with
 # different machine knobs (-workers) must produce byte-identical files.
 "$provdir/sft" -in circuits/adder4.bench -cert "$provdir/a1.json" \
-    -heartbeat 0 -workers 2 >/dev/null
+    -workers 2 >/dev/null
 "$provdir/sft" -in circuits/adder4.bench -cert "$provdir/a2.json" \
-    -heartbeat 0 -workers 4 >/dev/null
+    -workers 4 >/dev/null
 cmp "$provdir/a1.json" "$provdir/a2.json"
 
 echo "== flag gate =="
@@ -181,6 +181,7 @@ want_exit1 "$provdir/atpg" -backtracks 0 circuits/c17.bench
 want_exit1 "$provdir/tables" -table 23
 want_exit1 "$provdir/tables" -quick -pairs 0
 want_exit1 "$provdir/tables" -quick -scale 0
+want_exit1 "$provdir/tables" -quick -table 6 -circuits nothere
 
 echo "== sftexplain gate =="
 # The decision trace is part of the determinism contract: records come from
@@ -191,9 +192,9 @@ echo "== sftexplain gate =="
 # c17 primary-output NAND. See README "Decision trace (-dtrace)".
 go build -o "$provdir/sftexplain" ./cmd/sftexplain
 "$provdir/sft" -in circuits/c17.bench -events "$provdir/dt2.ndjson" \
-    -dtrace=full -heartbeat 0 -workers 2 >/dev/null
+    -dtrace=full -workers 2 >/dev/null
 "$provdir/sft" -in circuits/c17.bench -events "$provdir/dt4.ndjson" \
-    -dtrace=full -heartbeat 0 -workers 4 >/dev/null
+    -dtrace=full -workers 4 >/dev/null
 "$provdir/sftexplain" export "$provdir/dt2.ndjson" > "$provdir/dt2.records"
 "$provdir/sftexplain" export "$provdir/dt4.ndjson" > "$provdir/dt4.records"
 test -s "$provdir/dt2.records"
@@ -214,10 +215,10 @@ echo "== serial sweep determinism gate =="
 # these cmps.
 for cir in c17 adder4; do
     "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_w1.bench" \
-        -cert "$provdir/${cir}_w1.cert.json" -heartbeat 0 -workers 1 >/dev/null
+        -cert "$provdir/${cir}_w1.cert.json" -workers 1 >/dev/null
     for w in 2 4; do
         "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_w$w.bench" \
-            -cert "$provdir/${cir}_w$w.cert.json" -heartbeat 0 -workers "$w" >/dev/null
+            -cert "$provdir/${cir}_w$w.cert.json" -workers "$w" >/dev/null
         cmp "$provdir/${cir}_w1.bench" "$provdir/${cir}_w$w.bench"
         cmp "$provdir/${cir}_w1.cert.json" "$provdir/${cir}_w$w.cert.json"
     done
