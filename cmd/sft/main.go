@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"compsynth"
@@ -20,6 +22,7 @@ import (
 	"compsynth/internal/faultsim"
 	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
 	"compsynth/internal/obs"
+	"compsynth/internal/paths"
 	"compsynth/internal/redundancy"
 	"compsynth/internal/resynth"
 )
@@ -97,8 +100,12 @@ func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
 	}{obj.String(), k, sampling, redund, maxUnits, useSDC, seed})
 	lg.Printf("loaded %s: %v", in, c.Stats())
 	p0, err := compsynth.CountPaths(c)
+	if errors.Is(err, paths.ErrOverflow) {
+		return fmt.Errorf("path count: %s has more PI-to-PO paths than 2^64-1 = %d, the most sft can count",
+			c.Name, uint64(math.MaxUint64))
+	}
 	if err != nil {
-		return fmt.Errorf("path count: %v (use smaller circuits; count exceeds uint64)", err)
+		return fmt.Errorf("path count: %v", err)
 	}
 	lg.Printf("paths: %d", p0)
 
@@ -161,7 +168,7 @@ func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
 			sa.TotalFaults, len(sa.Remaining), sa.Patterns, sa.LastEffective)
 		psp := run.Tracer.StartSpan("pathdelay.campaign")
 		pd := delay.RunRandom(final, delay.CampaignOptions{
-			MaxPairs: 10000, QuietPairs: 1000, Seed: seed,
+			MaxPairs: 10000, QuietPairs: 1000, Seed: seed, Workers: workers,
 		})
 		psp.End()
 		run.Report.AddResult("path_delay", pd)

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the command itself when the test binary is re-executed
+// with SFT_RUN_MAIN set, so a test can check its exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("SFT_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestPathCountOverflowNamesCircuit pins the error for a circuit whose
+// path count exceeds uint64: a ladder of 70 AND(x, x) stages has 2^70
+// paths. sft exits 1 with a message naming the circuit and the limit.
+func TestPathCountOverflowNamesCircuit(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("INPUT(x)\nOUTPUT(g70)\n")
+	prev := "x"
+	for i := 1; i <= 70; i++ {
+		fmt.Fprintf(&b, "g%d = AND(%s, %s)\n", i, prev, prev)
+		prev = fmt.Sprintf("g%d", i)
+	}
+	in := filepath.Join(t.TempDir(), "ladder70.bench")
+	if err := os.WriteFile(in, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-in", in)
+	cmd.Env = append(os.Environ(), "SFT_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("sft on a 70-stage ladder: %v, want exit status 1 (stderr %q)", err, stderr.String())
+	}
+	msg := stderr.String()
+	if !strings.Contains(msg, "ladder70") || !strings.Contains(msg, "2^64-1") || strings.Contains(msg, "CountBig") {
+		t.Fatalf("stderr %q: want the circuit's name and the 2^64-1 limit, and no CountBig", msg)
+	}
+}

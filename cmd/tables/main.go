@@ -76,6 +76,9 @@ func (o *options) config(fs *flag.FlagSet) (exper.Config, error) {
 	case cfg.PDFPairs < 1:
 		return cfg, fmt.Errorf("-pairs %d: want at least 1 pair", cfg.PDFPairs)
 	}
+	if err := exper.CheckCircuits(cfg); err != nil {
+		return cfg, fmt.Errorf("-circuits %s: %v", o.circuits, err)
+	}
 	return cfg, nil
 }
 

@@ -57,6 +57,7 @@ func TestConfigRejectsBadValues(t *testing.T) {
 		{"-quick", "-pairs", "0"}, {"-pairs", "-5"},
 		{"-quick", "-patterns", "0"},
 		{"-quick", "-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
+		{"-quick", "-table", "6", "-circuits", "nothere"}, {"-circuits", "rs1423,nothere"},
 	} {
 		_, err := configFrom(t, args...)
 		if err == nil {
@@ -71,5 +72,8 @@ func TestConfigRejectsBadValues(t *testing.T) {
 		if _, err := configFrom(t, "-table", table); err != nil {
 			t.Errorf("-table %s: %v", table, err)
 		}
+	}
+	if _, err := configFrom(t, "-quick", "-circuits", "rs1423,rs13207"); err != nil {
+		t.Errorf("-circuits rs1423,rs13207: %v", err)
 	}
 }

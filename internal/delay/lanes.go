@@ -2,9 +2,10 @@ package delay
 
 import (
 	"math/bits"
-	"math/rand"
+	"sync"
 
 	"compsynth/internal/circuit"
+	"compsynth/internal/par"
 )
 
 // Word-parallel robust path-delay campaign. RunRandom applies its pairs 64
@@ -15,6 +16,14 @@ import (
 // 64 pairs at once, carrying the mask of lanes still on the trail. Each
 // lane's trail is exactly the trail a one-pair walk over Sim5 and
 // EdgeRobust would take (same roots, same edge order, same visit cap).
+//
+// Blocks are independent until their detections are counted, so workers
+// walk them concurrently: a worker claims the next block and draws its
+// pairs from the one pattern stream, in block order; walks it into the
+// block's list of signatures, each with the block's earliest pair to reach
+// it; and the lists are merged strictly in block order. The merge is the
+// one-pair loop's accounting, so results and counters are the same for any
+// worker count.
 
 // visitCap bounds one pair's path search: after this many path-prefix
 // visits the walk drops the pair's lane. It is a power of two, so a lane
@@ -24,46 +33,186 @@ const (
 	capPlanes = 21
 )
 
+const (
+	// walkGrain is the smallest view, in nodes, whose campaign fans out:
+	// below it a block's walk is too short to pay for the hand-offs, and
+	// the campaign runs its one loop inline (measured in EXPERIMENTS.md,
+	// "Block-parallel path-delay campaign and a scheduled good-value
+	// sweep").
+	walkGrain = 64
+
+	// slotsPerWorker bounds the blocks in flight (claimed, not yet merged)
+	// per worker, so a slow block holds up the others only this far.
+	slotsPerWorker = 4
+
+	// hitCap is the initial capacity of a slot's signature list: a block
+	// reaches each path fault's signature at most once, so on a circuit
+	// with fewer path faults no list ever grows, and on others a list
+	// grows only past the most any earlier block in its slot reached.
+	hitCap = 256
+)
+
 // runPairs applies opt.MaxPairs random pairs (at least one) 64 at a time
-// and returns RunRandom's result without TotalFaults.
+// on opt.Workers workers and returns RunRandom's result without
+// TotalFaults.
 func runPairs(c *circuit.Circuit, opt CampaignOptions) CampaignResult {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	var res CampaignResult
-	w := newLaneWalk(c)
-	in1 := make([]uint64, len(c.Inputs))
-	in2 := make([]uint64, len(c.Inputs))
-	quiet := 0
-	for base := 0; base < opt.MaxPairs; base += 64 {
-		lanes := min(64, opt.MaxPairs-base)
-		draw(rng, in1, in2, lanes)
-		w.block(in1, in2, base)
-		var newAt [64]int
-		for _, k := range w.fresh {
-			newAt[w.detected[k]-base-1]++
+	g := newWalkGraph(c)
+	blocks := (opt.MaxPairs + 63) / 64
+	w := min(par.Workers(opt.Workers), blocks)
+	if g.v.N() < walkGrain {
+		w = 1
+	}
+	cp := &campaign{opt: opt, blocks: blocks, seen: map[uint64]int{}}
+	cp.ready.L = &cp.mu
+	cp.pat.Seed(opt.Seed)
+	cp.slots = make([]slot, slotsPerWorker*w)
+	pats := make([]uint64, 2*len(g.v.In)*len(cp.slots))
+	for i := range cp.slots {
+		cp.slots[i].pat = pats[2*len(g.v.In)*i:][:2*len(g.v.In)]
+		cp.slots[i].hits = make([]hit, 0, hitCap)
+	}
+	walkers := make([]walker, w)
+	for k := range walkers {
+		walkers[k] = walker{laneSim: newLaneSim(g.v), g: g, rob: make([]uint64, len(g.arcs))}
+	}
+	if w == 1 {
+		cp.work(&walkers[0])
+	} else {
+		par.Run(nil, "delay.walk", w, w, func(_, k int) { cp.work(&walkers[k]) })
+	}
+	return cp.res
+}
+
+// campaign is the state its workers share. The stream is drawn under
+// drawMu and the merge runs under mu, so a draw never waits for a merge.
+type campaign struct {
+	opt    CampaignOptions
+	blocks int
+
+	drawMu sync.Mutex
+	next   int        // blocks claimed
+	pat    par.Stream // the pattern stream, drawn in block order
+
+	mu     sync.Mutex
+	ready  sync.Cond      // signalled when a block is merged or the campaign stops
+	slots  []slot         // block b is walked in slots[b%len(slots)]
+	merged int            // blocks merged
+	stop   bool           // the quiet stop fired: no block is claimed or merged
+	seen   map[uint64]int // signature -> 1-based first pair to reach it, over the merged blocks
+	quiet  int            // pairs since the last new detection
+	res    CampaignResult
+}
+
+// slot holds one block in flight: its pairs and the signatures it reaches.
+type slot struct {
+	base, lanes int      // pairs before the block; pairs in it
+	pat         []uint64 // pat[2j], pat[2j+1]: input j's bits under the first and second pattern
+	hits        []hit    // in detect order
+	walked      bool     // hits is complete
+}
+
+// hit is one signature a block reaches and the block's earliest pair to
+// reach it (1-based).
+type hit struct {
+	sig  uint64
+	pair int
+}
+
+// work claims, walks and merges blocks until none is left or the
+// campaign has stopped.
+func (cp *campaign) work(w *walker) {
+	for {
+		sl := cp.claim()
+		if sl == nil {
+			return
 		}
-		// Account for the block's pairs in order, as a one-pair loop would.
-		found, stop := 0, false
-		for l := 0; l < lanes && !stop; l++ {
-			res.Pairs = base + l + 1
-			if newAt[l] > 0 {
-				found += newAt[l]
-				res.LastEffective = res.Pairs
-				quiet = 0
-			} else {
-				quiet++
-				stop = opt.QuietPairs > 0 && quiet >= opt.QuietPairs
-			}
-		}
-		res.Detected += found
-		mPairs.Add(int64(res.Pairs - base))
-		if found > 0 {
-			mPDFDetected.Add(int64(found))
-		}
-		if stop {
+		w.block(sl)
+		cp.finish(sl)
+	}
+}
+
+// claim takes the next block, waiting until its slot is merged, and draws
+// its pairs; it returns nil once every block is claimed or the campaign
+// has stopped.
+func (cp *campaign) claim() *slot {
+	cp.drawMu.Lock()
+	defer cp.drawMu.Unlock()
+	b := cp.next
+	if b == cp.blocks {
+		return nil
+	}
+	cp.mu.Lock()
+	for b-cp.merged >= len(cp.slots) && !cp.stop {
+		cp.ready.Wait()
+	}
+	stop := cp.stop
+	cp.mu.Unlock()
+	if stop {
+		return nil
+	}
+	cp.next++
+	sl := &cp.slots[b%len(cp.slots)]
+	sl.base = 64 * b
+	sl.lanes = min(64, cp.opt.MaxPairs-sl.base)
+	draw(&cp.pat, sl.pat, sl.lanes)
+	return sl
+}
+
+// finish marks sl walked and merges every walked block that is next in
+// block order.
+func (cp *campaign) finish(sl *slot) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	sl.walked = true
+	for !cp.stop {
+		next := &cp.slots[cp.merged%len(cp.slots)]
+		if !next.walked {
 			break
 		}
+		next.walked = false
+		cp.merge(next)
+		cp.merged++
 	}
-	return res
+	cp.ready.Broadcast()
+}
+
+// merge counts one block's detections in pair order, as a one-pair loop
+// would: a signature no earlier block reached is new at the block's
+// earliest pair to reach it.
+func (cp *campaign) merge(sl *slot) {
+	base := sl.base
+	var newAt [64]int
+	for _, h := range sl.hits {
+		// A second hit on a signature within the block (a hash collision,
+		// or an input listed twice) can only lower its first pair.
+		first, ok := cp.seen[h.sig]
+		switch {
+		case !ok:
+			cp.seen[h.sig] = h.pair
+			newAt[h.pair-base-1]++
+		case first > base && h.pair < first:
+			cp.seen[h.sig] = h.pair
+			newAt[first-base-1]--
+			newAt[h.pair-base-1]++
+		}
+	}
+	res, found := &cp.res, 0
+	for l := 0; l < sl.lanes && !cp.stop; l++ {
+		res.Pairs = base + l + 1
+		if newAt[l] > 0 {
+			found += newAt[l]
+			res.LastEffective = res.Pairs
+			cp.quiet = 0
+		} else {
+			cp.quiet++
+			cp.stop = cp.opt.QuietPairs > 0 && cp.quiet >= cp.opt.QuietPairs
+		}
+	}
+	res.Detected += found
+	mPairs.Add(int64(res.Pairs - base))
+	if found > 0 {
+		mPDFDetected.Add(int64(found))
+	}
 }
 
 // laneSim is the lane-parallel five-valued simulator. Every dense node has
@@ -86,13 +235,13 @@ func newLaneSim(v *circuit.CSR) laneSim {
 	return laneSim{v: v, ini: planes[:n:n], fin: planes[n : 2*n : 2*n], haz: planes[2*n:]}
 }
 
-// run simulates one block: in1[j] and in2[j] carry primary input j's bits
-// under the first and the second pattern.
-func (s *laneSim) run(in1, in2 []uint64) {
+// run simulates one block: pat[2j] and pat[2j+1] carry primary input j's
+// bits under the first and the second pattern.
+func (s *laneSim) run(pat []uint64) {
 	v := s.v
 	ini, fin, haz := s.ini, s.fin, s.haz
 	for j, d := range v.In {
-		ini[d], fin[d], haz[d] = in1[j], in2[j], 0
+		ini[d], fin[d], haz[d] = pat[2*j], pat[2*j+1], 0
 	}
 	for d, k := range v.Kind { // dense order is topological
 		fi := v.FaninOf(int32(d))
@@ -178,41 +327,33 @@ type arc struct {
 	to, pin int32
 }
 
-// laneWalk is one campaign's search state over a frozen view.
-type laneWalk struct {
-	laneSim
-	outStart []int32  // dense id -> its first arc; N+1 entries
-	arcs     []arc    // outEdges order: consumers by ascending sparse id, then pin
-	arcOf    []int32  // fanin edge index -> arc position
-	rob      []uint64 // per arc: lanes in which the edge is robustly sensitized
-	poUses   []int32  // per dense id: times designated a primary output
-
-	cnt      [capPlanes]uint64 // bit-sliced per-lane visit counters
-	base     int               // pairs applied before the current block
-	detected map[uint64]int    // fault signature -> 1-based first detecting pair
-	fresh    []uint64          // signatures first detected in the current block
+// walkGraph is the fanout structure a campaign's walkers share read-only.
+type walkGraph struct {
+	v        *circuit.CSR
+	outStart []int32 // dense id -> its first arc; N+1 entries
+	arcs     []arc   // outEdges order: consumers by ascending sparse id, then pin
+	arcOf    []int32 // fanin edge index -> arc position
+	poUses   []int32 // per dense id: times designated a primary output
 }
 
-func newLaneWalk(c *circuit.Circuit) *laneWalk {
+func newWalkGraph(c *circuit.Circuit) *walkGraph {
 	v := c.Freeze()
 	n, e := v.N(), len(v.FaninEdge)
-	w := &laneWalk{
-		laneSim:  newLaneSim(v),
+	g := &walkGraph{
+		v:        v,
 		outStart: make([]int32, n+1),
 		arcs:     make([]arc, e),
 		arcOf:    make([]int32, e),
-		rob:      make([]uint64, e),
 		poUses:   make([]int32, n),
-		detected: map[uint64]int{},
 	}
 	for _, f := range v.FaninEdge {
-		w.outStart[f+1]++
+		g.outStart[f+1]++
 	}
 	for d := 0; d < n; d++ {
-		w.outStart[d+1] += w.outStart[d]
+		g.outStart[d+1] += g.outStart[d]
 	}
 	next := make([]int32, n)
-	copy(next, w.outStart)
+	copy(next, g.outStart)
 	for _, d := range v.DenseOf { // ascending sparse id
 		if d < 0 {
 			continue
@@ -220,27 +361,37 @@ func newLaneWalk(c *circuit.Circuit) *laneWalk {
 		for pin, f := range v.FaninOf(d) {
 			k := next[f]
 			next[f]++
-			w.arcs[k] = arc{to: d, pin: int32(pin)}
-			w.arcOf[v.FaninStart[d]+int32(pin)] = k
+			g.arcs[k] = arc{to: d, pin: int32(pin)}
+			g.arcOf[v.FaninStart[d]+int32(pin)] = k
 		}
 	}
 	for _, d := range v.Out {
-		w.poUses[d]++
+		g.poUses[d]++
 	}
-	return w
+	return g
+}
+
+// walker is one worker's search state: its own planes, edge masks and
+// visit counters over the shared graph.
+type walker struct {
+	laneSim
+	g   *walkGraph
+	rob []uint64          // per arc: lanes in which the edge is robustly sensitized
+	cnt [capPlanes]uint64 // bit-sliced per-lane visit counters
+	sl  *slot             // the block being walked
 }
 
 // robust sets rob to the lanes in which each edge is robustly sensitized:
 // the on-input and the gate output transition without hazard, and every
 // side input satisfies sideOK for the on-input's direction.
-func (w *laneWalk) robust() {
+func (w *walker) robust() {
 	v := w.v
 	for d, k := range v.Kind {
 		lo, hi := v.FaninStart[d], v.FaninStart[d+1]
 		out := (w.ini[d] ^ w.fin[d]) &^ w.haz[d]
 		if out == 0 {
 			for e := lo; e < hi; e++ {
-				w.rob[w.arcOf[e]] = 0
+				w.rob[w.g.arcOf[e]] = 0
 			}
 			continue
 		}
@@ -261,24 +412,23 @@ func (w *laneWalk) robust() {
 			on := out &^ w.haz[x]
 			rise := on &^ w.ini[x] & w.fin[x]
 			fall := on & w.ini[x] &^ w.fin[x]
-			w.rob[w.arcOf[e]] = rise&^f2R&(^f1R|nR) | fall&^f2F&(^f1F|nF)
+			w.rob[w.g.arcOf[e]] = rise&^f2R&(^f1R|nR) | fall&^f2F&(^f1F|nF)
 		}
 	}
 }
 
-// block simulates pairs base+1 .. base+64 (in1, in2 as for laneSim.run)
-// and walks their robustly sensitized paths, leaving the signatures they
-// detect first in w.fresh.
-func (w *laneWalk) block(in1, in2 []uint64, base int) {
-	w.run(in1, in2)
+// block simulates the pairs of sl and walks their robustly sensitized
+// paths, leaving the signatures they reach in sl.hits.
+func (w *walker) block(sl *slot) {
+	w.run(sl.pat)
 	w.robust()
 	w.cnt = [capPlanes]uint64{}
-	w.base = base
-	w.fresh = w.fresh[:0]
+	w.sl = sl
+	sl.hits = sl.hits[:0]
 	for j, d := range w.v.In {
-		rise, fall := ^in1[j]&in2[j], in1[j]&^in2[j]
-		w.dfs(d, fnvMix(fnvBasis, 0), rise)
-		w.dfs(d, fnvMix(fnvBasis, 1), fall)
+		i, f := sl.pat[2*j], sl.pat[2*j+1]
+		w.dfs(d, fnvMix(fnvBasis, 0), ^i&f)
+		w.dfs(d, fnvMix(fnvBasis, 1), i&^f)
 	}
 }
 
@@ -286,7 +436,7 @@ func (w *laneWalk) block(in1, in2 []uint64, base int) {
 // m. The signature mixes the launch direction, the node sequence (sparse
 // IDs), the pin index of each edge (distinguishing parallel edges) and the
 // PO-use index (distinguishing multiply-designated output lines).
-func (w *laneWalk) dfs(d int32, sig, m uint64) {
+func (w *walker) dfs(d int32, sig, m uint64) {
 	if m &^= w.cnt[capPlanes-1]; m == 0 {
 		return
 	}
@@ -294,43 +444,36 @@ func (w *laneWalk) dfs(d int32, sig, m uint64) {
 		carry, w.cnt[b] = w.cnt[b]&carry, w.cnt[b]^carry
 	}
 	sig = fnvMix(sig, uint64(w.v.NodeID[d]))
-	for i := 0; i < int(w.poUses[d]); i++ {
+	for i := 0; i < int(w.g.poUses[d]); i++ {
 		w.detect(fnvMix(sig, uint64(1_000_000_007+i)), m)
 	}
-	for k := w.outStart[d]; k < w.outStart[d+1]; k++ {
+	for k := w.g.outStart[d]; k < w.g.outStart[d+1]; k++ {
 		if mm := m & w.rob[k]; mm != 0 {
-			w.dfs(w.arcs[k].to, fnvMix(sig, uint64(w.arcs[k].pin)), mm)
+			w.dfs(w.g.arcs[k].to, fnvMix(sig, uint64(w.g.arcs[k].pin)), mm)
 		}
 	}
 }
 
 // detect records that the lanes in m reach fault signature k; the lowest
-// lane is the block's earliest pair to do so. A later trail to the same
-// signature within the block (a hash collision, or an input listed twice)
-// can only lower the first pair.
-func (w *laneWalk) detect(k, m uint64) {
-	pair := w.base + 1 + bits.TrailingZeros64(m)
-	first, ok := w.detected[k]
-	switch {
-	case !ok:
-		w.detected[k] = pair
-		w.fresh = append(w.fresh, k)
-	case first > w.base && pair < first:
-		w.detected[k] = pair
-	}
+// lane is the block's earliest pair to do so.
+func (w *walker) detect(k, m uint64) {
+	w.sl.hits = append(w.sl.hits, hit{sig: k, pair: w.sl.base + 1 + bits.TrailingZeros64(m)})
 }
 
-// draw fills bit l of in1[j] and in2[j] with pair l's coin flips for input
-// j, in the one-pair loop's order: pair, then input, first pattern before
-// second. rng.Intn(2) is bit 32 of rng.Int63(), because Int31n masks powers
-// of two, so the stream is unchanged.
-func draw(rng *rand.Rand, in1, in2 []uint64, lanes int) {
-	clear(in1)
-	clear(in2)
+// draw fills bit l of pat[2j] and pat[2j+1] with pair l's coin flips for
+// input j, in the one-pair loop's order: pair, then input, first pattern
+// before second. rng.Intn(2) is bit 32 of the source's next value, because
+// Int63 clears only bit 63 and Int31n masks powers of two, so the stream
+// is unchanged.
+func draw(st *par.Stream, pat []uint64, lanes int) {
+	clear(pat)
 	for l := 0; l < lanes; l++ {
-		for j := range in1 {
-			in1[j] |= uint64(rng.Int63()>>32&1) << l
-			in2[j] |= uint64(rng.Int63()>>32&1) << l
+		for t := 0; t < len(pat); {
+			xs := st.Next(len(pat) - t)
+			for i, x := range xs {
+				pat[t+i] |= x >> 32 & 1 << l
+			}
+			t += len(xs)
 		}
 	}
 }

@@ -93,17 +93,16 @@ func TestSimWordsMatchesSim5(t *testing.T) {
 	for _, nc := range laneCircuits(t) {
 		c := nc.c
 		s := newLaneSim(c.Freeze())
-		in1 := make([]uint64, len(c.Inputs))
-		in2 := make([]uint64, len(c.Inputs))
-		for j := range in1 {
-			in1[j], in2[j] = rng.Uint64(), rng.Uint64()
+		pat := make([]uint64, 2*len(c.Inputs))
+		for j := range pat {
+			pat[j] = rng.Uint64()
 		}
-		s.run(in1, in2)
+		s.run(pat)
 		v1 := make([]bool, len(c.Inputs))
 		v2 := make([]bool, len(c.Inputs))
 		for l := 0; l < 64; l++ {
 			for j := range v1 {
-				v1[j], v2[j] = in1[j]>>l&1 != 0, in2[j]>>l&1 != 0
+				v1[j], v2[j] = pat[2*j]>>l&1 != 0, pat[2*j+1]>>l&1 != 0
 			}
 			want := Sim5(c, v1, v2)
 			for d, id := range s.v.NodeID {
@@ -151,15 +150,14 @@ func matchRef(t *testing.T, c *circuit.Circuit, opt CampaignOptions) CampaignRes
 	t.Helper()
 	p0, d0 := mPairs.Value(), mPDFDetected.Value()
 	want := refRunRandom(c, opt)
-	p1, d1 := mPairs.Value(), mPDFDetected.Value()
-	got := RunRandom(c, opt)
-	p2, d2 := mPairs.Value(), mPDFDetected.Value()
+	wantDeltas := [2]int64{mPairs.Value() - p0, mPDFDetected.Value() - d0}
+	got, deltas := runWithDeltas(c, opt)
 	if got != want {
 		t.Fatalf("RunRandom = %+v, scalar campaign = %+v", got, want)
 	}
-	if p2-p1 != p1-p0 || d2-d1 != d1-d0 {
+	if deltas != wantDeltas {
 		t.Fatalf("counter deltas: pairs %d, detected %d; scalar campaign: %d, %d",
-			p2-p1, d2-d1, p1-p0, d1-d0)
+			deltas[0], deltas[1], wantDeltas[0], wantDeltas[1])
 	}
 	return got
 }
@@ -176,6 +174,97 @@ func TestRunRandomAllocsIndependentOfPairs(t *testing.T) {
 	allocs := func(pairs int) float64 {
 		return testing.AllocsPerRun(10, func() {
 			runPairs(c, CampaignOptions{MaxPairs: pairs, Seed: 3})
+		})
+	}
+	if short, long := allocs(1024), allocs(16384); short != long {
+		t.Fatalf("allocs per campaign: %v at 1024 pairs, %v at 16384", short, long)
+	}
+}
+
+// TestRunRandomWorkersMatchSerial is the determinism contract of the
+// block-parallel campaign: at 2, 3 and 8 workers it gives the serial
+// result and moves both delay.* counters exactly as the serial campaign
+// does, through budgets that end inside a block and quiet stops inside a
+// block.
+func TestRunRandomWorkersMatchSerial(t *testing.T) {
+	var cases []namedCircuit
+	for _, b := range gen.Suite(0.15)[:3] {
+		cases = append(cases, namedCircuit{"quick-" + b.Name, b.Build()})
+	}
+	cases = append(cases, namedCircuit{"c17x8", c17s(8)})
+	opts := []CampaignOptions{
+		{MaxPairs: 1000, Seed: 1},
+		{MaxPairs: 1000, QuietPairs: 50, Seed: 2},
+		{MaxPairs: 777, QuietPairs: 5, Seed: 3},
+		{MaxPairs: 4000, QuietPairs: 300, Seed: 1995},
+	}
+	stopsInside := 0
+	for _, nc := range cases {
+		if n := nc.c.Freeze().N(); n < walkGrain {
+			t.Fatalf("%s has %d nodes, below the fan-out grain %d", nc.name, n, walkGrain)
+		}
+		for _, opt := range opts {
+			opt.Workers = 1
+			serial, serialDeltas := runWithDeltas(nc.c, opt)
+			if serial.Pairs < opt.MaxPairs && serial.Pairs%64 != 0 {
+				stopsInside++
+			}
+			for _, w := range []int{2, 3, 8} {
+				opt.Workers = w
+				got, deltas := runWithDeltas(nc.c, opt)
+				if got != serial || deltas != serialDeltas {
+					t.Fatalf("%s %+v: %+v with counter deltas %v; serial %+v with %v",
+						nc.name, opt, got, deltas, serial, serialDeltas)
+				}
+			}
+		}
+	}
+	if stopsInside == 0 {
+		t.Fatal("no campaign stopped inside a block")
+	}
+}
+
+// runWithDeltas runs one campaign and returns its result with the deltas
+// of delay.pairs_simulated and delay.path_faults_detected.
+func runWithDeltas(c *circuit.Circuit, opt CampaignOptions) (CampaignResult, [2]int64) {
+	p0, d0 := mPairs.Value(), mPDFDetected.Value()
+	res := RunRandom(c, opt)
+	return res, [2]int64{mPairs.Value() - p0, mPDFDetected.Value() - d0}
+}
+
+// c17s places k copies of c17 side by side: 11k nodes and 22k path delay
+// faults, every one robustly testable.
+func c17s(k int) *circuit.Circuit {
+	c := circuit.New("c17s")
+	for i := 0; i < k; i++ {
+		var in [5]int
+		for j := range in {
+			in[j] = c.AddInput("")
+		}
+		g10 := c.AddGate(circuit.Nand, "", in[0], in[2])
+		g11 := c.AddGate(circuit.Nand, "", in[2], in[3])
+		g16 := c.AddGate(circuit.Nand, "", in[1], g11)
+		g19 := c.AddGate(circuit.Nand, "", g11, in[4])
+		c.MarkOutput(c.AddGate(circuit.Nand, "", g10, g16))
+		c.MarkOutput(c.AddGate(circuit.Nand, "", g16, g19))
+	}
+	return c
+}
+
+func TestRunRandomAllocsIndependentOfPairsParallel(t *testing.T) {
+	// The pin above on a campaign that fans out: blocks in flight live in
+	// a fixed ring of slots, so two workers allocate exactly as much for
+	// 16,384 pairs as for 1,024 once every fault is detected.
+	c := c17s(8)
+	if n := c.Freeze().N(); n < walkGrain {
+		t.Fatalf("%d nodes, below the fan-out grain %d", n, walkGrain)
+	}
+	if r := RunRandom(c, CampaignOptions{MaxPairs: 1024, Seed: 3, Workers: 2}); r.Detected != 176 {
+		t.Fatalf("c17 x 8 seed 3: %+v, want all 176 faults in 1,024 pairs", r)
+	}
+	allocs := func(pairs int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			runPairs(c, CampaignOptions{MaxPairs: pairs, Seed: 3, Workers: 2})
 		})
 	}
 	if short, long := allocs(1024), allocs(16384); short != long {

@@ -158,6 +158,12 @@ type CampaignOptions struct {
 	MaxPairs   int   // budget of two-pattern tests (0 = 20000)
 	QuietPairs int   // stop after this many pairs with no new detection (0 = off)
 	Seed       int64 // pattern generator seed
+
+	// Workers bounds the goroutines of the campaign (0 =
+	// runtime.GOMAXPROCS(0), 1 = serial). Workers walk 64-pair blocks
+	// concurrently, and the blocks' detections are merged in block order,
+	// so the result and every counter are the same for every worker count.
+	Workers int
 }
 
 // CampaignResult summarizes a campaign (Table 7 columns).
@@ -180,9 +186,10 @@ func (r CampaignResult) Coverage() float64 {
 // delay faults detected robustly. Detected faults are identified by a 64-bit
 // FNV signature of the path's node sequence plus the launch direction, so no
 // path enumeration or storage is needed; the denominator comes from
-// Procedure 1. Pairs are simulated 64 at a time (see lanes.go). One pair's
-// search stops after 2^20 path-prefix visits: faults it would reach past
-// that point are not counted for it.
+// Procedure 1. Pairs are simulated 64 at a time, and blocks of 64 are
+// walked on opt.Workers workers (see lanes.go). One pair's search stops
+// after 2^20 path-prefix visits: faults it would reach past that point are
+// not counted for it.
 func RunRandom(c *circuit.Circuit, opt CampaignOptions) CampaignResult {
 	if opt.MaxPairs <= 0 {
 		opt.MaxPairs = 20000

@@ -221,12 +221,9 @@ func (s *Suite) ModifiedRR(nc Named) (*redundancy.Result, error) {
 	return rr, nil
 }
 
-// PrepareSuite generates the benchmark circuits (optionally made
-// irredundant, as the paper requires). Circuits are independent — each is
-// generated from its own seed — so preparation fans out over cfg.Workers.
-// A name in cfg.Circuits that is not in the suite fails it before any
-// circuit is built.
-func PrepareSuite(cfg Config) ([]Named, error) {
+// CheckCircuits rejects a name in cfg.Circuits that is not in the suite,
+// naming it and the suite's circuits. It builds no circuit.
+func CheckCircuits(cfg Config) error {
 	suite := gen.Suite(cfg.Scale)
 	names := make([]string, len(suite))
 	for i, b := range suite {
@@ -239,9 +236,22 @@ func PrepareSuite(cfg Config) ([]Named, error) {
 		}
 	}
 	if len(unknown) > 0 {
-		return nil, fmt.Errorf("circuits not in the suite: %s (it has %s)",
+		return fmt.Errorf("circuits not in the suite: %s (it has %s)",
 			strings.Join(unknown, ", "), strings.Join(names, ", "))
 	}
+	return nil
+}
+
+// PrepareSuite generates the benchmark circuits (optionally made
+// irredundant, as the paper requires). Circuits are independent — each is
+// generated from its own seed — so preparation fans out over cfg.Workers.
+// A name in cfg.Circuits that is not in the suite fails it before any
+// circuit is built (CheckCircuits).
+func PrepareSuite(cfg Config) ([]Named, error) {
+	if err := CheckCircuits(cfg); err != nil {
+		return nil, err
+	}
+	suite := gen.Suite(cfg.Scale)
 	var benches []gen.Bench
 	for _, b := range suite {
 		if len(cfg.Circuits) > 0 && !contains(cfg.Circuits, b.Name) {
@@ -586,7 +596,10 @@ func Table7(s *Suite) ([]Table7Row, error) {
 		if err != nil {
 			return Table7Row{}, err
 		}
-		copt := delay.CampaignOptions{MaxPairs: cfg.PDFPairs, QuietPairs: cfg.PDFQuiet, Seed: cfg.Seed}
+		copt := delay.CampaignOptions{
+			MaxPairs: cfg.PDFPairs, QuietPairs: cfg.PDFQuiet, Seed: cfg.Seed,
+			Workers: s.inner,
+		}
 		before := delay.RunRandom(v.c, copt)
 		after := delay.RunRandom(rr.Circuit, copt)
 		return Table7Row{

@@ -29,12 +29,14 @@
 //
 // Simulation runs on the circuit's frozen CSR view (circuit.Freeze): dense
 // int32 ids in level-major order, so ascending dense id is a topological
-// order and a node's consumers all sit on higher levels.
+// order and a node's consumers all sit on higher levels. The good-value
+// sweep follows a schedule built once per view: level by level, in runs of
+// gates that share one rule and one fanin count, each run one loop with
+// no branch per gate.
 package faultsim
 
 import (
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -76,6 +78,12 @@ type simulator struct {
 	po   []bool  // dense PO-driver mask
 	stem []int32 // dense node -> the stem of its FFR (itself for a stem)
 
+	// The good-value schedule (see plan): runs of steps, and the packed
+	// fanins of the steps of fixed-fanin runs.
+	runs  []run
+	steps []step
+	fan   []int32
+
 	val    []vec     // good values of the current wide block; observe changes them only transiently
 	path   []vec     // lanes in which a node's flip reaches its stem (last traced FFR)
 	stack  []int32   // trace worklist
@@ -93,7 +101,7 @@ func newSimulator(c *circuit.Circuit) *simulator {
 }
 
 // reset rebinds the simulator to c's current state, reusing all buffers,
-// and splits the view into FFRs.
+// splits the view into FFRs and plans the good-value sweep.
 func (s *simulator) reset(c *circuit.Circuit) {
 	v := c.Freeze()
 	n := v.N()
@@ -112,14 +120,119 @@ func (s *simulator) reset(c *circuit.Circuit) {
 			s.stem[d] = s.stem[out[0]]
 		}
 	}
+	s.plan()
 	s.sizeScratch()
 }
 
-// attach shares parent's view, PO mask and FFRs read-only and gives s its
-// own block state, so s can simulate blocks concurrently with parent.
+// attach shares parent's view, PO mask, FFRs and schedule read-only and
+// gives s its own block state, so s can simulate blocks concurrently with
+// parent.
 func (s *simulator) attach(parent *simulator) {
 	s.v, s.po, s.stem = parent.v, parent.po, parent.stem
+	s.runs, s.steps, s.fan = parent.runs, parent.steps, parent.fan
 	s.sizeScratch()
+}
+
+// Loops of the good-value schedule. The AND rule covers AND, NAND, OR, NOR,
+// BUF and NOT: a gate's value is its fanins XORed with ci and ANDed, then
+// XORed with co. The XOR rule covers XOR and XNOR (fanins XORed, then
+// XORed with co), and a constant's value is co.
+const (
+	and1 = iota // AND rule, one fanin
+	and2
+	and3
+	andN // AND rule, any fanin count; the fanins are read from the view
+	xorN
+	konst
+	loops
+)
+
+// run is one loop over steps[lo:hi]; a fixed-fanin loop reads the steps'
+// fanins from fan[fan:], arity entries per step.
+type run struct {
+	loop        uint8
+	lo, hi, fan int32
+}
+
+// step is one gate of a run.
+type step struct {
+	d      int32  // dense id
+	ci, co uint64 // the rule's input and output masks
+}
+
+// loopOf returns the schedule loop of a gate of kind k with n fanins, its
+// fixed fanin count (0 for the others) and its masks; ok is false for an
+// input, which the sweep does not evaluate.
+func loopOf(k circuit.GateType, n int) (loop uint8, arity int, ci, co uint64, ok bool) {
+	const ones = ^uint64(0)
+	switch k {
+	case circuit.Input:
+		return 0, 0, 0, 0, false
+	case circuit.Const0, circuit.Const1:
+		if k == circuit.Const1 {
+			co = ones
+		}
+		return konst, 0, 0, co, true
+	case circuit.Xor, circuit.Xnor:
+		if k == circuit.Xnor {
+			co = ones
+		}
+		return xorN, 0, 0, co, true
+	case circuit.Or, circuit.Nor:
+		ci = ones
+	}
+	if k == circuit.Nand || k == circuit.Not || k == circuit.Or {
+		co = ones
+	}
+	if n >= 1 && n <= 3 {
+		return and1 + uint8(n-1), n, ci, co, true
+	}
+	return andN, 0, ci, co, true
+}
+
+// plan builds the good-value schedule of s.v in O(nodes): a counting sort
+// of each level's gates by loop, so that every run holds the gates of one
+// level that one loop evaluates. Gates of one level read only lower
+// levels, so any order within a level is topological.
+func (s *simulator) plan() {
+	v := s.v
+	n := int32(v.N())
+	s.runs = s.runs[:0]
+	s.steps = grow(s.steps, int(n))
+	s.fan = grow(s.fan, len(v.FaninEdge))
+	var at, fanAt [loops]int32
+	pos, fpos := int32(0), int32(0)
+	for lo := int32(0); lo < n; {
+		hi := lo
+		var cnt, fcnt [loops]int32
+		for ; hi < n && v.Level[hi] == v.Level[lo]; hi++ {
+			fi := v.FaninOf(hi)
+			if loop, arity, _, _, ok := loopOf(v.Kind[hi], len(fi)); ok {
+				cnt[loop]++
+				fcnt[loop] += int32(arity)
+			}
+		}
+		for l := range loops {
+			if cnt[l] > 0 {
+				s.runs = append(s.runs, run{loop: uint8(l), lo: pos, hi: pos + cnt[l], fan: fpos})
+			}
+			at[l], fanAt[l] = pos, fpos
+			pos += cnt[l]
+			fpos += fcnt[l]
+		}
+		for d := lo; d < hi; d++ {
+			fi := v.FaninOf(d)
+			loop, arity, ci, co, ok := loopOf(v.Kind[d], len(fi))
+			if !ok {
+				continue
+			}
+			s.steps[at[loop]] = step{d: d, ci: ci, co: co}
+			at[loop]++
+			fanAt[loop] += int32(copy(s.fan[fanAt[loop]:], fi[:arity]))
+		}
+		lo = hi
+	}
+	s.steps, s.fan = s.steps[:pos], s.fan[:fpos]
 }
 
 // sizeScratch (re)sizes and clears the per-block state.
@@ -149,18 +262,65 @@ func (s *simulator) setInputs(words []vec) {
 	}
 }
 
-// runGood computes the fault-free values of the current wide block.
+// runGood computes the fault-free values of the current wide block, run
+// by run of the schedule.
 func (s *simulator) runGood() {
-	start, edge := s.v.FaninStart, s.v.FaninEdge
-	for d, k := range s.v.Kind {
-		if k != circuit.Input {
-			s.val[d] = eval(k, edge[start[d]:start[d+1]], s.val)
+	val, start, edge := s.val, s.v.FaninStart, s.v.FaninEdge
+	for _, r := range s.runs {
+		st := s.steps[r.lo:r.hi]
+		switch r.loop {
+		case and1:
+			f := s.fan[r.fan:][:len(st)]
+			for i, g := range st {
+				a, m := &val[f[i]], g.ci^g.co
+				val[g.d] = vec{a[0] ^ m, a[1] ^ m, a[2] ^ m, a[3] ^ m}
+			}
+		case and2:
+			f := s.fan[r.fan:][:2*len(st)]
+			for i, g := range st {
+				a, b, ci, co := &val[f[2*i]], &val[f[2*i+1]], g.ci, g.co
+				val[g.d] = vec{
+					(a[0]^ci)&(b[0]^ci) ^ co, (a[1]^ci)&(b[1]^ci) ^ co,
+					(a[2]^ci)&(b[2]^ci) ^ co, (a[3]^ci)&(b[3]^ci) ^ co,
+				}
+			}
+		case and3:
+			f := s.fan[r.fan:][:3*len(st)]
+			for i, g := range st {
+				a, b, c, ci, co := &val[f[3*i]], &val[f[3*i+1]], &val[f[3*i+2]], g.ci, g.co
+				val[g.d] = vec{
+					(a[0]^ci)&(b[0]^ci)&(c[0]^ci) ^ co, (a[1]^ci)&(b[1]^ci)&(c[1]^ci) ^ co,
+					(a[2]^ci)&(b[2]^ci)&(c[2]^ci) ^ co, (a[3]^ci)&(b[3]^ci)&(c[3]^ci) ^ co,
+				}
+			}
+		case andN:
+			for _, g := range st {
+				w0, w1, w2, w3, ci := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), g.ci
+				for _, x := range edge[start[g.d]:start[g.d+1]] {
+					a := &val[x]
+					w0, w1, w2, w3 = w0&(a[0]^ci), w1&(a[1]^ci), w2&(a[2]^ci), w3&(a[3]^ci)
+				}
+				val[g.d] = vec{w0 ^ g.co, w1 ^ g.co, w2 ^ g.co, w3 ^ g.co}
+			}
+		case xorN:
+			for _, g := range st {
+				w0, w1, w2, w3 := g.co, g.co, g.co, g.co
+				for _, x := range edge[start[g.d]:start[g.d+1]] {
+					a := &val[x]
+					w0, w1, w2, w3 = w0^a[0], w1^a[1], w2^a[2], w3^a[3]
+				}
+				val[g.d] = vec{w0, w1, w2, w3}
+			}
+		case konst:
+			for _, g := range st {
+				val[g.d] = vec{g.co, g.co, g.co, g.co}
+			}
 		}
 	}
 }
 
-// eval computes the value of a gate of kind k with fanins in from val. It
-// is GateType.EvalWords without first gathering the fanin words into a
+// eval computes the value of a gate of kind k with fanins in from val, for
+// observe's event-driven flips. It is GateType.EvalWords without first gathering the fanin words into a
 // slice, which made whole campaigns measurably slower (EXPERIMENTS.md,
 // "Gate evaluation"), and with the four words in locals.
 func eval(k circuit.GateType, in []int32, val []vec) vec {
@@ -361,7 +521,7 @@ type region struct{ stem, lo, n int32 }
 // share is one worker's part of a campaign and the totals the merge reads.
 type share struct {
 	sim     simulator
-	rng     *rand.Rand
+	pat     par.Stream // the campaign's pattern stream
 	regions []region
 	faults  []int32 // fault indices, grouped by region, ascending in each
 	reach   []vec   // activation AND path of each fault of a region
@@ -371,8 +531,8 @@ type share struct {
 }
 
 // campaignState is the pooled per-campaign allocation bundle: one share
-// per worker (simulator, RNG — a math/rand source is a ~5KB allocation —
-// and fault lists) and the FFR grouping. Reseeding and Reset/attach on
+// per worker (simulator, pattern stream and fault lists) and the FFR
+// grouping. Reseeding and Reset/attach on
 // every acquisition keep campaigns pure functions of (circuit, faults,
 // options).
 type campaignState struct {
@@ -414,7 +574,7 @@ func Campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) Campai
 func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) CampaignResult {
 	w := par.Workers(opt.Workers)
 	for len(cs.shares) < w {
-		cs.shares = append(cs.shares, &share{rng: rand.New(rand.NewSource(0))})
+		cs.shares = append(cs.shares, &share{})
 	}
 	s := &cs.shares[0].sim
 	s.reset(c)
@@ -478,7 +638,7 @@ func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt Cam
 		}
 		sh.regions, sh.faults = sh.regions[:0], sh.faults[:0]
 		sh.detected, sh.last, sh.blocks = 0, 0, 0
-		sh.rng.Seed(opt.Seed)
+		sh.pat.Seed(opt.Seed)
 	}
 	for r, reg := range cs.regions {
 		sh := shares[cs.owner[r]]
@@ -536,12 +696,16 @@ func (sh *share) run(fl []faults.Fault, site []int32, blocks int) {
 		// reads only the first n words.
 		n := min(width, blocks-b0)
 		var lanes vec
+		in := s.v.In
 		for k := range width {
 			if k < n {
 				lanes[k] = ^uint64(0)
 			}
-			for _, in := range s.v.In {
-				s.val[in][k] = sh.rng.Uint64() & lanes[k]
+			for j := 0; j < len(in); {
+				for _, x := range sh.pat.Next(len(in) - j) {
+					s.val[in[j]][k] = x & lanes[k]
+					j++
+				}
 			}
 		}
 		s.runGood()

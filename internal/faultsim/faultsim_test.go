@@ -152,6 +152,86 @@ func TestDetectWordRandomCircuits(t *testing.T) {
 	}
 }
 
+// everyKind generates a random DAG of gates of every kind, constants
+// included, with 1 to 6 fanins on the multi-input kinds (a net may sit on
+// two pins of one gate), so the schedule holds every loop.
+func everyKind(seed int64, inputs, gates int) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	c := circuit.New("kinds")
+	var nodes []int
+	for i := 0; i < inputs; i++ {
+		nodes = append(nodes, c.AddInput(""))
+	}
+	kinds := []circuit.GateType{circuit.Const0, circuit.Const1, circuit.Buf, circuit.Not,
+		circuit.And, circuit.Or, circuit.Nand, circuit.Nor, circuit.Xor, circuit.Xnor}
+	for g := 0; g < gates; g++ {
+		k := kinds[g%len(kinds)]
+		n := 1 + rng.Intn(6)
+		switch k {
+		case circuit.Const0, circuit.Const1:
+			n = 0
+		case circuit.Buf, circuit.Not:
+			n = 1
+		}
+		fi := make([]int, n)
+		for i := range fi {
+			fi[i] = nodes[rng.Intn(len(nodes))]
+		}
+		nodes = append(nodes, c.AddGate(k, "", fi...))
+	}
+	for _, d := range nodes[len(nodes)-8:] {
+		c.MarkOutput(d)
+	}
+	return c
+}
+
+// TestScheduleMatchesEval pins the scheduled good-value sweep to a
+// per-gate eval sweep in dense order, on every node and every word.
+func TestScheduleMatchesEval(t *testing.T) {
+	c17, err := bench.ParseString(bench.C17, "c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits := []*circuit.Circuit{c17, edgeCircuit()}
+	for seed := int64(1); seed <= 4; seed++ {
+		circuits = append(circuits, everyKind(seed, 12, 300))
+	}
+	circuits = append(circuits, gen.SmallSuite()[0].Build())
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range circuits {
+		s := newSimulator(c)
+		used := map[uint8]bool{}
+		for _, r := range s.runs {
+			used[r.loop] = true
+		}
+		if c.Name == "kinds" && len(used) != loops {
+			t.Fatalf("%s: the schedule uses loops %v, want all %d", c.Name, used, loops)
+		}
+		words := make([]vec, len(c.Inputs))
+		for j := range words {
+			for k := range words[j] {
+				words[j][k] = rng.Uint64()
+			}
+		}
+		s.setInputs(words)
+		s.runGood()
+		want := make([]vec, s.v.N())
+		for j, d := range s.v.In {
+			want[d] = words[j]
+		}
+		for d, k := range s.v.Kind {
+			if k != circuit.Input {
+				want[d] = eval(k, s.v.FaninOf(int32(d)), want)
+			}
+		}
+		for d := range want {
+			if s.val[d] != want[d] {
+				t.Fatalf("%s node %d (%v): schedule %x, eval %x", c.Name, s.v.NodeID[d], s.v.Kind[d], s.val[d], want[d])
+			}
+		}
+	}
+}
+
 func TestRunRandomC17FullCoverage(t *testing.T) {
 	c, _ := bench.ParseString(bench.C17, "c17")
 	fl := faults.Collapse(c)

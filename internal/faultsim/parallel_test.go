@@ -48,8 +48,8 @@ func unevenCircuit() *circuit.Circuit {
 	return c
 }
 
-// TestParallelCampaignMatchesSerial is the determinism contract: at 2, 4
-// and 8 workers the campaign reports the same detections, the same
+// TestParallelCampaignMatchesSerial is the determinism contract: at 2, 3,
+// 4 and 8 workers the campaign reports the same detections, the same
 // surviving faults in the same order and the same last-effective pattern
 // as the serial campaign, and moves every faultsim counter (stem
 // evaluations included) and the blocks gauge exactly as it does.
@@ -69,7 +69,7 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 		if serialObs[3] == 0 {
 			t.Fatalf("%s: no stem evaluations counted: %v", c.Name, serialObs)
 		}
-		for _, workers := range []int{2, 4, 8} {
+		for _, workers := range []int{2, 3, 4, 8} {
 			opt.Workers = workers
 			parallel, obs := campaignWith(c, fl, opt)
 			if !campaignsEqual(serial, parallel) {

@@ -95,24 +95,6 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered instrument (the names stay registered).
-func (m *Metrics) Reset() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, c := range m.counters {
-		c.v.Store(0)
-	}
-	for _, g := range m.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range m.histograms {
-		h.reset()
-	}
-}
-
 // Counter is a monotonically increasing count (one atomic word).
 type Counter struct{ v atomic.Int64 }
 
@@ -192,58 +174,6 @@ func (h *Histogram) Observe(v float64) {
 	if len(h.samples) < h.maxSamples {
 		h.samples = append(h.samples, v)
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of the sampled
-// observations by the nearest-rank method, or 0 when empty.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	sorted := append([]float64(nil), h.samples...)
-	h.mu.Unlock()
-	return percentileOf(sorted, p)
-}
-
-func percentileOf(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	if p <= 0 {
-		return samples[0]
-	}
-	if p >= 100 {
-		return samples[len(samples)-1]
-	}
-	// Nearest rank: the smallest value with at least p% of the mass at or
-	// below it.
-	rank := int(p/100*float64(len(samples))+0.9999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(samples) {
-		rank = len(samples) - 1
-	}
-	return samples[rank]
-}
-
-func (h *Histogram) reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
-	h.samples = h.samples[:0]
 }
 
 // DefaultBucketBounds are the cumulative-bucket upper bounds attached to

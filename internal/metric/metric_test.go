@@ -8,16 +8,29 @@ func TestHistogramPercentiles(t *testing.T) {
 	for v := 1; v <= 100; v++ {
 		h.Observe(float64(v))
 	}
-	for _, tc := range []struct{ p, want float64 }{
-		{0, 1}, {50, 50}, {90, 90}, {99, 99}, {100, 100},
-	} {
-		if got := h.Percentile(tc.p); got != tc.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
 	s := m.Snapshot().Histograms["lat"]
 	if s.Count != 100 || s.Min != 1 || s.Max != 100 || s.Mean != 50.5 {
 		t.Errorf("stats = %+v, want count=100 min=1 max=100 mean=50.5", s)
+	}
+	// Nearest rank: the smallest value with at least p% of the mass at or
+	// below it; the ends of the range give the extremes.
+	sorted := make([]float64, 100)
+	for i := range sorted {
+		sorted[i] = float64(i + 1)
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"p0", percentileSorted(sorted, 0), 1},
+		{"P50", s.P50, 50},
+		{"P90", s.P90, 90},
+		{"P99", s.P99, 99},
+		{"p100", percentileSorted(sorted, 100), 100},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
@@ -27,11 +40,8 @@ func TestHistogramSampleCap(t *testing.T) {
 		h.Observe(float64(v))
 	}
 	// Summaries stay exact past the sample cap.
-	if got := h.Count(); got != 10 {
-		t.Errorf("Count() = %d, want 10", got)
-	}
-	if s := h.stats(); s.Max != 10 || s.Sum != 55 {
-		t.Errorf("stats = %+v, want max=10 sum=55", s)
+	if s := h.stats(); s.Count != 10 || s.Max != 10 || s.Sum != 55 {
+		t.Errorf("stats = %+v, want count=10 max=10 sum=55", s)
 	}
 }
 

@@ -72,7 +72,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 		"decision-trace recording for the resynthesis sweep: off, full, or sampled:N (requires -events; queried with sftexplain)")
 	fs.StringVar(&f.Cert, "cert", "", "write a verifiable run certificate (circuit digests, equivalence evidence, ledger binding) to this file")
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0),
-		"worker goroutines for fault simulation, the redundancy filter and the experiment driver (at least 1; results are identical for any value; 1 = serial)")
+		"worker goroutines for stuck-at and path-delay fault simulation, the redundancy filter and the experiment driver (at least 1; results are identical for any value; 1 = serial)")
 	fs.BoolVar(&f.Check, "check", false,
 		"validate circuit IR invariants (acyclicity, arity, fanout consistency, comparison-unit path bound) on inputs, outputs and after every resynthesis pass")
 	return f

@@ -1,19 +1,21 @@
 // Package par provides the deterministic worker-pool primitives shared by
 // the pipeline's hot paths: fault-region partitioning in fault simulation,
-// the redundancy-removal filter, and independent circuits/rows in the
-// experiment driver.
+// the redundancy-removal filter, block-parallel path-delay campaigns, and
+// independent circuits/rows in the experiment driver.
 //
 // The contract throughout is that parallelism never changes results: tasks
 // write only task-indexed state, so the output of every fan-out is
 // bit-identical for any worker count, including 1. Which worker runs which task IS nondeterministic (tasks are
 // claimed from an atomic counter), so anything order- or worker-dependent
 // must be derived per task — see SeedFor for deterministic per-key RNG
-// seeding.
+// seeding — or taken and merged in a fixed order under a lock, as the
+// path-delay campaign draws its Stream and merges its blocks.
 package par
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -86,10 +88,12 @@ func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int))
 		}(wk)
 	}
 	wg.Wait()
-	for wk, c := range counts {
-		sp.SetInt(fmt.Sprintf("worker%d_tasks", wk), c)
+	if sp != nil {
+		for wk, c := range counts {
+			sp.SetInt(fmt.Sprintf("worker%d_tasks", wk), c)
+		}
+		sp.End()
 	}
-	sp.End()
 	mRuns.Inc()
 	mTasks.Add(int64(n))
 }
@@ -127,4 +131,53 @@ func SeedFor(base int64, key string) int64 {
 	h.Write(b[:])
 	h.Write([]byte(key))
 	return int64(h.Sum64())
+}
+
+// Stream yields the values of rand.New(rand.NewSource(seed)).Uint64, value
+// for value, in batches. math/rand's seeded source is an additive
+// lagged-Fibonacci generator, o[k] = o[k-607] + o[k-273] mod 2^64, whose
+// seeded output Go 1 keeps stable: Seed primes a ring with the source's
+// first 607 values, and each later batch of 607 follows from the ring
+// alone in two loops, with no call per value.
+type Stream struct {
+	ring [streamLen]uint64
+	pos  int // values of ring already handed out
+}
+
+const (
+	streamLen = 607 // the lag of math/rand's source
+	streamTap = 273 // its shorter lag
+)
+
+// sources are math/rand sources for priming streams (about 5 KB each).
+var sources = sync.Pool{New: func() any { return rand.NewSource(0).(rand.Source64) }}
+
+// Seed restarts s at the first value of rand.NewSource(seed).
+func (s *Stream) Seed(seed int64) {
+	src := sources.Get().(rand.Source64)
+	src.Seed(seed)
+	for i := range s.ring {
+		s.ring[i] = src.Uint64()
+	}
+	sources.Put(src)
+	s.pos = 0
+}
+
+// Next returns the stream's next values, at least one and at most n (n
+// must be at least 1). The slice aliases s and is valid until the next
+// call.
+func (s *Stream) Next(n int) []uint64 {
+	if s.pos == streamLen {
+		r := &s.ring
+		for i := 0; i < streamTap; i++ {
+			r[i] += r[i+streamLen-streamTap]
+		}
+		for i := streamTap; i < streamLen; i++ {
+			r[i] += r[i-streamTap]
+		}
+		s.pos = 0
+	}
+	lo := s.pos
+	s.pos = min(streamLen, lo+n)
+	return s.ring[lo:s.pos]
 }

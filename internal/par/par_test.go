@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,45 @@ func TestRunSerialRecordsNoSpan(t *testing.T) {
 	Run(tr, "par.test", 1, 4, func(worker, task int) {})
 	if got := len(tr.Export()); got != 0 {
 		t.Fatalf("serial Run recorded %d spans", got)
+	}
+}
+
+// TestRunUntracedAllocs pins that an untraced fan-out allocates only for
+// its goroutines and bookkeeping: the per-worker task tallies are named
+// for a span, and without one no name is formatted.
+func TestRunUntracedAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		max     float64
+	}{{2, 7}, {8, 19}} {
+		allocs := testing.AllocsPerRun(50, func() {
+			Run(nil, "par.test", tc.workers, tc.workers, func(worker, task int) {})
+		})
+		if allocs > tc.max {
+			t.Errorf("Run(nil, %d workers, %d tasks): %v allocs, want at most %v",
+				tc.workers, tc.workers, allocs, tc.max)
+		}
+	}
+}
+
+// TestStreamMatchesMathRand pins Stream to math/rand's seeded source value
+// for value, across many refills, for batch sizes that do and do not
+// divide the ring, and after a reseed.
+func TestStreamMatchesMathRand(t *testing.T) {
+	const values = 1_100_000
+	var s Stream
+	for i, seed := range []int64{0, 1, -7, 1995, 1 << 40} {
+		batch := []int{1, 2, 64, 607, 1000}[i]
+		s.Seed(seed)
+		rng := rand.New(rand.NewSource(seed))
+		for k := 0; k < values; {
+			for _, got := range s.Next(batch) {
+				if want := rng.Uint64(); got != want {
+					t.Fatalf("seed %d, batch %d: value %d is %#x, math/rand gives %#x", seed, batch, k, got, want)
+				}
+				k++
+			}
+		}
 	}
 }
 

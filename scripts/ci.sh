@@ -48,11 +48,11 @@ fi
 
 echo "== go test -race =="
 # The race detector carries the fan-out purity contract: every par fan-out
-# seam (the faultsim shares and the exper par.MapErr calls) has a test that
-# runs it at a fixed worker count above 1 against serial, so a task that
-# writes shared state fails here. It needs two or more CPUs: at
-# GOMAXPROCS=1 an injected write in a Table 3 task went unseen (README
-# "Static analysis").
+# seam (the faultsim shares, the delay walkers and the exper par.MapErr
+# calls) has a test that runs it at a fixed worker count above 1 against
+# serial, so a task that writes shared state fails here. It needs two or
+# more CPUs: at GOMAXPROCS=1 an injected write in a Table 3 task went
+# unseen (README "Static analysis").
 go test -race ./...
 
 echo "== fuzz smoke =="
@@ -162,18 +162,24 @@ cmp "$provdir/a1.json" "$provdir/a2.json"
 echo "== flag gate =="
 # A flag value a tool cannot honour must fail, not run at a default or be
 # dropped: each case below exits 1 through the shared Run.Fail path (a flag
-# parse error would exit 2). The tables cases fail before suite
+# parse error would exit 2), and writes nothing to stdout first. The tables
+# cases, an unknown -circuits name included, fail before suite
 # preparation, so they cost no table run. Built binaries, not "go run", for
 # the same exit-code reason as the sftlint gate.
 go build -o "$provdir/atpg" ./cmd/atpg
 go build -o "$provdir/tables" ./cmd/tables
 want_exit1() {
     set +e
-    "$@" >/dev/null 2>&1
+    local out
+    out=$("$@" 2>/dev/null)
     local status=$?
     set -e
     if [ "$status" -ne 1 ]; then
         echo "flag gate: '$*' exited $status, want 1 (rejected flag value)" >&2
+        exit 1
+    fi
+    if [ -n "$out" ]; then
+        echo "flag gate: '$*' wrote to stdout before failing: $out" >&2
         exit 1
     fi
 }
@@ -208,7 +214,8 @@ cmp "$provdir/dt2.records" "$provdir/dt4.records"
 
 echo "== serial sweep determinism gate =="
 # -workers is a machine knob: resynthesis always runs one serial sweep, and
-# the worker count reaches only fault simulation and the redundancy filter.
+# the worker count reaches only the stuck-at and path-delay campaigns and
+# the redundancy filter.
 # The optimized netlist and the run certificate (a pure function of input +
 # semantic options; these runs carry no -events) must be byte-identical at
 # any count. A scheduling leak into the pipeline's decisions fails one of
