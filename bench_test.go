@@ -20,6 +20,7 @@ import (
 	"compsynth/internal/paths"
 	"compsynth/internal/rambo"
 	"compsynth/internal/resynth"
+	"compsynth/internal/subckt"
 	"compsynth/internal/techmap"
 )
 
@@ -299,6 +300,33 @@ func BenchmarkResynth(b *testing.B) {
 		opt.Verify = false
 		if _, err := resynth.Optimize(c, opt); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkComputeCuts enumerates the cuts resynthesis builds on its first
+// pass, K = 6 with 32 cuts per node, on quick-scale rs9234 and rs35932,
+// simplified and compacted as Optimize does. The signature filter and the
+// dedupe table are what keep it fast and allocating only the cut lists.
+func BenchmarkComputeCuts(b *testing.B) {
+	var cs []*Circuit
+	for _, bn := range gen.Suite(0.15) {
+		if bn.Name == "rs9234" || bn.Name == "rs35932" {
+			c := bn.Build()
+			c.Simplify()
+			c, _ = c.Compact()
+			c.Freeze()
+			cs = append(cs, c)
+		}
+	}
+	if len(cs) != 2 {
+		b.Fatalf("quick suite gave %d of rs9234 and rs35932", len(cs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cs {
+			subckt.ComputeCuts(c, 6, 32)
 		}
 	}
 }

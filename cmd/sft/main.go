@@ -171,6 +171,10 @@ func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
 			MaxPairs: 10000, QuietPairs: 1000, Seed: seed, Workers: workers,
 		})
 		psp.End()
+		if errors.Is(pd.Err, delay.ErrTooManyFaults) {
+			return fmt.Errorf("path delay campaign: the final %s has 2^63 or more PI-to-PO paths, so its 2 faults per path exceed 2^64-1 = %d, the most sft can count",
+				final.Name, uint64(math.MaxUint64))
+		}
 		run.Report.AddResult("path_delay", pd)
 		lg.Printf("robust PDF: %d/%d detected (%.2f%%), eff. pair %d",
 			pd.Detected, pd.TotalFaults, 100*pd.Coverage(), pd.LastEffective)

@@ -26,6 +26,7 @@
 package compsynth
 
 import (
+	"fmt"
 	"io"
 	"math/big"
 	"os"
@@ -154,11 +155,16 @@ func StuckAtCampaign(c *Circuit, maxPatterns int, seed int64) StuckAtResult {
 type PathDelayResult = delay.CampaignResult
 
 // PathDelayCampaign applies random two-pattern tests and counts robustly
-// detected path delay faults (Table 7 methodology).
-func PathDelayCampaign(c *Circuit, maxPairs, quietPairs int, seed int64) PathDelayResult {
-	return delay.RunRandom(c, delay.CampaignOptions{
+// detected path delay faults (Table 7 methodology). A circuit with 2^63 or
+// more paths, whose fault count does not fit in a uint64, is an error.
+func PathDelayCampaign(c *Circuit, maxPairs, quietPairs int, seed int64) (PathDelayResult, error) {
+	res := delay.RunRandom(c, delay.CampaignOptions{
 		MaxPairs: maxPairs, QuietPairs: quietPairs, Seed: seed,
 	})
+	if res.Err != nil {
+		return res, fmt.Errorf("path delay campaign on %s: %w", c.Name, res.Err)
+	}
+	return res, nil
 }
 
 // TechMapResult reports a technology mapping (Table 4 columns).

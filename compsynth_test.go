@@ -1,10 +1,13 @@
 package compsynth
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"compsynth/internal/bench"
+	"compsynth/internal/circuit"
+	"compsynth/internal/delay"
 	"compsynth/internal/logic"
 )
 
@@ -51,7 +54,10 @@ func TestPublicFlowEndToEnd(t *testing.T) {
 	if sa.Coverage() != 1 {
 		t.Fatalf("c17 flow result not fully stuck-at testable: %+v", sa)
 	}
-	pd := PathDelayCampaign(rr.Circuit, 2000, 0, 1)
+	pd, err := PathDelayCampaign(rr.Circuit, 2000, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pd.TotalFaults == 0 || uint64(pd.Detected) > pd.TotalFaults {
 		t.Fatalf("PDF campaign inconsistent: %+v", pd)
 	}
@@ -165,5 +171,21 @@ func TestDefaultOptimizeOptions(t *testing.T) {
 	}
 	if !Equivalent(c, res.Circuit) {
 		t.Fatal("defaults broke equivalence")
+	}
+}
+
+// TestPathDelayCampaignTooManyPaths: a 63-stage AND(x, x) ladder has 2^63
+// paths, whose 2^64 path delay faults do not fit in a uint64. The campaign
+// returns an error naming the circuit instead of a wrapped fault count.
+func TestPathDelayCampaignTooManyPaths(t *testing.T) {
+	c := circuit.New("ladder63")
+	x := c.AddInput("x")
+	for i := 0; i < 63; i++ {
+		x = c.AddGate(circuit.And, "", x, x)
+	}
+	c.MarkOutput(x)
+	_, err := PathDelayCampaign(c, 64, 0, 1)
+	if !errors.Is(err, delay.ErrTooManyFaults) || !strings.Contains(err.Error(), "ladder63") {
+		t.Fatalf("PathDelayCampaign on 2^63 paths: %v, want delay.ErrTooManyFaults naming ladder63", err)
 	}
 }

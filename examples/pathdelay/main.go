@@ -34,8 +34,14 @@ func main() {
 	}
 
 	const pairs, quiet, seed = 20000, 2000, 7
-	before := compsynth.PathDelayCampaign(c, pairs, quiet, seed)
-	after := compsynth.PathDelayCampaign(mod, pairs, quiet, seed)
+	before, err := compsynth.PathDelayCampaign(c, pairs, quiet, seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	after, err := compsynth.PathDelayCampaign(mod, pairs, quiet, seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-10s %12s %12s %10s\n", "", "detected", "faults", "coverage")
 	fmt.Printf("%-10s %12d %12d %9.2f%%\n", "original",

@@ -58,14 +58,17 @@ func TestPrefilterSoundOnCutFunctions(t *testing.T) {
 		}
 	}
 	seen := map[logic.Key]bool{}
+	var sc subckt.Scratch
+	var tt, f logic.TT
 	for _, b := range benches {
 		c := b.Build()
 		c.Simplify()
 		for _, k := range []int{5, 6} {
 			db := subckt.ComputeCuts(c, k, 32)
 			for _, g := range c.Topo() {
-				for _, sub := range db.EnumerateFromCuts(c, g) {
-					f, _ := sub.Extract(c).Shrink()
+				for _, sub := range db.EnumerateFromCuts(c, g, &sc) {
+					sc.Extract(&sub, c, &tt)
+					tt.Shrink(&f, nil)
 					if key := f.Key(); !seen[key] {
 						seen[key] = true
 						checkPrefilter(t, f)

@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -269,5 +270,28 @@ func TestRunRandomAllocsIndependentOfPairsParallel(t *testing.T) {
 	}
 	if short, long := allocs(1024), allocs(16384); short != long {
 		t.Fatalf("allocs per campaign: %v at 1024 pairs, %v at 16384", short, long)
+	}
+}
+
+// TestRunRandomPathCountLimit: the campaign's fault count is twice the path
+// count. A 62-stage AND(x, x) ladder has 2^62 paths and runs with 2^63
+// faults; at 63 stages the double does not fit in a uint64, and at 64 the
+// path count itself does not. Both return ErrTooManyFaults without
+// simulating, and without panicking.
+func TestRunRandomPathCountLimit(t *testing.T) {
+	opt := CampaignOptions{MaxPairs: 8, Seed: 1}
+	got := RunRandom(ladder(62), opt)
+	if got.Err != nil || got.TotalFaults != 1<<63 || got.Pairs != 8 || got.Detected == 0 {
+		t.Fatalf("62-stage ladder: %+v, want 2^63 faults, 8 pairs and detections", got)
+	}
+	for _, n := range []int{63, 64} {
+		p0 := mPairs.Value()
+		got := RunRandom(ladder(n), opt)
+		if !errors.Is(got.Err, ErrTooManyFaults) || got != (CampaignResult{Err: got.Err}) {
+			t.Fatalf("%d-stage ladder: %+v, want only ErrTooManyFaults", n, got)
+		}
+		if d := mPairs.Value() - p0; d != 0 {
+			t.Fatalf("%d-stage ladder: %d pairs simulated, want none", n, d)
+		}
 	}
 }

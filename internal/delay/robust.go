@@ -1,6 +1,9 @@
 package delay
 
 import (
+	"errors"
+	"math"
+
 	"compsynth/internal/circuit"
 	"compsynth/internal/obs"
 	"compsynth/internal/paths"
@@ -172,7 +175,16 @@ type CampaignResult struct {
 	Detected      int    // distinct robustly detected path delay faults
 	Pairs         int    // pairs applied
 	LastEffective int    // 1-based index of the last pair detecting a new fault
+
+	// Err is ErrTooManyFaults when the campaign did not run because its
+	// fault count does not fit in TotalFaults; every other field is then
+	// zero.
+	Err error `json:"-"`
 }
+
+// ErrTooManyFaults reports a circuit with 2^63 or more structural paths:
+// its two path delay faults per path number more than 2^64-1.
+var ErrTooManyFaults = errors.New("delay: 2^63 or more paths; 2 faults per path exceed 2^64-1")
 
 // Coverage returns detected / total.
 func (r CampaignResult) Coverage() float64 {
@@ -189,14 +201,18 @@ func (r CampaignResult) Coverage() float64 {
 // Procedure 1. Pairs are simulated 64 at a time, and blocks of 64 are
 // walked on opt.Workers workers (see lanes.go). One pair's search stops
 // after 2^20 path-prefix visits: faults it would reach past that point are
-// not counted for it.
+// not counted for it. A circuit with 2^63 or more paths is not simulated:
+// the result carries ErrTooManyFaults in Err.
 func RunRandom(c *circuit.Circuit, opt CampaignOptions) CampaignResult {
 	if opt.MaxPairs <= 0 {
 		opt.MaxPairs = 20000
 	}
-	total := 2 * paths.MustCount(c)
+	n, err := paths.Count(c)
+	if err != nil || n > math.MaxUint64/2 {
+		return CampaignResult{Err: ErrTooManyFaults}
+	}
 	res := runPairs(c, opt)
-	res.TotalFaults = total
+	res.TotalFaults = 2 * n
 	return res
 }
 

@@ -4,6 +4,7 @@
 package exper
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -602,6 +603,9 @@ func Table7(s *Suite) ([]Table7Row, error) {
 		}
 		before := delay.RunRandom(v.c, copt)
 		after := delay.RunRandom(rr.Circuit, copt)
+		if before.Err != nil || after.Err != nil {
+			return Table7Row{}, fmt.Errorf("table 7, %s: %w", v.name, errors.Join(before.Err, after.Err))
+		}
 		return Table7Row{
 			Version: v.name,
 			EffOrig: before.LastEffective, DetOrig: before.Detected, FaultsOrig: before.TotalFaults,

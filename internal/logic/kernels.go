@@ -18,6 +18,21 @@ var varMask6 = [6]uint64{
 	0xFFFFFFFF00000000, // pos 5
 }
 
+// VarWord returns word w of the table of the variable at minterm bit
+// position pos (x_i of an n-variable table sits at n-i): the same word for
+// every w when pos < 6, otherwise all ones exactly where bit pos-6 of w is
+// set. For n < 6 the bits above minterm 2^n - 1 are not masked off. It is
+// Var(n, n-pos).Words()[w] computed without a table.
+func VarWord(pos, w int) uint64 {
+	if pos < 6 {
+		return varMask6[pos]
+	}
+	if w>>(pos-6)&1 != 0 {
+		return ^uint64(0)
+	}
+	return 0
+}
+
 // CofactorKeepInto writes the cofactor of t with x_i (1-based) fixed to v
 // into dst, KEEPING the variable count: the chosen half is duplicated into
 // the other half, so dst is a table over the same n variables that no

@@ -358,37 +358,52 @@ func (t TT) DependsOn(i int) bool {
 	return false
 }
 
-// Support returns the 1-based indices of variables f depends on.
-func (t TT) Support() []int {
-	s := make([]int, 0, t.n) // one allocation, not one per doubling
+// Shrink removes non-support variables: it writes the reduced table into
+// dst and returns kept, its storage reused, holding the 1-based original
+// indices of the retained variables in order. dst must not share storage
+// with t. With dst and kept owned by the caller and grown once, the call
+// allocates nothing.
+func (t TT) Shrink(dst *TT, kept []int) []int {
+	kept = kept[:0]
 	for i := 1; i <= t.n; i++ {
 		if t.DependsOn(i) {
-			s = append(s, i)
+			kept = append(kept, i)
 		}
 	}
-	return s
+	dst.Reset(len(kept))
+	if len(kept) == t.n {
+		copy(dst.words, t.words)
+		return kept
+	}
+	last := len(kept) - 1
+	for m := 0; m < dst.Size(); m++ {
+		var full int
+		for i, v := range kept {
+			full |= (m >> (last - i) & 1) << (t.n - v)
+		}
+		if t.Get(full) {
+			dst.words[m>>6] |= uint64(1) << (m & 63)
+		}
+	}
+	return kept
 }
 
-// Shrink removes non-support variables, returning the reduced table and the
-// 1-based original indices of the retained variables (in order).
-func (t TT) Shrink() (TT, []int) {
-	sup := t.Support()
-	if len(sup) == t.n {
-		return t, sup
+// Reset makes t the constant-0 table over n variables. It reuses t's words
+// when their capacity suffices, so a caller-owned table reset from call to
+// call allocates only while it grows; a table that shares those words (a
+// copy of t) sees the reset too.
+func (t *TT) Reset(n int) {
+	if n < 0 || n > MaxVars {
+		panic(fmt.Sprintf("logic: invalid variable count %d", n))
 	}
-	r := New(len(sup))
-	for m := 0; m < r.Size(); m++ {
-		var full int
-		for i, v := range sup {
-			bit := (m >> (len(sup) - 1 - i)) & 1
-			full |= bit << (t.n - v)
-		}
-		// Non-support variables may take any value; use 0.
-		if t.Get(full) {
-			r.Set(m, true)
-		}
+	w := wordsFor(n)
+	if cap(t.words) < w {
+		t.words = make([]uint64, w)
+	} else {
+		t.words = t.words[:w]
+		clear(t.words)
 	}
-	return r, sup
+	t.n = n
 }
 
 // Eval evaluates the function on an assignment: vals[i] is the value of

@@ -210,16 +210,60 @@ func TestPermuteComposition(t *testing.T) {
 func TestSupportAndShrink(t *testing.T) {
 	// f = x2 XOR x4 over 5 vars: support {2,4}.
 	f := Var(5, 2).Xor(Var(5, 4))
-	sup := f.Support()
-	if len(sup) != 2 || sup[0] != 2 || sup[1] != 4 {
-		t.Fatalf("support = %v", sup)
+	var s TT
+	kept := f.Shrink(&s, nil)
+	if len(kept) != 2 || kept[0] != 2 || kept[1] != 4 {
+		t.Fatalf("support = %v", kept)
 	}
-	s, kept := f.Shrink()
-	if s.Vars() != 2 || len(kept) != 2 {
+	if s.Vars() != 2 {
 		t.Fatalf("shrink -> %d vars kept %v", s.Vars(), kept)
 	}
 	if !s.Equal(Var(2, 1).Xor(Var(2, 2))) {
 		t.Fatalf("shrunk function wrong: %s", s)
+	}
+}
+
+// TestShrinkReusesStorage: a table and index buffer grown once serve a
+// wider and then a narrower shrink without allocating, and a table reset
+// to fewer variables reads as constant 0 in every word it keeps.
+func TestShrinkReusesStorage(t *testing.T) {
+	wide := New(8) // the parity of x1..x7: seven variables, two words
+	for i := 1; i <= 7; i++ {
+		wide = wide.Xor(Var(8, i))
+	}
+	narrow := Var(6, 3).And(Var(6, 5))
+	var s TT
+	kept := wide.Shrink(&s, nil)
+	if n := testing.AllocsPerRun(50, func() {
+		kept = wide.Shrink(&s, kept)
+		kept = narrow.Shrink(&s, kept)
+	}); n != 0 {
+		t.Fatalf("warm Shrink allocates %v times per call pair, want 0", n)
+	}
+	if s.Vars() != 2 || len(kept) != 2 || kept[0] != 3 || kept[1] != 5 {
+		t.Fatalf("shrink -> %d vars kept %v", s.Vars(), kept)
+	}
+	if !s.Equal(Var(2, 1).And(Var(2, 2))) {
+		t.Fatalf("shrunk function wrong: %s", s)
+	}
+	s.Reset(7)
+	if s.Vars() != 7 || !s.IsConst(false) || len(s.Words()) != 2 {
+		t.Fatalf("Reset(7): vars %d, words %x", s.Vars(), s.Words())
+	}
+}
+
+// TestVarWord: VarWord reproduces every word of Var up to the n < 6 mask.
+func TestVarWord(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		v := New(n)
+		mask := v.mask()
+		for i := 1; i <= n; i++ {
+			for w, want := range Var(n, i).Words() {
+				if got := VarWord(n-i, w); got&mask != want {
+					t.Fatalf("n=%d x%d word %d: VarWord %x, want %x", n, i, w, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -303,7 +347,8 @@ func TestFromIntervalClamps(t *testing.T) {
 
 func TestShrinkNoSupport(t *testing.T) {
 	// A constant function has empty support and shrinks to zero variables.
-	s, kept := Const(4, true).Shrink()
+	var s TT
+	kept := Const(4, true).Shrink(&s, nil)
 	if s.Vars() != 0 || len(kept) != 0 {
 		t.Fatalf("const shrink: vars=%d kept=%v", s.Vars(), kept)
 	}

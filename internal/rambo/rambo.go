@@ -79,6 +79,10 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 	db := subckt.ComputeCuts(c, opt.K, opt.MaxCandidates)
 	topo := c.Topo()
 	replaced := 0
+	// Candidate storage and tables, reused from gate to gate.
+	var sc subckt.Scratch
+	var tt, stt logic.TT
+	var kept []int
 	for i := len(topo) - 1; i >= 0; i-- {
 		g := topo[i]
 		if !c.Alive(g) {
@@ -96,10 +100,11 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 			save       int
 		}
 		var best *plan
-		for _, sub := range db.EnumerateFromCuts(c, g) {
-			tt := sub.Extract(c)
-			stt, kept := tt.Shrink()
-			if stt.Vars() == 0 {
+		subs := db.EnumerateFromCuts(c, g, &sc)
+		for i := range subs {
+			sub := &subs[i]
+			sc.Extract(sub, c, &tt)
+			if kept = tt.Shrink(&stt, kept); stt.Vars() == 0 {
 				continue
 			}
 			keepInputs := make([]int, len(kept))
@@ -113,7 +118,7 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 				}
 				cubes := minimizeCached(cache, f)
 				cost, _ := FactoredCost(f.Vars(), cubes)
-				save := sub.GateSavings(c) - cost
+				save := sc.GateSavings(sub, c) - cost
 				if best == nil || save > best.save {
 					best = &plan{sub: sub, cubes: cubes, complement: compl,
 						keepInputs: keepInputs, save: save}

@@ -3,6 +3,7 @@ package resynth
 import (
 	"testing"
 
+	"compsynth/internal/circuit"
 	"compsynth/internal/gen"
 	"compsynth/internal/logic"
 	"compsynth/internal/subckt"
@@ -24,9 +25,10 @@ func warmOptimizer(t *testing.T) (*optimizer, *subckt.Subcircuit, logic.TT) {
 	o.refresh(c)
 	var sub *subckt.Subcircuit
 	for i := len(o.topo) - 1; i >= 0 && sub == nil; i-- {
-		for _, s := range o.db.EnumerateFromCuts(c, o.topo[i]) {
-			if len(s.Gates) > 1 {
-				sub = s
+		subs := o.db.EnumerateFromCuts(c, o.topo[i], &o.ksc)
+		for j := range subs {
+			if len(subs[j].Gates) > 1 {
+				sub = &subs[j]
 				break
 			}
 		}
@@ -34,7 +36,9 @@ func warmOptimizer(t *testing.T) (*optimizer, *subckt.Subcircuit, logic.TT) {
 	if sub == nil {
 		t.Fatal("no multi-gate candidate in the warm-up circuit")
 	}
-	stt, _ := sub.Extract(c).Shrink()
+	var tt, stt logic.TT
+	o.ksc.Extract(sub, c, &tt)
+	tt.Shrink(&stt, nil)
 	o.identify(stt) // warm the cache
 	return o, sub, stt
 }
@@ -45,6 +49,46 @@ func TestIdentifyCacheHitZeroAlloc(t *testing.T) {
 		o.identify(stt)
 	}); n != 0 {
 		t.Fatalf("warm identify allocates %v times per call, want 0", n)
+	}
+}
+
+// TestSelectReplacementWarmZeroAlloc pins the candidate loop end to end:
+// with tracing off and every candidate function of a gate cached, choosing
+// the gate's replacement (enumeration, extraction, support reduction,
+// identification, savings and scoring) allocates nothing. The gate is the
+// one with the most realized candidates.
+func TestSelectReplacementWarmZeroAlloc(t *testing.T) {
+	c := gen.SmallSuite()[0].Build()
+	c.Simplify()
+	o := &optimizer{
+		opt:   DefaultOptions(),
+		cache: map[logic.Key][]realization{},
+	}
+	o.refresh(c)
+	g, most := -1, 0
+	for _, id := range o.topo {
+		if t := c.Nodes[id].Type; t == circuit.Input || t == circuit.Const0 || t == circuit.Const1 {
+			continue
+		}
+		o.selectReplacement(c, id) // fills the caches and grows the scratch
+		realized := 0
+		for _, sub := range o.db.EnumerateFromCuts(c, id, &o.ksc) {
+			var tt, stt logic.TT
+			o.ksc.Extract(&sub, c, &tt)
+			tt.Shrink(&stt, nil)
+			if stt.Vars() > 0 && len(o.identify(stt)) > 0 {
+				realized++
+			}
+		}
+		if realized > most {
+			g, most = id, realized
+		}
+	}
+	if most < 2 {
+		t.Fatalf("no gate with two realized candidates (best %d)", most)
+	}
+	if n := testing.AllocsPerRun(100, func() { o.selectReplacement(c, g) }); n != 0 {
+		t.Fatalf("warm selectReplacement allocates %v times per call, want 0", n)
 	}
 }
 

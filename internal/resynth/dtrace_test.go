@@ -1,6 +1,7 @@
 package resynth
 
 import (
+	"slices"
 	"testing"
 
 	"compsynth/internal/gen"
@@ -89,5 +90,37 @@ func TestDtraceSeqDense(t *testing.T) {
 		if r.Seq != int64(i) {
 			t.Fatalf("record %d carries seq %d, want dense numbering", i, r.Seq)
 		}
+	}
+}
+
+// TestDtraceCutsOutliveEnumeration: the candidates' input lists live in
+// storage each gate's enumeration overwrites, so a sink that keeps records
+// by value must still read, at the end of the run, the Cut every record
+// carried when it was emitted.
+func TestDtraceCutsOutliveEnumeration(t *testing.T) {
+	opt := DefaultOptions()
+	opt.MaxPasses = 3
+	opt.Verify = false
+	var recs []dtrace.Record
+	var cuts [][]int
+	opt.Dtrace = dtrace.New(dtrace.Mode{Level: dtrace.LevelFull}, func(r *dtrace.Record) {
+		recs = append(recs, *r)
+		cuts = append(cuts, slices.Clone(r.Cut))
+	})
+	if _, err := Optimize(gen.SmallSuite()[0].Build(), opt); err != nil {
+		t.Fatal(err)
+	}
+	withCut := 0
+	for i, r := range recs {
+		if !slices.Equal(r.Cut, cuts[i]) {
+			t.Fatalf("record %d (%s, node %d): Cut reads %v at the end of the run, %v when emitted",
+				i, r.Kind, r.Node, r.Cut, cuts[i])
+		}
+		if len(r.Cut) > 0 {
+			withCut++
+		}
+	}
+	if withCut == 0 {
+		t.Fatal("no record carried a cut")
 	}
 }

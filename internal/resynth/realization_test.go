@@ -52,9 +52,11 @@ func TestRealizationCostsMatchSpec(t *testing.T) {
 			o := &optimizer{opt: DefaultOptions(), cache: map[logic.Key][]realization{}}
 			o.opt.K = k
 			o.refresh(c)
+			var tt, stt logic.TT
 			for _, g := range o.topo {
-				for _, sub := range o.db.EnumerateFromCuts(c, g) {
-					if stt, _ := sub.Extract(c).Shrink(); stt.Vars() > 0 {
+				for _, sub := range o.db.EnumerateFromCuts(c, g, &o.ksc) {
+					o.ksc.Extract(&sub, c, &tt)
+					if tt.Shrink(&stt, nil); stt.Vars() > 0 {
 						for _, r := range o.identify(stt) {
 							checkRealization(t, r, rng)
 							cached++

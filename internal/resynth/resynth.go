@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/compare"
@@ -359,9 +360,16 @@ type optimizer struct {
 	touched []int
 	stack   []int32
 
-	// Reused candidate scratch: the path counts on a candidate's kept
-	// inputs, in spec variable order.
+	// Reused candidate scratch: the kernels' working storage, which also
+	// holds one gate's enumerated candidates; the extracted table before
+	// support reduction and the variables reduction keeps; the path counts
+	// on a candidate's kept inputs, in spec variable order; and two
+	// candidate records, the current one and the best so far.
+	ksc   subckt.Scratch
+	tt    logic.TT
+	kept  []int
 	subNp []uint64
+	cands [2]candidate
 
 	// Certificate evidence, appended by apply when Options.Certify is set.
 	passNo   int
@@ -444,28 +452,21 @@ func (o *optimizer) traceGate(c *circuit.Circuit, g int, outcome dtrace.Reason, 
 		Outcome: outcome,
 	}
 	if best != nil {
-		rec.Cut = best.sub.Inputs
+		rec.Cut = slices.Clone(best.sub.Inputs)
 		rec.Width = len(best.sub.Inputs)
 		rec.GateSave = best.gateSave
 		rec.PathsBefore = o.np[g]
 		rec.PathsAfter = best.pathsOnG
 		rec.UsedDC = best.hasCare
-		o.setSpec(&rec, best.spec)
+		best.setSpec(&rec)
 	}
 	o.dt.Emit(rec)
 }
 
-// setSpec fills a record's realization fields from the chosen spec.
-func (o *optimizer) setSpec(rec *dtrace.Record, spec compare.Realization) {
-	_, rec.MultiUnit = spec.(compare.MultiSpec)
-	if s, ok := spec.(fmt.Stringer); ok {
-		rec.Spec = s.String()
-	}
-}
-
 // candRec appends one candidate-level decision record for sub (a subcircuit
 // rooted at g) to recs. Callers guard on o.dt != nil, so the off path never
-// reaches here.
+// reaches here. The record's Cut is a copy: sub's inputs live in storage
+// the next gate's enumeration overwrites, and a sink may keep the record.
 func (o *optimizer) candRec(recs []dtrace.Record, c *circuit.Circuit, g int, sub *subckt.Subcircuit, oldPaths uint64, outcome dtrace.Reason) []dtrace.Record {
 	return append(recs, dtrace.Record{
 		Pass:        o.passNo,
@@ -473,7 +474,7 @@ func (o *optimizer) candRec(recs []dtrace.Record, c *circuit.Circuit, g int, sub
 		Node:        g,
 		Name:        c.Nodes[g].Name,
 		Outcome:     outcome,
-		Cut:         sub.Inputs,
+		Cut:         slices.Clone(sub.Inputs),
 		Width:       len(sub.Inputs),
 		PathsBefore: oldPaths,
 	})
@@ -569,23 +570,50 @@ type score struct {
 	pathsOnG uint64
 }
 
-// candidate pairs a subcircuit with its chosen unit realization and costs.
+// candidate is one realized candidate: a subcircuit with its chosen unit
+// realization and costs. selectReplacement keeps two records, the current
+// candidate and the best so far, and reuses their buffers from gate to gate;
+// the realization stays unboxed until the winner is built or recorded.
 type candidate struct {
 	score
-	sub        *subckt.Subcircuit
-	spec       compare.Realization
+	sub        *subckt.Subcircuit // in the optimizer's enumeration storage
+	spec       compare.Spec       // the realization, unless isMulti
+	multi      compare.MultiSpec  // the realization when isMulti
+	isMulti    bool
 	keepInputs []int // host node IDs for the spec's variables, in order
 
-	// Evidence inputs (the tables are cache-shared; no extra allocation):
-	// the support-reduced extracted function and, when identification used
-	// reachability don't-cares, the care set it was matched under.
+	// Evidence inputs: the support-reduced extracted function, in the
+	// record's own table, and, when identification used reachability
+	// don't-cares, the care set it was matched under (cache-shared).
 	stt     logic.TT
 	care    logic.TT
 	hasCare bool
 }
 
+// realization returns the candidate's realization behind the interface
+// Build and the certificate take.
+func (cand *candidate) realization() compare.Realization {
+	if cand.isMulti {
+		return cand.multi
+	}
+	return cand.spec
+}
+
+// setSpec fills a record's realization fields from the candidate.
+func (cand *candidate) setSpec(rec *dtrace.Record) {
+	rec.MultiUnit = cand.isMulti
+	if cand.isMulti {
+		rec.Spec = cand.multi.String()
+	} else {
+		rec.Spec = cand.spec.String()
+	}
+}
+
 // selectReplacement evaluates all candidates for gate output g and returns
-// the chosen replacement, or nil to keep the existing logic.
+// the chosen replacement, or nil to keep the existing logic. The returned
+// record and the subcircuit it points to stay valid until the next call.
+// With tracing off and every candidate function cached, a call allocates
+// nothing.
 //
 // When decision tracing is on, one record per enumerated candidate is
 // buffered in enumeration order and emitted at the end of the call, once the
@@ -594,10 +622,11 @@ type candidate struct {
 // blocked it (ObjectiveWorse, or PathBound when only the saturated path
 // labels vetoed an otherwise-improving replacement).
 func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
-	subs := o.db.EnumerateFromCuts(c, g)
+	subs := o.db.EnumerateFromCuts(c, g, &o.ksc)
 	np, npOK := o.np, o.npOK
 	oldPathsOnG := np[g]
-	var best *candidate
+	cur, best := &o.cands[0], &o.cands[1]
+	haveBest := false
 	var recs []dtrace.Record          // per-candidate trace, nil unless o.dt != nil
 	bestRec := -1                     // index in recs of the current best's record
 	better := func(a, b score) bool { // is a better than b?
@@ -618,93 +647,90 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			return ma > mb
 		}
 	}
-	for _, sub := range subs {
+	for i := range subs {
+		sub := &subs[i]
 		mCandidates.Inc()
 		hCandInputs.Observe(float64(len(sub.Inputs)))
 		// Extraction drops inputs the function does not depend on: they
 		// contribute no logic and their paths disappear entirely.
-		stt, kept := sub.Extract(c).Shrink()
+		o.ksc.Extract(sub, c, &o.tt)
+		o.kept = o.tt.Shrink(&cur.stt, o.kept)
+		stt := cur.stt
 		if stt.Vars() == 0 {
 			if o.dt != nil {
 				recs = o.candRec(recs, c, g, sub, oldPathsOnG, dtrace.ConstFunction)
 			}
 			continue // constant function: left to Simplify
 		}
+		keep := cur.keepInputs[:0]
+		for _, v := range o.kept {
+			keep = append(keep, sub.Inputs[v-1])
+		}
+		cur.keepInputs = keep
 		reals := o.identify(stt)
 		// Without a realization, the Section 6 extensions may still admit
 		// one unit under reachability don't-cares, or an OR of units.
-		var fallback compare.Realization
-		var dcCare logic.TT
-		usedDC := false
+		cur.isMulti, cur.hasCare, cur.care = false, false, logic.TT{}
+		fallback := false
 		if len(reals) == 0 && o.valbits != nil {
-			keep := make([]int, len(kept))
-			for j, v := range kept {
-				keep[j] = sub.Inputs[v-1]
-			}
 			care := o.careSet(keep)
 			if !care.IsConst(true) {
 				if s, ok := o.identifyDC(stt, care); ok {
-					fallback, dcCare, usedDC = s, care, true
+					cur.spec, cur.care, cur.hasCare, fallback = s, care, true, true
 				}
 			}
 		}
-		if len(reals) == 0 && fallback == nil && o.opt.MaxUnits > 1 {
+		if len(reals) == 0 && !fallback && o.opt.MaxUnits > 1 {
 			if m, ok := o.identifyMulti(stt); ok {
-				fallback = m
+				cur.multi, cur.isMulti, fallback = m, true, true
 			}
 		}
-		if len(reals) == 0 && fallback == nil {
+		if len(reals) == 0 && !fallback {
 			if o.dt != nil {
 				recs = o.candRec(recs, c, g, sub, oldPathsOnG, dtrace.NoComparisonUnit)
 			}
 			continue
 		}
-		keepInputs := make([]int, len(kept))
 		subNp := o.subNp[:0] // read only by the cost calls below
-		for j, v := range kept {
-			keepInputs[j] = sub.Inputs[v-1]
-			subNp = append(subNp, np[keepInputs[j]])
+		for _, id := range keep {
+			subNp = append(subNp, np[id])
 		}
 		o.subNp = subNp
-		saved := sub.GateSavings(c) // the same for every realization
+		saved := o.ksc.GateSavings(sub, c) // the same for every realization
 		// The first realization is taken; a later one replaces it only
-		// when strictly better. Only the winner is boxed into the
-		// candidate. A fallback scores its own spec.
-		spec, sc := fallback, score{}
-		if fallback != nil {
-			sc = score{saved - fallback.GateCost(), fallback.PathCost(subNp)}
-		} else {
+		// when strictly better. A fallback scores its own spec.
+		switch {
+		case cur.isMulti:
+			cur.score = score{saved - cur.multi.GateCost(), cur.multi.PathCost(subNp)}
+		case fallback:
+			cur.score = score{saved - cur.spec.GateCost(), cur.spec.PathCost(subNp)}
+		default:
 			win := 0
-			for i := range reals {
-				r := &reals[i]
-				if rs := (score{saved - int(r.gates), r.pathCost(subNp)}); i == 0 || better(rs, sc) {
-					win, sc = i, rs
+			for j := range reals {
+				r := &reals[j]
+				if rs := (score{saved - int(r.gates), r.pathCost(subNp)}); j == 0 || better(rs, cur.score) {
+					win, cur.score = j, rs
 				}
 			}
-			spec = reals[win].spec
+			cur.spec = reals[win].spec
 		}
-		cand := &candidate{
-			score:      sc,
-			sub:        sub,
-			spec:       spec,
-			keepInputs: keepInputs,
-			stt:        stt,
-			care:       dcCare,
-			hasCare:    usedDC,
-		}
-		if best == nil || better(cand.score, best.score) {
-			best = cand
-			bestRec = len(recs) // the record appended just below
-		}
+		cur.sub = sub
+		wins := !haveBest || better(cur.score, best.score)
 		if o.dt != nil {
 			// Realized candidates default to Dominated; the winner's record
 			// is resolved after the sweep below.
 			recs = o.candRec(recs, c, g, sub, oldPathsOnG, dtrace.Dominated)
 			rec := &recs[len(recs)-1]
-			rec.GateSave = cand.gateSave
-			rec.PathsAfter = cand.pathsOnG
-			rec.UsedDC = cand.hasCare
-			o.setSpec(rec, cand.spec)
+			rec.GateSave = cur.gateSave
+			rec.PathsAfter = cur.pathsOnG
+			rec.UsedDC = cur.hasCare
+			cur.setSpec(rec)
+			if wins {
+				bestRec = len(recs) - 1
+			}
+		}
+		if wins {
+			cur, best, haveBest = best, cur, true
 		}
 	}
 	// Only rewrite when the objective strictly improves (the identity
@@ -714,7 +740,7 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 	// objective would otherwise take, ObjectiveWorse for a plain shortfall.
 	accepted := false
 	rejection := dtrace.ObjectiveWorse
-	if best != nil {
+	if haveBest {
 		switch o.opt.Objective {
 		case MinGates:
 			if best.gateSave > 0 || (best.gateSave == 0 && npOK && best.pathsOnG < oldPathsOnG) {
@@ -919,7 +945,8 @@ func (o *optimizer) identifyDC(tt, care logic.TT) (compare.Spec, bool) {
 // apply builds the unit, rewires g's consumers to it and sweeps dead logic.
 func (o *optimizer) apply(c *circuit.Circuit, cand *candidate) {
 	gate := c.Nodes[cand.sub.Out].Name // captured before the rewire kills the node
-	out := cand.spec.Build(c, cand.keepInputs, compare.BuildOptions{
+	spec := cand.realization()
+	out := spec.Build(c, cand.keepInputs, compare.BuildOptions{
 		Merge:      o.opt.Merge,
 		NamePrefix: fmt.Sprintf("cu%d_", cand.sub.Out),
 	})
@@ -934,7 +961,7 @@ func (o *optimizer) apply(c *circuit.Circuit, cand *candidate) {
 			Gate: gate,
 			Vars: cand.stt.Vars(),
 			TT:   cand.stt.Hex(),
-			Spec: ledger.SpecInfoOf(cand.spec),
+			Spec: ledger.SpecInfoOf(spec),
 		}
 		if cand.hasCare {
 			ev.Care = cand.care.Hex()

@@ -1,11 +1,10 @@
 package subckt
 
 import (
+	"math/bits"
 	"slices"
-	"sync"
 
 	"compsynth/internal/circuit"
-	"compsynth/internal/digest"
 )
 
 // K-feasible cut enumeration (the standard technology-mapping algorithm).
@@ -23,10 +22,13 @@ import (
 // keeping only sets of at most K lines, capped per node by cut count.
 
 // CutDB holds the K-feasible cuts of every node of one circuit snapshot.
+// Its methods serve one goroutine at a time.
 type CutDB struct {
 	K       int
 	maxCuts int
-	cuts    [][][]int // per node: list of cuts; each cut is sorted node IDs
+	cuts    [][][]int  // per node: list of cuts; each cut is sorted node IDs
+	sigs    [][]uint64 // per node: each cut's leaf signature, in step with cuts
+	m       *merger    // the cut merge's scratch, made on first use
 }
 
 // ComputeCuts enumerates up to maxCuts K-feasible cuts per node, smallest
@@ -47,7 +49,7 @@ func NewCutDB(c *circuit.Circuit, k, maxCuts int) *CutDB {
 	if maxCuts <= 0 {
 		maxCuts = 64
 	}
-	return &CutDB{K: k, maxCuts: maxCuts, cuts: make([][][]int, len(c.Nodes))}
+	return &CutDB{K: k, maxCuts: maxCuts, cuts: make([][][]int, len(c.Nodes)), sigs: make([][]uint64, len(c.Nodes))}
 }
 
 // Grow extends per-node storage to cover IDs up to len(c.Nodes)-1; newly
@@ -55,6 +57,7 @@ func NewCutDB(c *circuit.Circuit, k, maxCuts int) *CutDB {
 func (db *CutDB) Grow(c *circuit.Circuit) {
 	for len(db.cuts) < len(c.Nodes) {
 		db.cuts = append(db.cuts, nil)
+		db.sigs = append(db.sigs, nil)
 	}
 }
 
@@ -75,63 +78,95 @@ func (db *CutDB) ComputeNode(c *circuit.Circuit, id int) {
 	v := c.Freeze()
 	d := v.DenseOf[id]
 	if d < 0 {
-		db.cuts[id] = nil // dead node: no cuts
+		db.cuts[id], db.sigs[id] = nil, nil // dead node: no cuts
 		return
 	}
 	switch v.Kind[d] {
 	case circuit.Input:
-		db.cuts[id] = [][]int{{id}}
+		db.cuts[id], db.sigs[id] = [][]int{{id}}, []uint64{leafSig(id)}
 	case circuit.Const0, circuit.Const1:
-		db.cuts[id] = [][]int{{}}
+		db.cuts[id], db.sigs[id] = [][]int{{}}, []uint64{0}
 	default:
-		m := mergePool.Get().(*merger)
-		db.cuts[id] = m.merge(db, v, d, id)
-		mergePool.Put(m)
+		if db.m == nil {
+			db.m = newMerger(db.maxCuts)
+		}
+		db.cuts[id], db.sigs[id] = db.m.merge(db, v, d, id)
 	}
 }
 
-// merger is the pooled scratch of one gate's cut merge. Cut contents are
+// leafSig is one leaf's bit in a cut's signature: the signature of a cut is
+// the OR of its leaves' bits, so it has at most as many bits set as the cut
+// has leaves, and popcount(sig(a) | sig(b)) never exceeds |a ∪ b|.
+func leafSig(id int) uint64 { return 1 << (id & 63) }
+
+// merger is the scratch of one database's cut merge. Cut contents are
 // written into slab and addressed by cutRef; acc and next hold the running
-// cross product; seen dedupes by content digest. Nothing is allocated until
-// the surviving cuts are copied out.
+// cross product; seen dedupes one round's unions by content. Nothing is
+// allocated until the surviving cuts are copied out.
 type merger struct {
 	slab      []int
 	acc, next []cutRef
-	seen      map[digest.D]struct{}
+	seen      dedupe
+
+	// Union attempts of the merges so far that the signature rejected, and
+	// that it let through although the union has more than K leaves.
+	filtered, late int
 }
 
-// cutRef addresses one cut, slab[off : off+n].
-type cutRef struct{ off, n int32 }
+// cutRef addresses one cut, slab[off : off+n], with its leaf signature.
+type cutRef struct {
+	sig    uint64
+	off, n int32
+}
 
-var mergePool = sync.Pool{New: func() any {
-	return &merger{seen: map[digest.D]struct{}{}}
-}}
+func newMerger(maxCuts int) *merger {
+	// A round accepts at most 4*maxCuts+1 unions; a table of at least twice
+	// that many slots keeps every probe sequence short.
+	size := 1
+	for size < 2*(4*maxCuts+1) {
+		size <<= 1
+	}
+	return &merger{seen: dedupe{slots: make([]slot, size), shift: uint(64 - bits.Len(uint(size-1)))}}
+}
 
-// merge computes the cuts of gate id (dense d): the trivial cut {id} plus
-// the K-feasible unions of one cut per fanin, crossed fanin by fanin in
-// generation order. Each round keeps the first occurrence of every union,
-// stops generating past 4*maxCuts unions and, past 2*maxCuts survivors,
-// keeps the smallest 2*maxCuts. The result is sorted (size, then IDs) and
-// capped at maxCuts.
-func (m *merger) merge(db *CutDB, v *circuit.CSR, d int32, id int) [][]int {
+// merge computes the cuts of gate id (dense d) and their signatures: the
+// trivial cut {id} plus the K-feasible unions of one cut per fanin, crossed
+// fanin by fanin in generation order. Each round keeps the first occurrence
+// of every union, stops generating past 4*maxCuts unions and, past 2*maxCuts
+// survivors, keeps the smallest 2*maxCuts. The result is sorted (size, then
+// IDs) and capped at maxCuts.
+//
+// A pair whose signatures together have more than K bits set cannot have a
+// K-feasible union, so it is skipped before its leaves are merged. Only
+// feasible unions count toward the 4*maxCuts cut-off, so the skip changes
+// nothing the merge returns.
+func (m *merger) merge(db *CutDB, v *circuit.CSR, d int32, id int) ([][]int, []uint64) {
 	k, maxCuts := db.K, db.maxCuts
 	m.slab = append(m.slab[:0], id)
 	acc := append(m.acc[:0], cutRef{off: 1, n: 0}) // the empty cut
 	next := m.next[:0]
 	for _, fd := range v.FaninOf(d) {
 		f := int(v.NodeID[fd])
+		fcuts, fsigs := db.cuts[f], db.sigs[f]
 		next = next[:0]
-		clear(m.seen)
+		m.seen.newRound()
 		made := 0 // unions generated, duplicates included
 	cross:
 		for _, a := range acc {
-			for _, cf := range db.cuts[f] {
-				u, ok := m.union(a, cf, k)
-				if !ok {
+			for j, cf := range fcuts {
+				sig := a.sig | fsigs[j]
+				if bits.OnesCount64(sig) > k {
+					m.filtered++
 					continue
 				}
+				u, ok := m.union(a, cf, k)
+				if !ok {
+					m.late++
+					continue
+				}
+				u.sig = sig
 				made++
-				if m.fresh(u) {
+				if m.seen.fresh(m.slab, u) {
 					next = append(next, u)
 				} else {
 					m.slab = m.slab[:u.off] // drop the duplicate's contents
@@ -152,7 +187,7 @@ func (m *merger) merge(db *CutDB, v *circuit.CSR, d int32, id int) [][]int {
 	}
 	// The trivial cut sits at slab[0:1]; no union contains id itself, so
 	// the merged list needs no second dedupe.
-	all := append(next[:0], cutRef{off: 0, n: 1})
+	all := append(next[:0], cutRef{sig: leafSig(id), off: 0, n: 1})
 	all = append(all, acc...)
 	m.sort(all)
 	if len(all) > maxCuts {
@@ -165,13 +200,15 @@ func (m *merger) merge(db *CutDB, v *circuit.CSR, d int32, id int) [][]int {
 	}
 	flat := make([]int, total)
 	out := make([][]int, len(all))
+	sigs := make([]uint64, len(all))
 	p := 0
 	for i, r := range all {
 		n := copy(flat[p:], m.slab[r.off:r.off+r.n])
 		out[i] = flat[p : p+n : p+n]
+		sigs[i] = r.sig
 		p += n
 	}
-	return out
+	return out, sigs
 }
 
 // union appends the sorted union of cut a (in the slab) and cf to the slab
@@ -211,16 +248,53 @@ func (m *merger) union(a cutRef, cf []int, k int) (cutRef, bool) {
 	return cutRef{off: int32(off), n: int32(n)}, true
 }
 
-// fresh records u's contents in the round's dedupe set and reports whether
-// they were new. Cuts are sorted ID lists, so a length-framed digest is a
-// canonical set identity.
-func (m *merger) fresh(u cutRef) bool {
-	key := digest.New().Ints(m.slab[u.off : u.off+u.n])
-	if _, dup := m.seen[key]; dup {
-		return false
+// dedupe is an open-addressing set of one round's cuts, keyed by content.
+// A slot belongs to the current round only while its epoch matches, so a
+// new round starts with one increment instead of a clear.
+type dedupe struct {
+	slots []slot // power-of-two length
+	shift uint   // 64 - log2(len(slots)): the hash's top bits pick the slot
+	epoch uint32
+}
+
+// slot holds one cut of the round: its place in the slab and the low half
+// of its content hash (the high bits chose the slot).
+type slot struct {
+	epoch  uint32
+	hash   uint32
+	off, n int32
+}
+
+func (t *dedupe) newRound() {
+	t.epoch++
+	if t.epoch == 0 {
+		// The counter wrapped: slots stamped 2^32 rounds ago would read as
+		// current.
+		clear(t.slots)
+		t.epoch = 1
 	}
-	m.seen[key] = struct{}{}
-	return true
+}
+
+// fresh records u's contents in the round's set and reports whether they
+// were new. A hash match is confirmed by comparing the contents in full.
+func (t *dedupe) fresh(slab []int, u cutRef) bool {
+	cut := slab[u.off : u.off+u.n]
+	h := uint64(len(cut))
+	for _, x := range cut {
+		h = (h ^ uint64(x)) * 0x100000001b3
+	}
+	h *= 0x9e3779b97f4a7c15
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.epoch != t.epoch {
+			*s = slot{epoch: t.epoch, hash: uint32(h), off: u.off, n: u.n}
+			return true
+		}
+		if s.hash == uint32(h) && slices.Equal(slab[s.off:s.off+s.n], cut) {
+			return false
+		}
+	}
 }
 
 // sort orders refs by cut size, then lexicographically by node ID. The
@@ -232,43 +306,32 @@ func (m *merger) sort(refs []cutRef) {
 		if x.n != y.n {
 			return int(x.n - y.n)
 		}
-		return slices.Compare(slab[x.off:x.off+x.n], slab[y.off:y.off+y.n])
+		a, b := slab[x.off:x.off+x.n], slab[y.off:y.off+x.n]
+		for i, v := range a {
+			if w := b[i]; v != w {
+				if v < w {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
 	})
 }
 
 // Cuts returns the cuts of node id (shared storage; do not mutate).
 func (db *CutDB) Cuts(id int) [][]int { return db.cuts[id] }
 
-// SubcircuitFor materializes the subcircuit induced by a cut of g: all gates
-// on paths between the cut lines and g, listed fanins first. Returns nil for
-// the trivial cut {g}, when a path from a primary input reaches g without
-// crossing the cut, or when a line is dead. Cut lines that are constants
-// are absorbed into the gates; cut lines no gate reads are not inputs.
-func SubcircuitFor(c *circuit.Circuit, g int, cut []int) *Subcircuit {
-	if !c.Alive(g) {
-		return nil
-	}
-	sc := scratchPool.Get().(*scratch)
-	var s *Subcircuit
-	if sc.walk(c, g, cut) {
-		// One allocation holds both lists.
-		ids := append(append(make([]int, 0, len(sc.ids)+len(sc.in)), sc.ids...), sc.in...)
-		s = &Subcircuit{Out: g}
-		s.Gates, s.Inputs = splitIDs(ids, len(sc.ids))
-	}
-	scratchPool.Put(sc)
-	return s
-}
-
 // EnumerateFromCuts generates the candidate subcircuits of live gate g from
 // its cut set, in cut order, skipping cuts that induce no subcircuit or one
-// without inputs. The candidates share three allocations: their structs,
-// the returned pointers and one ID array.
-func (db *CutDB) EnumerateFromCuts(c *circuit.Circuit, g int) []*Subcircuit {
+// without inputs. The candidates and their ID lists live in sc, which the
+// next call overwrites: a caller consumes one gate's candidates before it
+// enumerates the next gate's. With sc reused, the call allocates only while
+// sc's storage grows.
+func (db *CutDB) EnumerateFromCuts(c *circuit.Circuit, g int, sc *Scratch) []Subcircuit {
 	if !c.Alive(g) {
 		return nil
 	}
-	sc := scratchPool.Get().(*scratch)
 	flat, sizes := sc.flat[:0], sc.sizes[:0]
 	for _, cut := range db.cuts[g] {
 		if sc.walk(c, g, cut) && len(sc.in) > 0 {
@@ -277,21 +340,16 @@ func (db *CutDB) EnumerateFromCuts(c *circuit.Circuit, g int) []*Subcircuit {
 		}
 	}
 	sc.flat, sc.sizes = flat, sizes
-	var out []*Subcircuit
-	if n := len(sizes) / 2; n > 0 {
-		ids := append([]int(nil), flat...)
-		subs := make([]Subcircuit, n)
-		out = make([]*Subcircuit, n)
-		for i := range subs {
-			ng, ni := sizes[2*i], sizes[2*i+1]
-			subs[i].Out = g
-			subs[i].Gates, subs[i].Inputs = splitIDs(ids[:ng+ni], ng)
-			ids = ids[ng+ni:]
-			out[i] = &subs[i]
-		}
+	// The candidates slice flat only once it has stopped growing.
+	subs := sc.subs[:0]
+	for i := 0; i < len(sizes); i += 2 {
+		ng, ni := sizes[i], sizes[i+1]
+		gates, inputs := splitIDs(flat[:ng+ni], ng)
+		subs = append(subs, Subcircuit{Out: g, Gates: gates, Inputs: inputs})
+		flat = flat[ng+ni:]
 	}
-	scratchPool.Put(sc)
-	return out
+	sc.subs = subs
+	return subs
 }
 
 // splitIDs cuts ids into its first ng entries and the rest, capped so that
@@ -301,10 +359,12 @@ func splitIDs(ids []int, ng int) (gates, inputs []int) {
 }
 
 // walk collects in sc.ids the gates of the subcircuit the cut induces on g,
-// fanins first, and in sc.in its inputs, sorted. It reports false when the
-// cut induces none: a cut line is dead, g is on the cut or an input, or a
-// path from a primary input escapes the cut. g must be alive.
-func (sc *scratch) walk(c *circuit.Circuit, g int, cut []int) bool {
+// fanins first, and in sc.in its inputs in cut order. It reports false when
+// the cut induces none: a cut line is dead, g is on the cut or an input, or
+// a path from a primary input escapes the cut. g must be alive, and the cut
+// sorted without repeats, as every cut of a CutDB is; the inputs are then
+// sorted too.
+func (sc *Scratch) walk(c *circuit.Circuit, g int, cut []int) bool {
 	sc.begin(len(c.Nodes))
 	sc.ids, sc.in = sc.ids[:0], sc.in[:0]
 	for _, id := range cut {
@@ -317,8 +377,9 @@ func (sc *scratch) walk(c *circuit.Circuit, g int, cut []int) bool {
 		return false
 	}
 	// Iterative depth-first walk over fanins; a gate is appended once all
-	// its fanins are done (post-order), an input when first reached.
-	gates, inputs := sc.ids, sc.in
+	// its fanins are done (post-order), an input is marked when first
+	// reached.
+	gates := sc.ids
 	sc.set(g, markGate)
 	stack := append(sc.stack[:0], walkFrame{id: g})
 	ok := true
@@ -340,7 +401,6 @@ func (sc *scratch) walk(c *circuit.Circuit, g int, cut []int) bool {
 				gates = append(gates, f)
 			} else {
 				sc.set(f, markInput)
-				inputs = append(inputs, f)
 			}
 		default:
 			if c.Nodes[f].Type == circuit.Input {
@@ -351,7 +411,14 @@ func (sc *scratch) walk(c *circuit.Circuit, g int, cut []int) bool {
 			stack = append(stack, walkFrame{id: f})
 		}
 	}
-	slices.Sort(inputs)
-	sc.stack, sc.ids, sc.in = stack, gates, inputs
-	return ok
+	sc.stack, sc.ids = stack, gates
+	if !ok {
+		return false
+	}
+	for _, id := range cut {
+		if sc.get(id) == markInput {
+			sc.in = append(sc.in, id)
+		}
+	}
+	return true
 }

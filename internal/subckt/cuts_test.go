@@ -61,7 +61,7 @@ func TestCutsOfC17(t *testing.T) {
 			t.Fatalf("gate %s has %d cuts under a cap of 2", nd.Name, n)
 		}
 	}
-	if n := len(capped.EnumerateFromCuts(c, g)); n == 0 || n > 2 {
+	if n := len(capped.EnumerateFromCuts(c, g, new(Scratch))); n == 0 || n > 2 {
 		t.Fatalf("output 22 has %d candidates under a cap of 2", n)
 	}
 }
@@ -71,6 +71,7 @@ func TestCutsAreRealCuts(t *testing.T) {
 	// function matches direct cofactor evaluation.
 	c, _ := bench.ParseString(bench.C17, "c17")
 	db := ComputeCuts(c, 5, 64)
+	sc := new(Scratch)
 	for _, nd := range c.Nodes {
 		if nd.Type != circuit.Nand {
 			continue
@@ -79,11 +80,11 @@ func TestCutsAreRealCuts(t *testing.T) {
 			if len(cut) == 1 && cut[0] == nd.ID {
 				continue
 			}
-			s := SubcircuitFor(c, nd.ID, cut)
+			s := subcircuitFor(sc, c, nd.ID, cut)
 			if s == nil {
 				t.Fatalf("gate %s: cut %v does not induce a subcircuit", nd.Name, cut)
 			}
-			tt := s.Extract(c)
+			tt := extract(sc, s, c)
 			if tt.Vars() != len(s.Inputs) {
 				t.Fatal("arity mismatch")
 			}
@@ -121,11 +122,12 @@ func TestCutsThroughWideGates(t *testing.T) {
 	c.MarkOutput(out)
 
 	db := ComputeCuts(c, 4, 128)
-	subs := db.EnumerateFromCuts(c, out)
+	sc := new(Scratch)
+	subs := db.EnumerateFromCuts(c, out, sc)
 	foundFull := false
-	for _, s := range subs {
-		if len(s.Inputs) == 4 {
-			tt := s.Extract(c)
+	for i := range subs {
+		if s := &subs[i]; len(s.Inputs) == 4 {
+			tt := extract(sc, s, c)
 			if tt.Equal(f) {
 				foundFull = true
 			}
@@ -140,6 +142,7 @@ func TestCutsOnRandomCircuits(t *testing.T) {
 	for _, b := range gen.SmallSuite()[:2] {
 		c := b.Build()
 		db := ComputeCuts(c, 5, 32)
+		sc := new(Scratch)
 		for _, nd := range c.Nodes {
 			if nd == nil || !c.Alive(nd.ID) || nd.Type == circuit.Input {
 				continue
@@ -151,7 +154,7 @@ func TestCutsOnRandomCircuits(t *testing.T) {
 				if len(cut) == 1 && cut[0] == nd.ID {
 					continue
 				}
-				if s := SubcircuitFor(c, nd.ID, cut); s == nil {
+				if s := subcircuitFor(sc, c, nd.ID, cut); s == nil {
 					t.Fatalf("%s: invalid cut %v for node %d", b.Name, cut, nd.ID)
 				}
 			}
@@ -163,11 +166,12 @@ func TestSubcircuitForRejectsBadCuts(t *testing.T) {
 	c, _ := bench.ParseString(bench.C17, "c17")
 	g := c.NodeByName("22")
 	// A cut that does not cover all paths (missing one branch) is invalid.
-	if s := SubcircuitFor(c, g, []int{c.NodeByName("10")}); s != nil {
+	sc := new(Scratch)
+	if s := subcircuitFor(sc, c, g, []int{c.NodeByName("10")}); s != nil {
 		t.Fatal("partial cut accepted")
 	}
 	// Trivial self-cut rejected.
-	if s := SubcircuitFor(c, g, []int{g}); s != nil {
+	if s := subcircuitFor(sc, c, g, []int{g}); s != nil {
 		t.Fatal("self cut accepted")
 	}
 }

@@ -211,6 +211,61 @@ func refGateSavings(s *refSub, c *circuit.Circuit) int {
 	return n
 }
 
+// refExtractTT is the Extract the caller-owned-table kernel replaced: it
+// builds each input's variable table with logic.Var and evaluates Gates in
+// order on a fresh per-node word array, returning a new table.
+func refExtractTT(s *Subcircuit, c *circuit.Circuit) logic.TT {
+	n := len(s.Inputs)
+	tt := logic.New(n)
+	vals := make([]uint64, len(c.Nodes))
+	words := tt.Words()
+	for w := range words {
+		for j, in := range s.Inputs {
+			vals[in] = logic.Var(n, j+1).Words()[w]
+		}
+		for _, id := range s.Gates {
+			nd := c.Nodes[id]
+			var buf []uint64
+			for _, f := range nd.Fanin {
+				buf = append(buf, vals[f])
+			}
+			vals[id] = nd.Type.EvalWords(buf)
+		}
+		words[w] = vals[s.Out]
+	}
+	if n < 6 {
+		words[0] &= (uint64(1) << (1 << n)) - 1
+	}
+	return tt
+}
+
+// refShrink is the Shrink the caller-owned-table kernel replaced: it
+// returns a new table without t's non-support variables and the 1-based
+// indices of the variables it keeps (t itself when every variable is kept).
+func refShrink(t logic.TT) (logic.TT, []int) {
+	var sup []int
+	for i := 1; i <= t.Vars(); i++ {
+		if t.DependsOn(i) {
+			sup = append(sup, i)
+		}
+	}
+	if len(sup) == t.Vars() {
+		return t, sup
+	}
+	r := logic.New(len(sup))
+	for m := 0; m < r.Size(); m++ {
+		var full int
+		for i, v := range sup {
+			bit := (m >> (len(sup) - 1 - i)) & 1
+			full |= bit << (t.Vars() - v)
+		}
+		if t.Get(full) {
+			r.Set(m, true)
+		}
+	}
+	return r, sup
+}
+
 // refComputeNode computes the cuts of node id into cuts[id] with one
 // allocated slice per union, a digest-keyed map per dedupe and sort.Slice,
 // the merge the slab kernel replaced.
@@ -351,13 +406,47 @@ func pinCircuits(t *testing.T) map[string]*circuit.Circuit {
 	return out
 }
 
-// TestComputeNodeMatchesRef pins the slab merge to the allocating one: every
-// node's cut list, in order, at K = 5 and 6, under the optimizer's cap and
-// under a cap of 2 that truncates at every stage.
+// collidingCircuit builds a circuit whose cuts hold leaves that collide
+// mod 64, so that cut signatures undercount: inputs a_i and a_{i+64} share a
+// signature bit, and each first-level gate reads both. Unions of the
+// upper levels' cuts then have more than K leaves with K or fewer signature
+// bits set, and only the full merge rejects them.
+func collidingCircuit() *circuit.Circuit {
+	c := circuit.New("collide64")
+	var in []int
+	for i := 0; i < 128; i++ {
+		in = append(in, c.AddInput(fmt.Sprintf("a%d", i)))
+	}
+	level := make([]int, 64)
+	for i := range level {
+		level[i] = c.AddGate(circuit.Xor, "", in[i], in[i+64])
+	}
+	types := []circuit.GateType{circuit.And, circuit.Or, circuit.Nand}
+	for step, t := range types {
+		next := make([]int, len(level))
+		for i := range level {
+			next[i] = c.AddGate(t, "", level[i], level[(i+1<<step)%len(level)])
+		}
+		level = next
+	}
+	for _, g := range level {
+		c.MarkOutput(g)
+	}
+	return c
+}
+
+// TestComputeNodeMatchesRef pins the signature-filtered slab merge to the
+// allocating one: every node's cut list, in order, at K = 4, 5 and 6, under
+// the optimizer's cap, a wider one, and a cap of 2 that truncates at every
+// stage. On the colliding circuit the filter must both reject unions and
+// let infeasible ones through to the full merge.
 func TestComputeNodeMatchesRef(t *testing.T) {
-	for name, c := range pinCircuits(t) {
-		for _, k := range []int{5, 6} {
-			for _, maxCuts := range []int{32, 2} {
+	circuits := pinCircuits(t)
+	circuits["collide64"] = collidingCircuit()
+	filtered, late := 0, 0
+	for name, c := range circuits {
+		for _, k := range []int{4, 5, 6} {
+			for _, maxCuts := range []int{32, 64, 2} {
 				db := ComputeCuts(c, k, maxCuts)
 				ref := make([][][]int, len(c.Nodes))
 				for _, id := range c.Topo() {
@@ -368,8 +457,103 @@ func TestComputeNodeMatchesRef(t *testing.T) {
 						t.Fatalf("%s K=%d cap=%d node %d: cuts %v, want %v",
 							name, k, maxCuts, id, db.Cuts(id), ref[id])
 					}
+					checkSigs(t, db, id)
+				}
+				if name == "collide64" {
+					filtered += db.m.filtered
+					late += db.m.late
 				}
 			}
+		}
+	}
+	t.Logf("collide64: the signature rejected %d unions and passed %d infeasible ones", filtered, late)
+	if filtered == 0 || late == 0 {
+		t.Fatalf("collide64: the signature rejected %d unions and passed %d infeasible ones; want both > 0", filtered, late)
+	}
+}
+
+// checkSigs requires node id's stored signatures to be its cuts' leaf
+// signatures, one per cut.
+func checkSigs(t *testing.T, db *CutDB, id int) {
+	t.Helper()
+	if len(db.sigs[id]) != len(db.cuts[id]) {
+		t.Fatalf("node %d: %d signatures for %d cuts", id, len(db.sigs[id]), len(db.cuts[id]))
+	}
+	for i, cut := range db.cuts[id] {
+		var sig uint64
+		for _, leaf := range cut {
+			sig |= 1 << (leaf & 63)
+		}
+		if db.sigs[id][i] != sig {
+			t.Fatalf("node %d cut %v: signature %x, want %x", id, cut, db.sigs[id][i], sig)
+		}
+	}
+}
+
+// TestExtractShrinkMatchRef pins Extract and Shrink into reused tables to
+// the allocating forms they replaced, on every candidate of the quick suite
+// at K = 5 and 6, and of one circuit at K = 8, whose tables take up to four
+// words. One table and one index buffer serve every call.
+func TestExtractShrinkMatchRef(t *testing.T) {
+	type run struct {
+		b gen.Bench
+		k int
+	}
+	var runs []run
+	for _, b := range gen.Suite(0.15) {
+		runs = append(runs, run{b, 5}, run{b, 6})
+	}
+	runs = append(runs, run{gen.SmallSuite()[1], 8})
+	sc := new(Scratch)
+	var tt, stt logic.TT
+	var kept []int
+	wide := 0
+	for _, r := range runs {
+		c := r.b.Build()
+		c.Simplify()
+		db := ComputeCuts(c, r.k, 32)
+		n := 0
+		for _, g := range c.Topo() {
+			subs := db.EnumerateFromCuts(c, g, sc)
+			for i := range subs {
+				sub := &subs[i]
+				sc.Extract(sub, c, &tt)
+				want := refExtractTT(sub, c)
+				if !tt.Equal(want) {
+					t.Fatalf("%s K=%d node %d inputs %v: Extract = %s, want %s", r.b.Name, r.k, g, sub.Inputs, tt, want)
+				}
+				kept = tt.Shrink(&stt, kept)
+				wantS, wantKept := refShrink(want)
+				if !stt.Equal(wantS) || !slices.Equal(kept, wantKept) {
+					t.Fatalf("%s K=%d node %d: Shrink = %s %v, want %s %v", r.b.Name, r.k, g, stt, kept, wantS, wantKept)
+				}
+				if tt.Vars() > 6 {
+					wide++
+				}
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("%s K=%d: no candidates", r.b.Name, r.k)
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no candidate at K = 8 took more than one word")
+	}
+}
+
+// TestShrinkMatchesRefOnAllFourVariableFunctions: all 65,536 functions of
+// 4 variables shrink as the allocating Shrink does, into one reused table.
+func TestShrinkMatchesRefOnAllFourVariableFunctions(t *testing.T) {
+	var stt logic.TT
+	var kept []int
+	f := logic.New(4)
+	for w := uint64(0); w < 1<<16; w++ {
+		f.Words()[0] = w
+		kept = f.Shrink(&stt, kept)
+		want, wantKept := refShrink(f)
+		if !stt.Equal(want) || !slices.Equal(kept, wantKept) {
+			t.Fatalf("%04x: Shrink = %s %v, want %s %v", w, stt, kept, want, wantKept)
 		}
 	}
 }
@@ -383,6 +567,7 @@ func TestSubcircuitKernelsMatchRef(t *testing.T) {
 	for name, c := range pinCircuits(t) {
 		for _, k := range []int{5, 6} {
 			db := ComputeCuts(c, k, 32)
+			sc := new(Scratch)
 			n := 0
 			for _, g := range c.Topo() {
 				cuts := slices.Clone(db.Cuts(g))
@@ -391,7 +576,7 @@ func TestSubcircuitKernelsMatchRef(t *testing.T) {
 				cuts = append(cuts, slices.Compact(fanin))
 				for _, cut := range cuts {
 					where := fmt.Sprintf("%s K=%d node %d cut %v", name, k, g, cut)
-					got, want := SubcircuitFor(c, g, cut), refSubcircuitFor(c, g, cut)
+					got, want := subcircuitFor(sc, c, g, cut), refSubcircuitFor(c, g, cut)
 					if (got == nil) != (want == nil) {
 						t.Fatalf("%s: SubcircuitFor = %v, reference %v", where, got, want)
 					}
@@ -399,7 +584,7 @@ func TestSubcircuitKernelsMatchRef(t *testing.T) {
 						continue
 					}
 					n++
-					checkAgainstRef(t, where, c, got, want)
+					checkAgainstRef(t, where, sc, c, got, want)
 				}
 			}
 			if n == 0 {
@@ -409,7 +594,7 @@ func TestSubcircuitKernelsMatchRef(t *testing.T) {
 	}
 }
 
-func checkAgainstRef(t *testing.T, where string, c *circuit.Circuit, got *Subcircuit, want *refSub) {
+func checkAgainstRef(t *testing.T, where string, sc *Scratch, c *circuit.Circuit, got *Subcircuit, want *refSub) {
 	t.Helper()
 	if got.Out != want.Out || got.Gates[len(got.Gates)-1] != got.Out {
 		t.Fatalf("%s: Out %d, gates %v, want Out %d last", where, got.Out, got.Gates, want.Out)
@@ -434,10 +619,10 @@ func checkAgainstRef(t *testing.T, where string, c *circuit.Circuit, got *Subcir
 	if !slices.Equal(got.Inputs, want.Inputs) {
 		t.Fatalf("%s: inputs %v, want %v", where, got.Inputs, want.Inputs)
 	}
-	if tt, rt := got.Extract(c), refExtract(want, c); !tt.Equal(rt) {
+	if tt, rt := extract(sc, got, c), refExtract(want, c); !tt.Equal(rt) {
 		t.Fatalf("%s: Extract = %s, want %s", where, tt, rt)
 	}
-	if s, rs := got.GateSavings(c), refGateSavings(want, c); s != rs {
+	if s, rs := sc.GateSavings(got, c), refGateSavings(want, c); s != rs {
 		t.Fatalf("%s: GateSavings = %d, want %d", where, s, rs)
 	}
 	if k, rk := got.Key(), refKey(want); k != rk {
@@ -446,38 +631,44 @@ func checkAgainstRef(t *testing.T, where string, c *circuit.Circuit, got *Subcir
 }
 
 // TestKernelAllocs pins the allocation profile of the warm kernels:
-// GateSavings allocates nothing, Extract only the table it returns. The pin
-// drives one scratch directly rather than through the pool, which the race
-// detector empties at random.
+// enumeration into reused storage, GateSavings, and Extract into a reused
+// table allocate nothing.
 func TestKernelAllocs(t *testing.T) {
 	c := gen.SmallSuite()[0].Build()
 	db := ComputeCuts(c, 5, 32)
-	var sub *Subcircuit
-	for _, g := range c.Topo() {
-		for _, s := range db.EnumerateFromCuts(c, g) {
+	sc := new(Scratch)
+	var sub Subcircuit
+	g := -1
+	for _, id := range c.Topo() {
+		for _, s := range db.EnumerateFromCuts(c, id, sc) {
 			if len(s.Gates) > 2 && len(s.Inputs) >= 4 {
-				sub = s
+				sub, g = s, id
 			}
 		}
 	}
-	if sub == nil {
+	if g < 0 {
 		t.Fatal("no multi-gate candidate")
 	}
-	sc := new(scratch)
-	sc.gateSavings(sub, c)
-	if n := testing.AllocsPerRun(200, func() { sc.gateSavings(sub, c) }); n != 0 {
+	// sub's ID lists live in sc; keep them past the next enumeration.
+	sub.Gates, sub.Inputs = slices.Clone(sub.Gates), slices.Clone(sub.Inputs)
+	if n := testing.AllocsPerRun(200, func() { db.EnumerateFromCuts(c, g, sc) }); n != 0 {
+		t.Fatalf("warm EnumerateFromCuts allocates %v times per call, want 0", n)
+	}
+	sc.GateSavings(&sub, c)
+	if n := testing.AllocsPerRun(200, func() { sc.GateSavings(&sub, c) }); n != 0 {
 		t.Fatalf("warm GateSavings allocates %v times per call, want 0", n)
 	}
-	sc.extract(sub, c)
-	if n := testing.AllocsPerRun(200, func() { _ = sc.extract(sub, c) }); n != 1 {
-		t.Fatalf("warm Extract allocates %v times per call, want 1 (the table's words)", n)
+	var tt logic.TT
+	sc.Extract(&sub, c, &tt)
+	if n := testing.AllocsPerRun(200, func() { sc.Extract(&sub, c, &tt) }); n != 0 {
+		t.Fatalf("warm Extract allocates %v times per call, want 0", n)
 	}
 }
 
 // TestScratchEpochWrap: when the epoch counter wraps, marks from before the
 // wrap (including never-set zero stamps) must not read as current.
 func TestScratchEpochWrap(t *testing.T) {
-	sc := new(scratch)
+	sc := new(Scratch)
 	sc.begin(4)
 	for id := 0; id < 4; id++ {
 		sc.set(id, markRemovable)

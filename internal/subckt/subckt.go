@@ -9,7 +9,6 @@ package subckt
 
 import (
 	"math/bits"
-	"sync"
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/logic"
@@ -29,13 +28,14 @@ type Subcircuit struct {
 	keyed bool
 }
 
-// scratch is the pooled working set of the subcircuit kernels: per-node
-// marks, per-node 64-pattern words for Extract, and the walk's stack and
-// output buffers. A node's mark is live only while its stamp equals the
+// Scratch is caller-owned working storage for the candidate kernels:
+// per-node marks, per-node 64-pattern words for Extract, the walk's stack
+// and output buffers, and the storage EnumerateFromCuts hands its
+// candidates out of. A node's mark is live only while its stamp equals the
 // current epoch, so starting a new marking costs one increment instead of a
-// clear. Pooled so concurrent callers (the experiment driver runs one
-// optimizer per table row) each grab their own.
-type scratch struct {
+// clear. One Scratch serves one goroutine; the zero value is ready to use,
+// and once grown it makes the kernels allocation-free.
+type Scratch struct {
 	stamp []uint32
 	mark  []uint8 // meaningful only where stamp == epoch
 	epoch uint32
@@ -43,10 +43,11 @@ type scratch struct {
 	vals  []uint64 // Extract: current word per node ID
 	buf   []uint64 // Extract: fanin words of one gate
 	stack []walkFrame
-	ids   []int // walk: the gates, before the copy-out
-	in    []int // walk: the inputs, before the copy-out
-	flat  []int // EnumerateFromCuts: every candidate's gates and inputs
-	sizes []int // EnumerateFromCuts: per candidate, len(Gates), len(Inputs)
+	ids   []int        // walk: the gates, fanins first
+	in    []int        // walk: the inputs, sorted
+	flat  []int        // EnumerateFromCuts: every candidate's gates and inputs
+	sizes []int        // EnumerateFromCuts: per candidate, len(Gates), len(Inputs)
+	subs  []Subcircuit // EnumerateFromCuts: the candidates
 }
 
 // Marks a node can carry within one epoch.
@@ -59,10 +60,8 @@ const (
 
 type walkFrame struct{ id, pin int }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
 // begin starts a fresh marking over node IDs 0..n-1.
-func (sc *scratch) begin(n int) {
+func (sc *Scratch) begin(n int) {
 	sc.stamp = grow(sc.stamp, n)
 	sc.mark = grow(sc.mark, n)
 	sc.epoch++
@@ -74,12 +73,12 @@ func (sc *scratch) begin(n int) {
 	}
 }
 
-func (sc *scratch) set(id int, m uint8) {
+func (sc *Scratch) set(id int, m uint8) {
 	sc.stamp[id] = sc.epoch
 	sc.mark[id] = m
 }
 
-func (sc *scratch) get(id int) uint8 {
+func (sc *Scratch) get(id int) uint8 {
 	if sc.stamp[id] != sc.epoch {
 		return 0
 	}
@@ -146,50 +145,21 @@ func mix64(z uint64) uint64 {
 	return z ^ z>>31
 }
 
-// varTabs caches the variable truth tables Var(n, 1..n) per input count, so
-// Extract does not rebuild them for every candidate. The tables are
-// immutable once published.
-var (
-	varTabMu sync.Mutex
-	varTabs  = map[int][]logic.TT{}
-)
-
-func varTablesFor(n int) []logic.TT {
-	varTabMu.Lock()
-	defer varTabMu.Unlock()
-	if t, ok := varTabs[n]; ok {
-		return t
-	}
-	t := make([]logic.TT, n)
-	for j := 0; j < n; j++ {
-		t[j] = logic.Var(n, j+1)
-	}
-	varTabs[n] = t
-	return t
-}
-
-// Extract computes the truth table of the function C' implements on Out,
-// over the inputs in Subcircuit.Inputs order (input j = variable y_{j+1},
-// most significant first, per the logic package convention). It evaluates
-// Gates in order, 64 minterms at a time, on a pooled word array indexed by
-// node ID, so steady-state calls allocate only the returned table.
-func (s *Subcircuit) Extract(c *circuit.Circuit) logic.TT {
-	sc := scratchPool.Get().(*scratch)
-	tt := sc.extract(s, c)
-	scratchPool.Put(sc)
-	return tt
-}
-
-func (sc *scratch) extract(s *Subcircuit, c *circuit.Circuit) logic.TT {
+// Extract writes into dst the truth table of the function C' implements on
+// Out, over the inputs in Subcircuit.Inputs order (input j = variable
+// y_{j+1}, most significant first, per the logic package convention). It
+// evaluates Gates in order, 64 minterms at a time, on a word array indexed
+// by node ID. dst's words are reused when large enough, so with dst and sc
+// grown once the call allocates nothing.
+func (sc *Scratch) Extract(s *Subcircuit, c *circuit.Circuit, dst *logic.TT) {
 	n := len(s.Inputs)
-	tt := logic.New(n)
-	vt := varTablesFor(n)
+	dst.Reset(n)
 	sc.vals = grow(sc.vals, len(c.Nodes))
 	vals := sc.vals
-	words := tt.Words()
+	words := dst.Words()
 	for w := range words {
 		for j, in := range s.Inputs {
-			vals[in] = vt[j].Words()[w]
+			vals[in] = logic.VarWord(n-1-j, w)
 		}
 		for _, id := range s.Gates {
 			nd := c.Nodes[id]
@@ -206,7 +176,6 @@ func (sc *scratch) extract(s *Subcircuit, c *circuit.Circuit) logic.TT {
 	if n < 6 {
 		words[0] &= (uint64(1) << (1 << n)) - 1
 	}
-	return tt
 }
 
 // GateSavings returns the equivalent-2-input weight of the gates that
@@ -216,14 +185,7 @@ func (sc *scratch) extract(s *Subcircuit, c *circuit.Circuit) logic.TT {
 // replacement), or it drives no primary output and every fanout pin goes to
 // a removable gate of C'. Gates lists consumers after their fanins, so one
 // reverse pass decides every consumer inside C' before its producers.
-func (s *Subcircuit) GateSavings(c *circuit.Circuit) int {
-	sc := scratchPool.Get().(*scratch)
-	n := sc.gateSavings(s, c)
-	scratchPool.Put(sc)
-	return n
-}
-
-func (sc *scratch) gateSavings(s *Subcircuit, c *circuit.Circuit) int {
+func (sc *Scratch) GateSavings(s *Subcircuit, c *circuit.Circuit) int {
 	sc.begin(len(c.Nodes))
 	n := 0
 	for i := len(s.Gates) - 1; i >= 0; i-- {
@@ -241,7 +203,7 @@ func (sc *scratch) gateSavings(s *Subcircuit, c *circuit.Circuit) int {
 // removable reports whether every consumer of id is already marked
 // removable and id drives no primary output. The consumer test runs first:
 // it usually fails, and the PO scan walks every output.
-func (sc *scratch) removable(c *circuit.Circuit, id int) bool {
+func (sc *Scratch) removable(c *circuit.Circuit, id int) bool {
 	for _, consumer := range c.Fanouts(id) {
 		if sc.get(consumer) != markRemovable {
 			return false

@@ -10,9 +10,27 @@ import (
 )
 
 // candidates returns g's cut-based candidates at K = 5, the pipeline's
-// enumeration.
-func candidates(c *circuit.Circuit, g int) []*Subcircuit {
-	return ComputeCuts(c, 5, 0).EnumerateFromCuts(c, g)
+// enumeration, in storage of their own.
+func candidates(c *circuit.Circuit, g int) []Subcircuit {
+	return ComputeCuts(c, 5, 0).EnumerateFromCuts(c, g, new(Scratch))
+}
+
+// extract returns the function s implements in a table of its own.
+func extract(sc *Scratch, s *Subcircuit, c *circuit.Circuit) logic.TT {
+	var tt logic.TT
+	sc.Extract(s, c, &tt)
+	return tt
+}
+
+// subcircuitFor materializes the subcircuit a cut of g induces, in storage
+// of its own, or returns nil when the cut induces none (see walk).
+func subcircuitFor(sc *Scratch, c *circuit.Circuit, g int, cut []int) *Subcircuit {
+	if !c.Alive(g) || !sc.walk(c, g, cut) {
+		return nil
+	}
+	s := &Subcircuit{Out: g}
+	s.Gates, s.Inputs = splitIDs(append(slices.Clone(sc.ids), sc.in...), len(sc.ids))
+	return s
 }
 
 func TestExtractSingleGate(t *testing.T) {
@@ -25,7 +43,7 @@ func TestExtractSingleGate(t *testing.T) {
 	if len(subs) != 1 || len(subs[0].Gates) != 1 {
 		t.Fatalf("want the single-gate candidate only, got %d candidates", len(subs))
 	}
-	tt := subs[0].Extract(c)
+	tt := extract(new(Scratch), &subs[0], c)
 	want := logic.Var(2, 1).And(logic.Var(2, 2)).Not()
 	// Inputs sorted ascending: a (id 0) is y1, b (id 1) is y2.
 	if !tt.Equal(want) {
@@ -46,15 +64,15 @@ func TestExtractDeepSubcircuit(t *testing.T) {
 	c.MarkOutput(g3)
 	subs := candidates(c, g3)
 	var full *Subcircuit
-	for _, s := range subs {
-		if len(s.Gates) == 3 {
-			full = s
+	for i := range subs {
+		if len(subs[i].Gates) == 3 {
+			full = &subs[i]
 		}
 	}
 	if full == nil {
 		t.Fatal("full candidate not enumerated")
 	}
-	tt := full.Extract(c)
+	tt := extract(new(Scratch), full, c)
 	want := logic.Var(3, 1).And(logic.Var(3, 2)).Or(logic.Var(3, 3).Not())
 	if !tt.Equal(want) {
 		t.Fatalf("extract = %s, want %s", tt, want)
@@ -65,8 +83,10 @@ func TestExtractMatchesHostSimulation(t *testing.T) {
 	c, _ := bench.ParseString(bench.C17, "c17")
 	for _, gname := range []string{"22", "23", "16", "19"} {
 		g := c.NodeByName(gname)
-		for _, s := range candidates(c, g) {
-			tt := s.Extract(c)
+		subs := candidates(c, g)
+		for i := range subs {
+			s := &subs[i]
+			tt := extract(new(Scratch), s, c)
 			// Check on concrete patterns: drive the host circuit's PIs with
 			// every combination and compare the node value against the TT of
 			// the subcircuit inputs.
@@ -122,16 +142,16 @@ func TestRemovableRespectsFanout(t *testing.T) {
 	c.MarkOutput(g2)
 	c.MarkOutput(g3)
 	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b}}
-	if s.GateSavings(c) != 0 {
+	if new(Scratch).GateSavings(s, c) != 0 {
 		// g2 is a NOT: weight 0; g1 shared.
-		t.Fatalf("savings = %d, want 0", s.GateSavings(c))
+		t.Fatalf("savings = %d, want 0", new(Scratch).GateSavings(s, c))
 	}
 	// With the outside consumer gone, g1 becomes removable.
 	g4 := c.AddGate(circuit.Or, "g4", a, b)
 	c.ReplaceUses(g3, g4)
 	c.SweepDead()
-	if s.GateSavings(c) != 1 {
-		t.Fatalf("savings without the outside consumer = %d, want 1", s.GateSavings(c))
+	if new(Scratch).GateSavings(s, c) != 1 {
+		t.Fatalf("savings without the outside consumer = %d, want 1", new(Scratch).GateSavings(s, c))
 	}
 }
 
@@ -145,8 +165,8 @@ func TestRemovableChain(t *testing.T) {
 	g2 := c.AddGate(circuit.Or, "g2", g1, d)
 	c.MarkOutput(g2)
 	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b, d}}
-	if s.GateSavings(c) != 2 {
-		t.Fatalf("savings = %d, want 2", s.GateSavings(c))
+	if new(Scratch).GateSavings(s, c) != 2 {
+		t.Fatalf("savings = %d, want 2", new(Scratch).GateSavings(s, c))
 	}
 }
 
@@ -160,7 +180,7 @@ func TestRemovablePODriverInside(t *testing.T) {
 	c.MarkOutput(g1)
 	c.MarkOutput(g2)
 	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b}}
-	if n := s.GateSavings(c); n != 0 {
+	if n := new(Scratch).GateSavings(s, c); n != 0 {
 		t.Fatalf("savings = %d, want 0: the PO driver g1 was counted", n)
 	}
 }
@@ -178,7 +198,7 @@ func TestRemovableDeepChain(t *testing.T) {
 	g3 := c.AddGate(circuit.Or, "g3", g2, g1)
 	c.MarkOutput(g3)
 	s := &Subcircuit{Out: g3, Gates: []int{g1, g2, g3}, Inputs: []int{a, b, d}}
-	if n := s.GateSavings(c); n != 3 {
+	if n := new(Scratch).GateSavings(s, c); n != 3 {
 		t.Fatalf("savings = %d, want 3", n)
 	}
 }
@@ -193,11 +213,11 @@ func TestConstantAbsorption(t *testing.T) {
 	if len(subs) != 1 {
 		t.Fatalf("want one candidate, got %d", len(subs))
 	}
-	s := subs[0]
+	s := &subs[0]
 	if len(s.Inputs) != 1 || s.Inputs[0] != a || !slices.Contains(s.Gates, k) {
 		t.Fatalf("constant not absorbed: inputs %v", s.Inputs)
 	}
-	tt := s.Extract(c)
+	tt := extract(new(Scratch), s, c)
 	if !tt.Equal(logic.Var(1, 1).Not()) {
 		t.Fatalf("extract with absorbed const = %s", tt)
 	}
