@@ -16,7 +16,7 @@ import (
 	"compsynth"
 	"compsynth/internal/faults"
 	"compsynth/internal/faultsim"
-	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
+	_ "compsynth/internal/ledger" // wires the -cert certifier
 	"compsynth/internal/obs"
 )
 

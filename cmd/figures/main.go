@@ -15,7 +15,7 @@ import (
 	"compsynth/internal/bench"
 	"compsynth/internal/compare"
 	"compsynth/internal/delay"
-	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
+	_ "compsynth/internal/ledger" // wires the -cert certifier
 	"compsynth/internal/obs"
 	"compsynth/internal/paths"
 )

@@ -14,7 +14,7 @@ import (
 	"os"
 
 	"compsynth"
-	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
+	_ "compsynth/internal/ledger" // wires the -cert certifier
 	"compsynth/internal/obs"
 	"compsynth/internal/paths"
 )

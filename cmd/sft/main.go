@@ -20,7 +20,7 @@ import (
 	"compsynth/internal/delay"
 	"compsynth/internal/faults"
 	"compsynth/internal/faultsim"
-	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
+	_ "compsynth/internal/ledger" // wires the -cert certifier
 	"compsynth/internal/obs"
 	"compsynth/internal/paths"
 	"compsynth/internal/redundancy"

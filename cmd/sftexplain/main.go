@@ -2,7 +2,8 @@
 // -events FILE -dtrace=full (or sampled:N): why the resynthesis sweep
 // replaced, kept, or skipped a node, which rejection reasons dominated each
 // pass, how the candidate funnel narrowed, and how two runs' decisions
-// differ. It reads both plain-NDJSON and ledger-framed event streams.
+// differ. It reads the plain-NDJSON streams the recorder writes, and the
+// hash-chained streams earlier versions wrote.
 //
 // Usage:
 //

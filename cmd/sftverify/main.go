@@ -1,22 +1,15 @@
-// Command sftverify replays a run's tamper-evident artifacts offline and
-// reports whether they hold up: the hash-chained event ledger (-events
-// output), the run certificate (-cert output), and — when the netlists are
-// provided — the circuit digests, the equivalence witness, every
-// per-replacement evidence entry, and the comparison-unit path bound.
+// Command sftverify replays a run certificate (-cert output) offline and
+// reports whether it holds up: the certificate's body digest and, when the
+// netlists are provided, the circuit digests, the equivalence witness, every
+// per-replacement evidence entry and the comparison-unit path bound.
 //
 // Usage:
 //
-//	sftverify [-ledger events.ndjson] [-cert cert.json]
-//	          [-in input.bench] [-out output.bench] [-report report.json]
+//	sftverify -cert cert.json [-in input.bench] [-out output.bench] [-report report.json]
 //
-// At least one of -ledger and -cert is required. When both are given the
-// cross-binding is checked in both directions: the certificate's body digest
-// must appear as a "cert" record in the sealed ledger, and the ledger's
-// chain head and final root must match the certificate's binding.
-//
-// Exit status: 0 — everything verified; 1 — verification failed (tampering,
-// forgery or corruption detected); 2 — usage or I/O error (nothing could be
-// verified either way).
+// Exit status: 0 — everything verified; 1 — verification failed (a netlist
+// or certificate does not match its claims); 2 — usage or I/O error
+// (nothing could be verified either way).
 package main
 
 import (
@@ -33,9 +26,8 @@ import (
 // reportOut is the JSON verification report (-report, and always printed to
 // stdout).
 type reportOut struct {
-	OK     bool                `json:"ok"`
-	Checks []checkOut          `json:"checks"`
-	Ledger *ledger.ChainResult `json:"ledger,omitempty"`
+	OK     bool       `json:"ok"`
+	Checks []checkOut `json:"checks"`
 }
 
 type checkOut struct {
@@ -58,49 +50,23 @@ func (v *verifier) check(name string, note string, err error) {
 }
 
 func main() {
-	ledgerPath := flag.String("ledger", "", "verify this ledger stream (an -events NDJSON file)")
 	certPath := flag.String("cert", "", "verify this run certificate (a -cert JSON file)")
 	inPath := flag.String("in", "", "the run's input .bench netlist (checked against the certificate)")
 	outPath := flag.String("out", "", "the run's output .bench netlist (checked against the certificate)")
 	reportPath := flag.String("report", "", "also write the JSON verification report to this file")
 	flag.Parse()
-	if *ledgerPath == "" && *certPath == "" || flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: sftverify [-ledger events.ndjson] [-cert cert.json] [-in input.bench] [-out output.bench] [-report report.json]")
+	if *certPath == "" || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: sftverify -cert cert.json [-in input.bench] [-out output.bench] [-report report.json]")
+		os.Exit(2)
+	}
+	cert, err := ledger.ReadCertificate(*certPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sftverify: %v\n", err)
 		os.Exit(2)
 	}
 
 	v := &verifier{}
-	var chain *ledger.ChainResult
-	var cert *ledger.Certificate
-
-	if *ledgerPath != "" {
-		data, err := os.ReadFile(*ledgerPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sftverify: %v\n", err)
-			os.Exit(2)
-		}
-		res, err := ledger.VerifyChain(data)
-		note := ""
-		if err == nil {
-			note = fmt.Sprintf("%d records, %d events, %d batches", res.Records, res.Events, res.Batches)
-			if res.Truncated {
-				note += fmt.Sprintf("; TRUNCATED: valid prefix up to seq %d, no final root", res.Records-1)
-			}
-		}
-		v.check("ledger.chain", note, err)
-		chain = res
-		v.rep.Ledger = res
-	}
-
-	if *certPath != "" {
-		c, err := ledger.ReadCertificate(*certPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sftverify: %v\n", err)
-			os.Exit(2)
-		}
-		cert = c
-		verifyCert(v, cert, chain, *inPath, *outPath)
-	}
+	verifyCert(v, cert, *inPath, *outPath)
 
 	v.rep.OK = true
 	for _, c := range v.rep.Checks {
@@ -122,45 +88,15 @@ func main() {
 	}
 }
 
-// verifyCert runs every certificate-side check that the provided inputs
+// verifyCert runs every certificate check that the provided inputs
 // allow.
-func verifyCert(v *verifier, cert *ledger.Certificate, chain *ledger.ChainResult, inPath, outPath string) {
+func verifyCert(v *verifier, cert *ledger.Certificate, inPath, outPath string) {
 	// Body digest: the certificate must hash to what it claims.
 	dg, err := ledger.BodyDigest(cert)
 	if err == nil && dg != cert.BodyDigest {
 		err = fmt.Errorf("body digest mismatch: file says %s, content hashes to %s", cert.BodyDigest, dg)
 	}
 	v.check("cert.body_digest", "", err)
-
-	// Ledger binding, both directions.
-	if chain != nil {
-		if cert.Ledger == nil {
-			v.check("cert.ledger_binding", "", fmt.Errorf("certificate carries no ledger binding"))
-		} else {
-			var err error
-			switch {
-			case cert.Ledger.Head != chain.Head:
-				err = fmt.Errorf("chain head mismatch: certificate %s, ledger %s", cert.Ledger.Head, chain.Head)
-			case cert.Ledger.FinalRoot != chain.FinalRoot:
-				err = fmt.Errorf("final root mismatch: certificate %s, ledger %s", cert.Ledger.FinalRoot, chain.FinalRoot)
-			case cert.Ledger.Records != chain.Events || cert.Ledger.Batches != chain.Batches:
-				err = fmt.Errorf("count mismatch: certificate %d records/%d batches, ledger %d/%d",
-					cert.Ledger.Records, cert.Ledger.Batches, chain.Events, chain.Batches)
-			}
-			v.check("cert.ledger_binding", "", err)
-			found := false
-			for _, d := range chain.CertDigests {
-				if d == cert.BodyDigest {
-					found = true
-				}
-			}
-			err = nil
-			if !found {
-				err = fmt.Errorf("certificate body digest not recorded in the ledger stream")
-			}
-			v.check("ledger.cert_record", "", err)
-		}
-	}
 
 	in := loadAndCheckCircuit(v, "input", inPath, cert.Input)
 	out := loadAndCheckCircuit(v, "output", outPath, cert.Output)

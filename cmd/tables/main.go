@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"compsynth/internal/exper"
-	_ "compsynth/internal/ledger" // wires the -events ledger and -cert certifier
+	_ "compsynth/internal/ledger" // wires the -cert certifier
 	"compsynth/internal/obs"
 )
 

@@ -12,17 +12,12 @@
 // one word is an affine function of (offset basis xor word), and no output
 // bit depends on a higher input bit. A D is a fingerprint for structured
 // keys, not a hash with avalanche, and sums or other linear folds of
-// one-word digests collide whenever the folded words do (subckt.Key
-// finalizes each ID instead). The digest is deterministic across processes
-// — unlike hash/maphash — so values derived from it (e.g. per-truth-table
-// RNG seeds) are stable run to run.
+// one-word digests collide whenever the folded words do. The digest is
+// deterministic across processes — unlike hash/maphash — so values derived
+// from it (e.g. per-truth-table RNG seeds) are stable run to run.
 package digest
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // fnvPrime128 = 2^88 + 0x13B; split below for 64-bit arithmetic.
 const primeLow = 0x13B
@@ -77,32 +72,6 @@ func (d D) Ints(xs []int) D {
 		d = d.Int(x)
 	}
 	return d
-}
-
-// Bytes absorbs a byte slice, framed with its length so concatenations
-// cannot collide trivially. Bytes are consumed eight at a time
-// (little-endian) with a zero-padded final word; the length framing keeps
-// "ab"+"c" distinct from "a"+"bc".
-func (d D) Bytes(p []byte) D {
-	d = d.Int(len(p))
-	for len(p) >= 8 {
-		d = d.Word(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	}
-	if len(p) > 0 {
-		var w uint64
-		for i, b := range p {
-			w |= uint64(b) << (8 * uint(i))
-		}
-		d = d.Word(w)
-	}
-	return d
-}
-
-// Hex renders the fingerprint as 32 lowercase hex digits, high half first.
-// This is the stable textual form used by the run ledger and certificates.
-func (d D) Hex() string {
-	return fmt.Sprintf("%016x%016x", d.Hi, d.Lo)
 }
 
 // Sum64 folds the fingerprint to 64 bits (for RNG seeding).

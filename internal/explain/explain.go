@@ -4,11 +4,11 @@
 // how the candidate funnel narrowed, and how two runs' decisions differ.
 // cmd/sftexplain is the CLI over this package.
 //
-// The loader accepts both framings the recorder produces: plain NDJSON
-// (one obs.Event per line) and the tamper-evident ledger framing
+// The recorder writes plain NDJSON, one obs.Event per line. The loader also
+// reads the hash-chained framing that earlier versions wrote
 // ({"seq":N,"chain":H,"ev":{...}} event lines interleaved with Merkle seal
-// lines, which carry no event and are skipped). Verification of the ledger
-// is cmd/sftverify's job; explain only reads the payloads.
+// lines, which carry no event and are skipped); it reads only the payloads
+// and checks no chain.
 package explain
 
 import (
@@ -32,8 +32,8 @@ type Trace struct {
 	Records []dtrace.Record
 }
 
-// frame is the ledger envelope; Ev is nil on plain-NDJSON lines and on the
-// ledger's seal lines.
+// frame is the envelope of the framed streams earlier versions wrote; Ev is
+// nil on plain-NDJSON lines and on those streams' seal lines.
 type frame struct {
 	Ev json.RawMessage `json:"ev"`
 }
@@ -80,7 +80,7 @@ func Read(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("line %d: %v", lineNo, err)
 		}
 		if ev.Type == "" {
-			continue // ledger seal line (batch root or final root)
+			continue // seal line of a framed stream (batch root or final root)
 		}
 		events++
 		switch ev.Type {

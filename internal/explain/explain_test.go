@@ -9,16 +9,11 @@ import (
 	"compsynth/internal/explain"
 	"compsynth/internal/obs"
 	"compsynth/internal/obs/dtrace"
-
-	// Link the ledger so recorder-written fixtures use the framed encoding —
-	// the loader must accept it as well as plain NDJSON.
-	_ "compsynth/internal/ledger"
 )
 
-// writeFramed records a run_start plus the given decision records through a
-// real flight recorder (ledger-framed, since the ledger is linked into this
-// test binary) and returns the file path.
-func writeFramed(t *testing.T, recs []dtrace.Record) string {
+// writeRecorded records a run_start plus the given decision records through
+// a real flight recorder (plain NDJSON) and returns the file path.
+func writeRecorded(t *testing.T, recs []dtrace.Record) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ev.ndjson")
 	r, err := obs.NewRecorder(path)
@@ -49,25 +44,36 @@ func sampleRecords() []dtrace.Record {
 	}
 }
 
+// TestLoadFramedStream reads the hash-chained framing earlier versions
+// wrote: each event wrapped in a seq/chain envelope, with batch and final
+// seal lines that carry no event.
 func TestLoadFramedStream(t *testing.T) {
-	recs := sampleRecords()
-	tr, err := explain.Load(writeFramed(t, recs))
+	framed := `{"seq":0,"chain":"b428b4c73e5a00151d56c07d3cb1f11ca3e9a1caf474cf6e1e52d4f536cf71d1","ev":{"t":"run_start","ms":0.004,"tool":"sft","args":["-k","5"]}}
+{"seq":1,"chain":"31cb8cc179526d4403b1784b163c23a070905f375e7a82aa318a2a04358c77a0","ev":{"t":"dtrace","ms":1.496,"d":{"seq":0,"pass":1,"kind":"cand","node":10,"name":"23","outcome":"dominated","cut":[7,8],"width":2,"paths_before":6,"paths_after":6,"spec":"cmp{n=2 perm=[0 1] L=0 U=2}"}}}
+{"seq":2,"chain":"4bb18aa3f388ad6f6721ba87fd1b76c5488edd6b8ae4bc1627f40404d350a990","ev":{"t":"dtrace","ms":1.524,"d":{"seq":1,"pass":1,"kind":"cand","node":10,"name":"23","outcome":"accepted","cut":[1,4,6],"width":3,"paths_before":6,"paths_after":4,"spec":"cmp{n=3 perm=[2 0 1] L=5 U=7}"}}}
+{"seq":3,"chain":"70f96766557695c075942f5f4bb4b427f84afb9d686d425f38674dbadffe23fd","root":"59d285376f6819fdd046f5cad81c04b250a392bf017a9278dd53bd1422dd9aac","batch":0,"first":0,"last":2}
+{"seq":4,"chain":"9e5618ac8ad6d9fc7ab94efed9f0f7130e3df068988c40ddec171c194dde2905","ev":{"t":"run_end","ms":2.1,"dur_ms":2.1}}
+{"seq":5,"chain":"1191f7966038d02ddb1f10d927a38932652fb45088886fb8ef1a26a4e4644f1b","final_root":"fce24d1168d51c059a624d283d43118fd493b90682348e40fc1c83882997cdd0","batches":1,"records":4}
+`
+	path := filepath.Join(t.TempDir(), "framed.ndjson")
+	if err := os.WriteFile(path, []byte(framed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := explain.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Tool != "sft" {
-		t.Errorf("tool = %q, want sft", tr.Tool)
+	if tr.Tool != "sft" || len(tr.Args) != 2 {
+		t.Errorf("run identity = %q %v, want sft [-k 5]", tr.Tool, tr.Args)
 	}
-	if len(tr.Records) != len(recs) {
-		t.Fatalf("loaded %d records, want %d", len(tr.Records), len(recs))
-	}
-	if tr.Records[1].Outcome != dtrace.Accepted || tr.Records[1].GateSave != 2 {
-		t.Errorf("record 1 round-trip: %+v", tr.Records[1])
+	if len(tr.Records) != 2 || tr.Records[0].Outcome != dtrace.Dominated ||
+		tr.Records[1].Outcome != dtrace.Accepted || tr.Records[1].Name != "23" {
+		t.Fatalf("framed stream loaded %+v", tr.Records)
 	}
 }
 
 func TestLoadPlainStream(t *testing.T) {
-	// Plain NDJSON, as the recorder writes without the ledger linked.
+	// Plain NDJSON as the recorder writes it, from fixed text.
 	plain := `{"t":"run_start","ms":0,"tool":"sft","args":["-k","5"]}
 {"t":"dtrace","ms":1,"d":{"seq":0,"pass":1,"kind":"gate","node":3,"name":"g3","outcome":"kept"}}
 {"t":"run_end","ms":2,"dur_ms":2}
@@ -79,6 +85,9 @@ func TestLoadPlainStream(t *testing.T) {
 	tr, err := explain.Load(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tr.Tool != "sft" {
+		t.Errorf("tool = %q, want sft", tr.Tool)
 	}
 	if len(tr.Records) != 1 || tr.Records[0].Outcome != dtrace.Kept {
 		t.Fatalf("plain stream loaded %+v", tr.Records)
@@ -96,7 +105,7 @@ func TestLoadRejectsNonRecording(t *testing.T) {
 }
 
 func TestWhyByNameAndID(t *testing.T) {
-	tr, err := explain.Load(writeFramed(t, sampleRecords()))
+	tr, err := explain.Load(writeRecorded(t, sampleRecords()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func TestWhyByNameAndID(t *testing.T) {
 }
 
 func TestReasonCounts(t *testing.T) {
-	tr, err := explain.Load(writeFramed(t, sampleRecords()))
+	tr, err := explain.Load(writeRecorded(t, sampleRecords()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestReasonCounts(t *testing.T) {
 }
 
 func TestFunnel(t *testing.T) {
-	tr, err := explain.Load(writeFramed(t, sampleRecords()))
+	tr, err := explain.Load(writeRecorded(t, sampleRecords()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +171,7 @@ func TestFunnel(t *testing.T) {
 // (so ReasonCounts and Funnel tally one pass), and an absent pass yields an
 // empty view.
 func TestFilterPass(t *testing.T) {
-	tr, err := explain.Load(writeFramed(t, sampleRecords()))
+	tr, err := explain.Load(writeRecorded(t, sampleRecords()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +215,11 @@ func TestFilterPass(t *testing.T) {
 
 func TestDiff(t *testing.T) {
 	recsA := sampleRecords()
-	a, err := explain.Load(writeFramed(t, recsA))
+	a, err := explain.Load(writeRecorded(t, recsA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := explain.Load(writeFramed(t, recsA))
+	b, err := explain.Load(writeRecorded(t, recsA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +232,7 @@ func TestDiff(t *testing.T) {
 		dtrace.Record{Seq: 8, Pass: 2, Kind: "gate", Node: 7, Name: "g7", Outcome: dtrace.Replaced},
 		dtrace.Record{Seq: 9, Pass: 2, Kind: "gate", Node: 11, Name: "g11", Outcome: dtrace.Kept},
 	)
-	b2, err := explain.Load(writeFramed(t, recsB))
+	b2, err := explain.Load(writeRecorded(t, recsB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +250,7 @@ func TestDiff(t *testing.T) {
 
 func TestExportCanonical(t *testing.T) {
 	recs := sampleRecords()
-	tr, err := explain.Load(writeFramed(t, recs))
+	tr, err := explain.Load(writeRecorded(t, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +262,9 @@ func TestExportCanonical(t *testing.T) {
 	if len(lines) != len(recs) {
 		t.Fatalf("export has %d lines, want %d", len(lines), len(recs))
 	}
-	// Export strips the event envelope: the same records loaded from a
-	// differently-framed stream export byte-identically.
-	tr2, err := explain.Load(writeFramed(t, recs))
+	// Export strips the event envelope and its timings: the same records
+	// recorded a second time export byte-identically.
+	tr2, err := explain.Load(writeRecorded(t, recs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,25 @@
+// Package ledger builds the run certificate (-cert) and the checks that
+// replay it. A certificate records what a run claims: canonical digests of
+// the input and output netlists, a digest of the semantic options, an
+// equivalence witness between the two circuits, per-replacement evidence
+// recorded by the resynthesis engine at replacement time, and the
+// comparison-unit path-bound proof summary (Section 2 of Pomeranz & Reddy,
+// DAC 1995). It holds no wall-clock or host-dependent content, so two runs on
+// identical inputs and semantic options write byte-identical files.
+// cmd/sftverify re-derives every claim offline from the two netlists.
+//
+// Trust model: all digests are SHA-256 and unkeyed. The body digest catches
+// corruption of the certificate, not forgery: whoever can rewrite the file
+// can recompute it. The other checks do not rest on it. The circuit
+// digests, the equivalence witness (its patterns derived from the circuit
+// digests) and the path proof are recomputed from the netlists, and each
+// replacement's evidence from its recorded cone function, so a certificate
+// whose claims do not hold fails however it was produced.
+//
+// Importing the package installs the certificate writer into internal/obs
+// (side-effect registration, mirroring net/http/pprof):
+//
+//	import _ "compsynth/internal/ledger"
 package ledger
 
 import (
@@ -13,6 +35,10 @@ import (
 	"compsynth/internal/obs"
 	"compsynth/internal/simulate"
 )
+
+func init() {
+	obs.RegisterCertifier(writeCert)
+}
 
 // CertVersion is the certificate format version. v2: SHA-256 digests.
 const CertVersion = 2
@@ -30,9 +56,9 @@ const (
 )
 
 // Certificate is the verifiable record of one run: what went in, what came
-// out, and the evidence that the two agree. Every field except Ledger and
-// BodyDigest is deterministic — no wall clock, no host state — so two runs
-// on identical inputs and options produce byte-identical bodies.
+// out, and the evidence that the two agree. Every field is deterministic —
+// no wall clock, no host state — so two runs on identical inputs and
+// options produce byte-identical certificates.
 type Certificate struct {
 	Version int    `json:"version"`
 	Tool    string `json:"tool"`
@@ -56,13 +82,8 @@ type Certificate struct {
 	PathProof *PathProof `json:"path_proof,omitempty"`
 
 	// BodyDigest is the digest of this certificate marshaled with BodyDigest
-	// and Ledger cleared. The same value is appended to the event ledger as
-	// a "cert" record before sealing.
+	// cleared.
 	BodyDigest string `json:"body_digest"`
-
-	// Ledger binds the certificate to the -events stream that produced it
-	// (absent when the run had no -events).
-	Ledger *Binding `json:"ledger,omitempty"`
 }
 
 // OptionsInfo echoes the command's semantic options and their digest.
@@ -100,14 +121,6 @@ type PathProof struct {
 	Units            int    `json:"units"`
 	MaxPathsPerInput uint64 `json:"max_paths_per_input"`
 	Bound            uint64 `json:"bound"`
-}
-
-// Binding ties the certificate to its sealed event ledger.
-type Binding struct {
-	Records   int64  `json:"records"`
-	Batches   int64  `json:"batches"`
-	Head      string `json:"head"`
-	FinalRoot string `json:"final_root,omitempty"`
 }
 
 // CircuitDigest hashes a canonical serialization of the netlist: primary
@@ -275,10 +288,9 @@ func maskRemaining(remaining uint64) uint64 {
 	return (uint64(1) << remaining) - 1
 }
 
-// buildCertBody assembles the deterministic certificate body from the run
-// state and returns it with its body digest. Registered as the obs -cert
-// seam.
-func buildCertBody(r *obs.Run) (any, string, error) {
+// buildCert assembles the certificate from the run state and stamps its
+// body digest.
+func buildCert(r *obs.Run) (*Certificate, error) {
 	cert := &Certificate{
 		Version: CertVersion,
 		Tool:    r.Report.Tool,
@@ -302,14 +314,14 @@ func buildCertBody(r *obs.Run) (any, string, error) {
 		mode, seed, rounds := WitnessParams(cert.Input.Digest, cert.Output.Digest, len(before.Inputs))
 		respIn, err := WitnessResponse(before, mode, seed, rounds)
 		if err != nil {
-			return nil, "", fmt.Errorf("witness on input circuit: %v", err)
+			return nil, fmt.Errorf("witness on input circuit: %v", err)
 		}
 		respOut, err := WitnessResponse(after, mode, seed, rounds)
 		if err != nil {
-			return nil, "", fmt.Errorf("witness on output circuit: %v", err)
+			return nil, fmt.Errorf("witness on output circuit: %v", err)
 		}
 		if respIn != respOut {
-			return nil, "", fmt.Errorf("witness: input and output circuits disagree (%s mode)", mode)
+			return nil, fmt.Errorf("witness: input and output circuits disagree (%s mode)", mode)
 		}
 		cert.Equivalence = &EquivWitness{
 			Mode: mode, Seed: seed, Rounds: rounds,
@@ -320,7 +332,7 @@ func buildCertBody(r *obs.Run) (any, string, error) {
 	for _, item := range r.CertEvidence() {
 		ev, ok := item.(Evidence)
 		if !ok {
-			return nil, "", fmt.Errorf("evidence item of unexpected type %T", item)
+			return nil, fmt.Errorf("evidence item of unexpected type %T", item)
 		}
 		cert.Evidence = append(cert.Evidence, ev)
 	}
@@ -334,18 +346,17 @@ func buildCertBody(r *obs.Run) (any, string, error) {
 	}
 	dg, err := BodyDigest(cert)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	cert.BodyDigest = dg
-	return cert, dg, nil
+	return cert, nil
 }
 
 // BodyDigest computes the digest of the certificate body: the certificate
-// marshaled with BodyDigest and Ledger cleared.
+// marshaled with BodyDigest cleared.
 func BodyDigest(cert *Certificate) (string, error) {
 	body := *cert
 	body.BodyDigest = ""
-	body.Ledger = nil
 	raw, err := json.Marshal(&body)
 	if err != nil {
 		return "", err
@@ -353,20 +364,12 @@ func BodyDigest(cert *Certificate) (string, error) {
 	return hnew().bytes(raw).sum().Hex(), nil
 }
 
-// writeCert attaches the sealed ledger binding and writes the certificate
-// file. Registered as the obs -cert seam.
-func writeCert(body any, ls *obs.LedgerState, path string) error {
-	cert, ok := body.(*Certificate)
-	if !ok {
-		return fmt.Errorf("certificate body of unexpected type %T", body)
-	}
-	if ls != nil {
-		cert.Ledger = &Binding{
-			Records:   ls.Records,
-			Batches:   ls.Batches,
-			Head:      ls.Head,
-			FinalRoot: ls.FinalRoot,
-		}
+// writeCert builds the run's certificate and writes it to path. Registered
+// as the obs -cert hook.
+func writeCert(r *obs.Run, path string) error {
+	cert, err := buildCert(r)
+	if err != nil {
+		return err
 	}
 	raw, err := json.MarshalIndent(cert, "", "  ")
 	if err != nil {

@@ -1,13 +1,11 @@
 package ledger
 
-// Cryptographic digests for the tamper-evidence layer. The hot-loop
-// fingerprint (internal/digest) is a keyless FNV-style mix — cheap,
-// invertible, and perfectly fine for cache keys, but useless against an
-// adversary who wants a collision. Everything that backs a verification
-// claim here hashes with SHA-256 instead: chain links, Merkle nodes,
-// circuit/options/body digests and witness responses. Ledger records are
-// emitted at human rates (throttled progress, span boundaries), so the
-// extra cost over the fingerprint is noise.
+// Cryptographic digests for the certificate. The hot-loop fingerprint
+// (internal/digest) is a keyless FNV-style mix — cheap, invertible, and
+// perfectly fine for cache keys, but useless against an adversary who wants
+// a collision. Everything that backs a verification claim here hashes with
+// SHA-256 instead: circuit, options and body digests, witness-parameter
+// derivation and witness responses.
 //
 // The framing conventions mirror internal/digest: byte strings are
 // length-prefixed and words are absorbed little-endian, so concatenations
@@ -21,33 +19,13 @@ import (
 )
 
 // H is a 256-bit SHA-256 digest. Its hex form (64 lowercase digits) is the
-// stable textual representation used in ledger records and certificates.
+// stable textual representation used in certificates.
 type H [sha256.Size]byte
 
 // Hex renders the digest as 64 lowercase hex digits.
 func (h H) Hex() string {
 	return hex.EncodeToString(h[:])
 }
-
-// parseHex inverts H.Hex.
-func parseHex(s string) (H, error) {
-	var h H
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return h, err
-	}
-	if len(raw) != len(h) {
-		return h, errDigestLen
-	}
-	copy(h[:], raw)
-	return h, nil
-}
-
-var errDigestLen = digestLenError{}
-
-type digestLenError struct{}
-
-func (digestLenError) Error() string { return "ledger: digest hex has wrong length" }
 
 // hstate is a chainable SHA-256 builder. Copies share the underlying
 // hash.Hash, so use it linearly (d = d.word(...)), never fork a state.

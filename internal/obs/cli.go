@@ -27,9 +27,8 @@ type Flags struct {
 	Verbose    bool
 	MetricsOut string
 
-	// Events streams NDJSON run events — run start/end, span begin/end,
-	// decision-trace records and the certificate digest — to this file
-	// while the run is live.
+	// Events streams NDJSON run events — run start/end, span begin/end and
+	// decision-trace records — to this file while the run is live.
 	Events string
 
 	// Dtrace selects decision-trace recording for the resynthesis sweep:
@@ -40,10 +39,9 @@ type Flags struct {
 
 	// Cert writes a verifiable run certificate (JSON) to this file at
 	// Finish: input/output circuit digests, an options digest, equivalence
-	// evidence, the comparison-unit path-proof summary, and — when -events
-	// is also given — the ledger binding (chain head and final Merkle root).
-	// The certificate logic lives in internal/ledger (commands import it for
-	// side effects); cmd/sftverify re-verifies the artifact offline.
+	// evidence and the comparison-unit path-proof summary. The certificate
+	// logic lives in internal/ledger (commands import it for side effects);
+	// cmd/sftverify re-verifies the artifact offline.
 	Cert string
 
 	// Workers is the shared worker-count option threaded into the parallel
@@ -70,7 +68,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Events, "events", "", "stream NDJSON run events (flight recorder) to this file")
 	fs.StringVar(&f.Dtrace, "dtrace", "off",
 		"decision-trace recording for the resynthesis sweep: off, full, or sampled:N (requires -events; queried with sftexplain)")
-	fs.StringVar(&f.Cert, "cert", "", "write a verifiable run certificate (circuit digests, equivalence evidence, ledger binding) to this file")
+	fs.StringVar(&f.Cert, "cert", "", "write a verifiable run certificate (circuit digests, equivalence witness, replacement evidence, path proof) to this file")
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0),
 		"worker goroutines for stuck-at and path-delay fault simulation, the redundancy filter and the experiment driver (at least 1; results are identical for any value; 1 = serial)")
 	fs.BoolVar(&f.Check, "check", false,
@@ -78,25 +76,16 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// certBody and certWrite are installed by the internal/ledger package's
-// init, mirroring the ledger sink seam: obs never imports the ledger. certBody
-// assembles the deterministic certificate body from the run state and
-// returns it with its digest; certWrite attaches the (nondeterministic)
-// ledger binding and writes the file. The split lets Finish append the body
-// digest to the event ledger BEFORE sealing it, then stamp the sealed
-// ledger's final root into the certificate — each artifact ends up naming
-// the other.
-var (
-	certBody  func(r *Run) (body any, digest string, err error)
-	certWrite func(body any, ledger *LedgerState, path string) error
-)
+// certify builds the run's certificate from the run state and writes it to
+// path. It is installed by the internal/ledger package's init: the ledger
+// imports obs, directly and through compare, so obs cannot call it.
+// Commands blank-import compsynth/internal/ledger to link it in, mirroring
+// how net/http/pprof registers itself.
+var certify func(r *Run, path string) error
 
-// RegisterCertifier installs the -cert certificate builder and writer.
-func RegisterCertifier(
-	body func(r *Run) (any, string, error),
-	write func(body any, ledger *LedgerState, path string) error,
-) {
-	certBody, certWrite = body, write
+// RegisterCertifier installs the -cert certificate writer.
+func RegisterCertifier(fn func(r *Run, path string) error) {
+	certify = fn
 }
 
 // Run bundles the live observability state of one tool invocation.
@@ -116,13 +105,11 @@ type Run struct {
 
 	// Certificate state, populated only when -cert is given: the circuits
 	// CircuitBefore/After observed, the command's semantic options (set via
-	// SetCertOptions), per-replacement equivalence evidence (AddEvidence),
-	// and — after the recorder closes — the sealed ledger's final state.
+	// SetCertOptions) and per-replacement equivalence evidence (AddEvidence).
 	certBefore   *circuit.Circuit
 	certAfter    *circuit.Circuit
 	certOptions  json.RawMessage
 	certEvidence []any
-	ledgerFinal  *LedgerState
 }
 
 // Start builds the run state from the parsed flags. Failures to honor an
@@ -163,7 +150,7 @@ func (f *Flags) start(tool string) (*Run, error) {
 	if f.Workers < 1 {
 		return nil, fmt.Errorf("-workers %d: must be at least 1", f.Workers)
 	}
-	if f.Cert != "" && certBody == nil {
+	if f.Cert != "" && certify == nil {
 		return nil, fmt.Errorf("-cert %s: certifier not linked in (import compsynth/internal/ledger)", f.Cert)
 	}
 	dmode, err := dtrace.ParseMode(f.Dtrace)
@@ -199,7 +186,7 @@ func (r *Run) CheckEnabled() bool { return r.flags.Check }
 func (r *Run) Dtrace() *dtrace.Tracer { return r.dtrace }
 
 // watchSignals installs the SIGINT/SIGTERM handler: an interrupted run still
-// flushes the -events stream, seals the ledger, and writes a partial run
+// flushes the -events stream through run_end and writes a partial run
 // report (with the interrupt recorded as the run error) before exiting
 // non-zero — without it an interrupt silently drops the flight recorder
 // tail, which is exactly the part of the stream a post-mortem needs.
@@ -219,7 +206,7 @@ func (r *Run) watchSignals() {
 }
 
 // Interrupt finishes the run as killed by sig — the artifacts (report,
-// event stream, sealed ledger) are still written, carrying the interrupt as
+// event stream, certificate) are still written, carrying the interrupt as
 // the run error — and returns the non-zero status for os.Exit. Split from
 // the signal goroutine so tests can drive the interrupt path in-process.
 func (r *Run) Interrupt(sig os.Signal) int {
@@ -290,7 +277,7 @@ func (r *Run) AddEvidence(items ...any) {
 }
 
 // CertCircuits returns the circuits retained for the certificate (either may
-// be nil). For the certificate builder seam.
+// be nil). For the certificate hook.
 func (r *Run) CertCircuits() (before, after *circuit.Circuit) {
 	return r.certBefore, r.certAfter
 }
@@ -323,27 +310,25 @@ func (r *Run) CheckCircuit(label string, c *circuit.Circuit) error {
 	return nil
 }
 
-// closeRecorder detaches and closes the flight recorder (sealing the event
-// ledger when one is linked), returning the first recording error. The
-// sealed ledger's final state is retained for the certificate binding.
+// closeRecorder ends the event stream with run_end, detaches the flight
+// recorder and closes it, returning the first recording error.
 func (r *Run) closeRecorder() error {
 	if r.recorder == nil {
 		return nil
 	}
+	r.recorder.RunEnd(r.Report.DurationMS, r.Report.Error)
 	r.Tracer.SetObserver(nil)
 	err := r.recorder.Close()
-	if ls, ok := r.recorder.LedgerState(); ok {
-		r.ledgerFinal = &ls
-	}
 	r.recorder = nil
 	return err
 }
 
-// Finish closes the root span, snapshots metrics into the report, prints
-// the span tree under -trace, closes the flight recorder, and writes the
-// JSON report when requested.
-// It returns the first artifact error (report or event stream); callers
-// treat it as fatal so a missing artifact never passes silently.
+// Finish closes the root span, snapshots metrics into the report, writes
+// the certificate under -cert, prints the span tree under -trace, closes the
+// flight recorder, and writes the JSON report when requested.
+// It returns the first artifact error (certificate, event stream or
+// report); callers treat it as fatal so a missing artifact never passes
+// silently.
 func (r *Run) Finish() error {
 	r.stopSignals()
 	r.root.End()
@@ -351,35 +336,15 @@ func (r *Run) Finish() error {
 	r.Report.Spans = r.Tracer.Export()
 	r.Report.Metrics = r.Metrics.Snapshot().Diff(r.base)
 	var firstErr error
-	// Certificate body first: its digest is appended to the event ledger as
-	// a "cert" record, so the sealed stream names the certificate it
-	// produced; the certificate file is written after the recorder closes,
-	// when the ledger's final root is known, so it names the stream back.
-	var certPayload any
 	if r.flags.Cert != "" {
-		if certBody == nil {
-			firstErr = fmt.Errorf("-cert %s: certifier not linked in (import compsynth/internal/ledger)", r.flags.Cert)
-		} else if body, dg, err := certBody(r); err != nil {
+		if err := certify(r, r.flags.Cert); err != nil {
 			firstErr = fmt.Errorf("-cert: %v", err)
-		} else {
-			certPayload = body
-			r.recorder.RecordCert(dg)
-		}
-	}
-	if r.recorder != nil {
-		r.recorder.RunEnd(r.Report.DurationMS, r.Report.Error)
-		if err := r.closeRecorder(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("-events: %v", err)
-		}
-	}
-	if certPayload != nil {
-		if err := certWrite(certPayload, r.ledgerFinal, r.flags.Cert); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("-cert: %v", err)
-			}
 		} else {
 			r.Log.Verbosef("wrote certificate %s", r.flags.Cert)
 		}
+	}
+	if err := r.closeRecorder(); err != nil && firstErr == nil {
+		firstErr = fmt.Errorf("-events: %v", err)
 	}
 	if r.flags.Trace {
 		r.Tracer.Dump(os.Stderr)

@@ -5,9 +5,9 @@
 // and an enumerated outcome (accepted, or exactly why not).
 //
 // Records flow through the flight recorder: the tracer's sink is
-// obs.(*Recorder).Decision, which frames each record as a Type "dtrace"
-// event on the -events NDJSON stream, so the trace is hash-chained by the
-// run ledger for free and cmd/sftexplain can query or diff it offline.
+// obs.(*Recorder).Decision, which writes each record as a Type "dtrace"
+// event on the -events NDJSON stream, so cmd/sftexplain can query or diff
+// it offline.
 //
 // Determinism contract: the resynthesis optimizer emits records from its
 // serial decision sweep, and no field depends on scheduling (no timings, no

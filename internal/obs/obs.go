@@ -2,8 +2,7 @@
 // testability pipeline: hierarchical tracing spans, a process-wide metrics
 // registry, a verbose run logger, a JSON run report that ties them all
 // together, and an NDJSON flight recorder (-events) that streams span
-// events, decision-trace records and the certificate digest while the run
-// is live.
+// events and decision-trace records while the run is live.
 //
 // Design constraints, in order:
 //

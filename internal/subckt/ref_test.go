@@ -3,7 +3,6 @@ package subckt
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -91,20 +90,6 @@ func refNewSub(c *circuit.Circuit, g int, gates map[int]bool) *refSub {
 	}
 	sort.Ints(inputs)
 	return &refSub{Out: g, Gates: gates, Inputs: inputs}
-}
-
-// refKey folds the gate map into a Key with the same commutative operators
-// as Subcircuit.Key.
-func refKey(s *refSub) Key {
-	k := Key{Out: int32(s.Out), N: int32(len(s.Gates))}
-	for id := range s.Gates {
-		lo, hi := mix64(uint64(id)^0x243f6a8885a308d3), mix64(uint64(id)^0x13198a2e03707344)
-		var carry uint64
-		k.SumLo, carry = bits.Add64(k.SumLo, lo, 0)
-		k.SumHi, _ = bits.Add64(k.SumHi, hi, carry)
-		k.XorLo ^= lo
-	}
-	return k
 }
 
 // refExtract evaluates the subcircuit by a DFS from Out, looking each
@@ -561,8 +546,8 @@ func TestShrinkMatchesRefOnAllFourVariableFunctions(t *testing.T) {
 // TestSubcircuitKernelsMatchRef pins the slice kernels to the map-based
 // ones on every cut of every live node at K = 5 and 6, plus each gate's
 // fanin set as a cut (it puts constants on the cut, which the walk must
-// absorb): the same nil verdict, gate set, inputs, truth table, savings and
-// key.
+// absorb): the same nil verdict, gate set, inputs, truth table and
+// savings.
 func TestSubcircuitKernelsMatchRef(t *testing.T) {
 	for name, c := range pinCircuits(t) {
 		for _, k := range []int{5, 6} {
@@ -624,9 +609,6 @@ func checkAgainstRef(t *testing.T, where string, sc *Scratch, c *circuit.Circuit
 	}
 	if s, rs := sc.GateSavings(got, c), refGateSavings(want, c); s != rs {
 		t.Fatalf("%s: GateSavings = %d, want %d", where, s, rs)
-	}
-	if k, rk := got.Key(), refKey(want); k != rk {
-		t.Fatalf("%s: Key = %+v, want %+v", where, k, rk)
 	}
 }
 

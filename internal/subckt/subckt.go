@@ -8,8 +8,6 @@
 package subckt
 
 import (
-	"math/bits"
-
 	"compsynth/internal/circuit"
 	"compsynth/internal/logic"
 )
@@ -23,9 +21,6 @@ type Subcircuit struct {
 	// GateSavings decides removability in the reverse order.
 	Gates  []int
 	Inputs []int // external driving node IDs, sorted ascending
-
-	key   Key // lazily computed by Key()
-	keyed bool
 }
 
 // Scratch is caller-owned working storage for the candidate kernels:
@@ -92,57 +87,6 @@ func grow[T any](s []T, n int) []T {
 		return s
 	}
 	return append(s, make([]T, n-len(s))...)
-}
-
-// Key is a canonical, fixed-size, comparable identity for a subcircuit
-// within one circuit snapshot. The gate set is folded order-independently —
-// each gate ID is hashed to 128 bits and the hashes are combined with two
-// independent commutative operators (addition mod 2^128 and XOR) — so the
-// key needs no sorted ID slice and no string: computing it allocates
-// nothing. Out and the gate count ride along as exact fields.
-//
-// Each half of a gate's hash is a splitmix64 finalizer of the ID, salted
-// differently per half. The finalizer is what keeps sums apart: with an
-// affine per-ID hash, such as a one-word FNV digest, the sum depends only
-// on the sum of the IDs xored with a constant, so cuts such as
-// {54, 80, ...} and {76, 90, ...} would share a key and the per-pass
-// extract cache would serve one cut's truth table for the other.
-type Key struct {
-	SumLo, SumHi uint64 // sum mod 2^128 of per-gate hashes
-	XorLo        uint64 // xor fold of per-gate hash low halves
-	Out          int32
-	N            int32 // gate count
-}
-
-// Key returns the subcircuit's identity, computing it on first use. Two
-// candidates with equal keys implement the same function as long as no gate
-// in the set changed type or fanin, which holds for the duration of one
-// optimizer pass (replacements only add nodes and rewire consumers of
-// already-visited outputs), so Key doubles as the truth-table memoization
-// key for Extract.
-func (s *Subcircuit) Key() Key {
-	if s.keyed {
-		return s.key
-	}
-	k := Key{Out: int32(s.Out), N: int32(len(s.Gates))}
-	for _, id := range s.Gates {
-		lo, hi := mix64(uint64(id)^0x243f6a8885a308d3), mix64(uint64(id)^0x13198a2e03707344)
-		var carry uint64
-		k.SumLo, carry = bits.Add64(k.SumLo, lo, 0)
-		k.SumHi, _ = bits.Add64(k.SumHi, hi, carry)
-		k.XorLo ^= lo
-	}
-	s.key, s.keyed = k, true
-	return k
-}
-
-// mix64 is the splitmix64 finalizer: a bijection on 64-bit words in which
-// every input bit affects every output bit.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
 }
 
 // Extract writes into dst the truth table of the function C' implements on

@@ -132,11 +132,13 @@ go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS_CSR:-4.0}" -tol-alloc 0.01 \
 echo "== sftverify gate =="
 # Provenance round trip, both directions (README "Provenance & verification").
 # Forward: a fresh c17 run recorded with -events/-cert must replay cleanly
-# through sftverify (chain, Merkle roots, circuit digests, equivalence
-# witness, per-replacement evidence, path proof — exit 0). Reverse: the
-# committed tampered stream (one flipped digit mid-record) must be rejected
-# with exit 1, distinguished from a usage/IO failure (2). Built binaries,
-# not "go run", for the same exit-code reason as the sftlint gate.
+# through sftverify (body digest, circuit digests, equivalence witness,
+# per-replacement evidence, path proof — exit 0), and its certificate must
+# equal byte for byte that of a run without -events: the event stream never
+# reaches the certificate. Reverse: the output netlist with one gate's type
+# changed must be rejected with exit 1, distinguished from a usage/IO
+# failure (2). Built binaries, not "go run", for the same exit-code reason
+# as the sftlint gate.
 provdir="$(mktemp -d)"
 trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate"; rm -rf "$provdir"' EXIT
 go build -o "$provdir/sft" ./cmd/sft
@@ -144,14 +146,24 @@ go build -o "$provdir/sftverify" ./cmd/sftverify
 "$provdir/sft" -in circuits/c17.bench -out "$provdir/c17_out.bench" \
     -events "$provdir/c17.ndjson" -cert "$provdir/c17.cert.json" \
     -workers 2 >/dev/null
-"$provdir/sftverify" -ledger "$provdir/c17.ndjson" -cert "$provdir/c17.cert.json" \
+"$provdir/sftverify" -cert "$provdir/c17.cert.json" \
     -in circuits/c17.bench -out "$provdir/c17_out.bench" >/dev/null
+"$provdir/sft" -in circuits/c17.bench -cert "$provdir/c17_plain.cert.json" \
+    -workers 2 >/dev/null
+cmp "$provdir/c17.cert.json" "$provdir/c17_plain.cert.json"
+awk '!done && sub(/NAND\(/, "AND(") { done = 1 } 1' "$provdir/c17_out.bench" \
+    > "$provdir/c17_tampered.bench"
+if cmp -s "$provdir/c17_out.bench" "$provdir/c17_tampered.bench"; then
+    echo "sftverify: c17 output has no NAND gate to change" >&2
+    exit 1
+fi
 set +e
-"$provdir/sftverify" -ledger internal/ledger/testdata/tampered_c17.ndjson >/dev/null
+"$provdir/sftverify" -cert "$provdir/c17.cert.json" \
+    -in circuits/c17.bench -out "$provdir/c17_tampered.bench" >/dev/null
 sftverify_status=$?
 set -e
 if [ "$sftverify_status" -ne 1 ]; then
-    echo "sftverify: tampered fixture exited $sftverify_status, want 1 (verification failure)" >&2
+    echo "sftverify: changed netlist exited $sftverify_status, want 1 (verification failure)" >&2
     exit 1
 fi
 # Certificates are a pure function of input + options: two runs with
@@ -220,8 +232,7 @@ echo "== serial sweep determinism gate =="
 # the worker count reaches only the stuck-at and path-delay campaigns and
 # the redundancy filter.
 # The optimized netlist and the run certificate (a pure function of input +
-# semantic options; these runs carry no -events) must be byte-identical at
-# any count. A scheduling leak into the pipeline's decisions fails one of
+# semantic options) must be byte-identical at any count. A scheduling leak into the pipeline's decisions fails one of
 # these cmps.
 for cir in c17 adder4; do
     "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_w1.bench" \
