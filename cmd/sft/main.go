@@ -21,6 +21,7 @@ import (
 	"compsynth/internal/faults"
 	"compsynth/internal/faultsim"
 	_ "compsynth/internal/ledger" // wires the -cert certifier
+	"compsynth/internal/logic"
 	"compsynth/internal/obs"
 	"compsynth/internal/paths"
 	"compsynth/internal/redundancy"
@@ -63,6 +64,15 @@ func main() {
 	}
 
 	run := oflags.Start("sft")
+	// Reject values resynthesis cannot honour before loading anything: a
+	// cut of more than logic.MaxVars inputs has no truth table, and a
+	// replacement needs at least one comparison unit.
+	if *k < 1 || *k > logic.MaxVars {
+		os.Exit(run.Fail(fmt.Errorf("-k %d: the subcircuit input limit must be 1 to %d", *k, logic.MaxVars)))
+	}
+	if *maxUnits < 1 {
+		os.Exit(run.Fail(fmt.Errorf("-max-units %d: the comparison units per replacement must be at least 1", *maxUnits)))
+	}
 	if err := sft(run, *in, *out, obj, *k, *sampling, *redund, *maxUnits, *useSDC, *report, *seed, oflags.Workers); err != nil {
 		os.Exit(run.Fail(err))
 	}

@@ -21,6 +21,27 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// TestRejectsUnhonourableFlags: a -k outside 1 to 16 or a -max-units below
+// 1 fails with exit status 1 and a message naming the flag, before any
+// output. On c17 no cut is wider than 5, so -k 17 used to pass unchecked.
+func TestRejectsUnhonourableFlags(t *testing.T) {
+	for _, args := range [][]string{{"-k", "17"}, {"-k", "0"}, {"-max-units", "0"}, {"-max-units", "-3"}} {
+		cmd := exec.Command(os.Args[0], append([]string{"-in", "../../circuits/c17.bench"}, args...)...)
+		cmd.Env = append(os.Environ(), "SFT_RUN_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("sft %v: %v, want exit status 1 (stderr %q)", args, err, stderr.String())
+			continue
+		}
+		if stdout.Len() > 0 || !strings.Contains(stderr.String(), args[0]+" "+args[1]) {
+			t.Errorf("sft %v: stdout %q, stderr %q: want no output and the flag named", args, stdout.String(), stderr.String())
+		}
+	}
+}
+
 // TestPathCountOverflowNamesCircuit pins the error for a circuit whose
 // path count exceeds uint64: a ladder of 70 AND(x, x) stages has 2^70
 // paths. sft exits 1 with a message naming the circuit and the limit.

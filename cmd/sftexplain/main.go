@@ -15,7 +15,8 @@
 //
 // Every subcommand takes -json for machine-readable output (export is
 // always NDJSON). reasons and funnel take -pass N to restrict the tally to
-// one resynthesis pass (0, the default, covers all passes). Flags go before
+// one resynthesis pass (0, the default, covers all passes); a negative
+// pass, or -pass on any other subcommand, is a usage error. Flags go before
 // positional arguments. Exit status: 0 on success (including an empty
 // diff — diff is informational), 2 on usage or load errors.
 package main
@@ -73,6 +74,17 @@ func main() {
 	pass := fs.Int("pass", 0, "restrict reasons/funnel to one resynthesis pass (0 = all passes)")
 	fs.Parse(os.Args[2:])
 	args := fs.Args()
+	if *pass < 0 {
+		fatal(fmt.Errorf("-pass %d: passes are numbered from 1 (0 means all)", *pass))
+	}
+	switch cmd {
+	case "why", "diff", "export":
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "pass" {
+				fatal(fmt.Errorf("-pass applies only to reasons and funnel, not %s", cmd))
+			}
+		})
+	}
 
 	switch cmd {
 	case "why":

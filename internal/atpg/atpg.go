@@ -29,17 +29,18 @@ import (
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/faults"
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 )
 
 // PODEM metrics: totals per process plus the per-call backtrack
 // distribution (hard faults show up in the p99).
 var (
-	mCalls      = obs.C("atpg.calls")
-	mBacktracks = obs.C("atpg.backtracks")
-	mRedundant  = obs.C("atpg.redundant_proofs")
-	mAborted    = obs.C("atpg.aborts")
-	hBacktracks = obs.H("atpg.backtracks_per_call")
+	mCalls      = metric.C("atpg.calls")
+	mBacktracks = metric.C("atpg.backtracks")
+	mRedundant  = metric.C("atpg.redundant_proofs")
+	mAborted    = metric.C("atpg.aborts")
+	hBacktracks = metric.H("atpg.backtracks_per_call")
 )
 
 // Value is a 5-valued signal: a (good, faulty) pair, held as bit planes. A

@@ -1,6 +1,6 @@
 package compare
 
-import "compsynth/internal/obs"
+import "compsynth/internal/metric"
 
 // Identification metrics: one counter bump per public identification call
 // (Identify* cover the exact search, the paper's sampling method, the
@@ -8,9 +8,9 @@ import "compsynth/internal/obs"
 // reports show the comparison-function yield, and the number of exact
 // identifications the unateness prefilter settled without any search.
 var (
-	mIdentifyCalls    = obs.C("compare.identify_calls")
-	mIdentifyHits     = obs.C("compare.identify_hits")
-	mPrefilterRejects = obs.C("compare.prefilter_rejects")
+	mIdentifyCalls    = metric.C("compare.identify_calls")
+	mIdentifyHits     = metric.C("compare.identify_hits")
+	mPrefilterRejects = metric.C("compare.prefilter_rejects")
 )
 
 func countIdentify(ok bool) bool {

@@ -5,14 +5,14 @@ import (
 	"math"
 
 	"compsynth/internal/circuit"
-	"compsynth/internal/obs"
+	"compsynth/internal/metric"
 	"compsynth/internal/paths"
 )
 
 // Campaign metrics.
 var (
-	mPairs       = obs.C("delay.pairs_simulated")
-	mPDFDetected = obs.C("delay.path_faults_detected")
+	mPairs       = metric.C("delay.pairs_simulated")
+	mPDFDetected = metric.C("delay.path_faults_detected")
 )
 
 // Robust sensitization (Lin-Reddy conditions): an on-path transition

@@ -14,6 +14,7 @@ import (
 	"compsynth/internal/faults"
 	"compsynth/internal/faultsim"
 	"compsynth/internal/gen"
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 	"compsynth/internal/par"
 	"compsynth/internal/paths"
@@ -25,8 +26,8 @@ import (
 
 // Experiment-driver metrics (process-wide; atomic adds in the row loops).
 var (
-	mRows     = obs.C("exper.rows_completed")
-	mPrepared = obs.C("exper.circuits_prepared")
+	mRows     = metric.C("exper.rows_completed")
+	mPrepared = metric.C("exper.circuits_prepared")
 )
 
 // Config scales the experiments.

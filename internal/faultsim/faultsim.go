@@ -42,6 +42,7 @@ import (
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/faults"
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 	"compsynth/internal/par"
 )
@@ -64,11 +65,11 @@ type vec [width]uint64
 // Simulation metrics (batched adds: one per wide block and worker). Every
 // count is that of a serial 64-pattern campaign.
 var (
-	mPatterns  = obs.C("faultsim.patterns_simulated")
-	mFaultEval = obs.C("faultsim.fault_evals")
-	mStemEval  = obs.C("faultsim.stem_evals")
-	mDetected  = obs.C("faultsim.faults_detected")
-	gBlocks    = obs.G("faultsim.blocks_done")
+	mPatterns  = metric.C("faultsim.patterns_simulated")
+	mFaultEval = metric.C("faultsim.fault_evals")
+	mStemEval  = metric.C("faultsim.stem_evals")
+	mDetected  = metric.C("faultsim.faults_detected")
+	gBlocks    = metric.G("faultsim.blocks_done")
 )
 
 // simulator simulates one circuit snapshot, 256 patterns per sweep. All

@@ -115,13 +115,14 @@ func (l *Loader) dirForPath(path string) (string, bool) {
 }
 
 // Load type-checks the package in dir (non-test files only) and returns it.
-// Results are cached per import path.
+// Results are cached per import path, and file names are absolute.
 func (l *Loader) Load(dir string) (*Package, error) {
 	path, err := l.pathForDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return l.load(path, dir)
+	abs, _ := l.dirForPath(path)
+	return l.load(path, abs)
 }
 
 func (l *Loader) load(path, dir string) (*Package, error) {

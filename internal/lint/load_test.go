@@ -94,9 +94,7 @@ func TestLoaderEdgeCases(t *testing.T) {
 	}
 
 	// The fixture must stay violation-free: its job is loading, not linting.
-	diags, err := lint.Analyze(
-		[]string{filepath.Join(root, "internal/lint/testdata/src/loadedge")},
-		lint.Config{DeterministicAll: true, RelativeTo: root})
+	diags, err := lint.Analyze([]string{filepath.Join(root, "internal/lint/testdata/src/loadedge")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -66,29 +65,14 @@ func (r *runner) wallclock() {
 
 func (r *runner) maporder() {
 	for _, f := range r.p.Files {
-		suppress := orderedComments(f, r.p.Fset)
 		next := nextStmtMap(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if rs, ok := n.(*ast.RangeStmt); ok {
-				r.checkRange(rs, next[rs], suppress)
+				r.checkRange(rs, next[rs])
 			}
 			return true
 		})
 	}
-}
-
-// orderedComments collects //lint:ordered suppressions, keyed by line.
-func orderedComments(f *ast.File, fset *token.FileSet) map[int]string {
-	m := map[int]string{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if rest, ok := strings.CutPrefix(text, "lint:ordered"); ok {
-				m[fset.Position(c.Pos()).Line] = strings.TrimSpace(rest)
-			}
-		}
-	}
-	return m
 }
 
 // nextStmtMap maps each statement to its successor in the enclosing list, so
@@ -113,7 +97,7 @@ func nextStmtMap(f *ast.File) map[ast.Stmt]ast.Stmt {
 	return next
 }
 
-func (r *runner) checkRange(rs *ast.RangeStmt, after ast.Stmt, suppress map[int]string) {
+func (r *runner) checkRange(rs *ast.RangeStmt, after ast.Stmt) {
 	tv, ok := r.p.Info.Types[rs.X]
 	if !ok {
 		return
@@ -123,15 +107,6 @@ func (r *runner) checkRange(rs *ast.RangeStmt, after ast.Stmt, suppress map[int]
 	}
 	if isBlankOrNil(rs.Key) && isBlankOrNil(rs.Value) {
 		return // body cannot observe which element it is on
-	}
-	line := r.p.Fset.Position(rs.Pos()).Line
-	if just, ok := suppress[line]; ok {
-		r.requireJustification(rs.Pos(), just)
-		return
-	}
-	if just, ok := suppress[line-1]; ok {
-		r.requireJustification(rs.Pos(), just)
-		return
 	}
 
 	mapObj := identObject(r.p.Info, rs.X)
@@ -154,13 +129,6 @@ func (r *runner) checkRange(rs *ast.RangeStmt, after ast.Stmt, suppress map[int]
 		}
 		return true
 	})
-}
-
-func (r *runner) requireJustification(pos token.Pos, just string) {
-	if just == "" {
-		r.report(pos, "maporder",
-			"//lint:ordered needs a justification explaining why iteration order cannot affect results")
-	}
 }
 
 func isBlankOrNil(e ast.Expr) bool {
@@ -205,7 +173,7 @@ func (r *runner) checkOrderedAssign(rs *ast.RangeStmt, lhs, rhs ast.Expr, after 
 		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isAppendTo(r.p.Info, call, lhsObj) {
 			if !sortsIdent(r.p.Info, after, lhsObj) {
 				r.report(lhs.Pos(), "maporder",
-					"appends to %s in map-iteration order: sort keys first, sort %s immediately after the loop, or justify with //lint:ordered",
+					"appends to %s in map-iteration order: sort keys first, or sort %s immediately after the loop",
 					lhsObj.Name(), lhsObj.Name())
 			}
 			return
@@ -309,77 +277,6 @@ func isConstExpr(info *types.Info, e ast.Expr) bool {
 	}
 	tv, ok := info.Types[e]
 	return ok && (tv.Value != nil || tv.IsNil())
-}
-
-// ---------------------------------------------------------------------------
-// metricname: registry names must be literal package.snake_case, first
-// segment equal to the registering package. Covers both registration paths
-// into the shared registry: obs.C/G/H and the underlying metric.C/G/H
-// (internal/metric exists so packages below obs, like circuit, can register
-// without an import cycle). Replaces the regex walker that used to live in
-// internal/obs/lint_test.go.
-
-func (r *runner) metricname() {
-	obsPath := r.l.ModPath + "/internal/obs"
-	metricPath := r.l.ModPath + "/internal/metric"
-	if r.p.Path == obsPath || r.p.Path == metricPath {
-		// The registry implementation and obs's re-export shim forward the
-		// name parameter; they register nothing themselves.
-		return
-	}
-	for _, f := range r.p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := r.callee(call)
-			if fn == nil || fn.Pkg() == nil ||
-				(fn.Pkg().Path() != obsPath && fn.Pkg().Path() != metricPath) {
-				return true
-			}
-			switch fn.Name() {
-			case "C", "G", "H":
-			default:
-				return true
-			}
-			if len(call.Args) == 0 {
-				return true
-			}
-			lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				r.report(call.Args[0].Pos(), "metricname",
-					"obs.%s name must be a string literal so the registry is statically auditable", fn.Name())
-				return true
-			}
-			name, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				return true
-			}
-			if !metricNameRe.MatchString(name) {
-				r.report(call.Args[0].Pos(), "metricname",
-					"metric name %q does not match %s", name, metricNameRe.String())
-				return true
-			}
-			if seg := name[:strings.IndexByte(name, '.')]; seg != r.p.Name {
-				r.report(call.Args[0].Pos(), "metricname",
-					"metric name %q: first segment %q must be the registering package name %q", name, seg, r.p.Name)
-			}
-			return true
-		})
-	}
-}
-
-func (r *runner) callee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := r.p.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := r.p.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

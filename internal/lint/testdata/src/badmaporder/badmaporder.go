@@ -57,25 +57,3 @@ func Dump(m map[string]int) {
 		fmt.Println(k, v)
 	}
 }
-
-// Max is clean: the suppression carries a justification.
-func Max(m map[string]int) int {
-	best := 0
-	//lint:ordered max over all values is the same for any visit order
-	for _, v := range m {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// Bare carries a suppression with no justification, itself a finding.
-func Bare(m map[string]int) int {
-	n := 0
-	//lint:ordered
-	for _, v := range m {
-		n = v
-	}
-	return n
-}

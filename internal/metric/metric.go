@@ -1,15 +1,22 @@
 // Package metric is the process-wide instrument registry: named counters,
 // gauges and histograms behind the pipeline's run reports. It sits below
-// every other internal package (no compsynth imports) so that even the
-// circuit core can register instruments without an import cycle;
-// internal/obs re-exports the whole API under its own name, and most
-// packages keep registering through obs. The sftlint metricname rule audits
-// registrations from either path.
+// every other internal package (no compsynth imports), so every package,
+// the circuit core included, registers its instruments here with C, G and H.
+//
+// C, G and H enforce the naming contract on every instrument they create:
+// the name is package.snake_case, its first segment is the registering
+// package's name, and it is created while that package initializes, in a
+// package-level declaration or a func init. A violation panics at start-up
+// of every binary and test that links the package. Lookups of an existing
+// name, and the Metrics methods, are not checked.
 package metric
 
 import (
 	"fmt"
+	"regexp"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -39,29 +46,24 @@ var std = NewMetrics()
 // their instruments here at init; commands snapshot it into the run report.
 func Default() *Metrics { return std }
 
-// C returns (creating if needed) the counter with this name in the Default
-// registry. Shorthand for package-level instrument declarations.
-func C(name string) *Counter { return std.Counter(name) }
+// C returns the counter named name in the Default registry, creating it if
+// absent under the naming contract.
+func C(name string) *Counter { return lookup(std, std.counters, name, true) }
 
-// G returns the named gauge in the Default registry.
-func G(name string) *Gauge { return std.Gauge(name) }
+// G returns the gauge named name in the Default registry, creating it if
+// absent under the naming contract.
+func G(name string) *Gauge { return lookup(std, std.gauges, name, true) }
 
-// H returns the named histogram in the Default registry.
-func H(name string) *Histogram { return std.Histogram(name) }
+// H returns the histogram named name in the Default registry, creating it
+// if absent under the naming contract.
+func H(name string) *Histogram { return lookup(std, std.histograms, name, true) }
 
 // Counter returns the counter registered under name, creating it if absent.
 func (m *Metrics) Counter(name string) *Counter {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.counters[name]
-	if c == nil {
-		c = &Counter{}
-		m.counters[name] = c
-	}
-	return c
+	return lookup(m, m.counters, name, false)
 }
 
 // Gauge returns the gauge registered under name, creating it if absent.
@@ -69,14 +71,7 @@ func (m *Metrics) Gauge(name string) *Gauge {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g := m.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		m.gauges[name] = g
-	}
-	return g
+	return lookup(m, m.gauges, name, false)
 }
 
 // Histogram returns the histogram registered under name, creating it if
@@ -85,14 +80,66 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	if m == nil {
 		return nil
 	}
+	return lookup(m, m.histograms, name, false)
+}
+
+// lookup returns the instrument named name in set, one of m's maps,
+// creating it if absent. With vet set (C, G and H), creation first checks
+// the name against its caller.
+func lookup[T any](m *Metrics, set map[string]*T, name string, vet bool) *T {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h := m.histograms[name]
-	if h == nil {
-		h = &Histogram{maxSamples: defaultMaxSamples}
-		m.histograms[name] = h
+	v := set[name]
+	if v == nil {
+		if vet {
+			vetName(name)
+		}
+		v = new(T)
+		set[name] = v
 	}
-	return h
+	return v
+}
+
+// nameRe is the naming convention, package.snake_case: report keys stay
+// stable and greppable, and the first segment names the owning package.
+var nameRe = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9_]+)+$`)
+
+// initRe matches the functions that run package initialization: "init"
+// holds the package-level variable initializers and "init.N" a func init
+// body. A closure declared there ("init.func1") may run later, so it does
+// not match.
+var initRe = regexp.MustCompile(`^init(\.[0-9]+)?$`)
+
+// vetName panics unless name matches nameRe, its first segment is the name
+// of the package that called C, G or H (an external _test package counts
+// as the package it tests), and that call runs in the package's
+// initialization. runtime.CallersFrames expands inlined calls, so the
+// caller is found however the compiler inlined C, G, H and lookup.
+func vetName(name string) {
+	var pc [1]uintptr
+	runtime.Callers(4, pc[:]) // skip Callers, vetName, lookup and C/G/H
+	fn, _ := runtime.CallersFrames(pc[:]).Next()
+	pkg, fun := splitFuncName(fn.Function)
+	pkg = strings.TrimSuffix(pkg, "_test")
+	switch {
+	case !nameRe.MatchString(name):
+		panic(fmt.Sprintf("metric: instrument name %q does not match %s", name, nameRe))
+	case name[:strings.IndexByte(name, '.')] != pkg:
+		panic(fmt.Sprintf("metric: instrument %q is created by package %s: its first segment must be %q",
+			name, pkg, pkg))
+	case !initRe.MatchString(fun):
+		panic(fmt.Sprintf("metric: instrument %q is created in %s, outside package initialization: declare it in a package-level var",
+			name, fn.Function))
+	}
+}
+
+// splitFuncName splits a runtime function name such as
+// "compsynth/internal/resynth.init.0" into the last element of its package
+// path ("resynth") and the function within the package ("init.0").
+func splitFuncName(full string) (pkg, fun string) {
+	tail := full[strings.LastIndexByte(full, '/')+1:]
+	pkg, fun, _ = strings.Cut(tail, ".")
+	return pkg, fun
 }
 
 // Counter is a monotonically increasing count (one atomic word).

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"compsynth/internal/circuit"
+	"compsynth/internal/metric"
 	"compsynth/internal/obs/dtrace"
 )
 
@@ -92,12 +93,12 @@ func RegisterCertifier(fn func(r *Run, path string) error) {
 type Run struct {
 	Tracer  *Tracer // nil unless -trace, -metrics-out or -events was given
 	Log     *Logger
-	Metrics *Metrics
+	Metrics *metric.Metrics
 	Report  *Report
 
 	flags    Flags
 	root     *Span
-	base     Snapshot
+	base     metric.Snapshot
 	start    time.Time
 	recorder *Recorder
 	dtrace   *dtrace.Tracer
@@ -131,7 +132,7 @@ func (f *Flags) Start(tool string) *Run {
 func (f *Flags) start(tool string) (*Run, error) {
 	r := &Run{
 		Log:     NewLogger(os.Stdout, os.Stderr, f.Verbose),
-		Metrics: Default(),
+		Metrics: metric.Default(),
 		flags:   *f,
 		start:   time.Now(),
 	}

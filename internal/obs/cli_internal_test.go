@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"compsynth/internal/metric"
 )
 
 // TestAddFlagsOmitsLiveFlags pins that the shared flag set has no -listen
@@ -43,22 +45,23 @@ func TestStartRejectsWorkersBelowOne(t *testing.T) {
 }
 
 // TestHistogramBuckets pins the cumulative-bucket computation on the
-// snapshot: counts are nondecreasing over DefaultBucketBounds, and values
-// past the last bound appear only in the implicit +Inf bucket (== Count).
+// snapshot: counts are nondecreasing over metric.DefaultBucketBounds, and
+// values past the last bound appear only in the implicit +Inf bucket
+// (== Count).
 func TestHistogramBuckets(t *testing.T) {
-	m := NewMetrics()
+	m := metric.NewMetrics()
 	h := m.Histogram("b")
 	for _, v := range []float64{0.5, 1, 2, 30, 2e6} {
 		h.Observe(v)
 	}
 	s := m.Snapshot().Histograms["b"]
-	if len(s.Buckets) != len(DefaultBucketBounds) {
-		t.Fatalf("got %d buckets, want %d", len(s.Buckets), len(DefaultBucketBounds))
+	if len(s.Buckets) != len(metric.DefaultBucketBounds) {
+		t.Fatalf("got %d buckets, want %d", len(s.Buckets), len(metric.DefaultBucketBounds))
 	}
 	want := map[float64]int64{1: 2, 2.5: 3, 25: 3, 50: 4, 1e6: 4}
 	for i, b := range s.Buckets {
-		if b.LE != DefaultBucketBounds[i] {
-			t.Errorf("bucket %d LE = %v, want %v", i, b.LE, DefaultBucketBounds[i])
+		if b.LE != metric.DefaultBucketBounds[i] {
+			t.Errorf("bucket %d LE = %v, want %v", i, b.LE, metric.DefaultBucketBounds[i])
 		}
 		if i > 0 && b.Count < s.Buckets[i-1].Count {
 			t.Errorf("bucket counts not cumulative at %v: %v < %v", b.LE, b.Count, s.Buckets[i-1].Count)
@@ -78,7 +81,7 @@ func TestHistogramBuckets(t *testing.T) {
 // snapshot still appears (with its full stats) in the diff — histograms are
 // carried by the later snapshot, not subtracted.
 func TestHistogramSnapshotDiff(t *testing.T) {
-	m := NewMetrics()
+	m := metric.NewMetrics()
 	h := m.Histogram("lat")
 	h.Observe(10)
 	base := m.Snapshot()

@@ -10,8 +10,13 @@ import (
 	"strings"
 	"testing"
 
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 )
+
+// mHits is registered the way pipeline packages register their counters:
+// at package initialization, under this package's name.
+var mHits = metric.C("obs.clitest_hits")
 
 // TestEventsReportRoundTrip drives the full Start/Finish lifecycle with the
 // flight recorder and the JSON report on, then checks both artifacts: the
@@ -24,7 +29,7 @@ func TestEventsReportRoundTrip(t *testing.T) {
 	f := &obs.Flags{Workers: 1, MetricsOut: reportPath, Events: eventsPath}
 	run := f.Start("clitest")
 	sp := run.Tracer.StartSpan("clitest.phase")
-	obs.C("clitest.hits").Add(3)
+	mHits.Add(3)
 	sp.End()
 	if err := run.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -42,8 +47,8 @@ func TestEventsReportRoundTrip(t *testing.T) {
 	if rep.Tool != "clitest" || rep.Error != "" {
 		t.Errorf("report tool=%q error=%q, want clitest/empty", rep.Tool, rep.Error)
 	}
-	if got := rep.Metrics.Counters["clitest.hits"]; got != 3 {
-		t.Errorf("report counters[clitest.hits] = %d, want 3", got)
+	if got := rep.Metrics.Counters["obs.clitest_hits"]; got != 3 {
+		t.Errorf("report counters[obs.clitest_hits] = %d, want 3", got)
 	}
 
 	// The event stream: every line one JSON object, and the event types

@@ -1,8 +1,9 @@
 // Package obs is the observability substrate for the synthesis-for-
-// testability pipeline: hierarchical tracing spans, a process-wide metrics
-// registry, a verbose run logger, a JSON run report that ties them all
-// together, and an NDJSON flight recorder (-events) that streams span
-// events and decision-trace records while the run is live.
+// testability pipeline: hierarchical tracing spans, a verbose run logger,
+// a JSON run report that ties them together with a snapshot of the
+// instrument registry (package metric), and an NDJSON flight recorder
+// (-events) that streams span events and decision-trace records while the
+// run is live.
 //
 // Design constraints, in order:
 //
@@ -31,7 +32,7 @@
 //	sp.End()
 //
 // Pipeline packages receive the tracer through their Options structs and
-// declare their counters at package init against the Default registry, e.g.
+// declare their counters at package init with package metric, e.g.
 //
-//	var mCandidates = obs.C("resynth.candidates_examined")
+//	var mCandidates = metric.C("resynth.candidates_examined")
 package obs

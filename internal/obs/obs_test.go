@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"compsynth/internal/metric"
 )
 
 func TestSpanNesting(t *testing.T) {
@@ -78,7 +80,7 @@ func TestSpanCap(t *testing.T) {
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	m := NewMetrics()
+	m := metric.NewMetrics()
 	m.Counter("resynth.passes").Add(2)
 	m.Histogram("cand").Observe(3)
 	tr := NewTracer()
@@ -140,8 +142,8 @@ func TestNilNoopZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("nil tracer span chain allocates %v per run, want 0", n)
 	}
-	var c *Counter
-	var h *Histogram
+	var c *metric.Counter
+	var h *metric.Histogram
 	var lg *Logger
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()

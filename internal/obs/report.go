@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"compsynth/internal/circuit"
+	"compsynth/internal/metric"
 	"compsynth/internal/paths"
 )
 
@@ -68,17 +69,17 @@ func InfoOf(c *circuit.Circuit) CircuitInfo {
 
 // Report is the JSON artifact of one tool run.
 type Report struct {
-	Tool          string         `json:"tool"`
-	Args          []string       `json:"args,omitempty"`
-	Start         time.Time      `json:"start"`
-	DurationMS    float64        `json:"duration_ms"`
-	Env           EnvInfo        `json:"env"`
-	CircuitBefore *CircuitInfo   `json:"circuit_before,omitempty"`
-	CircuitAfter  *CircuitInfo   `json:"circuit_after,omitempty"`
-	Results       map[string]any `json:"results,omitempty"`
-	Spans         []SpanJSON     `json:"spans,omitempty"`
-	Metrics       Snapshot       `json:"metrics"`
-	Error         string         `json:"error,omitempty"`
+	Tool          string          `json:"tool"`
+	Args          []string        `json:"args,omitempty"`
+	Start         time.Time       `json:"start"`
+	DurationMS    float64         `json:"duration_ms"`
+	Env           EnvInfo         `json:"env"`
+	CircuitBefore *CircuitInfo    `json:"circuit_before,omitempty"`
+	CircuitAfter  *CircuitInfo    `json:"circuit_after,omitempty"`
+	Results       map[string]any  `json:"results,omitempty"`
+	Spans         []SpanJSON      `json:"spans,omitempty"`
+	Metrics       metric.Snapshot `json:"metrics"`
+	Error         string          `json:"error,omitempty"`
 }
 
 // AddResult attaches a named result payload (anything JSON-marshalable,

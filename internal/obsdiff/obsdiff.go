@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 )
 
@@ -192,7 +193,7 @@ func diffIntMap(r *Result, opt Options, prefix string, before, after map[string]
 	}
 }
 
-func diffHistograms(r *Result, opt Options, before, after map[string]obs.HistogramStats) {
+func diffHistograms(r *Result, opt Options, before, after map[string]metric.HistogramStats) {
 	for _, name := range unionKeys(before, after) {
 		b, inB := before[name]
 		a, inA := after[name]

@@ -7,11 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 )
 
 func report(dur float64, counters map[string]int64) *obs.Report {
-	return &obs.Report{Tool: "t", DurationMS: dur, Metrics: obs.Snapshot{Counters: counters}}
+	return &obs.Report{Tool: "t", DurationMS: dur, Metrics: metric.Snapshot{Counters: counters}}
 }
 
 func names(ds []Delta) []string {
@@ -50,8 +51,8 @@ func TestDiffReportsCounterRegression(t *testing.T) {
 // run and diffs at TolTime instead.
 func TestHistogramTimingTolerance(t *testing.T) {
 	hist := func(name string, count int64, mean float64) *obs.Report {
-		return &obs.Report{Tool: "t", Metrics: obs.Snapshot{
-			Histograms: map[string]obs.HistogramStats{name: {Count: count, Mean: mean}},
+		return &obs.Report{Tool: "t", Metrics: metric.Snapshot{
+			Histograms: map[string]metric.HistogramStats{name: {Count: count, Mean: mean}},
 		}}
 	}
 	opt := DefaultOptions()

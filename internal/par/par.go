@@ -20,13 +20,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 )
 
 // Pool metrics (process-wide; atomic adds only).
 var (
-	mRuns  = obs.C("par.parallel_runs")
-	mTasks = obs.C("par.tasks")
+	mRuns  = metric.C("par.parallel_runs")
+	mTasks = metric.C("par.tasks")
 )
 
 // Workers resolves a worker-count option: n <= 0 selects

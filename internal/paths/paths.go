@@ -64,7 +64,7 @@ func LabelNode(c *circuit.Circuit, np []uint64, id int) (uint64, bool) {
 }
 
 // countScratch is the pooled per-call state of the CSR-backed counting
-// sweeps, so steady-state Count/Through calls allocate nothing.
+// sweeps, so steady-state Count calls allocate nothing.
 type countScratch struct {
 	np []uint64
 	w  []uint64
@@ -208,17 +208,23 @@ func FanoutWeights(c *circuit.Circuit) []uint64 {
 	return w
 }
 
-// Through returns the number of PI-to-PO paths passing through node id.
-func Through(c *circuit.Circuit, id int) uint64 {
-	v := c.Freeze()
-	d := v.DenseOf[id]
-	if d < 0 {
-		return 0
+// Through returns the exact number of PI-to-PO paths passing through node
+// id: its label N_p times its forward weight, both in arbitrary precision
+// like CountBig, so the product is exact past 2^64. A dead node has none.
+func Through(c *circuit.Circuit, id int) *big.Int {
+	np := LabelsBig(c)
+	if np[id] == nil {
+		return new(big.Int)
 	}
-	s := countPool.Get().(*countScratch)
-	defer countPool.Put(s)
-	s.grow(v.N())
-	denseLabels(v, s.np)
-	denseWeights(v, s.w)
-	return s.np[d] * s.w[d]
+	w := make([]big.Int, len(c.Nodes))
+	for _, o := range c.Outputs {
+		w[o].Add(&w[o], big.NewInt(1))
+	}
+	topo := c.Topo()
+	for i := len(topo) - 1; i >= 0; i-- {
+		for _, f := range c.Nodes[topo[i]].Fanin {
+			w[f].Add(&w[f], &w[topo[i]])
+		}
+	}
+	return new(big.Int).Mul(np[id], &w[id])
 }

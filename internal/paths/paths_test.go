@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -104,8 +105,31 @@ func TestFanoutWeightsDecomposition(t *testing.T) {
 	}
 	// Through() agrees on each input.
 	for _, in := range c.Inputs {
-		if Through(c, in) != np[in]*w[in] {
-			t.Fatal("Through mismatch")
+		if got := Through(c, in); !got.IsUint64() || got.Uint64() != np[in]*w[in] {
+			t.Fatalf("Through(%d) = %v, want %d", in, got, np[in]*w[in])
+		}
+	}
+}
+
+// TestThroughPast64Bits: on a 70-stage ladder x_i = AND(x_{i-1}, y_{i-1}),
+// y_i = OR(x_{i-1}, y_{i-1}) with output x70, which has 2^70 paths, 2^69 of
+// them pass through x35 (2^35 paths in, 2^34 out) and through x69 (2^69
+// in, one out). Neither label nor weight alone overflows at x35, but their
+// product does.
+func TestThroughPast64Bits(t *testing.T) {
+	c := circuit.New("ladder70")
+	x, y := c.AddInput("x0"), c.AddInput("y0")
+	for i := 1; i <= 70; i++ {
+		x, y = c.AddGate(circuit.And, fmt.Sprintf("x%d", i), x, y), c.AddGate(circuit.Or, fmt.Sprintf("y%d", i), x, y)
+	}
+	c.MarkOutput(x)
+	if got, want := CountBig(c), new(big.Int).Lsh(big.NewInt(1), 70); got.Cmp(want) != 0 {
+		t.Fatalf("CountBig = %v, want 2^70", got)
+	}
+	want := new(big.Int).Lsh(big.NewInt(1), 69)
+	for _, name := range []string{"x35", "x69"} {
+		if got := Through(c, c.NodeByName(name)); got.Cmp(want) != 0 {
+			t.Errorf("Through(%s) = %v, want 2^69 = %v", name, got, want)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func TestThroughMatchesRef(t *testing.T) {
 			if nd == nil {
 				continue
 			}
-			if got, want := Through(c, nd.ID), RefThrough(c, nd.ID); got != want {
+			if got, want := Through(c, nd.ID), RefThrough(c, nd.ID); !got.IsUint64() || got.Uint64() != want {
 				t.Fatalf("circuit %d node %d: Through = %d, ref = %d", i, nd.ID, got, want)
 			}
 		}

@@ -14,15 +14,16 @@ import (
 	"compsynth/internal/circuit"
 	"compsynth/internal/faults"
 	"compsynth/internal/faultsim"
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 	"compsynth/internal/simulate"
 )
 
 // Removal metrics.
 var (
-	mRounds    = obs.C("redundancy.rounds")
-	mRedundant = obs.C("redundancy.faults_proven_redundant")
-	mAborted   = obs.C("redundancy.faults_aborted")
+	mRounds    = metric.C("redundancy.rounds")
+	mRedundant = metric.C("redundancy.faults_proven_redundant")
+	mAborted   = metric.C("redundancy.faults_aborted")
 )
 
 // Options configures the removal pass.

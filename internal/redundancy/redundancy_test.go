@@ -6,7 +6,7 @@ import (
 	"compsynth/internal/bench"
 	"compsynth/internal/circuit"
 	"compsynth/internal/gen"
-	"compsynth/internal/obs"
+	"compsynth/internal/metric"
 	"compsynth/internal/simulate"
 )
 
@@ -140,7 +140,7 @@ func TestRemoveWorkers(t *testing.T) {
 	// parallel run, and every worker count gives the same netlist and
 	// Result.
 	c := gen.SmallSuite()[0].Build()
-	runs := obs.C("par.parallel_runs")
+	runs := metric.C("par.parallel_runs")
 	remove := func(workers int) (*Result, int64) {
 		t.Helper()
 		opt := DefaultOptions()

@@ -33,6 +33,7 @@ import (
 	"compsynth/internal/digest"
 	"compsynth/internal/ledger"
 	"compsynth/internal/logic"
+	"compsynth/internal/metric"
 	"compsynth/internal/obs"
 	"compsynth/internal/obs/dtrace"
 	"compsynth/internal/paths"
@@ -42,13 +43,13 @@ import (
 
 // Pipeline metrics (process-wide; single atomic adds in the hot loops).
 var (
-	mCandidates   = obs.C("resynth.candidates_examined")
-	mReplacements = obs.C("resynth.replacements_accepted")
-	mPasses       = obs.C("resynth.passes")
-	mCacheHits    = obs.C("resynth.identify_cache_hits")
-	mDirty        = obs.C("resynth.dirty_nodes")
-	hCandInputs   = obs.H("resynth.candidate_inputs")
-	gPass         = obs.G("resynth.pass")
+	mCandidates   = metric.C("resynth.candidates_examined")
+	mReplacements = metric.C("resynth.replacements_accepted")
+	mPasses       = metric.C("resynth.passes")
+	mCacheHits    = metric.C("resynth.identify_cache_hits")
+	mDirty        = metric.C("resynth.dirty_nodes")
+	hCandInputs   = metric.H("resynth.candidate_inputs")
+	gPass         = metric.G("resynth.pass")
 )
 
 // Objective selects the optimization target.
@@ -190,8 +191,9 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 // Optimize runs the selected procedure on a copy of c until no further
 // improvement. The input circuit is not modified.
 func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
-	if opt.K <= 0 || opt.MaxPasses <= 0 {
-		return nil, fmt.Errorf("resynth: invalid options K=%d passes=%d", opt.K, opt.MaxPasses)
+	if opt.K <= 0 || opt.K > logic.MaxVars || opt.MaxPasses <= 0 {
+		return nil, fmt.Errorf("resynth: invalid options K=%d passes=%d (K must be 1 to %d, the widest cut a truth table holds)",
+			opt.K, opt.MaxPasses, logic.MaxVars)
 	}
 	sp := opt.Tracer.StartSpan("resynth.optimize")
 	defer sp.End()

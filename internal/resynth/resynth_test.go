@@ -1,6 +1,8 @@
 package resynth
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"compsynth/internal/bench"
@@ -272,10 +274,30 @@ func TestMultiUnitAtLeastAsGoodOnGates(t *testing.T) {
 	}
 }
 
+// TestInvalidOptions: K must be 1 to logic.MaxVars. A 20-input AND/OR
+// chain has cuts wider than 16 inputs, whose functions no truth table
+// holds, so K = 17 is an error before any extraction, not a panic in one.
 func TestInvalidOptions(t *testing.T) {
-	c, _ := bench.ParseString(bench.C17, "c17")
-	if _, err := Optimize(c, Options{K: 0, MaxPasses: 1}); err == nil {
-		t.Fatal("K=0 accepted")
+	c17, _ := bench.ParseString(bench.C17, "c17")
+	chain := circuit.New("chain20")
+	g := chain.AddInput("x0")
+	for i := 1; i < 20; i++ {
+		typ := circuit.And
+		if i%2 == 0 {
+			typ = circuit.Or
+		}
+		g = chain.AddGate(typ, "", g, chain.AddInput(fmt.Sprintf("x%d", i)))
+	}
+	chain.MarkOutput(g)
+	for _, tc := range []struct {
+		c *circuit.Circuit
+		k int
+	}{{c17, 0}, {chain, logic.MaxVars + 1}} {
+		opt := DefaultOptions()
+		opt.K = tc.k
+		if _, err := Optimize(tc.c, opt); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("K=%d", tc.k)) {
+			t.Errorf("%s at K=%d: error %v, want one naming K=%d", tc.c.Name, tc.k, err, tc.k)
+		}
 	}
 }
 
