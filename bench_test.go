@@ -304,6 +304,35 @@ func BenchmarkResynth(b *testing.B) {
 	}
 }
 
+// BenchmarkResynthScale runs one Procedure 2 pass (K = 5, Verify on) on
+// gen.Random circuits of 10^4, 3·10^4 and 10^5 generated gates, 8,422,
+// 24,713 and 83,390 after the sweep, and reports the time per gate. Each
+// replacement's edit costs what it touches, so ns/gate stays about flat
+// across the sizes; whole-circuit scans per edit made it grow with them.
+func BenchmarkResynthScale(b *testing.B) {
+	for _, sz := range []struct {
+		name  string
+		gates int
+	}{{"1e4", 1e4}, {"3e4", 3e4}, {"1e5", 1e5}} {
+		b.Run(sz.name, func(b *testing.B) {
+			n := sz.gates
+			c := gen.Random(gen.Params{Name: "scale" + sz.name, Gates: n, Inputs: n / 50,
+				Outputs: n / 60, Layers: 40, MaxFanin: 4, Locality: 0.6, InvProb: 0.1,
+				MacroProb: 0.3, Seed: 7})
+			opt := resynth.DefaultOptions()
+			opt.MaxPasses = 1
+			runs := 0
+			for b.Loop() {
+				if _, err := resynth.Optimize(c, opt); err != nil {
+					b.Fatal(err)
+				}
+				runs++
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(runs*c.NumGates()), "ns/gate")
+		})
+	}
+}
+
 // BenchmarkComputeCuts enumerates the cuts resynthesis builds on its first
 // pass, K = 6 with 32 cuts per node, on quick-scale rs9234 and rs35932,
 // simplified and compacted as Optimize does. The signature filter and the

@@ -13,10 +13,11 @@
 //	sftexplain diff EVENTS EVENTS    final per-node outcomes that differ
 //	sftexplain export EVENTS         canonical decision records as NDJSON
 //
-// Every subcommand takes -json for machine-readable output (export is
-// always NDJSON). reasons and funnel take -pass N to restrict the tally to
-// one resynthesis pass (0, the default, covers all passes); a negative
-// pass, or -pass on any other subcommand, is a usage error. Flags go before
+// Every subcommand but export takes -json for machine-readable output;
+// export always writes NDJSON, so -json on it is a usage error. reasons and
+// funnel take -pass N to restrict the tally to one resynthesis pass (0, the
+// default, covers all passes); a negative pass, or -pass on any other
+// subcommand, is a usage error. Flags go before
 // positional arguments. Exit status: 0 on success (including an empty
 // diff — diff is informational), 2 on usage or load errors.
 package main
@@ -37,7 +38,7 @@ func usage() {
   reasons EVENTS      outcome tally per pass (-pass N for one pass)
   funnel EVENTS       candidate funnel counts (-pass N for one pass)
   diff EVENTS EVENTS  final per-node outcomes that differ between two runs
-  export EVENTS       canonical decision records as NDJSON
+  export EVENTS       canonical decision records as NDJSON (no -json)
 
 Flags go before positional arguments: sftexplain reasons -pass 2 EVENTS.`)
 	os.Exit(2)
@@ -82,6 +83,9 @@ func main() {
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "pass" {
 				fatal(fmt.Errorf("-pass applies only to reasons and funnel, not %s", cmd))
+			}
+			if f.Name == "json" && cmd == "export" {
+				fatal(fmt.Errorf("-json does not apply to export, which always writes NDJSON"))
 			}
 		})
 	}

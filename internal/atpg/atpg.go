@@ -332,7 +332,6 @@ func (s *search) run(c *circuit.Circuit, f faults.Fault, limit int) Result {
 // simulating only inside this cone keeps every step's cost independent of
 // the circuit's size.
 func (s *search) load(c *circuit.Circuit, f faults.Fault) {
-	c.RebuildFanouts()
 	for len(s.local) < len(c.Nodes) {
 		s.local = append(s.local, -1)
 		s.inCone = append(s.inCone, false)

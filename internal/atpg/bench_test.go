@@ -27,7 +27,10 @@ func hardFaults(idx int) (*circuit.Circuit, []faults.Fault) {
 // BenchmarkGenerate times PODEM over the faults the first removal round
 // leaves for it on quick rs9234 (long searches, many redundancy proofs) and
 // quick rs35932 (wide gates, aborts), at removal's 20,000-backtrack limit.
-// One op is one pass over every fault, on the unmodified circuit.
+// One op is one pass over every fault, on the unmodified circuit, by one
+// search the bench holds and warms itself: Generate's pooled search is
+// dropped by any GC, and re-growing its scratch made allocs/op vary between
+// runs of identical code.
 func BenchmarkGenerate(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -35,13 +38,17 @@ func BenchmarkGenerate(b *testing.B) {
 	}{{"rs9234", 2}, {"rs35932", 5}} {
 		b.Run(bc.name, func(b *testing.B) {
 			c, fl := hardFaults(bc.idx)
-			b.ReportAllocs()
-			backs := 0
-			for b.Loop() {
-				backs = 0
+			s := new(search)
+			pass := func() (backs int) {
 				for _, f := range fl {
-					backs += Generate(c, f, Options{BacktrackLimit: 20000}).Backtracks
+					backs += s.run(c, f, 20000).Backtracks
 				}
+				return backs
+			}
+			backs := pass() // warm: the scratch grows to the largest cone
+			b.ReportAllocs()
+			for b.Loop() {
+				backs = pass()
 			}
 			b.ReportMetric(float64(len(fl)), "faults/op")
 			b.ReportMetric(float64(backs), "backtracks/op")

@@ -50,7 +50,6 @@ type refEngine struct {
 // effect can reach). Simulating and deciding only inside this cone cuts the
 // per-decision cost sharply on large circuits.
 func refRelevantCone(c *circuit.Circuit, site int) []bool {
-	c.RebuildFanouts()
 	fwd := make([]bool, len(c.Nodes))
 	var down func(int)
 	down = func(id int) {
@@ -98,7 +97,6 @@ func refGenerate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
 	if f.Pin >= 0 {
 		e.driver = c.Nodes[f.Node].Fanin[f.Pin]
 	}
-	c.RebuildFanouts()
 	e.inCone = refRelevantCone(c, e.site)
 	for _, id := range c.Topo() {
 		if e.inCone[id] {

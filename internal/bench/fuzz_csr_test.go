@@ -14,7 +14,9 @@ import (
 // of a deterministic mutation sequence it freezes and runs circuit.Check,
 // whose csr_stale audit deep-compares the (possibly patched) view
 // against a from-scratch rebuild — so any divergence between the
-// incremental and full paths on a fuzz-discovered netlist is a failure.
+// incremental and full paths on a fuzz-discovered netlist is a failure —
+// and which recounts the fanout lists, PO-use counts and live count that
+// every mutator maintains.
 func FuzzCSRFreeze(f *testing.F) {
 	f.Add(bench.C17)
 	f.Add(bench.Adder4)
@@ -66,6 +68,12 @@ func FuzzCSRFreeze(f *testing.F) {
 		}
 		c.Rename(g, "fz_not_renamed")
 		step("Rename")
+		c.ReplaceUses(g, in)
+		step("ReplaceUses")
+		c.Kill(g)
+		step("Kill")
+		c.SetConstant(c.Outputs[0], false)
+		step("SetConstant")
 		c.Simplify()
 		step("Simplify")
 		c.Strash()

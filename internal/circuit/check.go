@@ -3,6 +3,7 @@ package circuit
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 )
 
@@ -10,9 +11,9 @@ import (
 // cheap constructor-level sanity check; Check is the full invariant audit
 // run behind the -check flag of the commands and after every resynthesis
 // pass in tests. Beyond Validate it proves acyclicity with an explicit
-// witness, verifies per-gate-type fanin arity, cross-checks the cached
-// derived state (name index, fanout lists, topological order, frozen view)
-// against a fresh recomputation, verifies level monotonicity along every
+// witness, verifies per-gate-type fanin arity, cross-checks the derived
+// state (name index, fanout lists, PO-use and live counts, topological
+// order, frozen view) against a fresh recomputation, verifies level monotonicity along every
 // edge, and rejects dangling or unreachable nodes. CheckComparisonUnits
 // additionally audits the paper's headline structural guarantee on
 // resynthesized circuits: every comparison unit has at most two paths from
@@ -147,15 +148,14 @@ func CheckWith(c *Circuit, opt CheckOptions) error {
 		}
 	}
 
-	// Cached derived state must agree with a fresh recomputation: a mutator
-	// that forgot to invalidate shows up here, not as silently wrong results.
+	// Derived state must agree with a fresh recomputation: a mutator that
+	// forgot to maintain or invalidate it shows up here, not as silently
+	// wrong results. The topo audit reads the live count, so it goes second.
+	if err := checkUses(c); err != nil {
+		return err
+	}
 	if c.topoCache != nil {
 		if err := checkTopoCache(c); err != nil {
-			return err
-		}
-	}
-	if c.fanoutsOK {
-		if err := checkFanouts(c); err != nil {
 			return err
 		}
 	}
@@ -322,33 +322,38 @@ func checkTopoCache(c *Circuit) error {
 	return nil
 }
 
-// checkFanouts verifies the cached fanout lists are exactly the multiset
-// transpose of the live fanin lists.
-func checkFanouts(c *Circuit) error {
+// checkUses verifies the maintained fanout lists, primary-output use counts
+// and live count against a recount from the fanin and output lists: each
+// fanout list must be exactly the consumer IDs in ascending order, one per
+// pin, as the order-sensitive readers (Topo, Freeze) expect.
+func checkUses(c *Circuit) error {
 	want := make([][]int, len(c.Nodes))
+	po := make([]int, len(c.Nodes))
+	live := 0
 	for _, nd := range c.Nodes {
 		if nd == nil || nd.Type == dead {
 			continue
 		}
+		live++
 		for _, f := range nd.Fanin {
 			want[f] = append(want[f], nd.ID)
 		}
 	}
+	for _, o := range c.Outputs {
+		po[o]++
+	}
+	if live != c.live {
+		return fmt.Errorf("stale live count: %d kept, %d live nodes", c.live, live)
+	}
 	for _, nd := range c.Nodes {
-		if nd == nil || nd.Type == dead {
+		if nd == nil {
 			continue
 		}
-		got := append([]int(nil), nd.fanout...)
-		exp := append([]int(nil), want[nd.ID]...)
-		sort.Ints(got)
-		sort.Ints(exp)
-		if len(got) != len(exp) {
-			return fmt.Errorf("stale fanout cache at %s: %d consumers cached, %d per fanin lists", nd.Name, len(got), len(exp))
+		if !slices.Equal(nd.fanout, want[nd.ID]) {
+			return fmt.Errorf("stale fanout list at %s: kept %v, per fanin lists %v", nd.Name, nd.fanout, want[nd.ID])
 		}
-		for i := range got {
-			if got[i] != exp[i] {
-				return fmt.Errorf("stale fanout cache at %s: cached %v, per fanin lists %v", nd.Name, got, exp)
-			}
+		if nd.poUses != po[nd.ID] {
+			return fmt.Errorf("stale primary-output use count at %s: kept %d, per output list %d", nd.Name, nd.poUses, po[nd.ID])
 		}
 	}
 	return nil
@@ -447,8 +452,8 @@ func groupMaxPaths(c *Circuit, members []int) (max uint64, from, to int) {
 		ext = append(ext, id)
 	}
 	sort.Ints(ext)
-	// Sinks: members no member consumes (computed from fanin lists so the
-	// check never touches the fanout cache).
+	// Sinks: members no member consumes (computed from fanin lists, so the
+	// check does not trust the fanout lists it audits elsewhere).
 	feedsMember := map[int]bool{}
 	for _, id := range members {
 		for _, f := range c.Nodes[id].Fanin {

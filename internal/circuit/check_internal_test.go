@@ -75,3 +75,27 @@ func TestCheckAfterMutators(t *testing.T) {
 		t.Fatalf("after Compact: %v", err)
 	}
 }
+
+// TestCheckStaleUseCounts: Check recounts the fanout lists, PO-use counts
+// and live count that every mutator maintains, so a mutator that forgot one
+// of them is caught even when the netlist itself is sound.
+func TestCheckStaleUseCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Circuit)
+		want    string
+	}{
+		{"fanout order", func(c *Circuit) {
+			fo := c.Nodes[c.NodeByName("b")].fanout
+			fo[0], fo[1] = fo[1], fo[0]
+		}, "stale fanout list"},
+		{"po uses", func(c *Circuit) { c.Nodes[c.NodeByName("g")].poUses++ }, "stale primary-output use count"},
+		{"live count", func(c *Circuit) { c.live-- }, "stale live count"},
+	} {
+		c := buildInternal()
+		tc.corrupt(c)
+		if err := Check(c); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -76,7 +76,9 @@ func TestCheckNegative(t *testing.T) {
 			name: "dead-fanin",
 			build: func(t *testing.T) *circuit.Circuit {
 				c, ids := base()
-				c.Kill(ids["g2"]) // out still reads g2
+				orphan := c.AddGate(circuit.Nand, "orphan", ids["a"], ids["b"])
+				c.Kill(orphan)
+				c.Nodes[ids["g2"]].Fanin[0] = orphan
 				return c
 			},
 			want: "dangles",
@@ -103,13 +105,12 @@ func TestCheckNegative(t *testing.T) {
 			name: "fanout-fanin-mismatch",
 			build: func(t *testing.T) *circuit.Circuit {
 				c, ids := base()
-				c.RebuildFanouts()
-				// Rewire g1's first pin a -> b behind the cache's back.
+				// Rewire g1's first pin a -> b behind the mutators' back.
 				// Levels and arity stay valid; only the transpose breaks.
 				c.Nodes[ids["g1"]].Fanin[0] = ids["b"]
 				return c
 			},
-			want: "stale fanout cache",
+			want: "stale fanout list",
 		},
 		{
 			name: "unreachable-gate",
@@ -143,7 +144,6 @@ func TestCheckPositive(t *testing.T) {
 	}
 	// Warm every cache, then re-check: the caches must agree with fresh
 	// recomputation.
-	c.RebuildFanouts()
 	c.Topo()
 	c.Depth()
 	if err := circuit.Check(c); err != nil {

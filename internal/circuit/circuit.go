@@ -11,6 +11,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -156,7 +157,8 @@ type Node struct {
 	Name  string
 	Fanin []int // driving node IDs, in pin order
 
-	fanout []int  // consumer node IDs (with multiplicity), maintained by Circuit
+	fanout []int  // consumer node IDs, one per consuming pin, ascending
+	poUses int    // number of primary-output designations of the node
 	edited uint64 // generation of the node's last edit (see record.go)
 }
 
@@ -167,8 +169,11 @@ type Circuit struct {
 	Inputs  []int   // primary input node IDs in declaration order
 	Outputs []int   // primary output driver node IDs in declaration order
 
+	// Every mutator keeps each node's fanout list and PO-use count and the
+	// live count current, so reading them costs a load and an edit costs
+	// what it touches.
 	byName    map[string]int
-	fanoutsOK bool
+	live      int
 	topoCache []int
 	gen       uint64      // edit generation (see record.go)
 	fz        frozenState // frozen CSR view + its patch scratch (see csr.go)
@@ -180,7 +185,6 @@ func New(name string) *Circuit {
 }
 
 func (c *Circuit) invalidate() {
-	c.fanoutsOK = false
 	c.topoCache = nil
 }
 
@@ -227,6 +231,10 @@ func (c *Circuit) addNode(t GateType, name string, fanin []int) int {
 	}
 	c.Nodes = append(c.Nodes, &Node{ID: id, Type: t, Name: name, Fanin: fanin})
 	c.byName[name] = id
+	c.live++
+	for _, f := range fanin {
+		c.addUse(f, id)
+	}
 	c.touch(id)
 	c.invalidate()
 	return id
@@ -235,8 +243,8 @@ func (c *Circuit) addNode(t GateType, name string, fanin []int) int {
 // MarkOutput designates node id as (driving) a primary output.
 func (c *Circuit) MarkOutput(id int) {
 	c.Outputs = append(c.Outputs, id)
-	// No derived cache reads the designations, but the frozen view's Out
-	// array must track them.
+	c.Nodes[id].poUses++
+	// The frozen view's Out array tracks the designations.
 	c.touch(id)
 }
 
@@ -265,15 +273,7 @@ func (c *Circuit) NumGates() int {
 }
 
 // NumLive returns the number of live nodes of any kind.
-func (c *Circuit) NumLive() int {
-	n := 0
-	for _, nd := range c.Nodes {
-		if nd != nil && nd.Type != dead {
-			n++
-		}
-	}
-	return n
-}
+func (c *Circuit) NumLive() int { return c.live }
 
 // Equiv2Weight returns the equivalent-2-input gate weight of a single node:
 // a k-input AND/OR/NAND/NOR/XOR/XNOR counts k-1 (a 1-input one counts 0);
@@ -300,44 +300,26 @@ func (c *Circuit) Equiv2Count() int {
 	return n
 }
 
-// RebuildFanouts recomputes fanout lists. Consumers appear once per pin, so a
-// node feeding two pins of the same gate appears twice (two fanout branches).
-func (c *Circuit) RebuildFanouts() {
-	if c.fanoutsOK {
-		return
-	}
-	for _, nd := range c.Nodes {
-		if nd != nil {
-			nd.fanout = nd.fanout[:0]
-		}
-	}
-	for _, nd := range c.Nodes {
-		if nd == nil || nd.Type == dead {
-			continue
-		}
-		for _, f := range nd.Fanin {
-			c.Nodes[f].fanout = append(c.Nodes[f].fanout, nd.ID)
-		}
-	}
-	c.fanoutsOK = true
-}
-
-// Fanouts returns the consumer node IDs of id (one entry per consuming pin).
-// Primary-output designations are not included.
-func (c *Circuit) Fanouts(id int) []int {
-	c.RebuildFanouts()
-	return c.Nodes[id].fanout
-}
+// Fanouts returns the consumer node IDs of id, one entry per consuming pin
+// in ascending ID order, so a gate reading id on two pins appears twice
+// (two fanout branches). Primary-output designations are not included.
+func (c *Circuit) Fanouts(id int) []int { return c.Nodes[id].fanout }
 
 // NumPOUses returns how many times node id is designated as a primary output.
-func (c *Circuit) NumPOUses(id int) int {
-	n := 0
-	for _, o := range c.Outputs {
-		if o == id {
-			n++
-		}
-	}
-	return n
+func (c *Circuit) NumPOUses(id int) int { return c.Nodes[id].poUses }
+
+// addUse records that gate id reads f on one more pin.
+func (c *Circuit) addUse(f, id int) {
+	fo := c.Nodes[f].fanout
+	i, _ := slices.BinarySearch(fo, id+1)
+	c.Nodes[f].fanout = slices.Insert(fo, i, id)
+}
+
+// dropUse records that gate id reads f on one pin fewer.
+func (c *Circuit) dropUse(f, id int) {
+	fo := c.Nodes[f].fanout
+	i, _ := slices.BinarySearch(fo, id)
+	c.Nodes[f].fanout = slices.Delete(fo, i, i+1)
 }
 
 // Topo returns live node IDs in topological order (fanins before consumers).
@@ -357,8 +339,7 @@ func (c *Circuit) Topo() []int {
 		}
 	}
 	sort.Ints(queue)
-	c.RebuildFanouts()
-	order := make([]int, 0, c.NumLive())
+	order := make([]int, 0, c.live)
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
@@ -370,7 +351,7 @@ func (c *Circuit) Topo() []int {
 			}
 		}
 	}
-	if len(order) != c.NumLive() {
+	if len(order) != c.live {
 		panic("circuit: cycle detected in Topo")
 	}
 	c.topoCache = order
@@ -483,12 +464,24 @@ func (c *Circuit) Eval(pi []bool) []bool {
 func (c *Circuit) Clone() *Circuit {
 	n := New(c.Name)
 	n.Nodes = make([]*Node, len(c.Nodes))
+	n.live = c.live
+	// The copied fanout lists share one backing array, one entry per fanin
+	// pin, each list capped so that an append reallocates it.
+	pins := 0
+	for _, nd := range c.Nodes {
+		if nd != nil {
+			pins += len(nd.Fanin)
+		}
+	}
+	uses := make([]int, 0, pins)
 	for i, nd := range c.Nodes {
 		if nd == nil {
 			continue
 		}
-		cp := &Node{ID: nd.ID, Type: nd.Type, Name: nd.Name, Fanin: append([]int(nil), nd.Fanin...)}
-		n.Nodes[i] = cp
+		k := len(uses)
+		uses = append(uses, nd.fanout...)
+		n.Nodes[i] = &Node{ID: nd.ID, Type: nd.Type, Name: nd.Name, Fanin: append([]int(nil), nd.Fanin...),
+			fanout: uses[k:len(uses):len(uses)], poUses: nd.poUses}
 		if nd.Type != dead {
 			n.byName[nd.Name] = i
 		}

@@ -295,9 +295,9 @@ func TestValidateCatchesCycle(t *testing.T) {
 	g1 := c.AddGate(And, "", a, a)
 	g2 := c.AddGate(Or, "", g1, a)
 	c.MarkOutput(g2)
-	// Manually create a cycle.
-	c.Nodes[g1].Fanin[1] = g2
-	c.invalidate()
+	// Close the cycle g1 -> g2 -> g1 through a mutator, so the fanout
+	// lists Topo walks carry it too.
+	c.SetFanin(g1, 1, g2)
 	if err := c.Validate(); err == nil {
 		t.Fatal("cycle not detected")
 	}

@@ -111,8 +111,8 @@ type frozenState struct {
 // otherwise rebuilding it — incrementally from the nodes touched since the
 // view when their cone is small, from scratch past the churn threshold. The
 // returned view aliases storage that the next post-mutation Freeze
-// recycles, so it is valid until the circuit is next mutated. Freeze itself mutates only
-// derived caches (like Topo and RebuildFanouts do) and must not be called
+// recycles, so it is valid until the circuit is next mutated. Freeze itself
+// mutates only derived caches (like Topo does) and must not be called
 // concurrently with other Circuit methods; the returned view is safe for
 // concurrent readers.
 func (c *Circuit) Freeze() *CSR {
@@ -174,7 +174,6 @@ func (c *Circuit) patchLevels(v *CSR, lv []int32) bool {
 		seen[s] = ep
 		closure = append(closure, int32(s))
 	}
-	c.RebuildFanouts()
 	for i := 0; i < len(closure); i++ {
 		s := int(closure[i])
 		if !c.Alive(s) {

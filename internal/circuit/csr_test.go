@@ -113,7 +113,6 @@ func TestFreezeCachesUntilMutation(t *testing.T) {
 	// Read-only derived-state calls must not age the view.
 	c.Topo()
 	c.Depth()
-	c.RebuildFanouts()
 	if v2 := c.Freeze(); v2 != v1 {
 		t.Fatal("cache queries aged the frozen view")
 	}
@@ -311,9 +310,9 @@ func BenchmarkCSRRebuild(b *testing.B) {
 	tgt := c.Outputs[0]
 	pin := c.Nodes[tgt].Fanin[0]
 	alt := c.Nodes[c.Outputs[1]].Fanin[0]
-	// Warm-up patch cycle: the first patch pays one-time costs (sparse
-	// fanout cache, scratch growth) that would distort per-op numbers at
-	// the low -benchtime the CI gate uses.
+	// Warm-up patch cycle: the first patch pays one-time costs (scratch
+	// growth) that would distort per-op numbers at the low -benchtime the
+	// CI gate uses.
 	c.SetFanin(tgt, 0, alt)
 	c.Freeze()
 	c.SetFanin(tgt, 0, pin)

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -103,7 +104,9 @@ func (c *Circuit) SetFanin(id, pin, src int) {
 	if pin < 0 || pin >= len(nd.Fanin) {
 		panic("circuit: SetFanin pin out of range")
 	}
+	c.dropUse(nd.Fanin[pin], id)
 	nd.Fanin[pin] = src
+	c.addUse(src, id)
 	c.touch(id)
 	c.touch(src)
 	c.invalidate()
@@ -120,6 +123,7 @@ func (c *Circuit) AddFaninFront(id, f int) {
 		panic("circuit: AddFaninFront on fixed-arity node")
 	}
 	nd.Fanin = append([]int{f}, nd.Fanin...)
+	c.addUse(f, id)
 	c.touch(id)
 	c.touch(f)
 	c.invalidate()
@@ -127,7 +131,7 @@ func (c *Circuit) AddFaninFront(id, f int) {
 
 // ReplaceUses rewires every consumer pin of old (and every PO designation of
 // old) to drive from new instead, returning the number of uses rewired. old
-// itself is left in place; callers typically follow with SweepDead.
+// itself is left in place; callers typically follow with Kill(old).
 func (c *Circuit) ReplaceUses(old, new int) int {
 	if old == new {
 		return 0
@@ -135,24 +139,30 @@ func (c *Circuit) ReplaceUses(old, new int) int {
 	if !c.Alive(old) || !c.Alive(new) {
 		panic("circuit: ReplaceUses on dead node")
 	}
-	n := 0
-	for _, nd := range c.Nodes {
-		if nd == nil || nd.Type == dead {
-			continue
+	o := c.Nodes[old]
+	fo := o.fanout
+	for i, u := range fo {
+		if i > 0 && fo[i-1] == u {
+			continue // every pin of u was rewired at its first entry
 		}
-		for i, f := range nd.Fanin {
+		for p, f := range c.Nodes[u].Fanin {
 			if f == old {
-				nd.Fanin[i] = new
-				c.touch(nd.ID)
-				n++
+				c.Nodes[u].Fanin[p] = new
+				c.addUse(new, u)
+				c.touch(u)
 			}
 		}
 	}
-	for i, o := range c.Outputs {
-		if o == old {
-			c.Outputs[i] = new
-			n++
+	n := len(fo) + o.poUses
+	o.fanout = fo[:0]
+	if o.poUses > 0 {
+		for i, x := range c.Outputs {
+			if x == old {
+				c.Outputs[i] = new
+			}
 		}
+		c.Nodes[new].poUses += o.poUses
+		o.poUses = 0
 	}
 	if n > 0 {
 		c.touch(old)
@@ -162,58 +172,37 @@ func (c *Circuit) ReplaceUses(old, new int) int {
 	return n
 }
 
-// Kill tombstones a node. The node must have no live consumers and must not
-// be a primary output or a primary input.
-func (c *Circuit) Kill(id int) {
+// Kill removes node id if nothing uses it — no consumer pin and no
+// primary-output designation — and then, the same way, each fanin whose last
+// use it held, so it costs what it removes. Primary inputs stay. After an
+// edit of a circuit whose every node reached a primary output, killing the
+// rewired node and the nodes the edit added removes exactly what SweepDead
+// would. It returns the number of nodes removed.
+func (c *Circuit) Kill(id int) int {
 	nd := c.Nodes[id]
-	if nd == nil || nd.Type == dead {
-		return
-	}
-	if nd.Type == Input {
-		panic("circuit: cannot kill a primary input")
-	}
-	if c.NumPOUses(id) > 0 {
-		panic("circuit: cannot kill a primary output driver")
+	if nd == nil || nd.Type == dead || nd.Type == Input || len(nd.fanout) > 0 || nd.poUses > 0 {
+		return 0
 	}
 	delete(c.byName, nd.Name)
-	nd.Type = dead
-	nd.Fanin = nil
+	fanin := nd.Fanin
+	nd.Type, nd.Fanin = dead, nil
+	c.live--
 	c.touch(id)
 	c.invalidate()
+	n := 1
+	for _, f := range fanin {
+		c.dropUse(f, id)
+		n += c.Kill(f)
+	}
+	return n
 }
 
 // SweepDead removes every non-input node from which no primary output is
 // reachable. It returns the number of nodes removed.
 func (c *Circuit) SweepDead() int {
-	needed := make([]bool, len(c.Nodes))
-	var mark func(int)
-	mark = func(id int) {
-		if needed[id] {
-			return
-		}
-		needed[id] = true
-		for _, f := range c.Nodes[id].Fanin {
-			mark(f)
-		}
-	}
-	for _, o := range c.Outputs {
-		mark(o)
-	}
 	removed := 0
-	for _, nd := range c.Nodes {
-		if nd == nil || nd.Type == dead || nd.Type == Input {
-			continue
-		}
-		if !needed[nd.ID] {
-			delete(c.byName, nd.Name)
-			nd.Type = dead
-			nd.Fanin = nil
-			c.touch(nd.ID)
-			removed++
-		}
-	}
-	if removed > 0 {
-		c.invalidate()
+	for id := range c.Nodes {
+		removed += c.Kill(id)
 	}
 	return removed
 }
@@ -241,12 +230,14 @@ func (c *Circuit) Simplify() int {
 
 func (c *Circuit) simplifyPass() int {
 	changes := 0
+	var orig []int
 	for _, id := range c.Topo() {
 		nd := c.Nodes[id]
 		if nd == nil || nd.Type == dead {
 			continue
 		}
 		preChanges := changes
+		orig = append(orig[:0], nd.Fanin...)
 		switch nd.Type {
 		case And, Or, Nand, Nor:
 			ctl, _ := nd.Type.ControllingValue()
@@ -257,7 +248,6 @@ func (c *Circuit) simplifyPass() int {
 			// Fold constant fanins.
 			kept := nd.Fanin[:0]
 			folded := false
-			seen := map[int]bool{}
 			for _, f := range nd.Fanin {
 				ft := c.Nodes[f].Type
 				if ft == ctlType {
@@ -268,32 +258,24 @@ func (c *Circuit) simplifyPass() int {
 					changes++
 					continue // identity element: drop the pin
 				}
-				if seen[f] {
+				if slices.Contains(kept, f) {
 					changes++
 					continue // duplicate fanin of an idempotent gate
 				}
-				seen[f] = true
 				kept = append(kept, f)
 			}
 			if folded {
-				out := ctl != nd.Type.Inverting() // value when controlled
-				c.replaceWithConst(id, out)
+				c.replaceWithConst(id, ctl != nd.Type.Inverting()) // value when controlled
 				changes++
-				continue
+				break
 			}
 			nd.Fanin = kept
 			if len(nd.Fanin) == 0 {
 				// All pins were identity constants: AND() == 1, OR() == 0,
 				// then apply the gate's inversion.
-				v := !ctl
-				if nd.Type.Inverting() {
-					v = !v
-				}
-				c.replaceWithConst(id, v)
+				c.replaceWithConst(id, ctl == nd.Type.Inverting())
 				changes++
-				continue
-			}
-			if len(nd.Fanin) == 1 {
+			} else if len(nd.Fanin) == 1 {
 				if nd.Type == And || nd.Type == Or {
 					nd.Type = Buf
 				} else {
@@ -359,7 +341,14 @@ func (c *Circuit) simplifyPass() int {
 		}
 		if changes > preChanges {
 			// In-place rewrites above (dropped pins, type demotions, buffer
-			// bypasses) change this node's definition: record it.
+			// bypasses) change this node's definition: move its entries from
+			// the old fanins' fanout lists to the new ones' and record it.
+			for _, f := range orig {
+				c.dropUse(f, id)
+			}
+			for _, f := range nd.Fanin {
+				c.addUse(f, id)
+			}
 			c.touch(id)
 		}
 	}
@@ -369,17 +358,10 @@ func (c *Circuit) simplifyPass() int {
 	return changes
 }
 
-// replaceWithConst rewires node id to be the constant v.
+// replaceWithConst turns node id into the constant v in place; the caller
+// updates the fanout lists of its former fanins and records the edit.
 func (c *Circuit) replaceWithConst(id int, v bool) {
-	nd := c.Nodes[id]
-	if v {
-		nd.Type = Const1
-	} else {
-		nd.Type = Const0
-	}
-	nd.Fanin = nil
-	c.touch(id)
-	c.invalidate()
+	c.Nodes[id].Type, c.Nodes[id].Fanin = constType(v), nil
 }
 
 // SetConstant forces node id to the constant v (used by redundancy removal
@@ -394,7 +376,12 @@ func (c *Circuit) SetConstant(id int, v bool) {
 		c.ReplaceUses(id, k)
 		return
 	}
+	for _, f := range c.Nodes[id].Fanin {
+		c.dropUse(f, id)
+	}
 	c.replaceWithConst(id, v)
+	c.touch(id)
+	c.invalidate()
 }
 
 func constType(v bool) GateType {

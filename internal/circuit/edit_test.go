@@ -94,17 +94,34 @@ func TestSweepDeadKeepsSharedLogic(t *testing.T) {
 	}
 }
 
-func TestKillPanicsOnPODriver(t *testing.T) {
+// TestKillRemovesOnlyUnusedLogic: Kill leaves inputs, PO drivers and gates
+// with a consumer in place, and removes an unused gate together with each
+// fanin whose last use it held.
+func TestKillRemovesOnlyUnusedLogic(t *testing.T) {
 	c := New("t")
 	a := c.AddInput("a")
+	b := c.AddInput("b")
 	g := c.AddGate(Not, "", a)
 	c.MarkOutput(g)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	shared := c.AddGate(And, "", a, b)
+	user := c.AddGate(Or, "", shared, g)
+	c.MarkOutput(user)
+	n1 := c.AddGate(Nand, "", b, b)
+	n2 := c.AddGate(Xor, "", n1, shared, n1)
+	for _, id := range []int{a, g, shared, n1} {
+		if n := c.Kill(id); n != 0 || !c.Alive(id) {
+			t.Fatalf("Kill(%s) removed %d nodes", c.Nodes[id].Name, n)
 		}
-	}()
-	c.Kill(g)
+	}
+	if n := c.Kill(n2); n != 2 || c.Alive(n2) || c.Alive(n1) || !c.Alive(shared) || !c.Alive(b) {
+		t.Fatalf("Kill(n2) removed %d nodes, want n2 and n1", n)
+	}
+	if err := Check(c); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.SweepDead(); n != 0 {
+		t.Fatalf("SweepDead after Kill removed %d nodes", n)
+	}
 }
 
 func TestSimplifyNestedBuffers(t *testing.T) {
@@ -146,5 +163,57 @@ func TestSimplifyTerminates(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Simplify did not terminate")
+	}
+}
+
+// TestEditCostIndependentOfSize pins that an edit costs what it touches:
+// rewiring a node's uses, sweeping what that leaves unused and reading the
+// PO-use and live counts allocate the same on a circuit 100 times larger,
+// where a whole-circuit scan or rebuild would grow with it.
+func TestEditCostIndependentOfSize(t *testing.T) {
+	const runs = 50
+	allocs := func(bulk int) float64 {
+		c := New("t")
+		a := c.AddInput("a")
+		b := c.AddInput("b")
+		// Unrelated logic that only sets the circuit's size.
+		prev := c.AddInput("z")
+		for i := 0; i < bulk; i++ {
+			prev = c.AddGate(Not, "", prev)
+		}
+		c.MarkOutput(prev)
+		// The edit site: cur and its private fanin t die at each edit, and
+		// the next spare takes over cur's two consumers and PO designation.
+		mk := func() int { return c.AddGate(Xor, "", c.AddGate(And, "", a, b), b) }
+		cur := mk()
+		c.MarkOutput(cur)
+		c.MarkOutput(c.AddGate(And, "", cur, a))
+		c.MarkOutput(c.AddGate(Or, "", cur, b))
+		spares := make([]int, runs+1)
+		for i := range spares {
+			spares[i] = mk()
+		}
+		live := c.NumLive()
+		next := 0
+		n := testing.AllocsPerRun(runs, func() {
+			s := spares[next]
+			next++
+			if c.ReplaceUses(cur, s) != 3 || c.Kill(cur) != 2 || c.NumPOUses(s) != 1 {
+				t.Fatal("edit did not move three uses and kill two nodes")
+			}
+			live -= 2
+			if c.NumLive() != live {
+				t.Fatalf("NumLive = %d, want %d", c.NumLive(), live)
+			}
+			cur = s
+		})
+		if err := Check(c); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	small, large := allocs(1000), allocs(100000)
+	if small != large {
+		t.Fatalf("an edit allocates %v times on 1e3 nodes and %v on 1e5", small, large)
 	}
 }

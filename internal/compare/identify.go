@@ -2,6 +2,7 @@ package compare
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"compsynth/internal/logic"
@@ -107,41 +108,54 @@ func identifyAll(f logic.TT, limit int) []Spec {
 		mPrefilterRejects.Inc() // settled without any search
 		return nil
 	}
-	var specs []Spec
-	seen := map[specKey]bool{}
-	add := func(s Spec) bool {
-		k := keyOf(s)
-		if !seen[k] {
-			seen[k] = true
-			specs = append(specs, s)
-		}
-		return len(specs) < limit
+	n := f.Vars()
+	cx := getCtx(n)
+	defer putCtx(cx)
+	if cx.collect == nil {
+		cx.collect = cx.addKey
 	}
+	cx.keys, cx.limit = cx.keys[:0], limit
 	if onset {
-		enumerate(f, false, add)
+		cx.search(f, false, cx.collect)
 	}
-	if offset && len(specs) < limit {
-		enumerateNot(f, add)
+	if offset && len(cx.keys) < limit {
+		cx.search(f, true, cx.collect)
+	}
+	if len(cx.keys) == 0 {
+		return nil
+	}
+	// Unpack the kept keys into one permutation array.
+	specs := make([]Spec, len(cx.keys))
+	var perms []int // nil at N = 0, so every Perm is nil there
+	if n > 0 {
+		perms = make([]int, len(cx.keys)*n)
+	}
+	for i, k := range cx.keys {
+		p := perms[i*n : (i+1)*n : (i+1)*n]
+		for j := range p {
+			p[j] = int(k.perm >> (4 * (n - 1 - j)) & 15)
+		}
+		specs[i] = Spec{N: n, Perm: p, L: k.l, U: k.u, Complement: k.complement}
 	}
 	return specs
 }
 
 // specKey identifies a Spec among the realizations of one function (N is
-// fixed): the permutation packed 4 bits per position (N <= logic.MaxVars =
-// 16 positions of values below 16 fill at most 64 bits), the bounds and the
-// complement flag.
+// fixed): the permutation packed 4 bits per position, first position
+// highest (N <= logic.MaxVars = 16 positions of values below 16 fill at
+// most 64 bits), the bounds and the complement flag.
 type specKey struct {
 	perm       uint64
 	l, u       int
 	complement bool
 }
 
-func keyOf(s Spec) specKey {
+func keyOf(perm []int, l, u int, complement bool) specKey {
 	var p uint64
-	for _, v := range s.Perm {
+	for _, v := range perm {
 		p = p<<4 | uint64(v)
 	}
-	return specKey{perm: p, l: s.L, u: s.U, complement: s.Complement}
+	return specKey{perm: p, l: l, u: u, complement: complement}
 }
 
 // searchCtx is the pooled working set of one exact search over n variables:
@@ -155,6 +169,14 @@ type searchCtx struct {
 	neg  logic.TT
 	fr   []searchFrame // frame d serves recursion depth d
 	emit func(perm []int, l, u int) bool
+
+	// identifyAll's emit, bound to addKey on the context's first use there,
+	// and its state: the form being searched, the distinct realizations
+	// found so far as packed keys and how many to keep.
+	collect    func(perm []int, l, u int) bool
+	complement bool
+	keys       []specKey
+	limit      int
 }
 
 // searchFrame holds one depth's scratch: up to four cofactors (the split
@@ -195,30 +217,47 @@ func putCtx(c *searchCtx) {
 	ctxPools[c.n].Put(c)
 }
 
-// enumerate calls emit for every (perm, L, U) realization of f's onset as an
+// search calls emit for every (perm, L, U) realization of f's onset or, with
+// complement, its offset as an interval; perm is scratch, valid during the
+// call. emit returns false to stop. The offset search negates f into the
+// context's spare full-width slot instead of allocating a table.
+func (cx *searchCtx) search(f logic.TT, complement bool, emit func(perm []int, l, u int) bool) {
+	if complement {
+		f.NotInto(cx.neg)
+		f = cx.neg
+	}
+	cx.complement, cx.emit = complement, emit
+	cx.interval(f, cx.rem0, 0, 0, 0)
+}
+
+// addKey keeps each realization the first time the search finds it, as a
+// packed key (a linear scan beats a map at a handful of keys), and stops the
+// search at limit keys.
+func (cx *searchCtx) addKey(perm []int, l, u int) bool {
+	if k := keyOf(perm, l, u, cx.complement); !slices.Contains(cx.keys, k) {
+		cx.keys = append(cx.keys, k)
+	}
+	return len(cx.keys) < cx.limit
+}
+
+// enumerate calls emit with a Spec for every realization of f's onset as an
 // interval. emit returns false to stop. complement is recorded in the Spec.
 func enumerate(f logic.TT, complement bool, emit func(Spec) bool) {
 	n := f.Vars()
 	cx := getCtx(n)
-	cx.emit = func(perm []int, l, u int) bool {
-		s := Spec{N: n, Perm: append([]int(nil), perm...), L: l, U: u, Complement: complement}
-		return emit(s)
-	}
-	cx.interval(f, cx.rem0, 0, 0, 0)
+	cx.search(f, false, func(perm []int, l, u int) bool {
+		return emit(Spec{N: n, Perm: append([]int(nil), perm...), L: l, U: u, Complement: complement})
+	})
 	putCtx(cx)
 }
 
-// enumerateNot enumerates complemented realizations without allocating the
-// negated table separately: the context's spare full-width slot holds it.
+// enumerateNot is enumerate for the complemented realizations.
 func enumerateNot(f logic.TT, emit func(Spec) bool) {
 	n := f.Vars()
 	cx := getCtx(n)
-	f.NotInto(cx.neg)
-	cx.emit = func(perm []int, l, u int) bool {
-		s := Spec{N: n, Perm: append([]int(nil), perm...), L: l, U: u, Complement: true}
-		return emit(s)
-	}
-	cx.interval(cx.neg, cx.rem0, 0, 0, 0)
+	cx.search(f, true, func(perm []int, l, u int) bool {
+		return emit(Spec{N: n, Perm: append([]int(nil), perm...), L: l, U: u, Complement: true})
+	})
 	putCtx(cx)
 }
 

@@ -37,7 +37,6 @@ func (f Fault) String() string {
 // stem and covered by it).
 func All(c *circuit.Circuit) []Fault {
 	var out []Fault
-	c.RebuildFanouts()
 	for _, nd := range c.Nodes {
 		if nd == nil || !c.Alive(nd.ID) {
 			continue
@@ -99,7 +98,6 @@ func Collapse(c *circuit.Circuit) []Fault {
 			parent[ra] = rb
 		}
 	}
-	c.RebuildFanouts()
 	for _, nd := range c.Nodes {
 		if nd == nil || !c.Alive(nd.ID) {
 			continue

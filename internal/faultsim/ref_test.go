@@ -43,7 +43,6 @@ func newRefSimulator(c *circuit.Circuit) *refSimulator {
 	for _, o := range c.Outputs {
 		po[o] = true
 	}
-	c.RebuildFanouts()
 	return &refSimulator{
 		c: c, topo: topo, pos: pos,
 		good:    make([]uint64, len(c.Nodes)),

@@ -125,7 +125,6 @@ func Random(p Params) *circuit.Circuit {
 
 	// Outputs: prefer sinks (gates with no fanout), then random gates from
 	// the last layers.
-	c.RebuildFanouts()
 	var sinks, others []int
 	for l := 1; l <= p.Layers; l++ {
 		for _, id := range layers[l] {

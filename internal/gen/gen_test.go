@@ -33,7 +33,6 @@ func TestRandomAllGatesLive(t *testing.T) {
 	c := Random(Params{Name: "r", Inputs: 8, Outputs: 4, Gates: 60,
 		Layers: 8, MaxFanin: 3, Locality: 0.8, Seed: 9})
 	// After sweep+compact every non-PO gate must have fanout.
-	c.RebuildFanouts()
 	po := map[int]bool{}
 	for _, o := range c.Outputs {
 		po[o] = true

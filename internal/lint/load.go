@@ -159,7 +159,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		if !buildTagsMatch(src) {
 			continue // constrained out (e.g. //go:build ignore)
 		}
-		f, err := parser.ParseFile(l.fset, full, src, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, full, src, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -79,15 +79,6 @@ func TestLoaderEdgeCases(t *testing.T) {
 				t.Errorf("Outer has %d methods, want 2 (Name promoted from Inner)", iface.NumMethods())
 			}
 		}},
-		{"comments survive for annotation scanning", func(t *testing.T) {
-			for _, f := range p.Files {
-				if f.Comments == nil && f.Doc == nil {
-					continue
-				}
-				return
-			}
-			t.Error("no comments attached to any loadedge file")
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.check)

@@ -67,7 +67,6 @@ func LabelNode(c *circuit.Circuit, np []uint64, id int) (uint64, bool) {
 // sweeps, so steady-state Count calls allocate nothing.
 type countScratch struct {
 	np []uint64
-	w  []uint64
 }
 
 var countPool = sync.Pool{New: func() any { return new(countScratch) }}
@@ -75,10 +74,8 @@ var countPool = sync.Pool{New: func() any { return new(countScratch) }}
 func (s *countScratch) grow(n int) {
 	if cap(s.np) < n {
 		s.np = make([]uint64, n)
-		s.w = make([]uint64, n)
 	}
 	s.np = s.np[:n]
-	s.w = s.w[:n]
 }
 
 // denseLabels fills np (dense-indexed) with N_p labels by one linear sweep
@@ -171,41 +168,6 @@ func CountBig(c *circuit.Circuit) *big.Int {
 		total.Add(total, np[o])
 	}
 	return total
-}
-
-// denseWeights fills w (dense-indexed) with the PO-forward path weights by
-// one reverse linear sweep of the frozen view.
-func denseWeights(v *circuit.CSR, w []uint64) {
-	for i := range w {
-		w[i] = 0
-	}
-	for _, o := range v.Out {
-		w[o]++
-	}
-	for d := v.N() - 1; d >= 0; d-- {
-		for _, f := range v.FaninOf(int32(d)) {
-			w[f] += w[d]
-		}
-	}
-}
-
-// FanoutWeights computes, for each node g, the number of paths from g to any
-// primary output (the "K_p-forward" weight): POs seed 1 per designation, and
-// a node's weight is the sum of its consumers' weights over each consuming
-// pin. Together with Labels this gives the number of paths through any line:
-// through(g) = Labels[g] * FanoutWeights[g]. The returned slice is indexed
-// by sparse node ID (dead nodes weigh 0), as before the CSR port.
-func FanoutWeights(c *circuit.Circuit) []uint64 {
-	v := c.Freeze()
-	s := countPool.Get().(*countScratch)
-	defer countPool.Put(s)
-	s.grow(v.N())
-	denseWeights(v, s.w)
-	w := make([]uint64, len(c.Nodes))
-	for d, id := range v.NodeID {
-		w[id] = s.w[d]
-	}
-	return w
 }
 
 // Through returns the exact number of PI-to-PO paths passing through node

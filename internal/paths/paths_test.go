@@ -61,8 +61,9 @@ func TestCountC17(t *testing.T) {
 func TestPaperExampleKp(t *testing.T) {
 	// Section 2 example: f_{1,1} = x1'x2x4 + x1x2'x3' + x2x3'x4 as a
 	// two-level circuit. K_p(x_i) equals the number of literal occurrences
-	// of x_i: 2, 3, 2, 2. We verify both the K_p mechanism (FanoutWeights)
-	// and that the output label is sum of K_p under unit PI labels.
+	// of x_i: 2, 3, 2, 2. We verify both the K_p mechanism (the paths
+	// through each input, whose label is 1) and that the output label is
+	// sum of K_p under unit PI labels.
 	c := circuit.New("f11")
 	x1 := c.AddInput("x1")
 	x2 := c.AddInput("x2")
@@ -84,29 +85,9 @@ func TestPaperExampleKp(t *testing.T) {
 	if np[o] != 2+3+2+2 {
 		t.Fatalf("Np(out) = %d, want 9 (unit PI labels)", np[o])
 	}
-	// Through-count decomposition: Np(xi)*Kp(xi) summed equals total.
-	w := FanoutWeights(c)
-	if w[x1] != 2 || w[x2] != 3 || w[x3] != 2 || w[x4] != 2 {
-		t.Fatalf("Kp = %d %d %d %d", w[x1], w[x2], w[x3], w[x4])
-	}
-}
-
-func TestFanoutWeightsDecomposition(t *testing.T) {
-	c := mustParse(t, bench.C17, "c17")
-	np, _ := Labels(c)
-	w := FanoutWeights(c)
-	// Sum over PIs of Np*Kp must equal the total count.
-	var sum uint64
-	for _, in := range c.Inputs {
-		sum += np[in] * w[in]
-	}
-	if sum != MustCount(c) {
-		t.Fatalf("decomposition sum = %d, want %d", sum, MustCount(c))
-	}
-	// Through() agrees on each input.
-	for _, in := range c.Inputs {
-		if got := Through(c, in); !got.IsUint64() || got.Uint64() != np[in]*w[in] {
-			t.Fatalf("Through(%d) = %v, want %d", in, got, np[in]*w[in])
+	for i, want := range []int64{2, 3, 2, 2} {
+		if got := Through(c, c.Inputs[i]); got.Cmp(big.NewInt(want)) != 0 {
+			t.Fatalf("Kp(x%d) = %v, want %d", i+1, got, want)
 		}
 	}
 }
@@ -184,22 +165,17 @@ func TestMultiplePODesignations(t *testing.T) {
 }
 
 // Property: for any random circuit, the total path count decomposes as
-// sum over primary inputs of Np(pi) * Kp(pi).
+// sum over primary inputs of the paths through each, Np(pi) * Kp(pi).
 func TestQuickDecomposition(t *testing.T) {
 	f := func(seed int64) bool {
 		p := gen.Params{Name: "q", Inputs: 6, Outputs: 4, Gates: 40, Layers: 6,
 			MaxFanin: 3, Locality: 0.7, InvProb: 0.2, Seed: seed}
 		c := gen.Random(p)
-		np, ok := Labels(c)
-		if !ok {
-			return true // overflow: skip
-		}
-		w := FanoutWeights(c)
-		var sum uint64
+		sum := new(big.Int)
 		for _, in := range c.Inputs {
-			sum += np[in] * w[in]
+			sum.Add(sum, Through(c, in))
 		}
-		return sum == MustCount(c)
+		return sum.Cmp(CountBig(c)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

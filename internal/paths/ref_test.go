@@ -62,27 +62,6 @@ func TestThroughMatchesRef(t *testing.T) {
 	}
 }
 
-func TestFanoutWeightsMatchSparseSweep(t *testing.T) {
-	for i, c := range refCircuits(t) {
-		got := FanoutWeights(c)
-		want := make([]uint64, len(c.Nodes))
-		for _, o := range c.Outputs {
-			want[o]++
-		}
-		topo := c.Topo()
-		for j := len(topo) - 1; j >= 0; j-- {
-			for _, f := range c.Nodes[topo[j]].Fanin {
-				want[f] += want[topo[j]]
-			}
-		}
-		for id := range want {
-			if got[id] != want[id] {
-				t.Fatalf("circuit %d node %d: weight %d, ref %d", i, id, got[id], want[id])
-			}
-		}
-	}
-}
-
 // RefCount is the pre-CSR Count implementation, kept as the executable
 // reference: it labels through the mutable pointer-based representation via
 // Labels/LabelNode. The tests above pin Count == RefCount on every circuit.

@@ -132,17 +132,13 @@ func FactoredCost(n int, cubes []Cube) (equiv2 int, kp []int) {
 	c.MarkOutput(out)
 	c.SweepDead()
 	kp = make([]int, n)
-	poUses := map[int]int{}
-	for _, o := range c.Outputs {
-		poUses[o]++
-	}
 	memo := map[int]int{}
 	var count func(id int) int
 	count = func(id int) int {
 		if v, ok := memo[id]; ok {
 			return v
 		}
-		total := poUses[id]
+		total := c.NumPOUses(id)
 		for _, f := range c.Fanouts(id) {
 			total += count(f)
 		}

@@ -129,6 +129,7 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 			continue
 		}
 		n := len(best.keepInputs)
+		first := len(c.Nodes)
 		out := BuildFactored(c, n, best.cubes, best.keepInputs, fmt.Sprintf("rb%d_", g))
 		if best.complement {
 			out = c.AddGate(circuit.Not, fmt.Sprintf("rb%d_inv", g), out)
@@ -137,7 +138,12 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 			continue
 		}
 		c.ReplaceUses(g, out)
-		c.SweepDead()
+		// Only g's cone and the nodes just built can have lost their
+		// last use.
+		c.Kill(g)
+		for id := first; id < len(c.Nodes); id++ {
+			c.Kill(id)
+		}
 		replaced++
 	}
 	return replaced

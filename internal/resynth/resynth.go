@@ -207,13 +207,7 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 		GatesBefore: c.Equiv2Count(),
 		PathsBefore: paths.MustCount(c),
 	}
-	o := &optimizer{
-		opt:        opt,
-		dt:         opt.Dtrace,
-		cache:      map[logic.Key][]realization{},
-		multiCache: map[logic.Key]cachedMulti{},
-		dcCache:    map[dcKey]cachedSpec{},
-	}
+	o := newOptimizer(opt)
 	// Each pass refreshes only the cone of the nodes the previous pass's
 	// rewrites and the follow-up Simplify touched. Node IDs therefore must
 	// stay stable across passes: compaction happens once, after the
@@ -376,6 +370,16 @@ type optimizer struct {
 	// Certificate evidence, appended by apply when Options.Certify is set.
 	passNo   int
 	evidence []ledger.Evidence
+}
+
+func newOptimizer(opt Options) *optimizer {
+	return &optimizer{
+		opt:        opt,
+		dt:         opt.Dtrace,
+		cache:      map[logic.Key][]realization{},
+		multiCache: map[logic.Key]cachedMulti{},
+		dcCache:    map[dcKey]cachedSpec{},
+	}
 }
 
 // rngFor derives the RNG for one sampling-style identification call.
@@ -944,10 +948,12 @@ func (o *optimizer) identifyDC(tt, care logic.TT) (compare.Spec, bool) {
 	return spec, ok
 }
 
-// apply builds the unit, rewires g's consumers to it and sweeps dead logic.
+// apply builds the unit, rewires g's consumers to it and sweeps the logic
+// the edit left unused: only g's cone and the unit's own nodes can hold any.
 func (o *optimizer) apply(c *circuit.Circuit, cand *candidate) {
 	gate := c.Nodes[cand.sub.Out].Name // captured before the rewire kills the node
 	spec := cand.realization()
+	first := len(c.Nodes)
 	out := spec.Build(c, cand.keepInputs, compare.BuildOptions{
 		Merge:      o.opt.Merge,
 		NamePrefix: fmt.Sprintf("cu%d_", cand.sub.Out),
@@ -956,7 +962,10 @@ func (o *optimizer) apply(c *circuit.Circuit, cand *candidate) {
 		return
 	}
 	c.ReplaceUses(cand.sub.Out, out)
-	c.SweepDead()
+	c.Kill(cand.sub.Out)
+	for id := first; id < len(c.Nodes); id++ {
+		c.Kill(id)
+	}
 	if o.opt.Certify {
 		ev := ledger.Evidence{
 			Pass: o.passNo,

@@ -145,8 +145,7 @@ func (sc *Scratch) GateSavings(s *Subcircuit, c *circuit.Circuit) int {
 }
 
 // removable reports whether every consumer of id is already marked
-// removable and id drives no primary output. The consumer test runs first:
-// it usually fails, and the PO scan walks every output.
+// removable and id drives no primary output.
 func (sc *Scratch) removable(c *circuit.Circuit, id int) bool {
 	for _, consumer := range c.Fanouts(id) {
 		if sc.get(consumer) != markRemovable {

@@ -194,7 +194,6 @@ type matchState struct {
 
 // cover runs tree covering on the subject graph.
 func cover(c *circuit.Circuit, lib []Cell) Result {
-	c.RebuildFanouts()
 	// A node is a tree boundary (must be implemented as a cell output) if
 	// it is a PO driver or fans out to more than one consumer pin.
 	boundary := make([]bool, len(c.Nodes))

@@ -211,7 +211,8 @@ echo "== sftexplain gate =="
 # canonical record streams. The query surface (why, reasons,
 # funnel, diff) must answer over a real c17 trace without error; 22 is a
 # c17 primary-output NAND. A -pass the tool cannot honour (negative, or on
-# a subcommand other than reasons and funnel) is a usage error, exit 2.
+# a subcommand other than reasons and funnel) is a usage error, exit 2, and
+# so is -json on export, which always writes NDJSON.
 # See README "Decision trace (-dtrace)".
 go build -o "$provdir/sftexplain" ./cmd/sftexplain
 "$provdir/sft" -in circuits/c17.bench -events "$provdir/dt2.ndjson" \
@@ -228,7 +229,7 @@ cmp "$provdir/dt2.records" "$provdir/dt4.records"
 "$provdir/sftexplain" reasons -pass 1 "$provdir/dt2.ndjson" >/dev/null
 "$provdir/sftexplain" funnel -pass 1 "$provdir/dt2.ndjson" >/dev/null
 "$provdir/sftexplain" diff "$provdir/dt2.ndjson" "$provdir/dt4.ndjson" >/dev/null
-for args in "reasons -pass -1" "why -pass 1 22"; do
+for args in "reasons -pass -1" "why -pass 1 22" "export -json"; do
     set +e
     # $args is left unquoted on purpose: it splits into subcommand and flags.
     "$provdir/sftexplain" $args "$provdir/dt2.ndjson" >/dev/null 2>&1
