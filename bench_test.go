@@ -234,24 +234,6 @@ func BenchmarkAblationCombined(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationComplement(b *testing.B) {
-	// Offset (complemented-output) units on vs off: MaxSpecs=1 with
-	// sampling disabled still uses IdentifyBest; emulate "off" by counting
-	// how many identifications require the complement.
-	c := gen.SmallSuite()[2].Build()
-	for i := 0; i < b.N; i++ {
-		opt := resynth.DefaultOptions()
-		opt.Verify = false
-		res, err := resynth.Optimize(c, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("with complements: %v", res)
-		}
-	}
-}
-
 // BenchmarkObservabilityOverhead measures what the internal/obs
 // instrumentation costs resynthesis: "off" is the production default (nil
 // tracer, counters still ticking), "on" records the full span tree with

@@ -1,5 +1,5 @@
 // Command sftexplain queries the decision trace a run recorded with
-// -events FILE -dtrace=full (or sampled:N): why the resynthesis sweep
+// -events FILE -dtrace=full: why the resynthesis sweep
 // replaced, kept, or skipped a node, which rejection reasons dominated each
 // pass, how the candidate funnel narrowed, and how two runs' decisions
 // differ. It reads the plain-NDJSON streams the recorder writes, and the
@@ -102,7 +102,7 @@ func main() {
 			return
 		}
 		if len(chain) == 0 {
-			fmt.Printf("no decisions recorded for node %q (traced with -dtrace? sampled mode drops rejections)\n", args[0])
+			fmt.Printf("no decisions recorded for node %q (traced with -dtrace?)\n", args[0])
 			return
 		}
 		for i := range chain {

@@ -9,14 +9,13 @@ import (
 	"compsynth/internal/circuit"
 )
 
-// FuzzCSRFreeze drives the incremental Freeze machinery over every circuit
-// the parser accepts, reusing FuzzParseBench's seed corpus. After each step
-// of a deterministic mutation sequence it freezes and runs circuit.Check,
-// whose csr_stale audit deep-compares the (possibly patched) view
-// against a from-scratch rebuild — so any divergence between the
-// incremental and full paths on a fuzz-discovered netlist is a failure —
-// and which recounts the fanout lists, PO-use counts and live count that
-// every mutator maintains.
+// FuzzCSRFreeze drives Freeze over every circuit the parser accepts,
+// reusing FuzzParseBench's seed corpus. After each step of a deterministic
+// mutation sequence it freezes and runs circuit.Check, whose csr_stale
+// audit deep-compares the view against a build into fresh storage — so an
+// edit that fails to mark the view stale, leaving Freeze to return the old
+// one, is a failure on any fuzz-discovered netlist — and which recounts the
+// fanout lists, PO-use counts and live count that every mutator maintains.
 func FuzzCSRFreeze(f *testing.F) {
 	f.Add(bench.C17)
 	f.Add(bench.Adder4)
@@ -50,8 +49,7 @@ func FuzzCSRFreeze(f *testing.F) {
 		// A deterministic edit script covering the interesting transitions:
 		// pure additions, output designation, local rewiring, global
 		// simplification and sweeps. Every op goes through the edit-stamping
-		// mutators, so each Freeze exercises the patch path (or its
-		// churn-threshold fallback) against the reference.
+		// mutators, so each must age the view and each Freeze rebuilds it.
 		in := c.AddInput("fz_in")
 		step("AddInput")
 		g := c.AddGate(circuit.Not, "fz_not", in)

@@ -13,11 +13,11 @@ import (
 // pass in tests. Beyond Validate it proves acyclicity with an explicit
 // witness, verifies per-gate-type fanin arity, cross-checks the derived
 // state (name index, fanout lists, PO-use and live counts, topological
-// order, frozen view) against a fresh recomputation, verifies level monotonicity along every
-// edge, and rejects dangling or unreachable nodes. CheckComparisonUnits
-// additionally audits the paper's headline structural guarantee on
-// resynthesized circuits: every comparison unit has at most two paths from
-// any of its inputs to its output (Section 2 of Pomeranz & Reddy, DAC 1995).
+// order, frozen view) against a fresh recomputation, and rejects dangling
+// or unreachable nodes. CheckComparisonUnits additionally audits the
+// paper's headline structural guarantee on resynthesized circuits: every
+// comparison unit has at most two paths from any of its inputs to its
+// output (Section 2 of Pomeranz & Reddy, DAC 1995).
 
 // CheckOptions adjusts Check's strictness.
 type CheckOptions struct {
@@ -126,28 +126,6 @@ func CheckWith(c *Circuit, opt CheckOptions) error {
 		return fmt.Errorf("cycle: %v", names)
 	}
 
-	// Independent level computation; every edge must strictly increase the
-	// level and every gate must sit exactly one above its deepest fanin.
-	lv := freshLevels(c)
-	for _, nd := range c.Nodes {
-		if nd == nil || nd.Type == dead || len(nd.Fanin) == 0 {
-			continue
-		}
-		m := 0
-		for _, f := range nd.Fanin {
-			if lv[f] >= lv[nd.ID] {
-				return fmt.Errorf("level not monotone on edge %s -> %s (levels %d, %d)",
-					c.Nodes[f].Name, nd.Name, lv[f], lv[nd.ID])
-			}
-			if lv[f] > m {
-				m = lv[f]
-			}
-		}
-		if lv[nd.ID] != m+1 {
-			return fmt.Errorf("node %s: level %d, expected 1+max(fanin levels) = %d", nd.Name, lv[nd.ID], m+1)
-		}
-	}
-
 	// Derived state must agree with a fresh recomputation: a mutator that
 	// forgot to maintain or invalidate it shows up here, not as silently
 	// wrong results. The topo audit reads the live count, so it goes second.
@@ -198,8 +176,8 @@ func CheckWith(c *Circuit, opt CheckOptions) error {
 // a view stamped beyond the current generation cannot arise from any legal
 // edit sequence. Only called on circuits already proven acyclic, since the
 // reference rebuild levelizes. The reference is built by the same cache-free
-// code Freeze's full path uses, so the audit also pins the incremental patch
-// path against the full one on every checked circuit.
+// code Freeze uses, into fresh storage, so the audit catches a view whose
+// retained arrays drifted from the netlist.
 func checkCSR(c *Circuit) error {
 	v := c.fz.view
 	if v == nil {
@@ -266,34 +244,6 @@ func findCycle(c *Circuit) []int {
 		}
 	}
 	return nil
-}
-
-// freshLevels computes levels by DFS without touching the circuit's caches.
-// Must only be called on acyclic circuits.
-func freshLevels(c *Circuit) []int {
-	lv := make([]int, len(c.Nodes))
-	done := make([]bool, len(c.Nodes))
-	var visit func(id int) int
-	visit = func(id int) int {
-		if done[id] {
-			return lv[id]
-		}
-		done[id] = true
-		m := -1
-		for _, f := range c.Nodes[id].Fanin {
-			if l := visit(f); l > m {
-				m = l
-			}
-		}
-		lv[id] = m + 1
-		return lv[id]
-	}
-	for _, nd := range c.Nodes {
-		if nd != nil && nd.Type != dead {
-			visit(nd.ID)
-		}
-	}
-	return lv
 }
 
 // checkTopoCache verifies the cached topological order covers exactly the

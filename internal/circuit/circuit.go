@@ -176,7 +176,7 @@ type Circuit struct {
 	live      int
 	topoCache []int
 	gen       uint64      // edit generation (see record.go)
-	fz        frozenState // frozen CSR view + its patch scratch (see csr.go)
+	fz        frozenState // frozen CSR view + its rebuild scratch (see csr.go)
 }
 
 // New returns an empty circuit.

@@ -8,17 +8,10 @@ package circuit
 // chase pointers across the whole heap. Freeze flattens one snapshot of the
 // netlist into a handful of dense arrays — int32 node ids, flat adjacency,
 // level-ordered — that those phases sweep with sequential loads and zero
-// allocation. Mutation stays on the Circuit and its edit recorder; the
-// frozen view is the read seam.
-//
-// Incrementality: the next Freeze asks the edit recorder (record.go) which
-// nodes were touched since the view's generation and recomputes levels for
-// just those nodes plus their transitive fanout (every level outside that
-// cone is a pure function of an unchanged fanin cone). Past a churn
-// threshold Freeze falls back to a full rebuild. Either way the arrays are
-// repacked from scratch into retained storage (offsets shift whenever any
-// fanin count changes, so the repack is O(nodes+edges) regardless), which
-// is what makes the two paths produce bit-identical views.
+// allocation. Mutation stays on the Circuit; the frozen view is the read
+// seam. Every edit ages the view, and the next Freeze rebuilds it: levels
+// from scratch (csrLevels), then the arrays repacked into the view's
+// retained storage.
 
 import (
 	"fmt"
@@ -26,14 +19,10 @@ import (
 	"compsynth/internal/metric"
 )
 
-// CSR build metrics. Registered through internal/metric (not internal/obs,
-// which imports this package) so they land in the same process-wide registry
-// every other pipeline counter uses.
-var (
-	mCSRRebuilds = metric.C("circuit.csr_rebuilds")
-	mCSRPatched  = metric.C("circuit.csr_patched_nodes")
-	mCSRFull     = metric.C("circuit.csr_full_rebuilds")
-)
+// mCSRRebuilds counts view builds. Registered through internal/metric (not
+// internal/obs, which imports this package) so it lands in the same
+// process-wide registry every other pipeline counter uses.
+var mCSRRebuilds = metric.C("circuit.csr_rebuilds")
 
 // CSR is a frozen, immutable view of one circuit snapshot in compressed
 // sparse row form. Nodes carry dense ids 0..N()-1 assigned in level-major
@@ -76,10 +65,6 @@ type CSR struct {
 // N returns the number of live nodes in the view.
 func (v *CSR) N() int { return len(v.Kind) }
 
-// Gen returns the circuit generation the view was frozen at; a view is
-// current while Gen equals the circuit's current generation.
-func (v *CSR) Gen() uint64 { return v.gen }
-
 // FaninOf returns the dense fanin ids of dense node d, in pin order.
 func (v *CSR) FaninOf(d int32) []int32 {
 	return v.FaninEdge[v.FaninStart[d]:v.FaninStart[d+1]]
@@ -92,133 +77,35 @@ func (v *CSR) FanoutOf(d int32) []int32 {
 }
 
 // frozenState is the Circuit-side bookkeeping behind Freeze: the last view
-// and the scratch that lets the next Freeze patch levels instead of
-// recomputing them all.
+// and the per-sparse-id level scratch its rebuild reuses.
 type frozenState struct {
 	view *CSR
-
-	// Reused scratch for the patch path.
-	lv      []int32  // per-sparse-id levels handed to the repack
-	touched []int    // TouchedSince(view.gen) buffer
-	seen    []uint32 // epoch-stamped dirty-closure membership
-	done    []uint32 // epoch-stamped "level recomputed" marks
-	closure []int32  // dirty-cone worklist
-	epoch   uint32
+	lv   []int32
 }
 
 // Freeze returns the CSR view of the current circuit state, building it on
 // first use, returning it unchanged while no mutation has happened, and
-// otherwise rebuilding it — incrementally from the nodes touched since the
-// view when their cone is small, from scratch past the churn threshold. The
-// returned view aliases storage that the next post-mutation Freeze
-// recycles, so it is valid until the circuit is next mutated. Freeze itself
-// mutates only derived caches (like Topo does) and must not be called
-// concurrently with other Circuit methods; the returned view is safe for
-// concurrent readers.
+// otherwise rebuilding it into the same storage. The returned view aliases
+// storage that the next post-mutation Freeze recycles, so it is valid until
+// the circuit is next mutated. Freeze itself mutates only derived caches
+// (like Topo does) and must not be called concurrently with other Circuit
+// methods; the returned view is safe for concurrent readers.
 func (c *Circuit) Freeze() *CSR {
 	fz := &c.fz
 	if v := fz.view; v != nil && v.gen == c.gen {
 		return v
 	}
 	v := fz.view
-	fresh := v == nil
-	if fresh {
+	if v == nil {
 		v = &CSR{}
 	}
-	lv := growSlice(fz.lv, len(c.Nodes))
-	fz.lv = lv
-	if fresh || !c.patchLevels(v, lv) {
-		csrLevels(c, lv)
-		mCSRFull.Inc()
-	}
-	repackCSR(v, c, lv)
+	fz.lv = growSlice(fz.lv, len(c.Nodes))
+	csrLevels(c, fz.lv)
+	repackCSR(v, c, fz.lv)
 	v.gen = c.gen
 	fz.view = v
 	mCSRRebuilds.Inc()
 	return v
-}
-
-// Thaw drops the frozen view, releasing its arrays and forcing the next
-// Freeze onto the full-rebuild path.
-func (c *Circuit) Thaw() {
-	c.fz.view = nil
-}
-
-// patchLevels refreshes lv for the dirty cone only, seeding every clean node
-// with its frozen level. It reports false when the cone is too large to be
-// worth patching (the caller then recomputes all levels); on true, lv holds
-// exactly what csrLevels would compute.
-func (c *Circuit) patchLevels(v *CSR, lv []int32) bool {
-	fz := &c.fz
-	n := len(c.Nodes)
-
-	// Seed: frozen levels for surviving nodes, -1 for everything the old
-	// view did not know (nodes added since are always in the dirty set).
-	for i := range lv {
-		lv[i] = -1
-	}
-	for d, s := range v.NodeID {
-		lv[s] = v.Level[d]
-	}
-
-	// Close the nodes touched since the view over fanouts: those are the
-	// only nodes whose level can have changed.
-	fz.seen = growSlice(fz.seen, n)
-	fz.done = growSlice(fz.done, n)
-	fz.epoch++
-	ep := fz.epoch
-	seen := fz.seen
-	closure := fz.closure[:0]
-	fz.touched = c.TouchedSince(v.gen, fz.touched[:0])
-	for _, s := range fz.touched {
-		seen[s] = ep
-		closure = append(closure, int32(s))
-	}
-	for i := 0; i < len(closure); i++ {
-		s := int(closure[i])
-		if !c.Alive(s) {
-			continue
-		}
-		for _, f := range c.Nodes[s].fanout {
-			if seen[f] != ep {
-				seen[f] = ep
-				closure = append(closure, int32(f))
-			}
-		}
-	}
-	fz.closure = closure[:0]
-	if 2*len(closure) > c.NumLive() {
-		return false
-	}
-	mCSRPatched.Add(int64(len(closure)))
-
-	// Recompute dirty levels in dependency order: a dirty fanin is resolved
-	// first, a clean fanin already holds its (unchanged) frozen level.
-	done := fz.done
-	var visit func(s int) int32
-	visit = func(s int) int32 {
-		if seen[s] != ep || done[s] == ep {
-			return lv[s]
-		}
-		done[s] = ep
-		nd := c.Nodes[s]
-		if nd == nil || nd.Type == dead {
-			lv[s] = -1
-			return -1
-		}
-		m := int32(-1)
-		for _, f := range nd.Fanin {
-			if l := visit(f); l > m {
-				m = l
-			}
-		}
-		lv[s] = m + 1
-		return lv[s]
-	}
-	for _, s := range closure {
-		visit(int(s))
-	}
-	return true
 }
 
 // csrLevels computes levels for every node into lv (-1 for dead or nil
@@ -260,7 +147,7 @@ func csrLevels(c *Circuit, lv []int32) {
 // else — in particular no Circuit cache — so Check can build a reference
 // view without perturbing the circuit under audit. The dense order is the
 // canonical (level, sparse id) sort, computed by a counting sort over
-// levels, which is identical however lv was produced.
+// levels.
 func repackCSR(v *CSR, c *Circuit, lv []int32) {
 	n, edges := 0, 0
 	maxLv := int32(-1)
@@ -366,7 +253,7 @@ func repackCSR(v *CSR, c *Circuit, lv []int32) {
 
 // csrEqual reports the first divergence between two views' netlist content
 // (everything except the generation stamp), for Check's csr_stale audit and
-// the incremental-vs-full tests.
+// the tests that compare a view with a fresh build.
 func csrEqual(a, b *CSR) error {
 	if a.N() != b.N() {
 		return fmt.Errorf("%d nodes vs %d", a.N(), b.N())

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// refFreeze builds a from-scratch reference view, bypassing the incremental
-// machinery entirely.
+// refFreeze builds a reference view into fresh storage, bypassing the
+// circuit's cached view and its retained arrays.
 func refFreeze(c *Circuit) *CSR {
 	ref := &CSR{}
 	lv := make([]int32, len(c.Nodes))
@@ -16,14 +16,16 @@ func refFreeze(c *Circuit) *CSR {
 	return ref
 }
 
-// mustMatchRef freezes c and fails the test unless the (possibly patched)
-// view is array-for-array identical to a from-scratch rebuild, and unless
-// Check's csr_stale audit agrees.
+// mustMatchRef freezes c and fails the test unless the view is
+// array-for-array identical to a build into fresh storage, and unless
+// Check's csr_stale audit agrees. An edit that changed the netlist without
+// marking the view stale would have Freeze return the old view, which
+// diverges here.
 func mustMatchRef(t *testing.T, c *Circuit, step string) *CSR {
 	t.Helper()
 	v := c.Freeze()
 	if err := csrEqual(v, refFreeze(c)); err != nil {
-		t.Fatalf("%s: patched CSR diverges from reference: %v", step, err)
+		t.Fatalf("%s: frozen CSR diverges from reference: %v", step, err)
 	}
 	if err := CheckWith(c, CheckOptions{AllowUnreachable: true}); err != nil {
 		t.Fatalf("%s: Check after Freeze: %v", step, err)
@@ -95,11 +97,15 @@ func TestCSRBasicShape(t *testing.T) {
 			}
 		}
 	}
-	// Levels agree with Check's independent DFS levelization.
-	lv := freshLevels(c)
-	for d := 0; d < v.N(); d++ {
-		if int(v.Level[d]) != lv[v.NodeID[d]] {
-			t.Fatalf("level of node %d: %d vs %d", v.NodeID[d], v.Level[d], lv[v.NodeID[d]])
+	// Each level meets its definition: 0 without fanin, else one above the
+	// deepest fanin.
+	for d := int32(0); int(d) < v.N(); d++ {
+		want := int32(0)
+		for _, f := range v.FaninOf(d) {
+			want = max(want, v.Level[f]+1)
+		}
+		if v.Level[d] != want {
+			t.Fatalf("level of node %d: %d, want %d", v.NodeID[d], v.Level[d], want)
 		}
 	}
 }
@@ -116,13 +122,13 @@ func TestFreezeCachesUntilMutation(t *testing.T) {
 	if v2 := c.Freeze(); v2 != v1 {
 		t.Fatal("cache queries aged the frozen view")
 	}
-	g := v1.Gen()
+	g := v1.gen
 	c.Rename(c.NodeByName("x1"), "x1r")
-	if v1.Gen() != g {
+	if v1.gen != g {
 		t.Fatal("old view's generation changed")
 	}
 	v3 := c.Freeze()
-	if v3.Gen() == g {
+	if v3.gen == g {
 		t.Fatal("rename did not advance the generation")
 	}
 	if v3.Name[v3.DenseOf[c.NodeByName("x1r")]] != "x1r" {
@@ -131,8 +137,8 @@ func TestFreezeCachesUntilMutation(t *testing.T) {
 }
 
 // TestCSRMutatorSequence drives every mutator through a freeze-after-each-
-// edit sequence and requires the incrementally patched view to equal a
-// from-scratch rebuild at every step.
+// edit sequence and requires the view to equal a fresh build at every step:
+// every edit must mark the view stale, so Freeze rebuilds it.
 func TestCSRMutatorSequence(t *testing.T) {
 	c := buildCSRTestCircuit()
 	mustMatchRef(t, c, "initial")
@@ -200,11 +206,10 @@ func TestCSRMutatorSequence(t *testing.T) {
 	mustMatchRef(t, cc, "Compact")
 }
 
-// TestTouchedSinceSurvivesFreeze: the edit recorder serves two consumers at
-// once. A holder of an older generation (resynthesis pass state) must still
-// see every edit after a Freeze in between has patched the view — a list
-// that Freeze reset on read would lose the first edit here — and the view
-// patched from the same recorder must still match the reference.
+// TestTouchedSinceSurvivesFreeze: a holder of an older generation
+// (resynthesis pass state) must still see every edit after a Freeze in
+// between has rebuilt the view — a list that Freeze reset on read would
+// lose the first edit here — and each edit must still mark the view stale.
 func TestTouchedSinceSurvivesFreeze(t *testing.T) {
 	c := buildCSRTestCircuit()
 	mustMatchRef(t, c, "initial")
@@ -221,8 +226,8 @@ func TestTouchedSinceSurvivesFreeze(t *testing.T) {
 }
 
 // TestCSRChurnMatchesRef: many edits between two freezes, 10x the node
-// count, touching the same few nodes over and over, still patch to exactly
-// the reference view.
+// count, touching the same few nodes over and over, still leave the view
+// stale, and the rebuild equals the reference view.
 func TestCSRChurnMatchesRef(t *testing.T) {
 	c := buildCSRTestCircuit()
 	c.Freeze()
@@ -239,19 +244,6 @@ func TestCSRChurnMatchesRef(t *testing.T) {
 	mustMatchRef(t, c, "post-churn")
 }
 
-func TestThawDropsView(t *testing.T) {
-	c := buildCSRTestCircuit()
-	v := c.Freeze()
-	c.Thaw()
-	v2 := c.Freeze()
-	if v2 == v {
-		t.Fatal("Freeze after Thaw returned the dropped view")
-	}
-	if err := csrEqual(v, v2); err != nil {
-		t.Fatalf("rebuilt view differs: %v", err)
-	}
-}
-
 func TestCheckCatchesCorruptedCSR(t *testing.T) {
 	c := buildCSRTestCircuit()
 	v := c.Freeze()
@@ -263,9 +255,9 @@ func TestCheckCatchesCorruptedCSR(t *testing.T) {
 	if err == nil {
 		t.Fatal("Check accepted a corrupted current-generation view")
 	}
-	c.Thaw()
+	c.fz.view = nil
 	if err := Check(c); err != nil {
-		t.Fatalf("Thaw did not clear the corruption: %v", err)
+		t.Fatalf("dropping the view did not clear the corruption: %v", err)
 	}
 	// A view merely behind the circuit is not an error.
 	c.Freeze()
@@ -298,19 +290,17 @@ func TestCloneDoesNotShareFrozenView(t *testing.T) {
 	}
 }
 
+// BenchmarkCSRRebuild times the rebuild after a local edit: a wide layered
+// circuit, one output gate's pin swapped between two deep nodes, then
+// Freeze, which relevels the whole circuit and repacks into the view's
+// retained storage without allocating.
 func BenchmarkCSRRebuild(b *testing.B) {
-	// A wide layered circuit, mutated locally between freezes: the patch
-	// path's intended shape.
 	c := buildWideCircuit(64, 40)
 	c.Freeze()
-	// Swap one output gate's pin between two deep nodes: the dirty fanout
-	// cone stays a handful of nodes, which is the patch path's sweet spot.
-	// (Rewiring from a primary input would dirty nearly every level and
-	// correctly fall back to full rebuilds.)
 	tgt := c.Outputs[0]
 	pin := c.Nodes[tgt].Fanin[0]
 	alt := c.Nodes[c.Outputs[1]].Fanin[0]
-	// Warm-up patch cycle: the first patch pays one-time costs (scratch
+	// Warm-up cycle: the first rebuilds pay one-time costs (scratch
 	// growth) that would distort per-op numbers at the low -benchtime the
 	// CI gate uses.
 	c.SetFanin(tgt, 0, alt)
@@ -329,12 +319,14 @@ func BenchmarkCSRRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkCSRFullRebuild times a build into fresh storage: the view is
+// dropped before each Freeze, so every array is allocated anew.
 func BenchmarkCSRFullRebuild(b *testing.B) {
 	c := buildWideCircuit(64, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Thaw()
+		c.fz.view = nil
 		c.Freeze()
 	}
 }

@@ -1,12 +1,13 @@
 package circuit
 
 // Edit recorder: every netlist edit stamps the edited node with a new
-// circuit generation. A holder of derived per-node state (levels, cuts, path
-// labels, simulation values) remembers the generation it last synchronized
-// at, asks TouchedSince which nodes moved after it, and recomputes just
-// their cone instead of rebuilding from scratch. Reading resets nothing, so
-// any number of holders — Freeze's level patch, the resynthesis pass state —
-// each keep their own generation.
+// circuit generation. The generation ages the frozen view: Freeze rebuilds
+// whenever it has moved. A holder of derived per-node state (cuts, path
+// labels, simulation values — the resynthesis pass state) remembers the
+// generation it last synchronized at, asks TouchedSince which nodes moved
+// after it, and recomputes just their cone instead of rebuilding from
+// scratch. Reading resets nothing, so any number of holders each keep their
+// own generation.
 //
 // A node is touched when its own definition changes — type, fanin list,
 // liveness, name, primary-output designation — or when it is newly added.

@@ -69,7 +69,6 @@ var (
 	mFaultEval = metric.C("faultsim.fault_evals")
 	mStemEval  = metric.C("faultsim.stem_evals")
 	mDetected  = metric.C("faultsim.faults_detected")
-	gBlocks    = metric.G("faultsim.blocks_done")
 )
 
 // simulator simulates one circuit snapshot, 256 patterns per sweep. All
@@ -674,9 +673,6 @@ func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt Cam
 		if cs.keep[i] {
 			res.Remaining = append(res.Remaining, f)
 		}
-	}
-	if run > 0 {
-		gBlocks.Set(int64(run))
 	}
 	mPatterns.Add(int64(run) * 64)
 	mDetected.Add(int64(res.Detected))

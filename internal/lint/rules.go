@@ -282,8 +282,8 @@ func isConstExpr(info *types.Info, e ast.Expr) bool {
 // ---------------------------------------------------------------------------
 // nodemut: circuit nodes are mutated only through the Circuit methods inside
 // internal/circuit, which stamp every edit. A direct field write from
-// outside skips the edit recorder, so incremental resynthesis and Freeze's
-// level patch would silently miss the node.
+// outside skips the edit recorder, so incremental resynthesis would
+// silently miss the node and Freeze would keep serving a stale view.
 
 func (r *runner) nodemut() {
 	for _, f := range r.p.Files {

@@ -114,11 +114,3 @@ func (t TT) NotInto(dst TT) {
 	}
 	dst.words[len(dst.words)-1] &= t.mask()
 }
-
-// CopyFrom overwrites t's contents with o's (same variable count).
-func (t TT) CopyFrom(o TT) {
-	if t.n != o.n {
-		panic("logic: CopyFrom width mismatch")
-	}
-	copy(t.words, o.words)
-}

@@ -92,20 +92,6 @@ func TestNotIntoMatchesNot(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	f := randTT(rng, 7)
-	g := New(7)
-	g.CopyFrom(f)
-	if !g.Equal(f) {
-		t.Fatal("CopyFrom mismatch")
-	}
-	g.Set(0, !g.Get(0))
-	if g.Equal(f) {
-		t.Fatal("CopyFrom aliased the word slice")
-	}
-}
-
 func TestIsConstDirect(t *testing.T) {
 	for n := 0; n <= 8; n++ {
 		if !Const(n, false).IsConst(false) || Const(n, false).IsConst(true) {

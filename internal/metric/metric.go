@@ -1,9 +1,9 @@
-// Package metric is the process-wide instrument registry: named counters,
-// gauges and histograms behind the pipeline's run reports. It sits below
-// every other internal package (no compsynth imports), so every package,
-// the circuit core included, registers its instruments here with C, G and H.
+// Package metric is the process-wide instrument registry: named counters
+// and histograms behind the pipeline's run reports. It sits below every
+// other internal package (no compsynth imports), so every package, the
+// circuit core included, registers its instruments here with C and H.
 //
-// C, G and H enforce the naming contract on every instrument they create:
+// C and H enforce the naming contract on every instrument they create:
 // the name is package.snake_case, its first segment is the registering
 // package's name, and it is created while that package initializes, in a
 // package-level declaration or a func init. A violation panics at start-up
@@ -21,13 +21,12 @@ import (
 	"sync/atomic"
 )
 
-// Metrics is a registry of named counters, gauges and histograms. All
-// methods are safe for concurrent use; lookup methods on a nil registry
-// return nil instruments, whose methods in turn no-op.
+// Metrics is a registry of named counters and histograms. All methods are
+// safe for concurrent use; lookup methods on a nil registry return nil
+// instruments, whose methods in turn no-op.
 type Metrics struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -35,7 +34,6 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{
 		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -50,10 +48,6 @@ func Default() *Metrics { return std }
 // absent under the naming contract.
 func C(name string) *Counter { return lookup(std, std.counters, name, true) }
 
-// G returns the gauge named name in the Default registry, creating it if
-// absent under the naming contract.
-func G(name string) *Gauge { return lookup(std, std.gauges, name, true) }
-
 // H returns the histogram named name in the Default registry, creating it
 // if absent under the naming contract.
 func H(name string) *Histogram { return lookup(std, std.histograms, name, true) }
@@ -66,14 +60,6 @@ func (m *Metrics) Counter(name string) *Counter {
 	return lookup(m, m.counters, name, false)
 }
 
-// Gauge returns the gauge registered under name, creating it if absent.
-func (m *Metrics) Gauge(name string) *Gauge {
-	if m == nil {
-		return nil
-	}
-	return lookup(m, m.gauges, name, false)
-}
-
 // Histogram returns the histogram registered under name, creating it if
 // absent.
 func (m *Metrics) Histogram(name string) *Histogram {
@@ -84,8 +70,8 @@ func (m *Metrics) Histogram(name string) *Histogram {
 }
 
 // lookup returns the instrument named name in set, one of m's maps,
-// creating it if absent. With vet set (C, G and H), creation first checks
-// the name against its caller.
+// creating it if absent. With vet set (C and H), creation first checks the
+// name against its caller.
 func lookup[T any](m *Metrics, set map[string]*T, name string, vet bool) *T {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -111,13 +97,13 @@ var nameRe = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9_]+)+$`)
 var initRe = regexp.MustCompile(`^init(\.[0-9]+)?$`)
 
 // vetName panics unless name matches nameRe, its first segment is the name
-// of the package that called C, G or H (an external _test package counts
-// as the package it tests), and that call runs in the package's
+// of the package that called C or H (an external _test package counts as
+// the package it tests), and that call runs in the package's
 // initialization. runtime.CallersFrames expands inlined calls, so the
-// caller is found however the compiler inlined C, G, H and lookup.
+// caller is found however the compiler inlined C, H and lookup.
 func vetName(name string) {
 	var pc [1]uintptr
-	runtime.Callers(4, pc[:]) // skip Callers, vetName, lookup and C/G/H
+	runtime.Callers(4, pc[:]) // skip Callers, vetName, lookup and C/H
 	fn, _ := runtime.CallersFrames(pc[:]).Next()
 	pkg, fun := splitFuncName(fn.Function)
 	pkg = strings.TrimSuffix(pkg, "_test")
@@ -165,24 +151,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-write-wins instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 const defaultMaxSamples = 1 << 16
@@ -296,7 +264,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // Snapshot is a point-in-time copy of every registered instrument.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
-	Gauges     map[string]int64          `json:"gauges,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
@@ -314,12 +281,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			s.Counters[name] = c.Value()
 		}
 	}
-	if len(m.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(m.gauges))
-		for name, g := range m.gauges {
-			s.Gauges[name] = g.Value()
-		}
-	}
 	if len(m.histograms) > 0 {
 		s.Histograms = make(map[string]HistogramStats, len(m.histograms))
 		for name, h := range m.histograms {
@@ -330,10 +291,10 @@ func (m *Metrics) Snapshot() Snapshot {
 }
 
 // Diff returns the counter-wise difference now-minus-base, dropping zero
-// deltas and never-observed histograms. Gauges and the surviving histograms
-// are taken from the later snapshot as-is.
+// deltas and never-observed histograms. The surviving histograms are taken
+// from the later snapshot as-is.
 func (s Snapshot) Diff(base Snapshot) Snapshot {
-	d := Snapshot{Gauges: s.Gauges}
+	var d Snapshot
 	if len(s.Counters) > 0 {
 		d.Counters = map[string]int64{}
 		for name, v := range s.Counters {
@@ -357,9 +318,6 @@ func (s Snapshot) Diff(base Snapshot) Snapshot {
 func (s Snapshot) Format() string {
 	var lines []string
 	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%-40s %d", name, v))
-	}
-	for name, v := range s.Gauges {
 		lines = append(lines, fmt.Sprintf("%-40s %d", name, v))
 	}
 	for name, h := range s.Histograms {

@@ -12,7 +12,6 @@ import (
 // is the tested package's name, and creating it must not panic.
 var (
 	initCounter = metric.C("metric.test_init_counter")
-	initGauge   = metric.G("metric.test_init_gauge")
 	initHist    = metric.H("metric.test_init_hist")
 )
 
@@ -31,15 +30,14 @@ func panicOf(f func()) (msg string) {
 	return ""
 }
 
-// TestNamingContract pins the checks C, G and H make when they create an
+// TestNamingContract pins the checks C and H make when they create an
 // instrument, and the calls they leave unchecked.
 func TestNamingContract(t *testing.T) {
 	create := map[string]func(string){
 		"C": func(n string) { metric.C(n) },
-		"G": func(n string) { metric.G(n) },
 		"H": func(n string) { metric.H(n) },
 	}
-	for _, kind := range []string{"C", "G", "H"} {
+	for _, kind := range []string{"C", "H"} {
 		for _, tc := range []struct{ name, want string }{
 			{"metric.EventCount", "does not match"},
 			{"metric", "does not match"},
@@ -62,7 +60,7 @@ func TestNamingContract(t *testing.T) {
 	// Not checked: the init-time registrations above, lookups of existing
 	// names (here one another package owns), the registry's own methods,
 	// whatever the name, and private registries.
-	if initCounter == nil || initGauge == nil || initHist == nil {
+	if initCounter == nil || initHist == nil {
 		t.Fatal("init-time registration returned nil")
 	}
 	unchecked := []struct {
@@ -84,7 +82,7 @@ func TestNamingContract(t *testing.T) {
 		{"private registry", func() {
 			m := metric.NewMetrics()
 			m.Counter("hits")
-			m.Gauge("x.Y")
+			m.Histogram("x.Y")
 			m.Histogram("lat")
 		}},
 	}

@@ -21,7 +21,7 @@ import (
 //	-metrics-out FILE   write the JSON run report to FILE
 //	-v                  verbose progress on stderr
 //	-events FILE        stream NDJSON run events (flight recorder) to FILE
-//	-dtrace MODE        decision-trace recording (off, full, sampled:N)
+//	-dtrace MODE        decision-trace recording (off or full)
 //	-workers N          worker goroutines for the parallel phases
 type Flags struct {
 	Trace      bool
@@ -33,9 +33,8 @@ type Flags struct {
 	Events string
 
 	// Dtrace selects decision-trace recording for the resynthesis sweep:
-	// "off" (default), "full", or "sampled:N" (acceptances always recorded,
-	// every Nth rejection). Anything but off requires -events — the trace
-	// rides the flight-recorder stream. See internal/obs/dtrace.
+	// "off" (default) or "full". Full requires -events — the trace rides
+	// the flight-recorder stream. See internal/obs/dtrace.
 	Dtrace string
 
 	// Cert writes a verifiable run certificate (JSON) to this file at
@@ -68,7 +67,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write a JSON run report to this file")
 	fs.StringVar(&f.Events, "events", "", "stream NDJSON run events (flight recorder) to this file")
 	fs.StringVar(&f.Dtrace, "dtrace", "off",
-		"decision-trace recording for the resynthesis sweep: off, full, or sampled:N (requires -events; queried with sftexplain)")
+		"decision-trace recording for the resynthesis sweep: off or full (full requires -events; queried with sftexplain)")
 	fs.StringVar(&f.Cert, "cert", "", "write a verifiable run certificate (circuit digests, equivalence witness, replacement evidence, path proof) to this file")
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0),
 		"worker goroutines for stuck-at and path-delay fault simulation, the redundancy filter and the experiment driver (at least 1; results are identical for any value; 1 = serial)")

@@ -24,8 +24,6 @@ package dtrace
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -106,12 +104,6 @@ func (r Reason) String() string {
 	return fmt.Sprintf("reason(%d)", uint8(r))
 }
 
-// Reasons returns every enumerated outcome name, in declaration order (for
-// docs and the sftexplain funnel).
-func Reasons() []string {
-	return append([]string(nil), reasonNames[:]...)
-}
-
 // ParseReason maps an outcome name back to its Reason.
 func ParseReason(s string) (Reason, error) {
 	for i, name := range reasonNames {
@@ -142,18 +134,6 @@ func (r *Reason) UnmarshalJSON(b []byte) error {
 	}
 	*r = v
 	return nil
-}
-
-// Rejection reports whether the outcome is a candidate-level rejection (as
-// opposed to an acceptance or a gate-level summary). Sampling keeps every
-// non-rejection record.
-func (r Reason) Rejection() bool {
-	switch r {
-	case ConstFunction, NoComparisonUnit, Dominated, ObjectiveWorse, PathBound,
-		Kept, SkippedDead, SkippedUnmarked, SkippedNonGate:
-		return true
-	}
-	return false
 }
 
 // Record is one decision. Kind "cand" describes one candidate subcircuit at
@@ -187,14 +167,10 @@ type Record struct {
 	Spec      string `json:"spec,omitempty"`       // chosen realization, e.g. "cmp{n=3 perm=[2 0 1] L=1 U=2}"
 }
 
-// Mode is the parsed -dtrace sampling knob.
+// Mode is the parsed -dtrace flag.
 type Mode struct {
-	// Level selects how much of the stream is kept.
+	// Level selects whether the stream is kept.
 	Level Level
-
-	// N is the sampling stride for LevelSampled: acceptances and gate
-	// replacements always pass; every Nth rejection record passes.
-	N int
 }
 
 // Level is the -dtrace verbosity.
@@ -203,23 +179,17 @@ type Level int
 // Levels.
 const (
 	LevelOff Level = iota
-	LevelSampled
 	LevelFull
 )
 
 func (m Mode) String() string {
-	switch m.Level {
-	case LevelOff:
+	if m.Level == LevelOff {
 		return "off"
-	case LevelSampled:
-		return "sampled:" + strconv.Itoa(m.N)
-	default:
-		return "full"
 	}
+	return "full"
 }
 
-// ParseMode parses the -dtrace flag value: "off", "full", or "sampled:N"
-// with N >= 1 (keep every Nth rejection; acceptances always pass).
+// ParseMode parses the -dtrace flag value: "off" (or empty) or "full".
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "off", "":
@@ -227,86 +197,42 @@ func ParseMode(s string) (Mode, error) {
 	case "full":
 		return Mode{Level: LevelFull}, nil
 	}
-	if rest, ok := strings.CutPrefix(s, "sampled:"); ok {
-		n, err := strconv.Atoi(rest)
-		if err != nil || n < 1 {
-			return Mode{}, fmt.Errorf("dtrace: bad sampling stride %q (want sampled:N with N >= 1)", rest)
-		}
-		return Mode{Level: LevelSampled, N: n}, nil
-	}
-	return Mode{}, fmt.Errorf("dtrace: unknown mode %q (want off, full, or sampled:N)", s)
+	return Mode{}, fmt.Errorf("dtrace: unknown mode %q (want off or full)", s)
 }
 
-// Tracer filters, sequences and forwards decision records to a sink. A nil
-// *Tracer is the disabled tracer: Emit no-ops without allocating, so the
-// optimizer keeps its emission sites unconditional and -dtrace=off costs a
-// nil check (the AllocsPerRun pins and the CI allocation gate hold it
-// there).
-//
-// Sampling is deterministic: a counter, never a clock or an RNG, decides
-// which rejection records pass, so a sampled trace is as reproducible as a
-// full one.
+// Tracer sequences and forwards decision records to a sink. A nil *Tracer
+// is the disabled tracer: Emit no-ops without allocating, so the optimizer
+// keeps its emission sites unconditional and -dtrace=off costs a nil check
+// (the AllocsPerRun pins and the CI allocation gate hold it there).
 type Tracer struct {
 	mu   sync.Mutex
-	mode Mode
 	sink func(*Record)
 	seq  int64 // next sequence number (dense over emitted records)
-	nRej int64 // rejections seen, for the sampling stride
 }
 
-// New returns a tracer forwarding kept records to sink, or nil (the
+// New returns a tracer forwarding every record to sink, or nil (the
 // disabled tracer) when the mode is off or no sink is given.
 func New(mode Mode, sink func(*Record)) *Tracer {
 	if mode.Level == LevelOff || sink == nil {
 		return nil
 	}
-	if mode.Level == LevelSampled && mode.N < 1 {
-		mode.N = 1
-	}
-	return &Tracer{mode: mode, sink: sink}
+	return &Tracer{sink: sink}
 }
 
-// Mode returns the tracer's sampling mode (the zero Mode when nil).
-func (t *Tracer) Mode() Mode {
-	if t == nil {
-		return Mode{}
-	}
-	return t.mode
-}
-
-// Emit filters rec through the sampling mode and, when kept, assigns the
-// next sequence number and forwards it to the sink. Safe for concurrent use,
-// though the optimizer only calls it from the serial sweep (see the
-// determinism contract).
+// Emit assigns rec the next sequence number and forwards it to the sink.
+// Safe for concurrent use, though the optimizer only calls it from the
+// serial sweep (see the determinism contract).
 func (t *Tracer) Emit(rec Record) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if t.mode.Level == LevelSampled && rec.Outcome.Rejection() {
-		keep := t.nRej%int64(t.mode.N) == 0
-		t.nRej++
-		if !keep {
-			t.mu.Unlock()
-			return
-		}
-	}
 	// The copy (not rec itself) has its address taken, so the parameter does
-	// not escape and the nil/filtered paths stay allocation-free.
+	// not escape and the nil path stays allocation-free.
 	kept := rec
 	kept.Seq = t.seq
 	t.seq++
 	sink := t.sink
 	t.mu.Unlock()
 	sink(&kept)
-}
-
-// Emitted returns how many records passed the filter so far.
-func (t *Tracer) Emitted() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
 }

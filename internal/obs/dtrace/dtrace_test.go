@@ -14,11 +14,8 @@ func TestParseMode(t *testing.T) {
 		{"off", Mode{Level: LevelOff}, true},
 		{"", Mode{Level: LevelOff}, true},
 		{"full", Mode{Level: LevelFull}, true},
-		{"sampled:1", Mode{Level: LevelSampled, N: 1}, true},
-		{"sampled:100", Mode{Level: LevelSampled, N: 100}, true},
-		{"sampled:0", Mode{}, false},
-		{"sampled:-3", Mode{}, false},
-		{"sampled:x", Mode{}, false},
+		{"sampled:1", Mode{}, false},
+		{"sampled:100", Mode{}, false},
 		{"verbose", Mode{}, false},
 	} {
 		got, err := ParseMode(tc.in)
@@ -33,7 +30,7 @@ func TestParseMode(t *testing.T) {
 }
 
 func TestModeRoundTrip(t *testing.T) {
-	for _, s := range []string{"off", "full", "sampled:7"} {
+	for _, s := range []string{"off", "full"} {
 		m, err := ParseMode(s)
 		if err != nil {
 			t.Fatalf("ParseMode(%q): %v", s, err)
@@ -68,10 +65,7 @@ func TestReasonJSONRoundTrip(t *testing.T) {
 }
 
 func TestReasonsCoverEnum(t *testing.T) {
-	names := Reasons()
-	if len(names) != int(numReasons) {
-		t.Fatalf("Reasons() has %d entries, want %d", len(names), numReasons)
-	}
+	names := reasonNames
 	seen := map[string]bool{}
 	for i, n := range names {
 		if n == "" {
@@ -94,9 +88,6 @@ func TestNilTracerNoAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("nil tracer Emit allocates %v times per call, want 0", n)
 	}
-	if dt.Emitted() != 0 || dt.Mode().Level != LevelOff {
-		t.Error("nil tracer reports non-zero state")
-	}
 }
 
 func TestNewOffIsNil(t *testing.T) {
@@ -108,54 +99,20 @@ func TestNewOffIsNil(t *testing.T) {
 	}
 }
 
-// TestSamplingDeterministic pins the sampling filter: acceptances and gate
-// summaries always pass, rejections pass on a deterministic 1-in-N counter,
-// and sequence numbers stay dense over the kept records.
-func TestSamplingDeterministic(t *testing.T) {
-	run := func() []Record {
-		var got []Record
-		dt := New(Mode{Level: LevelSampled, N: 3}, func(r *Record) { got = append(got, *r) })
-		for i := 0; i < 10; i++ {
-			dt.Emit(Record{Kind: "cand", Node: i, Outcome: Dominated})
-		}
-		dt.Emit(Record{Kind: "cand", Node: 99, Outcome: Accepted})
-		dt.Emit(Record{Kind: "gate", Node: 99, Outcome: Replaced})
-		return got
-	}
-	a, b := run(), run()
-	// 10 rejections at stride 3 keep nodes 0, 3, 6, 9; both acceptances pass.
-	wantNodes := []int{0, 3, 6, 9, 99, 99}
-	if len(a) != len(wantNodes) {
-		t.Fatalf("kept %d records, want %d: %+v", len(a), len(wantNodes), a)
-	}
-	for i, r := range a {
-		if r.Node != wantNodes[i] {
-			t.Errorf("record %d node = %d, want %d", i, r.Node, wantNodes[i])
-		}
-		if r.Seq != int64(i) {
-			t.Errorf("record %d seq = %d, want dense %d", i, r.Seq, i)
-		}
-		if !recordsEqual(a[i], b[i]) {
-			t.Errorf("sampling not deterministic at record %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// recordsEqual compares records by their canonical JSON form (Record carries
-// a slice field, so == does not apply).
-func recordsEqual(a, b Record) bool {
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	return string(ja) == string(jb)
-}
-
+// TestFullModeKeepsEverything: every record reaches the sink, in order,
+// with dense sequence numbers.
 func TestFullModeKeepsEverything(t *testing.T) {
 	var got []Record
 	dt := New(Mode{Level: LevelFull}, func(r *Record) { got = append(got, *r) })
 	for i := 0; i < 5; i++ {
 		dt.Emit(Record{Kind: "cand", Node: i, Outcome: NoComparisonUnit})
 	}
-	if len(got) != 5 || dt.Emitted() != 5 {
-		t.Fatalf("full mode kept %d/%d records, want 5/5", len(got), dt.Emitted())
+	if len(got) != 5 {
+		t.Fatalf("full mode kept %d records, want 5", len(got))
+	}
+	for i, r := range got {
+		if r.Node != i || r.Seq != int64(i) {
+			t.Errorf("record %d: node %d seq %d, want %d and %d", i, r.Node, r.Seq, i, i)
+		}
 	}
 }

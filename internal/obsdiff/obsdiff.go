@@ -29,7 +29,7 @@ import (
 // Options sets the relative tolerances (0.1 = 10%). PerMetric overrides the
 // default for individual delta names (exact match).
 type Options struct {
-	Tol       float64 // deterministic quantities: counters, gauges, circuit stats (default 0)
+	Tol       float64 // deterministic quantities: counters, circuit stats (default 0)
 	TolTime   float64 // wall-clock quantities: durations, span timings (default 0.5)
 	TolBench  float64 // benchmark ns/op, B/op and speedups (default 0.25)
 	TolAlloc  float64 // benchmark allocs/op (default 0: a deterministic workload may only allocate less)
@@ -173,7 +173,6 @@ func DiffReports(before, after *obs.Report, opt Options) *Result {
 	r := &Result{Kind: "report"}
 	r.add(opt, "duration_ms", before.DurationMS, after.DurationMS, opt.TolTime)
 	diffIntMap(r, opt, "counter.", before.Metrics.Counters, after.Metrics.Counters, opt.Tol)
-	diffIntMap(r, opt, "gauge.", before.Metrics.Gauges, after.Metrics.Gauges, opt.Tol)
 	diffHistograms(r, opt, before.Metrics.Histograms, after.Metrics.Histograms)
 	diffSpans(r, opt, before.Spans, after.Spans)
 	diffCircuit(r, opt, "circuit_before.", before.CircuitBefore, after.CircuitBefore)

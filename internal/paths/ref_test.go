@@ -38,7 +38,7 @@ func TestCountMatchesRef(t *testing.T) {
 		if got != want || (gerr == nil) != (werr == nil) {
 			t.Fatalf("circuit %d: Count = %d (%v), RefCount = %d (%v)", i, got, gerr, want, werr)
 		}
-		// Mutate (aging the frozen view) and re-compare on the patched view.
+		// Mutate (aging the frozen view) and re-compare on the rebuilt view.
 		g := c.AddGate(circuit.Not, "", c.Outputs[0])
 		c.MarkOutput(g)
 		got, gerr = Count(c)

@@ -10,19 +10,23 @@ import (
 	"compsynth/internal/subckt"
 )
 
+// Fixed limits of every run. Each candidate function is minimized both as
+// given and complemented (the offset, inverted at the output).
+const (
+	maxCandidates = 24   // cuts per node
+	maxPasses     = 12   // fixpoint cap
+	verifySeed    = 1993 // seed of pass 0's equivalence check
+)
+
 // Options configures the baseline optimizer.
 type Options struct {
-	K             int  // cut input limit
-	MaxCandidates int  // cuts per node
-	MaxPasses     int  // fixpoint cap
-	Verify        bool // equivalence check per pass
-	TryComplement bool // also minimize the offset and invert
-	Seed          int64
+	K      int  // cut input limit
+	Verify bool // check every pass's output against the input circuit
 }
 
 // DefaultOptions mirrors the paper's comparison setup (K = 6 in Table 3).
 func DefaultOptions() Options {
-	return Options{K: 6, MaxCandidates: 24, MaxPasses: 12, Verify: true, TryComplement: true, Seed: 1993}
+	return Options{K: 6, Verify: true}
 }
 
 // Result reports an optimization run.
@@ -43,9 +47,10 @@ func (r *Result) String() string {
 
 // Optimize resubstitutes K-input cones by minimized factored realizations
 // whenever that reduces the equivalent-2-input gate count. The input circuit
-// is not modified.
+// is not modified; with Verify set, every pass's output is checked against
+// it.
 func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
-	if opt.K <= 0 || opt.MaxPasses <= 0 {
+	if opt.K <= 0 {
 		return nil, fmt.Errorf("rambo: invalid options")
 	}
 	poNames := c.PONames()
@@ -54,14 +59,13 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	work, _ = work.Compact()
 	res := &Result{GatesBefore: c.Equiv2Count(), PathsBefore: paths.MustCount(c)}
 	cache := map[string][]Cube{}
-	for pass := 0; pass < opt.MaxPasses; pass++ {
-		before := work.Clone()
-		n := onePass(work, opt, cache)
+	for pass := 0; pass < maxPasses; pass++ {
+		n := onePass(work, opt.K, cache)
 		res.Passes++
 		res.Replacements += n
 		work.Simplify()
 		work, _ = work.Compact()
-		if opt.Verify && !simulate.EquivalentRandom(before, work, 32, 14, opt.Seed+int64(pass)) {
+		if opt.Verify && !simulate.EquivalentRandom(c, work, 32, 14, verifySeed+int64(pass)) {
 			return nil, fmt.Errorf("rambo: pass %d broke equivalence", pass)
 		}
 		if n == 0 {
@@ -75,8 +79,8 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	return res, nil
 }
 
-func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
-	db := subckt.ComputeCuts(c, opt.K, opt.MaxCandidates)
+func onePass(c *circuit.Circuit, k int, cache map[string][]Cube) int {
+	db := subckt.ComputeCuts(c, k, maxCandidates)
 	topo := c.Topo()
 	replaced := 0
 	// Candidate storage and tables, reused from gate to gate.
@@ -111,7 +115,7 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 			for j, v := range kept {
 				keepInputs[j] = sub.Inputs[v-1]
 			}
-			for _, compl := range complements(opt) {
+			for _, compl := range []bool{false, true} {
 				f := stt
 				if compl {
 					f = stt.Not()
@@ -147,13 +151,6 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 		replaced++
 	}
 	return replaced
-}
-
-func complements(opt Options) []bool {
-	if opt.TryComplement {
-		return []bool{false, true}
-	}
-	return []bool{false}
 }
 
 func minimizeCached(cache map[string][]Cube, tt logic.TT) []Cube {

@@ -26,6 +26,12 @@ var (
 	mAborted   = metric.C("redundancy.faults_aborted")
 )
 
+// Fixed limits of every run.
+const (
+	maxRounds = 20 // remove-and-recheck iterations
+	seed      = 15 // round 0's filter seed, and the equivalence check's
+)
+
 // Options configures the removal pass.
 type Options struct {
 	// FilterPatterns random patterns drop obviously-testable faults before
@@ -33,11 +39,8 @@ type Options struct {
 	FilterPatterns int
 	// BacktrackLimit bounds each PODEM call.
 	BacktrackLimit int
-	// MaxRounds bounds remove-and-recheck iterations.
-	MaxRounds int
-	// Verify re-checks functional equivalence after every round.
+	// Verify checks every round's output against the input circuit.
 	Verify bool
-	Seed   int64
 	// Workers bounds the goroutines of the random-pattern filter
 	// (0 = runtime.GOMAXPROCS(0), 1 = serial). Results are identical for
 	// every value.
@@ -50,7 +53,7 @@ type Options struct {
 
 // DefaultOptions returns a configuration suited to the benchmark suite.
 func DefaultOptions() Options {
-	return Options{FilterPatterns: 2048, BacktrackLimit: 20000, MaxRounds: 20, Verify: true, Seed: 15}
+	return Options{FilterPatterns: 2048, BacktrackLimit: 20000, Verify: true}
 }
 
 // Result reports a removal run.
@@ -81,13 +84,11 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 }
 
 // Remove returns an irredundant (up to ATPG aborts) equivalent of c.
-// The input circuit is not modified.
+// The input circuit is not modified; with Verify set, every round's output
+// is checked against it.
 func Remove(c *circuit.Circuit, opt Options) (*Result, error) {
 	if opt.FilterPatterns <= 0 {
 		opt.FilterPatterns = 2048
-	}
-	if opt.MaxRounds <= 0 {
-		opt.MaxRounds = 20
 	}
 	sp := opt.Tracer.StartSpan("redundancy.remove")
 	defer sp.End()
@@ -97,7 +98,7 @@ func Remove(c *circuit.Circuit, opt Options) (*Result, error) {
 	work.Strash()
 	work, _ = work.Compact()
 	res := &Result{GatesBefore: c.Equiv2Count()}
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		rsp := opt.Tracer.StartSpan("redundancy.round")
 		rsp.SetInt("round", int64(round))
 		res.Rounds++
@@ -105,7 +106,7 @@ func Remove(c *circuit.Circuit, opt Options) (*Result, error) {
 		fl := faults.Collapse(work)
 		sim := faultsim.Campaign(work, fl, faultsim.CampaignOptions{
 			Patterns: opt.FilterPatterns,
-			Seed:     opt.Seed + int64(round),
+			Seed:     seed + int64(round),
 			Workers:  opt.Workers,
 			Tracer:   opt.Tracer,
 		})
@@ -140,13 +141,12 @@ func Remove(c *circuit.Circuit, opt Options) (*Result, error) {
 			rsp.End()
 			break
 		}
-		before := work.Clone()
 		work.Simplify()
 		work.Strash()
 		work, _ = work.Compact()
-		if opt.Verify && !simulate.EquivalentRandom(before, work, 16, 12, opt.Seed) {
+		if opt.Verify && !simulate.EquivalentRandom(c, work, 16, 12, seed) {
 			rsp.End()
-			return nil, fmt.Errorf("redundancy: round %d simplification broke equivalence", round)
+			return nil, fmt.Errorf("redundancy: round %d broke equivalence", round)
 		}
 		rsp.End()
 	}

@@ -39,8 +39,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		}
 	}
 	// Verify's EquivalentRandom freezes the circuit between passes, so the
-	// view is patched from the edit recorder before the next pass's
-	// refresh reads the same edits.
+	// view is rebuilt before the next pass's refresh reads the edits the
+	// recorder kept.
 	opt := DefaultOptions()
 	opt.Verify = true
 	if r := incrementalMatchesFull(t, suite[0].Name+"/verify", suite[0].Build(), opt); r.Passes < 2 {

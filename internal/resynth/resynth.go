@@ -49,7 +49,6 @@ var (
 	mCacheHits    = metric.C("resynth.identify_cache_hits")
 	mDirty        = metric.C("resynth.dirty_nodes")
 	hCandInputs   = metric.H("resynth.candidate_inputs")
-	gPass         = metric.G("resynth.pass")
 )
 
 // Objective selects the optimization target.
@@ -74,39 +73,42 @@ func (o Objective) String() string {
 	return "?"
 }
 
+// Fixed search limits and weights of every run.
+const (
+	maxCandidates = 32  // candidate subcircuits per gate output
+	maxSpecs      = 8   // unit realizations considered per function
+	samplingPerms = 200 // the paper's "up to 200 permutations"
+	multiPerms    = 60  // common permutations tried for an OR of units
+	sdcMaxInputs  = 14  // widest circuit the SDC mode simulates exhaustively
+
+	// combinedGateWeight scales gate savings against path savings for the
+	// Combined objective: measure = pathSaving + W * gateSaving.
+	combinedGateWeight = 4
+)
+
 // Options configures the optimizer.
 type Options struct {
-	K             int       // subcircuit input limit (paper: 5 or 6)
-	Objective     Objective // which procedure to run
-	MaxCandidates int       // candidate subcircuits per gate output
-	MaxSpecs      int       // unit realizations considered per function
-	MaxPasses     int       // fixpoint iteration cap
-	Verify        bool      // check equivalence after every pass
-	Check         bool      // validate IR invariants after every pass (circuit.Check)
-	Merge         bool      // merge same-type chain gates (Figure 4)
+	K         int       // subcircuit input limit (paper: 5 or 6)
+	Objective Objective // which procedure to run
+	MaxPasses int       // fixpoint iteration cap
+	Verify    bool      // check every pass's output against the input circuit
+	Check     bool      // validate IR invariants after every pass (circuit.Check)
 
 	// UseSampling switches identification to the paper's experimental
-	// method: up to SamplingPerms random permutations, onset and offset.
-	UseSampling   bool
-	SamplingPerms int
+	// method: up to 200 random permutations, onset and offset.
+	UseSampling bool
 
 	// MaxUnits > 1 enables the paper's Section 6 extension: when no single
 	// comparison unit realizes a candidate function, try an OR of up to
-	// MaxUnits units over a common permutation (MultiPerms tried).
-	MaxUnits   int
-	MultiPerms int
+	// MaxUnits units over a common permutation.
+	MaxUnits int
 
 	// UseSDC enables the paper's Section 6 extension (1): input
 	// combinations that can never occur at a candidate's inputs are
 	// treated as don't-cares during identification. Exact reachability is
 	// computed by exhaustive simulation, so the mode only engages on
-	// circuits with at most SDCMaxInputs primary inputs (default 14).
-	UseSDC       bool
-	SDCMaxInputs int
-
-	// CombinedGateWeight scales gate savings against path savings for the
-	// Combined objective: measure = pathSaving + W * gateSaving.
-	CombinedGateWeight float64
+	// circuits with at most 14 primary inputs.
+	UseSDC bool
 
 	// Certify records per-replacement equivalence evidence — the extracted
 	// truth table, the care set when don't-cares were used, and the chosen
@@ -135,22 +137,12 @@ type Options struct {
 // DefaultOptions returns the paper's experimental configuration (K=5).
 func DefaultOptions() Options {
 	return Options{
-		K:             5,
-		Objective:     MinGates,
-		MaxCandidates: 32,
-		MaxSpecs:      8,
-		MaxPasses:     16,
-		Verify:        true,
-		Merge:         true,
-		SamplingPerms: 200,
-		Seed:          1995,
-
-		MaxUnits:   1,
-		MultiPerms: 60,
-
-		SDCMaxInputs: 14,
-
-		CombinedGateWeight: 4,
+		K:         5,
+		Objective: MinGates,
+		MaxPasses: 16,
+		Verify:    true,
+		MaxUnits:  1,
+		Seed:      1995,
 	}
 }
 
@@ -189,7 +181,8 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 }
 
 // Optimize runs the selected procedure on a copy of c until no further
-// improvement. The input circuit is not modified.
+// improvement. The input circuit is not modified; with Verify set, every
+// pass's output is checked against it.
 func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	if opt.K <= 0 || opt.K > logic.MaxVars || opt.MaxPasses <= 0 {
 		return nil, fmt.Errorf("resynth: invalid options K=%d passes=%d (K must be 1 to %d, the widest cut a truth table holds)",
@@ -214,13 +207,8 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	// fixpoint.
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		o.passNo = pass + 1
-		gPass.Set(int64(pass + 1))
 		psp := opt.Tracer.StartSpan("resynth.pass")
 		psp.SetInt("pass", int64(pass))
-		var before *circuit.Circuit
-		if opt.Verify {
-			before = work.Clone()
-		}
 		n := o.pass(work)
 		mPasses.Inc()
 		res.Passes++
@@ -228,7 +216,7 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 		work.Simplify()
 		if opt.Verify {
 			vsp := opt.Tracer.StartSpan("resynth.verify")
-			ok := simulate.EquivalentRandom(before, work, 32, 14, opt.Seed+int64(pass))
+			ok := simulate.EquivalentRandom(c, work, 32, 14, opt.Seed+int64(pass))
 			vsp.End()
 			if !ok {
 				psp.End()
@@ -506,7 +494,7 @@ func (o *optimizer) refresh(c *circuit.Circuit) {
 	dirty := o.dirty
 	full := o.db == nil || o.opt.forceFull
 	if full {
-		o.db = subckt.NewCutDB(c, o.opt.K, o.opt.MaxCandidates)
+		o.db = subckt.NewCutDB(c, o.opt.K, maxCandidates)
 		for i := range dirty {
 			dirty[i] = true
 		}
@@ -648,8 +636,8 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 			}
 			return a.gateSave > b.gateSave
 		default: // Combined
-			ma := float64(int64(oldPathsOnG)-int64(a.pathsOnG)) + o.opt.CombinedGateWeight*float64(a.gateSave)
-			mb := float64(int64(oldPathsOnG)-int64(b.pathsOnG)) + o.opt.CombinedGateWeight*float64(b.gateSave)
+			ma := float64(int64(oldPathsOnG)-int64(a.pathsOnG)) + combinedGateWeight*float64(a.gateSave)
+			mb := float64(int64(oldPathsOnG)-int64(b.pathsOnG)) + combinedGateWeight*float64(b.gateSave)
 			return ma > mb
 		}
 	}
@@ -761,7 +749,7 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 				rejection = dtrace.PathBound
 			}
 		default:
-			m := float64(int64(oldPathsOnG)-int64(best.pathsOnG)) + o.opt.CombinedGateWeight*float64(best.gateSave)
+			m := float64(int64(oldPathsOnG)-int64(best.pathsOnG)) + combinedGateWeight*float64(best.gateSave)
 			if m > 0 {
 				accepted = true
 			}
@@ -794,11 +782,7 @@ func (o *optimizer) refreshSDC(c *circuit.Circuit, full bool) {
 	if full {
 		o.valbits = nil
 		nPI := len(c.Inputs)
-		max := o.opt.SDCMaxInputs
-		if max <= 0 {
-			max = 14
-		}
-		if !o.opt.UseSDC || nPI > max || nPI >= 30 {
+		if !o.opt.UseSDC || nPI > sdcMaxInputs {
 			return
 		}
 		o.nPI = nPI
@@ -903,14 +887,14 @@ func (o *optimizer) identifyMulti(tt logic.TT) (compare.MultiSpec, bool) {
 		mCacheHits.Inc()
 		return r.spec, r.ok
 	}
-	spec, ok := compare.IdentifyMulti(tt, o.opt.MaxUnits, o.opt.MultiPerms, o.rngFor(key))
+	spec, ok := compare.IdentifyMulti(tt, o.opt.MaxUnits, multiPerms, o.rngFor(key))
 	o.multiCache[key] = cachedMulti{spec, ok}
 	return spec, ok
 }
 
 // identify returns tt's unit realizations in enumeration order, with
 // memoization; none means tt is not a comparison function. Exact mode keeps
-// up to MaxSpecs of them from one IdentifyAll enumeration, whose first is
+// up to maxSpecs of them from one IdentifyAll enumeration, whose first is
 // IdentifyBest's; the paper's sampling method finds at most one. A warm hit
 // performs no allocation: the key is a fixed-size comparable value, never a
 // string.
@@ -922,10 +906,10 @@ func (o *optimizer) identify(tt logic.TT) []realization {
 	}
 	var reals []realization
 	if o.opt.UseSampling {
-		if s, ok := compare.IdentifySampling(tt, o.opt.SamplingPerms, o.rngFor(key)); ok {
+		if s, ok := compare.IdentifySampling(tt, samplingPerms, o.rngFor(key)); ok {
 			reals = []realization{newRealization(s)}
 		}
-	} else if specs := compare.IdentifyAll(tt, max(o.opt.MaxSpecs, 1)); len(specs) > 0 {
+	} else if specs := compare.IdentifyAll(tt, maxSpecs); len(specs) > 0 {
 		reals = make([]realization, len(specs))
 		for i, s := range specs {
 			reals[i] = newRealization(s)
@@ -955,7 +939,7 @@ func (o *optimizer) apply(c *circuit.Circuit, cand *candidate) {
 	spec := cand.realization()
 	first := len(c.Nodes)
 	out := spec.Build(c, cand.keepInputs, compare.BuildOptions{
-		Merge:      o.opt.Merge,
+		Merge:      true, // same-type chain gates merge (Figure 4)
 		NamePrefix: fmt.Sprintf("cu%d_", cand.sub.Out),
 	})
 	if out == cand.sub.Out {

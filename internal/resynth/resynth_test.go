@@ -366,13 +366,12 @@ func TestSDCModeFindsAtLeastAsMuch(t *testing.T) {
 }
 
 func TestSDCSkipsLargeCircuits(t *testing.T) {
-	// Circuits beyond SDCMaxInputs silently fall back to the plain mode.
+	// Circuits beyond 14 primary inputs silently fall back to the plain mode.
 	p := gen.Params{Name: "big", Inputs: 20, Outputs: 6, Gates: 60, Layers: 5,
 		MaxFanin: 3, Locality: 0.7, Seed: 3}
 	c := gen.Random(p)
 	opt := DefaultOptions()
 	opt.UseSDC = true
-	opt.SDCMaxInputs = 10
 	res, err := Optimize(c, opt)
 	if err != nil {
 		t.Fatal(err)

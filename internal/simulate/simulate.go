@@ -19,7 +19,6 @@ import (
 
 // Sim holds per-node 64-pattern words for one circuit snapshot.
 type Sim struct {
-	C     *circuit.Circuit
 	v     *circuit.CSR
 	words []uint64 // indexed by dense id
 	buf   []uint64
@@ -37,7 +36,6 @@ func New(c *circuit.Circuit) *Sim {
 // equivalence checker recycles simulators through a sync.Pool instead of
 // allocating word arrays per call.
 func (s *Sim) Reset(c *circuit.Circuit) {
-	s.C = c
 	s.v = c.Freeze()
 	n := s.v.N()
 	if cap(s.words) < n {
@@ -71,32 +69,9 @@ func (s *Sim) Run() {
 	}
 }
 
-// Word returns the current 64-pattern word of sparse node id.
-func (s *Sim) Word(id int) uint64 {
-	return s.words[s.v.DenseOf[id]]
-}
-
 // Output returns the word of primary output index j.
 func (s *Sim) Output(j int) uint64 {
 	return s.words[s.v.Out[j]]
-}
-
-// Outputs copies all PO words into dst (allocating if nil).
-func (s *Sim) Outputs(dst []uint64) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, len(s.v.Out))
-	}
-	for j, o := range s.v.Out {
-		dst[j] = s.words[o]
-	}
-	return dst
-}
-
-// RandomPatterns fills the inputs with rng-driven words.
-func (s *Sim) RandomPatterns(rng *rand.Rand) {
-	for _, in := range s.v.In {
-		s.words[in] = rng.Uint64()
-	}
 }
 
 var simPool = sync.Pool{New: func() any { return new(Sim) }}
@@ -108,7 +83,7 @@ func acquire(c *circuit.Circuit) *Sim {
 }
 
 func release(s *Sim) {
-	s.C, s.v = nil, nil
+	s.v = nil
 	simPool.Put(s)
 }
 

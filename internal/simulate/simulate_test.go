@@ -113,27 +113,6 @@ func TestEquivalentExhaustiveTailMask(t *testing.T) {
 	}
 }
 
-func TestRandomPatternsAndOutputs(t *testing.T) {
-	c, _ := bench.ParseString(bench.C17, "c17")
-	s := New(c)
-	rng := rand.New(rand.NewSource(3))
-	s.RandomPatterns(rng)
-	s.Run()
-	out := s.Outputs(nil)
-	if len(out) != 2 {
-		t.Fatalf("outputs = %d", len(out))
-	}
-	// Reusing a destination slice works too.
-	dst := make([]uint64, 2)
-	got := s.Outputs(dst)
-	if &got[0] != &dst[0] {
-		t.Fatal("destination not reused")
-	}
-	if got[0] != out[0] || got[1] != out[1] {
-		t.Fatal("outputs differ between calls")
-	}
-}
-
 func TestEquivalentRandomLargeInputPath(t *testing.T) {
 	// Above maxExhaustive the random path runs; equal circuits stay equal
 	// and a mutation is still caught with high probability.

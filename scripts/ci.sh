@@ -59,8 +59,9 @@ echo "== fuzz smoke =="
 # netlists must pass circuit.Check and round-trip through the writer.
 go test ./internal/bench -fuzz FuzzParseBench -fuzztime 5s -run '^$' >/dev/null
 # Same budget for the frozen-CSR invariant fuzzer: every accepted netlist is
-# run through a mutation script with an incremental Freeze + deep audit
-# against a from-scratch rebuild after each step.
+# run through a mutation script with a Freeze + deep audit against a build
+# into fresh storage after each step, so an edit that does not mark the
+# view stale fails.
 go test ./internal/bench -fuzz FuzzCSRFreeze -fuzztime 5s -run '^$' >/dev/null
 
 echo "== bench smoke =="
@@ -114,9 +115,10 @@ echo "== CSR bench gate =="
 # paths.RefCount, lives only in the paths tests), a serial fault-sim
 # campaign must stay at 2 allocs/op or fewer however many blocks
 # it runs (its per-fault reference lives only in the faultsim tests), and
-# the incremental CSRRebuild must stay allocation-free. A change that
-# quietly un-ports a phase back to map lookups, allocates per block, or
-# makes Freeze allocate per patch, trips the 1% allocs gate here. The ns/op tolerance is wider than the main gate's:
+# CSRRebuild, a rebuild into the view's retained storage after an edit,
+# must stay allocation-free. A change that quietly un-ports a phase back to
+# map lookups, allocates per block, or makes Freeze allocate per rebuild,
+# trips the 1% allocs gate here. The ns/op tolerance is wider than the main gate's:
 # this set includes microsecond-scale benches (path count ~6us/op) whose
 # wall clock swings >2x under CI load, so only allocations are a reliable
 # signal at this scale.
