@@ -261,6 +261,17 @@ func TestCompact(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Check audits every fanout list: consumer IDs ascending, one entry
+	// per pin. Each list is capped at its length, so an edit that appends
+	// reallocates it instead of writing into its neighbor's.
+	if err := Check(n); err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range n.Nodes {
+		if fo := n.Fanouts(nd.ID); cap(fo) != len(fo) || cap(nd.Fanin) != len(nd.Fanin) {
+			t.Fatalf("node %s: fanout len %d cap %d, fanin len %d cap %d", nd.Name, len(fo), cap(fo), len(nd.Fanin), cap(nd.Fanin))
+		}
+	}
 	if n.NumLive() != len(n.Nodes) {
 		t.Fatal("compact left holes")
 	}

@@ -393,30 +393,54 @@ func constType(v bool) GateType {
 
 // Compact returns a fresh circuit with tombstones removed and nodes
 // renumbered in topological order, along with old->new ID mapping (-1 for
-// removed nodes).
+// removed nodes). The fanin lists share one array, and so do the fanout
+// lists, each capped at its length as Clone's are.
 func (c *Circuit) Compact() (*Circuit, []int) {
-	n := New(c.Name)
+	// Inputs keep their declared order and come first; the other nodes
+	// follow in topological order.
+	order := append(make([]int, 0, max(c.live, len(c.Inputs))), c.Inputs...)
+	pins := 0
+	for _, id := range c.Topo() {
+		if nd := c.Nodes[id]; nd.Type != Input {
+			order = append(order, id)
+			pins += len(nd.Fanin)
+		}
+	}
 	remap := make([]int, len(c.Nodes))
 	for i := range remap {
 		remap[i] = -1
 	}
-	// Preserve declared input order first.
-	for _, id := range c.Inputs {
-		remap[id] = n.AddInput(c.Nodes[id].Name)
-	}
-	for _, id := range c.Topo() {
+	n := New(c.Name)
+	n.Nodes = make([]*Node, len(order))
+	fanins, uses := make([]int, 0, pins), make([]int, pins)
+	for i, id := range order {
 		nd := c.Nodes[id]
-		if nd.Type == Input {
-			continue
-		}
-		fanin := make([]int, len(nd.Fanin))
-		for i, f := range nd.Fanin {
+		k := len(fanins)
+		for _, f := range nd.Fanin {
 			if remap[f] < 0 {
 				panic(fmt.Sprintf("circuit: Compact fanin %d not yet mapped", f))
 			}
-			fanin[i] = remap[f]
+			fanins = append(fanins, remap[f])
 		}
-		remap[id] = n.AddGate(nd.Type, nd.Name, fanin...)
+		remap[id] = i
+		// A node's consumers come after it, so appending them in ID order
+		// keeps each fanout list ascending within its own window.
+		m := &Node{ID: i, Type: nd.Type, Name: nd.Name, edited: uint64(i + 1)}
+		if len(nd.Fanin) > 0 {
+			m.Fanin = fanins[k:len(fanins):len(fanins)]
+		}
+		if cnt := len(nd.fanout); cnt > 0 {
+			m.fanout, uses = uses[:0:cnt], uses[cnt:]
+		}
+		for _, f := range m.Fanin {
+			n.Nodes[f].fanout = append(n.Nodes[f].fanout, i)
+		}
+		n.Nodes[i] = m
+		n.byName[m.Name] = i
+	}
+	n.live, n.gen = len(order), uint64(len(order))
+	for i := range c.Inputs {
+		n.Inputs = append(n.Inputs, i)
 	}
 	for _, o := range c.Outputs {
 		n.MarkOutput(remap[o])

@@ -27,6 +27,15 @@
 // would. The campaign replays each wide block's detections block by block,
 // which keeps its results and counters those of a 64-pattern campaign.
 //
+// A campaign keeps each fault as a compact record, grouped by region. Its
+// workers claim wide blocks in order and draw their patterns from the one
+// stream as they claim; a worker sweeps its block once and simulates every
+// fault still undetected when it claimed. The blocks are merged strictly in
+// block order, and a block claimed before an earlier block's detections
+// were merged has its counts recounted over the faults still undetected,
+// so results and counters are those of the serial campaign for any worker
+// count.
+//
 // Simulation runs on the circuit's frozen CSR view (circuit.Freeze): dense
 // int32 ids in level-major order, so ascending dense id is a topological
 // order and a node's consumers all sit on higher levels. The good-value
@@ -39,6 +48,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/faults"
@@ -47,10 +57,27 @@ import (
 	"compsynth/internal/par"
 )
 
-// shareGrain is the smallest fault list worth splitting over workers; a
-// smaller campaign runs serially, since every worker repeats the
-// good-value simulation of every block.
-const shareGrain = 128
+const (
+	// sweepGrain is the smallest view, in nodes, whose campaign fans out:
+	// below it a wide block's sweep is too short to pay for the hand-offs,
+	// and the campaign runs its one loop inline. No view under 32 nodes ran
+	// faster on two workers; from 32 to about 100 nodes two workers ran
+	// from 0.7 to 1.2 times the one worker's time, and above that they won
+	// (EXPERIMENTS.md, "Claimed wide blocks in the stuck-at campaign").
+	sweepGrain = 32
+
+	// slotsPerWorker bounds the wide blocks in flight (claimed, not yet
+	// merged) per worker, so a slow block holds up the others only this
+	// far. Two-worker campaigns took the same time at 2, 4, 8 and 16 slots
+	// per worker (EXPERIMENTS.md); 4 is the path-delay campaign's bound. A
+	// slot costs two bytes per undetected fault.
+	slotsPerWorker = 4
+
+	// regionChunk is how many regions a worker takes at a time while the
+	// workers sweep wide block 0 together: of 4, 16 and 64, 16 read
+	// best on the redundancy filter's campaigns.
+	regionChunk = 16
+)
 
 // width is the number of 64-pattern blocks simulated together. The gate
 // kernels spell out its four words in locals, which measured faster than
@@ -62,8 +89,9 @@ const width = 4
 // patterns.
 type vec [width]uint64
 
-// Simulation metrics (batched adds: one per wide block and worker). Every
-// count is that of a serial 64-pattern campaign.
+// Simulation metrics (batched adds: evaluations once per merged wide block,
+// patterns and detections once per campaign). Every count is that of a
+// serial 64-pattern campaign.
 var (
 	mPatterns  = metric.C("faultsim.patterns_simulated")
 	mFaultEval = metric.C("faultsim.fault_evals")
@@ -78,6 +106,12 @@ type simulator struct {
 	po   []bool  // dense PO-driver mask
 	stem []int32 // dense node -> the stem of its FFR (itself for a stem)
 
+	// The FFR trees, for trace: tree[treeAt[st]:treeAt[st+1]] links each
+	// other node of stem st's region to its consumer, in descending dense
+	// id, so every node comes after its consumer.
+	tree   []link
+	treeAt []int32
+
 	// The good-value schedule (see plan): runs of steps, and the packed
 	// fanins of the steps of fixed-fanin runs.
 	runs  []run
@@ -86,11 +120,12 @@ type simulator struct {
 
 	val    []vec     // good values of the current wide block; observe changes them only transiently
 	path   []vec     // lanes in which a node's flip reaches its stem (last traced FFR)
-	stack  []int32   // trace worklist
 	queued []bool    // node has a pending event in bucket
 	bucket [][]int32 // pending events of a stem flip, by level
 	trail  []int32   // nodes a stem flip changed
 	old    []vec     // their good values
+	reach  []vec     // activation AND path of each fault of the region being swept
+	drawn  []uint64  // the stream values of the block being swept, by block, then input
 }
 
 // newSimulator builds a simulator for c's current state.
@@ -120,8 +155,40 @@ func (s *simulator) reset(c *circuit.Circuit) {
 			s.stem[d] = s.stem[out[0]]
 		}
 	}
+	s.linkTrees()
 	s.plan()
 	s.sizeScratch()
+}
+
+// link is one edge of an FFR tree: node x drives pin pin of y, its one
+// consumer.
+type link struct{ x, y, pin int32 }
+
+// linkTrees groups the non-stem nodes by stem (a counting sort that fills
+// each stem's range from its end, so ascending ids land in descending
+// order).
+func (s *simulator) linkTrees() {
+	n := int32(s.v.N())
+	s.treeAt = grow(s.treeAt, int(n)+1)
+	clear(s.treeAt)
+	for d := range n {
+		if st := s.stem[d]; st != d {
+			s.treeAt[st]++
+		}
+	}
+	total := int32(0)
+	for d := range s.treeAt {
+		total += s.treeAt[d]
+		s.treeAt[d] = total
+	}
+	s.tree = grow(s.tree, int(total))
+	for d := range n {
+		if st := s.stem[d]; st != d {
+			y := s.v.FanoutOf(d)[0]
+			s.treeAt[st]--
+			s.tree[s.treeAt[st]] = link{x: d, y: y, pin: int32(slices.Index(s.v.FaninOf(y), d))}
+		}
+	}
 }
 
 // attach shares parent's view, PO mask, FFRs and schedule read-only and
@@ -129,6 +196,7 @@ func (s *simulator) reset(c *circuit.Circuit) {
 // parent.
 func (s *simulator) attach(parent *simulator) {
 	s.v, s.po, s.stem = parent.v, parent.po, parent.stem
+	s.tree, s.treeAt = parent.tree, parent.treeAt
 	s.runs, s.steps, s.fan = parent.runs, parent.steps, parent.fan
 	s.sizeScratch()
 }
@@ -238,6 +306,7 @@ func (s *simulator) plan() {
 // sizeScratch (re)sizes and clears the per-block state.
 func (s *simulator) sizeScratch() {
 	n := s.v.N()
+	s.drawn = grow(s.drawn, width*len(s.v.In))
 	s.val = grow(s.val, n)
 	s.path = grow(s.path, n)
 	s.queued = grow(s.queued, n)
@@ -355,62 +424,73 @@ func eval(k circuit.GateType, in []int32, val []vec) vec {
 	return vec{w0, w1, w2, w3}
 }
 
-// sens returns the lanes in which flipping fanin pin of gate y flips y:
-// its Boolean difference at the good values of the other pins.
-func (s *simulator) sens(y int32, pin int) vec {
-	w0, w1, w2, w3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+// sens clears in *w the lanes in which flipping fanin pin of gate y does
+// not flip y: it ANDs in y's Boolean difference at the good values of the
+// other pins. Vectors go through pointers here and in act, because a
+// returned array is passed in memory, and the words through locals, which
+// the compiler keeps in registers.
+func (s *simulator) sens(y int32, pin int, w *vec) {
+	var inv uint64 // AND/NAND pass a flip where the others are 1, OR/NOR where they are 0
 	switch s.v.Kind[y] {
 	case circuit.And, circuit.Nand:
-		for i, f := range s.v.FaninOf(y) {
-			if i != pin {
-				v := &s.val[f]
-				w0, w1, w2, w3 = w0&v[0], w1&v[1], w2&v[2], w3&v[3]
-			}
-		}
 	case circuit.Or, circuit.Nor:
-		for i, f := range s.v.FaninOf(y) {
-			if i != pin {
-				v := &s.val[f]
-				w0, w1, w2, w3 = w0&^v[0], w1&^v[1], w2&^v[2], w3&^v[3]
-			}
+		inv = ^uint64(0)
+	default:
+		return // Buf, Not, Xor, Xnor pass every flip
+	}
+	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+	for i, f := range s.v.FaninOf(y) {
+		if i != pin {
+			v := &s.val[f]
+			w0, w1, w2, w3 = w0&(v[0]^inv), w1&(v[1]^inv), w2&(v[2]^inv), w3&(v[3]^inv)
 		}
 	}
-	return vec{w0, w1, w2, w3} // Buf, Not, Xor, Xnor pass every flip
+	*w = vec{w0, w1, w2, w3}
 }
 
-// trace sets s.path for every node of the FFR rooted at stem st. The
-// region is a tree whose children are the non-stem fanins, each of which
-// has its parent as its only consumer.
-func (s *simulator) trace(st int32) {
-	s.path[st] = vec{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-	stack := append(s.stack[:0], st)
-	for len(stack) > 0 {
-		y := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for pin, x := range s.v.FaninOf(y) {
-			if s.stem[x] != x {
-				e, p := s.sens(y, pin), &s.path[y]
-				s.path[x] = vec{e[0] & p[0], e[1] & p[1], e[2] & p[2], e[3] & p[3]}
-				stack = append(stack, x)
-			}
-		}
+// trace sets s.path for every node of the FFR rooted at stem st, in the
+// lanes of lanes. The region is a tree whose children are the non-stem
+// fanins, each of which has its parent as its only consumer; the links
+// list every child after its parent.
+func (s *simulator) trace(st int32, lanes vec) {
+	s.path[st] = lanes
+	for _, l := range s.tree[s.treeAt[st]:s.treeAt[st+1]] {
+		s.path[l.x] = s.path[l.y]
+		s.sens(l.y, int(l.pin), &s.path[l.x])
 	}
-	s.stack = stack
 }
 
-// act returns the lanes in which fault f flips the output of site, its
-// node (a stem fault) or its consuming gate (a branch fault).
-func (s *simulator) act(site int32, f faults.Fault) vec {
-	var stuck uint64
+// rec is one fault as the campaign's block loop reads it.
+type rec struct {
+	stuck uint64 // the stuck value in every lane
+	src   int32  // the node whose good value the fault reads: site, or the faulty pin's driver
+	site  int32  // the node whose output the fault flips: its node, or the pin's gate
+	pin   int32  // the faulty pin of site; -1 for a stem fault
+	idx   int32  // the fault's index in the campaign's list
+}
+
+// record returns the record of fault f, the i-th of its list.
+func (s *simulator) record(f faults.Fault, i int) rec {
+	site := s.v.DenseOf[f.Node]
+	r := rec{src: site, site: site, pin: int32(f.Pin), idx: int32(i)}
+	if f.Pin >= 0 {
+		r.src = s.v.FaninOf(site)[f.Pin]
+	}
 	if f.Stuck {
-		stuck = ^uint64(0)
+		r.stuck = ^uint64(0)
 	}
-	if f.Pin < 0 {
-		v := &s.val[site]
-		return vec{v[0] ^ stuck, v[1] ^ stuck, v[2] ^ stuck, v[3] ^ stuck}
+	return r
+}
+
+// act sets *a to the lanes in which fault f flips the output of its site:
+// its good value differs from the stuck value and, for a branch fault, the
+// site's gate passes the flip of its pin.
+func (s *simulator) act(f *rec, a *vec) {
+	v, m := &s.val[f.src], f.stuck
+	*a = vec{v[0] ^ m, v[1] ^ m, v[2] ^ m, v[3] ^ m}
+	if f.pin >= 0 {
+		s.sens(f.site, int(f.pin), a)
 	}
-	v, e := &s.val[s.v.FaninOf(site)[f.Pin]], s.sens(site, f.Pin)
-	return vec{(v[0] ^ stuck) & e[0], (v[1] ^ stuck) & e[1], (v[2] ^ stuck) & e[2], (v[3] ^ stuck) & e[3]}
 }
 
 // observe flips stem st in the lanes of mask, propagates the flip through
@@ -471,12 +551,14 @@ func (s *simulator) set(d int32, w vec, top *int32) {
 // fault f (a difference observed at some PO): its activation and path
 // words ANDed with its stem's observability word.
 func (s *simulator) detectWord(f faults.Fault) vec {
-	site := s.v.DenseOf[f.Node]
-	st := s.stem[site]
-	s.trace(st)
-	a, p := s.act(site, f), &s.path[site]
-	if r := (vec{a[0] & p[0], a[1] & p[1], a[2] & p[2], a[3] & p[3]}); r != (vec{}) {
-		return s.observe(st, r)
+	r := s.record(f, 0)
+	st := s.stem[r.site]
+	s.trace(st, vec{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)})
+	var a vec
+	s.act(&r, &a)
+	p := &s.path[r.site]
+	if m := (vec{a[0] & p[0], a[1] & p[1], a[2] & p[2], a[3] & p[3]}); m != (vec{}) {
+		return s.observe(st, m)
 	}
 	return vec{}
 }
@@ -504,46 +586,81 @@ type CampaignOptions struct {
 	Seed     int64 // pattern generator seed
 
 	// Workers bounds the goroutines of the campaign (0 =
-	// runtime.GOMAXPROCS(0), 1 = serial). Whole FFRs are dealt to workers
-	// once per campaign; each worker simulates every wide block on its
-	// share with its own simulator and pattern stream, and a serial merge
-	// by fault index makes the result and every counter identical for
-	// every worker count.
+	// runtime.GOMAXPROCS(0), 1 = serial). Each worker claims the next wide
+	// block, sweeps it once with its own simulator and simulates every
+	// fault still undetected when it claimed; a merge in block order makes
+	// the result and every counter identical for every worker count.
 	Workers int
 
 	// Tracer, when non-nil, wraps the campaign in a span.
 	Tracer *obs.Tracer
 }
 
-// region is one FFR with undetected faults: faults[lo:lo+n] of its share.
+// region is one FFR with undetected faults: recs[lo:lo+n] of a live set.
 type region struct{ stem, lo, n int32 }
 
-// share is one worker's part of a campaign and the totals the merge reads.
-type share struct {
-	sim     simulator
-	pat     par.Stream // the campaign's pattern stream
+// liveSet holds undetected faults as records grouped by region. A claim
+// gives its slot the current set to read; a merge that detects faults
+// compacts the current set in place when no slot in flight reads it, and
+// otherwise into a set none reads, which becomes current.
+type liveSet struct {
+	recs    []rec
 	regions []region
-	faults  []int32 // fault indices, grouped by region, ascending in each
-	reach   []vec   // activation AND path of each fault of a region
-	load    int     // faults dealt
-
-	detected, last, blocks int
+	refs    int // slots in flight that read it
 }
 
-// campaignState is the pooled per-campaign allocation bundle: one share
-// per worker (simulator, pattern stream and fault lists) and the FFR
-// grouping. Reseeding and Reset/attach on
-// every acquisition keep campaigns pure functions of (circuit, faults,
-// options).
+// tally is what a sweep counts, as if it simulated its blocks one at a
+// time: fault and stem evaluations, the blocks in which some fault was
+// live, and the faults detected.
+type tally struct{ evals, stems, ran, found int }
+
+func (t *tally) add(u tally) {
+	t.evals, t.stems, t.ran, t.found = t.evals+u.evals, t.stems+u.stems, max(t.ran, u.ran), t.found+u.found
+}
+
+// slot holds one wide block in flight: the live set it was claimed with
+// and what its sweeps found.
+type slot struct {
+	b0, n   int      // its first 64-pattern block; its blocks within the budget
+	set     *liveSet // the undetected faults when it was claimed
+	out     []uint16 // per fault of set: its outcome in the block (see sweep)
+	t       tally    // of the swept parts, which is the block's if set is still current when it is merged
+	pending int      // parts not yet swept
+	swept   bool     // out and t are complete
+}
+
+// Bits of a fault's outcome: bit k is set if the fault reaches its stem in
+// block b0+k; a detected fault has outDet set, the first detecting block
+// at outBlock and its lane at outLane.
+const (
+	outDet   = 1 << 4
+	outBlock = 5
+	outLane  = 8
+)
+
+// campaignState is the pooled per-campaign allocation bundle and the state
+// the workers of a campaign share. Reseeding and reset/attach on every
+// acquisition keep campaigns pure functions of (circuit, faults, options).
+// One lock covers the claim, with its draw, and the merge, so a worker
+// finishes one block and claims the next in one critical section.
 type campaignState struct {
-	shares  []*share
-	site    []int32  // per fault: the node whose output it flips
-	start   []int32  // per dense stem: its faults' offset in order
-	order   []int32  // fault indices grouped by stem
-	regions []region // FFRs holding faults, in stem order
-	deal    []int32  // region indices, largest first
-	owner   []int32  // per region: its share
-	keep    []bool   // per fault: undetected at the end
+	sims   []*simulator // per worker; the others attach to sims[0]
+	taken  atomic.Int32 // regions of wide block 0 taken by its sweepers
+	start  []int32      // per dense stem: its faults' offset in the first set
+	done   []bool       // per fault: detected in a merged block
+	sets   []*liveSet   // every set of the bundle
+	slots  []slot       // wide block b is swept in slots[b%len(slots)]
+	blocks int          // 64-pattern blocks in the budget
+
+	mu     sync.Mutex
+	ready  sync.Cond  // signalled when a block is merged or the campaign stops
+	next   int        // wide blocks claimed
+	pat    par.Stream // the pattern stream, drawn in block order
+	merged int        // wide blocks merged
+	cur    *liveSet   // the undetected faults
+	stop   bool       // every fault is detected: no block is claimed or merged
+	ran    int        // 64-pattern blocks run
+	res    CampaignResult
 }
 
 var campPool = sync.Pool{New: func() any { return &campaignState{} }}
@@ -570,212 +687,376 @@ func Campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) Campai
 	return res
 }
 
-// campaign runs one campaign on the state bundle cs.
+// campaign runs one campaign on the state bundle cs. Wide block 0 usually
+// detects most faults: the workers sweep it together, and no other block
+// is claimed before it is merged, so later blocks read only the
+// survivors.
 func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) CampaignResult {
-	w := par.Workers(opt.Workers)
-	for len(cs.shares) < w {
-		cs.shares = append(cs.shares, &share{})
+	w, wide := cs.setup(c, fl, opt)
+	for _, s := range cs.sims[1:w] {
+		s.attach(cs.sims[0])
 	}
-	s := &cs.shares[0].sim
+	cs.mu.Lock()
+	first := cs.claim(1, cs.sims[0])
+	if first != nil {
+		first.pending = w
+	}
+	cs.mu.Unlock()
+	par.Run(nil, "faultsim.sweep", w, w, func(_, k int) {
+		if first != nil {
+			cs.part(first, k)
+		}
+		cs.work(cs.sims[k], wide)
+	})
+	return cs.result(fl)
+}
+
+// setup binds cs to a campaign of fl on c and returns its worker count and
+// its wide blocks.
+func (cs *campaignState) setup(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) (w, wide int) {
+	w = par.Workers(opt.Workers)
+	for len(cs.sims) < w {
+		cs.sims = append(cs.sims, &simulator{})
+	}
+	s := cs.sims[0]
 	s.reset(c)
 
-	// Group the faults by the stem of the node they flip (a counting
-	// sort), so each FFR's faults are one run of order.
+	// Give each fault its record, grouped by the stem of the node it flips
+	// (a counting sort), so each FFR's faults are one run of the set.
+	if len(cs.sets) == 0 {
+		cs.sets = append(cs.sets, &liveSet{})
+	}
+	for _, set := range cs.sets {
+		set.refs = 0
+	}
+	cs.cur = cs.sets[0]
 	n := s.v.N()
-	cs.site = grow(cs.site, len(fl))
 	cs.start = grow(cs.start, n+1)
 	clear(cs.start)
-	for i, f := range fl {
-		cs.site[i] = s.v.DenseOf[f.Node]
-		cs.start[s.stem[cs.site[i]]+1]++
+	for _, f := range fl {
+		cs.start[s.stem[s.v.DenseOf[f.Node]]+1]++
 	}
-	cs.regions = cs.regions[:0]
+	set := cs.cur
+	set.regions = set.regions[:0]
 	for d := int32(0); d < int32(n); d++ {
 		lo, cnt := cs.start[d], cs.start[d+1]
 		cs.start[d+1] = lo + cnt
 		if cnt > 0 {
-			cs.regions = append(cs.regions, region{stem: d, lo: lo, n: cnt})
+			set.regions = append(set.regions, region{stem: d, lo: lo, n: cnt})
 		}
 	}
-	cs.order = grow(cs.order, len(fl))
-	for i, d := range cs.site {
-		st := s.stem[d]
-		cs.order[cs.start[st]] = int32(i)
+	set.recs = grow(set.recs, len(fl))
+	for i, f := range fl {
+		r := s.record(f, i)
+		st := s.stem[r.site]
+		set.recs[cs.start[st]] = r
 		cs.start[st]++
 	}
+	cs.done = grow(cs.done, len(fl))
+	clear(cs.done)
 
-	// Deal whole regions, largest first, each to the least-loaded share.
-	if len(fl) < shareGrain {
+	cs.blocks = (opt.Patterns + 63) / 64
+	wide = (cs.blocks + width - 1) / width
+	if n < sweepGrain || len(fl) == 0 {
 		w = 1
 	}
-	w = max(1, min(w, len(cs.regions)))
-	cs.owner = grow(cs.owner, len(cs.regions))
-	clear(cs.owner)
-	if w > 1 {
-		for k := range cs.shares[:w] {
-			cs.shares[k].load = 0
-		}
-		cs.deal = cs.deal[:0]
-		for r := range cs.regions {
-			cs.deal = append(cs.deal, int32(r))
-		}
-		slices.SortStableFunc(cs.deal, func(a, b int32) int { return int(cs.regions[b].n - cs.regions[a].n) })
-		for _, r := range cs.deal {
-			k := 0
-			for j := 1; j < w; j++ {
-				if cs.shares[j].load < cs.shares[k].load {
-					k = j
-				}
-			}
-			cs.owner[r] = int32(k)
-			cs.shares[k].load += int(cs.regions[r].n)
-		}
+	w = max(1, min(w, wide))
+	cs.slots = slices.Grow(cs.slots[:0], slotsPerWorker*w)[:slotsPerWorker*w]
+	for i := range cs.slots {
+		cs.slots[i].swept = false
 	}
-	shares := cs.shares[:w]
-	for k, sh := range shares {
-		if k > 0 {
-			sh.sim.attach(s)
-		}
-		sh.regions, sh.faults = sh.regions[:0], sh.faults[:0]
-		sh.detected, sh.last, sh.blocks = 0, 0, 0
-		sh.pat.Seed(opt.Seed)
-	}
-	for r, reg := range cs.regions {
-		sh := shares[cs.owner[r]]
-		sh.regions = append(sh.regions, region{stem: reg.stem, lo: int32(len(sh.faults)), n: reg.n})
-		sh.faults = append(sh.faults, cs.order[reg.lo:reg.lo+reg.n]...)
-		sh.reach = grow(sh.reach, max(len(sh.reach), int(reg.n)))
-	}
+	cs.next, cs.merged, cs.stop, cs.ran = 0, 0, len(fl) == 0, 0
+	cs.taken.Store(0)
+	cs.res = CampaignResult{TotalFaults: len(fl), Patterns: cs.blocks * 64}
+	cs.ready.L = &cs.mu
+	cs.pat.Seed(opt.Seed)
+	return w, wide
+}
 
-	blocks := (opt.Patterns + 63) / 64
-	site := cs.site
-	par.Run(nil, "faultsim.share", w, w, func(_, k int) {
-		shares[k].run(fl, site, blocks)
-	})
-
-	// Merge by fault index: the survivors keep their input order.
-	res := CampaignResult{TotalFaults: len(fl), Patterns: blocks * 64}
-	cs.keep = grow(cs.keep, len(fl))
-	clear(cs.keep)
-	run := 0
-	for _, sh := range shares {
-		res.Detected += sh.detected
-		res.LastEffective = max(res.LastEffective, sh.last)
-		run = max(run, sh.blocks)
-		for _, i := range sh.faults {
-			cs.keep[i] = true
-		}
-	}
+// result reports the campaign cs ran on fl and adds its pattern and
+// detection counts.
+func (cs *campaignState) result(fl []faults.Fault) CampaignResult {
+	res := cs.res
 	if left := len(fl) - res.Detected; left > 0 {
 		res.Remaining = make([]faults.Fault, 0, left)
-	}
-	for i, f := range fl {
-		if cs.keep[i] {
-			res.Remaining = append(res.Remaining, f)
+		for i, f := range fl {
+			if !cs.done[i] {
+				res.Remaining = append(res.Remaining, f)
+			}
 		}
 	}
-	mPatterns.Add(int64(run) * 64)
+	mPatterns.Add(int64(cs.ran) * 64)
 	mDetected.Add(int64(res.Detected))
 	return res
 }
 
-// run simulates up to blocks 64-pattern blocks on the share's regions,
-// width at a time, until none holds an undetected fault. On return
-// sh.faults holds exactly the undetected faults, and sh.blocks, sh.last and
-// every counter are those of simulating the blocks one at a time.
-func (sh *share) run(fl []faults.Fault, site []int32, blocks int) {
-	s := &sh.sim
-	for b0 := 0; b0 < blocks && len(sh.regions) > 0; b0 += width {
-		// Block b0+k fills word k with the draws a 64-pattern campaign
-		// takes for it, input by input. The n blocks within the budget
-		// are lanes; the words past it are 0, and masking them out of
-		// every reach word keeps observe from flipping them. The replay
-		// reads only the first n words.
-		n := min(width, blocks-b0)
-		var lanes vec
-		in := s.v.In
-		for k := range width {
-			if k < n {
-				lanes[k] = ^uint64(0)
-			}
-			for j := 0; j < len(in); {
-				for _, x := range sh.pat.Next(len(in) - j) {
-					s.val[in[j]][k] = x & lanes[k]
-					j++
+// part sweeps wide block 0, whose patterns claim drew into cs.sims[0],
+// with simulator cs.sims[k] beside the other workers: each takes the next
+// regionChunk regions of the set until none is left. A region's cost
+// varies with its stem's fanout cone, and a fixed split of the regions
+// left one worker most of the block (EXPERIMENTS.md).
+func (cs *campaignState) part(sl *slot, k int) {
+	s, n := cs.sims[k], len(sl.set.regions)
+	s.load(sl, cs.sims[0].drawn)
+	var t tally
+	for {
+		lo := int(cs.taken.Add(regionChunk)) - regionChunk
+		if lo >= n {
+			break
+		}
+		t.add(s.sweep(sl, lo, min(lo+regionChunk, n)))
+	}
+	cs.mu.Lock()
+	cs.settle(sl, t)
+	cs.mu.Unlock()
+}
+
+// work claims, sweeps and merges wide blocks below limit with simulator s
+// until none is left or every fault is detected. It sweeps without the
+// lock.
+func (cs *campaignState) work(s *simulator, limit int) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for {
+		sl := cs.claim(limit, s)
+		if sl == nil {
+			return
+		}
+		cs.mu.Unlock()
+		s.load(sl, s.drawn)
+		t := s.sweep(sl, 0, len(sl.set.regions))
+		cs.mu.Lock()
+		cs.settle(sl, t)
+	}
+}
+
+// claim, called with cs.mu held, takes the next wide block for simulator
+// s, waiting until wide block 0 and the block's slot are merged; gives the
+// slot the current live set to read; and draws the block's patterns into
+// s.drawn. It returns nil once the blocks below limit are claimed or every
+// fault is detected.
+func (cs *campaignState) claim(limit int, s *simulator) *slot {
+	for cs.next < limit && (cs.next-cs.merged >= len(cs.slots) || cs.next > 0 && cs.merged == 0) && !cs.stop {
+		cs.ready.Wait()
+	}
+	if cs.next == limit || cs.stop {
+		return nil
+	}
+	b := cs.next
+	cs.next++
+	sl := &cs.slots[b%len(cs.slots)]
+	sl.set = cs.cur
+	sl.set.refs++
+	sl.out = grow(sl.out, len(sl.set.recs))
+	sl.t, sl.pending = tally{}, 1
+	// The stream is drawn in block order, 64-pattern block by block and
+	// input by input within one, as a 64-pattern campaign draws it.
+	sl.b0 = width * b
+	sl.n = min(width, cs.blocks-sl.b0)
+	drawn := s.drawn[:sl.n*len(s.v.In)]
+	for i := 0; i < len(drawn); {
+		i += copy(drawn[i:], cs.pat.Next(len(drawn)-i))
+	}
+	return sl
+}
+
+// settle, called with cs.mu held, adds the tally of one swept part of sl
+// and, once every part is swept, merges every swept block that is next in
+// block order.
+func (cs *campaignState) settle(sl *slot, t tally) {
+	sl.t.add(t)
+	if sl.pending--; sl.pending > 0 {
+		return
+	}
+	sl.swept = true
+	for !cs.stop {
+		next := &cs.slots[cs.merged%len(cs.slots)]
+		if !next.swept {
+			break
+		}
+		next.swept = false
+		cs.merge(next)
+		cs.merged++
+	}
+	cs.ready.Broadcast()
+}
+
+// load computes the good values of the wide block of sl, whose patterns
+// are in drawn.
+func (s *simulator) load(sl *slot, drawn []uint64) {
+	// Block b0+k fills word k with the draws a 64-pattern campaign takes
+	// for it, input by input; the words past the budget are 0.
+	n, m := sl.n, len(s.v.In)
+	for j, d := range s.v.In {
+		var w vec
+		for k := range n {
+			w[k] = drawn[k*m+j]
+		}
+		s.val[d] = w
+	}
+	s.runGood()
+}
+
+// sweep simulates regions [lo, hi) of sl's set on the loaded block: per
+// region a trace, every fault's activation and path, and one observation
+// of the stem. It leaves each fault's outcome in sl.out and returns its
+// tally.
+func (s *simulator) sweep(sl *slot, lo, hi int) tally {
+	n := sl.n
+	var lanes vec
+	for k := range n {
+		lanes[k] = ^uint64(0)
+	}
+	var t tally
+	for _, r := range sl.set.regions[lo:hi] {
+		fs, out := sl.set.recs[r.lo:r.lo+r.n], sl.out[r.lo:r.lo+r.n]
+		s.reach = grow(s.reach, len(fs))
+		s.trace(r.stem, lanes)
+		var mask vec
+		for j := range fs {
+			rc, p := &s.reach[j], &s.path[fs[j].site]
+			s.act(&fs[j], rc)
+			r0, r1, r2, r3 := rc[0]&p[0], rc[1]&p[1], rc[2]&p[2], rc[3]&p[3]
+			*rc = vec{r0, r1, r2, r3}
+			mask = vec{mask[0] | r0, mask[1] | r1, mask[2] | r2, mask[3] | r3}
+			out[j] = uint16(nz(r0) | nz(r1)<<1 | nz(r2)<<2 | nz(r3)<<3)
+		}
+		var seen vec
+		if mask != (vec{}) {
+			seen = s.observe(r.stem, mask)
+		}
+		if seen == (vec{}) {
+			// Nothing detected: every fault is live in every block, and
+			// the stem is flipped in each block it is reached in.
+			t.evals += n * len(fs)
+			t.stems += nonzero(mask[:n])
+			t.ran = n
+			continue
+		}
+		// Replay the blocks in order: a fault is live up to and including
+		// its first detecting block, and the stem is flipped in a block
+		// where a live fault reaches it.
+		var flipped vec
+		for j := range fs {
+			rc := &s.reach[j]
+			k, d := 0, uint64(0)
+			for ; k < n; k++ {
+				flipped[k] |= rc[k]
+				if d = rc[k] & seen[k]; d != 0 {
+					break
 				}
+			}
+			if d != 0 {
+				t.evals += k + 1
+				t.ran = max(t.ran, k+1)
+				t.found++
+				out[j] |= outDet | uint16(k)<<outBlock | uint16(bits.TrailingZeros64(d))<<outLane
+			} else {
+				t.evals += n
+				t.ran = n
 			}
 		}
-		s.runGood()
-		evals, stems, ran := 0, 0, 0 // ran: blocks in which some fault was live
-		kept := sh.regions[:0]
-		for _, r := range sh.regions {
-			fs := sh.faults[r.lo : r.lo+r.n]
-			s.trace(r.stem)
-			var mask vec
-			for j, i := range fs {
-				a, p := s.act(site[i], fl[i]), &s.path[site[i]]
-				rc := &sh.reach[j]
-				for k := range width {
-					rc[k] = a[k] & p[k] & lanes[k]
-					mask[k] |= rc[k]
-				}
-			}
-			var seen vec
-			if mask != (vec{}) {
-				seen = s.observe(r.stem, mask)
-			}
-			if seen == (vec{}) {
-				// Nothing detected: every fault is live in every block,
-				// and the stem is flipped in each block it is reached in.
-				evals += n * len(fs)
-				stems += nonzero(mask[:n])
-				ran = n
-				kept = append(kept, r)
+		t.stems += nonzero(flipped[:n])
+	}
+	return t
+}
+
+// merge applies one swept block to the campaign. A block claimed before an
+// earlier block's merge detected something reads faults detected since;
+// which lanes detect a fault does not depend on the faults beside it, so
+// the block's outcomes stay exact, and its tally is recounted over the
+// faults still undetected. A block that reads the current set keeps the
+// tally of its sweeps.
+func (cs *campaignState) merge(sl *slot) {
+	set, t := sl.set, sl.t
+	if set != cs.cur {
+		t = cs.recount(sl)
+	}
+	if t.found > 0 {
+		for j, o := range sl.out[:len(set.recs)] {
+			if o&outDet == 0 {
 				continue
 			}
-			// Replay the blocks in order: a fault is live up to and
-			// including its first detecting block, and the stem is flipped
-			// in a block where a live fault reaches it.
-			var flipped vec
-			r.n = 0
-			for j, i := range fs {
-				rc := &sh.reach[j]
-				k, d := 0, uint64(0)
-				for ; k < n; k++ {
-					flipped[k] |= rc[k]
-					if d = rc[k] & seen[k]; d != 0 {
-						break
-					}
-				}
-				if d != 0 {
-					evals += k + 1
-					ran = max(ran, k+1)
-					sh.detected++
-					sh.last = max(sh.last, (b0+k)*64+bits.TrailingZeros64(d)+1)
-				} else {
-					evals += n
-					ran = n
-					fs[r.n] = i
-					r.n++
-				}
-			}
-			stems += nonzero(flipped[:n])
-			if r.n > 0 {
-				kept = append(kept, r)
+			if f := set.recs[j].idx; !cs.done[f] {
+				cs.done[f] = true
+				cs.res.LastEffective = max(cs.res.LastEffective, (sl.b0+int(o>>outBlock&3))*64+int(o>>outLane)+1)
 			}
 		}
-		sh.regions = kept
-		sh.blocks = b0 + ran
-		mFaultEval.Add(int64(evals))
-		mStemEval.Add(int64(stems))
 	}
-	// Compact the survivors to the front: the merge reads sh.faults.
-	n := 0
-	for _, r := range sh.regions {
-		n += copy(sh.faults[n:], sh.faults[r.lo:r.lo+r.n])
+	set.refs--
+	cs.ran = sl.b0 + t.ran
+	mFaultEval.Add(int64(t.evals))
+	mStemEval.Add(int64(t.stems))
+	if t.found == 0 {
+		return
 	}
-	sh.faults = sh.faults[:n]
+	cs.res.Detected += t.found
+	// Compact the survivors, in place if no slot in flight reads the set.
+	src, dst := cs.cur, cs.cur
+	if src.refs > 0 {
+		dst = cs.spare()
+		dst.recs = grow(dst.recs, len(src.recs))
+	}
+	kept, at := dst.regions[:0], int32(0)
+	for _, r := range src.regions {
+		lo := at
+		for _, f := range src.recs[r.lo : r.lo+r.n] {
+			if !cs.done[f.idx] {
+				dst.recs[at] = f
+				at++
+			}
+		}
+		if at > lo {
+			kept = append(kept, region{stem: r.stem, lo: lo, n: at - lo})
+		}
+	}
+	dst.recs, dst.regions = dst.recs[:at], kept
+	cs.cur = dst
+	cs.stop = at == 0
 }
+
+// recount returns the tally of sl's block over the faults of its set not
+// detected in an earlier block: a fault is live up to and including its
+// first detecting block, and a stem is flipped in a block where a live
+// fault of its region reaches it.
+func (cs *campaignState) recount(sl *slot) tally {
+	var t tally
+	set := sl.set
+	for _, r := range set.regions {
+		flipped := uint16(0)
+		for j := r.lo; j < r.lo+r.n; j++ {
+			if cs.done[set.recs[j].idx] {
+				continue
+			}
+			o, live := sl.out[j], sl.n
+			if o&outDet != 0 {
+				live = int(o>>outBlock&3) + 1
+				t.found++
+			}
+			t.evals += live
+			t.ran = max(t.ran, live)
+			flipped |= o & (1<<live - 1)
+		}
+		t.stems += bits.OnesCount16(flipped)
+	}
+	return t
+}
+
+// spare returns a set that is not current and that no slot in flight
+// reads, adding one to the bundle if there is none.
+func (cs *campaignState) spare() *liveSet {
+	for _, set := range cs.sets {
+		if set.refs == 0 && set != cs.cur {
+			return set
+		}
+	}
+	set := &liveSet{}
+	cs.sets = append(cs.sets, set)
+	return set
+}
+
+// nz is 1 if w is non-zero and 0 otherwise.
+func nz(w uint64) uint64 { return (w | -w) >> 63 }
 
 // nonzero counts the non-zero words of ws.
 func nonzero(ws []uint64) int {

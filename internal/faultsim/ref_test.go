@@ -242,8 +242,9 @@ func shuffled(t *testing.T, c *circuit.Circuit, seed int64) *circuit.Circuit {
 // TestCampaignMatchesRef pins the FFR campaign to the per-fault serial
 // reference: identical results field for field including the order of the
 // surviving fault list, and the blocks, patterns, fault evaluations and
-// detections the reference counts, across worker counts (3 deals the regions
-// unevenly) and repeated (pool-recycling) invocations. The budgets below
+// detections the reference counts, across worker counts (8 gives each
+// worker a share of the blocks of the shortest campaigns here) and repeated
+// (pool-recycling) invocations. The budgets below
 // that are not a multiple of 256 patterns end in a partial wide block.
 func TestCampaignMatchesRef(t *testing.T) {
 	c17, err := bench.ParseString(bench.C17, "c17")
@@ -293,7 +294,7 @@ func TestCampaignMatchesRef(t *testing.T) {
 		fl := faults.Collapse(r.c)
 		want, blocks, evals := RefCampaign(r.c, fl, r.patterns, 7)
 		wantObs := []int64{int64(blocks) * 64, int64(evals), int64(want.Detected)}
-		for _, workers := range []int{1, 2, 3} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			// Twice per worker count: the second run reuses pooled state.
 			for round := 0; round < 2; round++ {
 				opt := CampaignOptions{Patterns: r.patterns, Seed: 7, Workers: workers}
