@@ -2,7 +2,6 @@ package delay
 
 import (
 	"math/bits"
-	"sync"
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/par"
@@ -17,13 +16,13 @@ import (
 // lane's trail is exactly the trail a one-pair walk over Sim5 and
 // EdgeRobust would take (same roots, same edge order, same visit cap).
 //
-// Blocks are independent until their detections are counted, so workers
-// walk them concurrently: a worker claims the next block and draws its
-// pairs from the one pattern stream, in block order; walks it into the
-// block's list of signatures, each with the block's earliest pair to reach
-// it; and the lists are merged strictly in block order. The merge is the
-// one-pair loop's accounting, so results and counters are the same for any
-// worker count.
+// Blocks are independent until their detections are counted, so they run
+// through the ordered pipeline of par.Ordered: a worker claims the next
+// block and draws its pairs from the one pattern stream, in block order;
+// walks it into the block's list of signatures, each with the block's
+// earliest pair to reach it; and the lists are merged strictly in block
+// order. The merge is the one-pair loop's accounting, so results and
+// counters are the same for any worker count.
 
 // visitCap bounds one pair's path search: after this many path-prefix
 // visits the walk drops the pair's lane. It is a power of two, so a lane
@@ -40,10 +39,6 @@ const (
 	// "Block-parallel path-delay campaign and a scheduled good-value
 	// sweep").
 	walkGrain = 64
-
-	// slotsPerWorker bounds the blocks in flight (claimed, not yet merged)
-	// per worker, so a slow block holds up the others only this far.
-	slotsPerWorker = 4
 
 	// hitCap is the initial capacity of a slot's signature list: a block
 	// reaches each path fault's signature at most once, so on a circuit
@@ -62,45 +57,33 @@ func runPairs(c *circuit.Circuit, opt CampaignOptions) CampaignResult {
 	if g.v.N() < walkGrain {
 		w = 1
 	}
-	cp := &campaign{opt: opt, blocks: blocks, seen: map[uint64]int{}}
-	cp.ready.L = &cp.mu
+	cp := &campaign{opt: opt, seen: map[uint64]int{}}
 	cp.pat.Seed(opt.Seed)
-	cp.slots = make([]slot, slotsPerWorker*w)
+	cp.slots = make([]slot, par.Ahead*w)
 	pats := make([]uint64, 2*len(g.v.In)*len(cp.slots))
 	for i := range cp.slots {
 		cp.slots[i].pat = pats[2*len(g.v.In)*i:][:2*len(g.v.In)]
 		cp.slots[i].hits = make([]hit, 0, hitCap)
 	}
-	walkers := make([]walker, w)
-	for k := range walkers {
-		walkers[k] = walker{laneSim: newLaneSim(g.v), g: g, rob: make([]uint64, len(g.arcs))}
+	cp.walkers = make([]walker, w)
+	for k := range cp.walkers {
+		cp.walkers[k] = walker{laneSim: newLaneSim(g.v), g: g, rob: make([]uint64, len(g.arcs))}
 	}
-	if w == 1 {
-		cp.work(&walkers[0])
-	} else {
-		par.Run(nil, "delay.walk", w, w, func(_, k int) { cp.work(&walkers[k]) })
-	}
+	cp.pipe.Run(w, blocks, cp)
 	return cp.res
 }
 
-// campaign is the state its workers share. The stream is drawn under
-// drawMu and the merge runs under mu, so a draw never waits for a merge.
+// campaign is the state its workers share. Blocks are claimed, with their
+// draws, and merged under the lock of its pipeline.
 type campaign struct {
-	opt    CampaignOptions
-	blocks int
-
-	drawMu sync.Mutex
-	next   int        // blocks claimed
-	pat    par.Stream // the pattern stream, drawn in block order
-
-	mu     sync.Mutex
-	ready  sync.Cond      // signalled when a block is merged or the campaign stops
-	slots  []slot         // block b is walked in slots[b%len(slots)]
-	merged int            // blocks merged
-	stop   bool           // the quiet stop fired: no block is claimed or merged
-	seen   map[uint64]int // signature -> 1-based first pair to reach it, over the merged blocks
-	quiet  int            // pairs since the last new detection
-	res    CampaignResult
+	opt     CampaignOptions
+	pipe    par.Ordered
+	walkers []walker       // per worker
+	pat     par.Stream     // the pattern stream, drawn in block order
+	slots   []slot         // block b is walked in slots[b%len(slots)]
+	seen    map[uint64]int // signature -> 1-based first pair to reach it, over the merged blocks
+	quiet   int            // pairs since the last new detection
+	res     CampaignResult
 }
 
 // slot holds one block in flight: its pairs and the signatures it reaches.
@@ -108,7 +91,6 @@ type slot struct {
 	base, lanes int      // pairs before the block; pairs in it
 	pat         []uint64 // pat[2j], pat[2j+1]: input j's bits under the first and second pattern
 	hits        []hit    // in detect order
-	walked      bool     // hits is complete
 }
 
 // hit is one signature a block reaches and the block's earliest pair to
@@ -118,68 +100,24 @@ type hit struct {
 	pair int
 }
 
-// work claims, walks and merges blocks until none is left or the
-// campaign has stopped.
-func (cp *campaign) work(w *walker) {
-	for {
-		sl := cp.claim()
-		if sl == nil {
-			return
-		}
-		w.block(sl)
-		cp.finish(sl)
-	}
-}
-
-// claim takes the next block, waiting until its slot is merged, and draws
-// its pairs; it returns nil once every block is claimed or the campaign
-// has stopped.
-func (cp *campaign) claim() *slot {
-	cp.drawMu.Lock()
-	defer cp.drawMu.Unlock()
-	b := cp.next
-	if b == cp.blocks {
-		return nil
-	}
-	cp.mu.Lock()
-	for b-cp.merged >= len(cp.slots) && !cp.stop {
-		cp.ready.Wait()
-	}
-	stop := cp.stop
-	cp.mu.Unlock()
-	if stop {
-		return nil
-	}
-	cp.next++
+// Claim takes block b and draws its pairs.
+func (cp *campaign) Claim(b, _ int) {
 	sl := &cp.slots[b%len(cp.slots)]
 	sl.base = 64 * b
 	sl.lanes = min(64, cp.opt.MaxPairs-sl.base)
 	draw(&cp.pat, sl.pat, sl.lanes)
-	return sl
 }
 
-// finish marks sl walked and merges every walked block that is next in
-// block order.
-func (cp *campaign) finish(sl *slot) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	sl.walked = true
-	for !cp.stop {
-		next := &cp.slots[cp.merged%len(cp.slots)]
-		if !next.walked {
-			break
-		}
-		next.walked = false
-		cp.merge(next)
-		cp.merged++
-	}
-	cp.ready.Broadcast()
+// Run walks block b with the worker's walker.
+func (cp *campaign) Run(b, worker int) {
+	cp.walkers[worker].block(&cp.slots[b%len(cp.slots)])
 }
 
-// merge counts one block's detections in pair order, as a one-pair loop
+// Merge counts block b's detections in pair order, as a one-pair loop
 // would: a signature no earlier block reached is new at the block's
-// earliest pair to reach it.
-func (cp *campaign) merge(sl *slot) {
+// earliest pair to reach it. It reports whether the quiet stop fired.
+func (cp *campaign) Merge(b int) (stop bool) {
+	sl := &cp.slots[b%len(cp.slots)]
 	base := sl.base
 	var newAt [64]int
 	for _, h := range sl.hits {
@@ -197,7 +135,7 @@ func (cp *campaign) merge(sl *slot) {
 		}
 	}
 	res, found := &cp.res, 0
-	for l := 0; l < sl.lanes && !cp.stop; l++ {
+	for l := 0; l < sl.lanes && !stop; l++ {
 		res.Pairs = base + l + 1
 		if newAt[l] > 0 {
 			found += newAt[l]
@@ -205,7 +143,7 @@ func (cp *campaign) merge(sl *slot) {
 			cp.quiet = 0
 		} else {
 			cp.quiet++
-			cp.stop = cp.opt.QuietPairs > 0 && cp.quiet >= cp.opt.QuietPairs
+			stop = cp.opt.QuietPairs > 0 && cp.quiet >= cp.opt.QuietPairs
 		}
 	}
 	res.Detected += found
@@ -213,6 +151,7 @@ func (cp *campaign) merge(sl *slot) {
 	if found > 0 {
 		mPDFDetected.Add(int64(found))
 	}
+	return stop
 }
 
 // laneSim is the lane-parallel five-valued simulator. Every dense node has

@@ -163,9 +163,10 @@ type CampaignOptions struct {
 	Seed       int64 // pattern generator seed
 
 	// Workers bounds the goroutines of the campaign (0 =
-	// runtime.GOMAXPROCS(0), 1 = serial). Workers walk 64-pair blocks
-	// concurrently, and the blocks' detections are merged in block order,
-	// so the result and every counter are the same for every worker count.
+	// runtime.GOMAXPROCS(0), 1 = serial). The 64-pair blocks run through
+	// par.Ordered: workers walk them concurrently, and their detections are
+	// merged in block order, so the result and every counter are the same
+	// for every worker count.
 	Workers int
 }
 

@@ -28,10 +28,12 @@
 // which keeps its results and counters those of a 64-pattern campaign.
 //
 // A campaign keeps each fault as a compact record, grouped by region. Its
-// workers claim wide blocks in order and draw their patterns from the one
-// stream as they claim; a worker sweeps its block once and simulates every
-// fault still undetected when it claimed. The blocks are merged strictly in
-// block order, and a block claimed before an earlier block's detections
+// workers sweep wide block 0, which usually detects most faults, together
+// and merge it first; the later wide blocks run through par.Ordered, which
+// claims them in order, with their patterns drawn from the one stream as
+// they are claimed. A worker sweeps its block once and simulates every
+// fault still undetected when it claimed. The blocks are merged strictly
+// in block order, and a block claimed before an earlier block's detections
 // were merged has its counts recounted over the faults still undetected,
 // so results and counters are those of the serial campaign for any worker
 // count.
@@ -65,13 +67,6 @@ const (
 	// from 0.7 to 1.2 times the one worker's time, and above that they won
 	// (EXPERIMENTS.md, "Claimed wide blocks in the stuck-at campaign").
 	sweepGrain = 32
-
-	// slotsPerWorker bounds the wide blocks in flight (claimed, not yet
-	// merged) per worker, so a slow block holds up the others only this
-	// far. Two-worker campaigns took the same time at 2, 4, 8 and 16 slots
-	// per worker (EXPERIMENTS.md); 4 is the path-delay campaign's bound. A
-	// slot costs two bytes per undetected fault.
-	slotsPerWorker = 4
 
 	// regionChunk is how many regions a worker takes at a time while the
 	// workers sweep wide block 0 together: of 4, 16 and 64, 16 read
@@ -126,6 +121,7 @@ type simulator struct {
 	old    []vec     // their good values
 	reach  []vec     // activation AND path of each fault of the region being swept
 	drawn  []uint64  // the stream values of the block being swept, by block, then input
+	share  tally     // the tally of its part of wide block 0
 }
 
 // newSimulator builds a simulator for c's current state.
@@ -586,10 +582,11 @@ type CampaignOptions struct {
 	Seed     int64 // pattern generator seed
 
 	// Workers bounds the goroutines of the campaign (0 =
-	// runtime.GOMAXPROCS(0), 1 = serial). Each worker claims the next wide
-	// block, sweeps it once with its own simulator and simulates every
-	// fault still undetected when it claimed; a merge in block order makes
-	// the result and every counter identical for every worker count.
+	// runtime.GOMAXPROCS(0), 1 = serial). The workers sweep wide block 0
+	// together; the later wide blocks run through par.Ordered, each swept
+	// once by the worker that claimed it, over the faults still undetected
+	// when it claimed. A merge in block order makes the result and every
+	// counter identical for every worker count.
 	Workers int
 
 	// Tracer, when non-nil, wraps the campaign in a span.
@@ -619,14 +616,12 @@ func (t *tally) add(u tally) {
 }
 
 // slot holds one wide block in flight: the live set it was claimed with
-// and what its sweeps found.
+// and what its sweep found.
 type slot struct {
-	b0, n   int      // its first 64-pattern block; its blocks within the budget
-	set     *liveSet // the undetected faults when it was claimed
-	out     []uint16 // per fault of set: its outcome in the block (see sweep)
-	t       tally    // of the swept parts, which is the block's if set is still current when it is merged
-	pending int      // parts not yet swept
-	swept   bool     // out and t are complete
+	b0, n int      // its first 64-pattern block; its blocks within the budget
+	set   *liveSet // the undetected faults when it was claimed
+	out   []uint16 // per fault of set: its outcome in the block (see sweep)
+	t     tally    // the block's, if set is still current when it is merged
 }
 
 // Bits of a fault's outcome: bit k is set if the fault reaches its stem in
@@ -641,26 +636,23 @@ const (
 // campaignState is the pooled per-campaign allocation bundle and the state
 // the workers of a campaign share. Reseeding and reset/attach on every
 // acquisition keep campaigns pure functions of (circuit, faults, options).
-// One lock covers the claim, with its draw, and the merge, so a worker
-// finishes one block and claims the next in one critical section.
+// Its pipeline (par.Ordered) claims wide blocks, with their draws, and
+// merges them under one lock.
 type campaignState struct {
 	sims   []*simulator // per worker; the others attach to sims[0]
 	taken  atomic.Int32 // regions of wide block 0 taken by its sweepers
 	start  []int32      // per dense stem: its faults' offset in the first set
 	done   []bool       // per fault: detected in a merged block
 	sets   []*liveSet   // every set of the bundle
-	slots  []slot       // wide block b is swept in slots[b%len(slots)]
+	slots  []slot       // pipeline block b is swept in slots[b%len(slots)]
 	blocks int          // 64-pattern blocks in the budget
+	first  int          // the wide block of pipeline block 0
 
-	mu     sync.Mutex
-	ready  sync.Cond  // signalled when a block is merged or the campaign stops
-	next   int        // wide blocks claimed
-	pat    par.Stream // the pattern stream, drawn in block order
-	merged int        // wide blocks merged
-	cur    *liveSet   // the undetected faults
-	stop   bool       // every fault is detected: no block is claimed or merged
-	ran    int        // 64-pattern blocks run
-	res    CampaignResult
+	pipe par.Ordered
+	pat  par.Stream // the pattern stream, drawn in block order
+	cur  *liveSet   // the undetected faults
+	ran  int        // 64-pattern blocks run
+	res  CampaignResult
 }
 
 var campPool = sync.Pool{New: func() any { return &campaignState{} }}
@@ -688,26 +680,14 @@ func Campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) Campai
 }
 
 // campaign runs one campaign on the state bundle cs. Wide block 0 usually
-// detects most faults: the workers sweep it together, and no other block
-// is claimed before it is merged, so later blocks read only the
-// survivors.
+// detects most faults: with more than one worker, the workers sweep it
+// together and merge it before the pipeline claims wide block 1, so later
+// blocks read only the survivors, and none runs if it detected every fault.
 func (cs *campaignState) campaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) CampaignResult {
 	w, wide := cs.setup(c, fl, opt)
-	for _, s := range cs.sims[1:w] {
-		s.attach(cs.sims[0])
+	if w == 1 || !cs.block0(w) {
+		cs.pipe.Run(w, wide-cs.first, cs)
 	}
-	cs.mu.Lock()
-	first := cs.claim(1, cs.sims[0])
-	if first != nil {
-		first.pending = w
-	}
-	cs.mu.Unlock()
-	par.Run(nil, "faultsim.sweep", w, w, func(_, k int) {
-		if first != nil {
-			cs.part(first, k)
-		}
-		cs.work(cs.sims[k], wide)
-	})
 	return cs.result(fl)
 }
 
@@ -757,18 +737,17 @@ func (cs *campaignState) setup(c *circuit.Circuit, fl []faults.Fault, opt Campai
 
 	cs.blocks = (opt.Patterns + 63) / 64
 	wide = (cs.blocks + width - 1) / width
-	if n < sweepGrain || len(fl) == 0 {
+	if len(fl) == 0 {
+		wide = 0 // nothing to detect
+	}
+	if n < sweepGrain {
 		w = 1
 	}
 	w = max(1, min(w, wide))
-	cs.slots = slices.Grow(cs.slots[:0], slotsPerWorker*w)[:slotsPerWorker*w]
-	for i := range cs.slots {
-		cs.slots[i].swept = false
-	}
-	cs.next, cs.merged, cs.stop, cs.ran = 0, 0, len(fl) == 0, 0
+	cs.slots = slices.Grow(cs.slots[:0], par.Ahead*w)[:par.Ahead*w]
+	cs.first, cs.ran = 0, 0
 	cs.taken.Store(0)
 	cs.res = CampaignResult{TotalFaults: len(fl), Patterns: cs.blocks * 64}
-	cs.ready.L = &cs.mu
 	cs.pat.Seed(opt.Seed)
 	return w, wide
 }
@@ -790,95 +769,67 @@ func (cs *campaignState) result(fl []faults.Fault) CampaignResult {
 	return res
 }
 
-// part sweeps wide block 0, whose patterns claim drew into cs.sims[0],
-// with simulator cs.sims[k] beside the other workers: each takes the next
-// regionChunk regions of the set until none is left. A region's cost
-// varies with its stem's fanout cone, and a fixed split of the regions
-// left one worker most of the block (EXPERIMENTS.md).
+// block0 sweeps wide block 0 on w workers together, claiming and merging
+// it as the pipeline would; it reports whether the merge detected every
+// fault. A region's cost varies with its stem's fanout cone, and a fixed
+// split of the regions left one worker most of the block (EXPERIMENTS.md),
+// so each worker takes the next regionChunk regions until none is left.
+func (cs *campaignState) block0(w int) (stop bool) {
+	for _, s := range cs.sims[1:w] {
+		s.attach(cs.sims[0])
+	}
+	cs.Claim(0, 0)
+	sl := &cs.slots[0]
+	par.Run(w, w, func(_, k int) { cs.part(sl, k) })
+	for _, s := range cs.sims[:w] {
+		sl.t.add(s.share)
+	}
+	stop = cs.Merge(0)
+	cs.first = 1
+	return stop
+}
+
+// part sweeps its share of wide block 0, whose patterns Claim drew into
+// cs.sims[0], with simulator cs.sims[k], and leaves its tally in the
+// simulator.
 func (cs *campaignState) part(sl *slot, k int) {
 	s, n := cs.sims[k], len(sl.set.regions)
 	s.load(sl, cs.sims[0].drawn)
-	var t tally
+	s.share = tally{}
 	for {
 		lo := int(cs.taken.Add(regionChunk)) - regionChunk
 		if lo >= n {
-			break
-		}
-		t.add(s.sweep(sl, lo, min(lo+regionChunk, n)))
-	}
-	cs.mu.Lock()
-	cs.settle(sl, t)
-	cs.mu.Unlock()
-}
-
-// work claims, sweeps and merges wide blocks below limit with simulator s
-// until none is left or every fault is detected. It sweeps without the
-// lock.
-func (cs *campaignState) work(s *simulator, limit int) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for {
-		sl := cs.claim(limit, s)
-		if sl == nil {
 			return
 		}
-		cs.mu.Unlock()
-		s.load(sl, s.drawn)
-		t := s.sweep(sl, 0, len(sl.set.regions))
-		cs.mu.Lock()
-		cs.settle(sl, t)
+		s.share.add(s.sweep(sl, lo, min(lo+regionChunk, n)))
 	}
 }
 
-// claim, called with cs.mu held, takes the next wide block for simulator
-// s, waiting until wide block 0 and the block's slot are merged; gives the
-// slot the current live set to read; and draws the block's patterns into
-// s.drawn. It returns nil once the blocks below limit are claimed or every
-// fault is detected.
-func (cs *campaignState) claim(limit int, s *simulator) *slot {
-	for cs.next < limit && (cs.next-cs.merged >= len(cs.slots) || cs.next > 0 && cs.merged == 0) && !cs.stop {
-		cs.ready.Wait()
-	}
-	if cs.next == limit || cs.stop {
-		return nil
-	}
-	b := cs.next
-	cs.next++
-	sl := &cs.slots[b%len(cs.slots)]
+// Claim takes pipeline block b, wide block cs.first+b, for worker: its
+// slot reads the current live set, and its patterns are drawn into the
+// worker's simulator.
+func (cs *campaignState) Claim(b, worker int) {
+	sl, s := &cs.slots[b%len(cs.slots)], cs.sims[worker]
 	sl.set = cs.cur
 	sl.set.refs++
 	sl.out = grow(sl.out, len(sl.set.recs))
-	sl.t, sl.pending = tally{}, 1
+	sl.t = tally{}
 	// The stream is drawn in block order, 64-pattern block by block and
 	// input by input within one, as a 64-pattern campaign draws it.
-	sl.b0 = width * b
+	sl.b0 = width * (cs.first + b)
 	sl.n = min(width, cs.blocks-sl.b0)
 	drawn := s.drawn[:sl.n*len(s.v.In)]
 	for i := 0; i < len(drawn); {
 		i += copy(drawn[i:], cs.pat.Next(len(drawn)-i))
 	}
-	return sl
 }
 
-// settle, called with cs.mu held, adds the tally of one swept part of sl
-// and, once every part is swept, merges every swept block that is next in
-// block order.
-func (cs *campaignState) settle(sl *slot, t tally) {
-	sl.t.add(t)
-	if sl.pending--; sl.pending > 0 {
-		return
-	}
-	sl.swept = true
-	for !cs.stop {
-		next := &cs.slots[cs.merged%len(cs.slots)]
-		if !next.swept {
-			break
-		}
-		next.swept = false
-		cs.merge(next)
-		cs.merged++
-	}
-	cs.ready.Broadcast()
+// Run sweeps pipeline block b with the simulator of the worker that
+// claimed it.
+func (cs *campaignState) Run(b, worker int) {
+	sl, s := &cs.slots[b%len(cs.slots)], cs.sims[worker]
+	s.load(sl, s.drawn)
+	sl.t = s.sweep(sl, 0, len(sl.set.regions))
 }
 
 // load computes the good values of the wide block of sl, whose patterns
@@ -961,13 +912,14 @@ func (s *simulator) sweep(sl *slot, lo, hi int) tally {
 	return t
 }
 
-// merge applies one swept block to the campaign. A block claimed before an
-// earlier block's merge detected something reads faults detected since;
-// which lanes detect a fault does not depend on the faults beside it, so
-// the block's outcomes stay exact, and its tally is recounted over the
-// faults still undetected. A block that reads the current set keeps the
-// tally of its sweeps.
-func (cs *campaignState) merge(sl *slot) {
+// Merge applies pipeline block b to the campaign and stops it once every
+// fault is detected. A block claimed before an earlier block's merge
+// detected something reads faults detected since; which lanes detect a
+// fault does not depend on the faults beside it, so the block's outcomes
+// stay exact, and its tally is recounted over the faults still undetected.
+// A block that reads the current set keeps the tally of its sweep.
+func (cs *campaignState) Merge(b int) (stop bool) {
+	sl := &cs.slots[b%len(cs.slots)]
 	set, t := sl.set, sl.t
 	if set != cs.cur {
 		t = cs.recount(sl)
@@ -988,7 +940,7 @@ func (cs *campaignState) merge(sl *slot) {
 	mFaultEval.Add(int64(t.evals))
 	mStemEval.Add(int64(t.stems))
 	if t.found == 0 {
-		return
+		return false
 	}
 	cs.res.Detected += t.found
 	// Compact the survivors, in place if no slot in flight reads the set.
@@ -1012,7 +964,7 @@ func (cs *campaignState) merge(sl *slot) {
 	}
 	dst.recs, dst.regions = dst.recs[:at], kept
 	cs.cur = dst
-	cs.stop = at == 0
+	return at == 0
 }
 
 // recount returns the tally of sl's block over the faults of its set not

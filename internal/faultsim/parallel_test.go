@@ -48,37 +48,66 @@ func unevenCircuit() *circuit.Circuit {
 	return c
 }
 
+// c17s places k copies of c17 side by side (11k nodes). At 64 patterns and
+// up, the first 64-pattern block detects every fault.
+func c17s(k int) *circuit.Circuit {
+	c := circuit.New("c17s")
+	for i := 0; i < k; i++ {
+		var in [5]int
+		for j := range in {
+			in[j] = c.AddInput("")
+		}
+		g10 := c.AddGate(circuit.Nand, "", in[0], in[2])
+		g11 := c.AddGate(circuit.Nand, "", in[2], in[3])
+		g16 := c.AddGate(circuit.Nand, "", in[1], g11)
+		g19 := c.AddGate(circuit.Nand, "", g11, in[4])
+		c.MarkOutput(c.AddGate(circuit.Nand, "", g10, g16))
+		c.MarkOutput(c.AddGate(circuit.Nand, "", g16, g19))
+	}
+	return c
+}
+
 // TestParallelCampaignMatchesSerial is the determinism contract: at 2, 3,
 // 4 and 8 workers the campaign reports the same detections, the same
 // surviving faults in the same order and the same last-effective pattern
 // as the serial campaign, and moves every faultsim counter (stem
 // evaluations included, and the patterns counter, which counts the blocks
-// run) exactly as it does.
+// run) exactly as it does. Four copies of c17 fan out, and their first
+// wide block detects every fault, so no later block may run.
 func TestParallelCampaignMatchesSerial(t *testing.T) {
 	c17, err := bench.ParseString(bench.C17, "c17")
 	if err != nil {
 		t.Fatal(err)
 	}
-	circuits := []*circuit.Circuit{c17, unevenCircuit()}
+	circuits := []*circuit.Circuit{c17, unevenCircuit(), c17s(4)}
 	for _, b := range gen.SmallSuite() {
 		circuits = append(circuits, b.Build())
 	}
+	if n := c17s(4).Freeze().N(); n < sweepGrain {
+		t.Fatalf("c17 x 4 has %d nodes, below the fan-out grain %d", n, sweepGrain)
+	}
 	for _, c := range circuits {
 		fl := faults.Collapse(c)
-		opt := CampaignOptions{Patterns: 512, Seed: 42, Workers: 1}
-		serial, serialObs := campaignWith(c, fl, opt)
-		if serialObs[2] == 0 {
-			t.Fatalf("%s: no stem evaluations counted: %v", c.Name, serialObs)
-		}
-		for _, workers := range []int{2, 3, 4, 8} {
-			opt.Workers = workers
-			parallel, obs := campaignWith(c, fl, opt)
-			if !campaignsEqual(serial, parallel) {
-				t.Fatalf("%s workers %d:\nserial   %+v\nparallel %+v", c.Name, workers, serial, parallel)
+		for _, patterns := range []int{64, 256, 512, 1024, 4096} {
+			opt := CampaignOptions{Patterns: patterns, Seed: 42, Workers: 1}
+			serial, serialObs := campaignWith(c, fl, opt)
+			if serialObs[2] == 0 {
+				t.Fatalf("%s: no stem evaluations counted: %v", c.Name, serialObs)
 			}
-			if !slices.Equal(obs, serialObs) {
-				t.Fatalf("%s workers %d: counter deltas %v, serial %v",
-					c.Name, workers, obs, serialObs)
+			if c.Name == "c17s" && (len(serial.Remaining) > 0 || serialObs[0] != 64) {
+				t.Fatalf("c17 x 4, %d patterns: %d faults left after %d patterns, want none after 64",
+					patterns, len(serial.Remaining), serialObs[0])
+			}
+			for _, workers := range []int{2, 3, 4, 8} {
+				opt.Workers = workers
+				parallel, obs := campaignWith(c, fl, opt)
+				if !campaignsEqual(serial, parallel) {
+					t.Fatalf("%s %d patterns, workers %d:\nserial   %+v\nparallel %+v", c.Name, patterns, workers, serial, parallel)
+				}
+				if !slices.Equal(obs, serialObs) {
+					t.Fatalf("%s %d patterns, workers %d: counter deltas %v, serial %v",
+						c.Name, patterns, workers, obs, serialObs)
+				}
 			}
 		}
 	}
@@ -133,11 +162,13 @@ func lateCircuit() *circuit.Circuit {
 	return c
 }
 
-// ringCampaign runs the campaign cs.campaign would, but after wide block
-// 0 claims and sweeps a whole ring of slots before merging any of them, so
-// every block claimed after a detecting one is merged with a stale set
-// whatever the scheduling. It returns the result, the deltas of the four
-// faultsim counters and the number of stale merges.
+// ringCampaign runs the campaign cs.campaign would, but calls the
+// pipeline's Claim, Run and Merge itself: after wide block 0, which is
+// merged before any other block is claimed, it claims and sweeps a whole
+// ring of slots before merging any of them, so every block claimed after
+// a detecting one is merged with a stale set whatever the scheduling. It
+// returns the result, the deltas of the four faultsim counters and the
+// number of stale merges.
 func ringCampaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) (CampaignResult, []int64, int) {
 	counters := []interface{ Value() int64 }{mPatterns, mFaultEval, mStemEval, mDetected}
 	before := make([]int64, len(counters))
@@ -146,38 +177,23 @@ func ringCampaign(c *circuit.Circuit, fl []faults.Fault, opt CampaignOptions) (C
 	}
 	cs := &campaignState{}
 	_, wide := cs.setup(c, fl, opt)
-	s, stale := cs.sims[0], 0
-	cs.mu.Lock() // claim and settle expect it held
-	for !cs.stop {
-		// Block 0 is merged before any other block is claimed.
-		n := 1
-		if cs.merged > 0 {
-			n = len(cs.slots)
+	stale, stop := 0, false
+	for b := 0; b < wide && !stop; {
+		hi := min(b+len(cs.slots), wide)
+		if b == 0 {
+			hi = 1
 		}
-		var ring []*slot
-		for len(ring) < n {
-			sl := cs.claim(wide, s)
-			if sl == nil {
-				break
-			}
-			ring = append(ring, sl)
-			cs.mu.Unlock()
-			s.load(sl, s.drawn)
-			t := s.sweep(sl, 0, len(sl.set.regions))
-			cs.mu.Lock()
-			sl.t.add(t)
+		for k := b; k < hi; k++ {
+			cs.Claim(k, 0)
+			cs.Run(k, 0)
 		}
-		if len(ring) == 0 {
-			break
-		}
-		for _, sl := range ring {
-			if !cs.stop && sl.set != cs.cur {
+		for ; b < hi && !stop; b++ {
+			if cs.slots[b%len(cs.slots)].set != cs.cur {
 				stale++
 			}
-			cs.settle(sl, tally{})
+			stop = cs.Merge(b)
 		}
 	}
-	cs.mu.Unlock()
 	res := cs.result(fl)
 	obs := make([]int64, len(counters))
 	for i, ctr := range counters {

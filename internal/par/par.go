@@ -1,27 +1,26 @@
 // Package par provides the deterministic worker-pool primitives shared by
-// the pipeline's hot paths: fault-region partitioning in fault simulation,
-// the redundancy-removal filter, block-parallel path-delay campaigns, and
-// independent circuits/rows in the experiment driver.
+// the pipeline's hot paths: the stuck-at and path-delay campaigns, which
+// run their blocks through one ordered pipeline (Ordered), and independent
+// circuits/rows in the experiment driver.
 //
 // The contract throughout is that parallelism never changes results: tasks
 // write only task-indexed state, so the output of every fan-out is
-// bit-identical for any worker count, including 1. Which worker runs which task IS nondeterministic (tasks are
-// claimed from an atomic counter), so anything order- or worker-dependent
-// must be derived per task — see SeedFor for deterministic per-key RNG
-// seeding — or taken and merged in a fixed order under a lock, as the
-// path-delay campaign draws its Stream and merges its blocks.
+// bit-identical for any worker count, including 1. Which worker runs which
+// task IS nondeterministic (tasks are claimed from an atomic counter), so
+// anything order- or worker-dependent must be derived per task — see
+// SeedFor for deterministic per-key RNG seeding — or claimed and merged in
+// block order, as an Ordered run does.
 package par
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"compsynth/internal/metric"
-	"compsynth/internal/obs"
 )
 
 // Pool metrics (process-wide; atomic adds only).
@@ -47,13 +46,9 @@ func Workers(n int) int {
 // fn may index per-worker scratch state (e.g. a private simulator) with its
 // worker argument. Run returns after every task has completed.
 //
-// With one worker (or one task) fn runs inline on the calling goroutine and
-// no span is recorded, keeping the serial path identical to a plain loop.
-//
-// tr may be nil. When tracing is on and the fan-out is real, one span named
-// name is recorded with the worker count, the task count, and per-worker
-// task tallies as attributes.
-func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int)) {
+// With one worker (or one task) fn runs inline on the calling goroutine,
+// keeping the serial path identical to a plain loop.
+func Run(workers, n int, fn func(worker, task int)) {
 	if n <= 0 {
 		return
 	}
@@ -68,10 +63,6 @@ func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int))
 		mTasks.Add(int64(n))
 		return
 	}
-	sp := tr.StartSpan(name)
-	sp.SetInt("workers", int64(w))
-	sp.SetInt("tasks", int64(n))
-	counts := make([]int64, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
@@ -84,17 +75,10 @@ func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int))
 					return
 				}
 				fn(wk, i)
-				counts[wk]++
 			}
 		}(wk)
 	}
 	wg.Wait()
-	if sp != nil {
-		for wk, c := range counts {
-			sp.SetInt(fmt.Sprintf("worker%d_tasks", wk), c)
-		}
-		sp.End()
-	}
 	mRuns.Inc()
 	mTasks.Add(int64(n))
 }
@@ -106,7 +90,7 @@ func Run(tr *obs.Tracer, name string, workers, n int, fn func(worker, task int))
 func MapErr[T any](workers, n int, fn func(task int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	Run(nil, "par.map", workers, n, func(_, i int) {
+	Run(workers, n, func(_, i int) {
 		out[i], errs[i] = fn(i)
 	})
 	for _, err := range errs {
@@ -115,6 +99,81 @@ func MapErr[T any](workers, n int, fn func(task int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// Ahead is how many blocks per worker an Ordered run keeps in flight
+// (claimed, not yet merged), so a slow block holds up the others only this
+// far. Two-worker stuck-at campaigns took the same time at 2, 4, 8 and 16
+// (EXPERIMENTS.md, "Claimed wide blocks in the stuck-at campaign").
+const Ahead = 4
+
+// Blocks is what an Ordered run does with each block.
+type Blocks interface {
+	// Claim takes block b for worker. It runs under the run's lock, in
+	// block order, once block b-Ahead·w is merged, so a caller can keep
+	// its blocks in flight in a ring of Ahead·w slots, indexed by b mod
+	// Ahead·w.
+	Claim(b, worker int)
+	// Run runs block b on the worker that claimed it, without the lock.
+	Run(b, worker int)
+	// Merge applies block b under the lock, strictly in block order, and
+	// reports whether the run stops: once it does, no block is claimed or
+	// merged, and blocks claimed but not merged are dropped.
+	Merge(b int) (stop bool)
+}
+
+// Ordered runs blocks in parallel and merges them in block order. Its zero
+// value is ready to use, and one Ordered may run any number of times,
+// though not concurrently; it lives in its caller's storage, so a run
+// allocates nothing per block.
+type Ordered struct {
+	mu      sync.Mutex
+	ready   sync.Cond // signalled when a block is merged or the run stops
+	claimed int       // blocks claimed
+	merged  int       // blocks merged
+	stop    bool      // a merge stopped the run
+	ran     []bool    // per ring slot: its block has run and awaits its merge
+}
+
+// Run runs blocks [0, n) of bl on min(w, n) workers (w at least 1), fanned
+// out by the package's Run, and returns once the last block is merged or a
+// merge stops the run. With one worker each block is claimed, run and
+// merged in turn on the calling goroutine.
+func (o *Ordered) Run(w, n int, bl Blocks) {
+	w = min(w, n)
+	o.claimed, o.merged, o.stop = 0, 0, false
+	o.ran = slices.Grow(o.ran[:0], Ahead*w)[:Ahead*w]
+	clear(o.ran)
+	o.ready.L = &o.mu
+	Run(w, w, func(worker, _ int) { o.work(worker, n, bl) })
+}
+
+// work claims, runs and merges blocks below n until none is left or the
+// run has stopped. It runs the blocks without the lock.
+func (o *Ordered) work(worker, n int, bl Blocks) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for {
+		for o.claimed < n && o.claimed-o.merged >= len(o.ran) && !o.stop {
+			o.ready.Wait()
+		}
+		if o.claimed == n || o.stop {
+			return
+		}
+		b := o.claimed
+		o.claimed++
+		bl.Claim(b, worker)
+		o.mu.Unlock()
+		bl.Run(b, worker)
+		o.mu.Lock()
+		o.ran[b%len(o.ran)] = true
+		for !o.stop && o.ran[o.merged%len(o.ran)] {
+			o.ran[o.merged%len(o.ran)] = false
+			o.stop = bl.Merge(o.merged)
+			o.merged++
+		}
+		o.ready.Broadcast()
+	}
 }
 
 // SeedFor derives a deterministic RNG seed from a base seed and a string
@@ -142,7 +201,8 @@ func SeedFor(base int64, key string) int64 {
 // alone in two loops, with no call per value.
 type Stream struct {
 	ring [streamLen]uint64
-	pos  int // values of ring already handed out
+	pos  int           // values of ring already handed out
+	src  rand.Source64 // primes ring; made on the first Seed (about 5 KB)
 }
 
 const (
@@ -150,17 +210,16 @@ const (
 	streamTap = 273 // its shorter lag
 )
 
-// sources are math/rand sources for priming streams (about 5 KB each).
-var sources = sync.Pool{New: func() any { return rand.NewSource(0).(rand.Source64) }}
-
 // Seed restarts s at the first value of rand.NewSource(seed).
 func (s *Stream) Seed(seed int64) {
-	src := sources.Get().(rand.Source64)
-	src.Seed(seed)
-	for i := range s.ring {
-		s.ring[i] = src.Uint64()
+	if s.src == nil {
+		s.src = rand.NewSource(seed).(rand.Source64)
+	} else {
+		s.src.Seed(seed)
 	}
-	sources.Put(src)
+	for i := range s.ring {
+		s.ring[i] = s.src.Uint64()
+	}
 	s.pos = 0
 }
 

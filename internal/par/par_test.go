@@ -2,13 +2,11 @@ package par
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"compsynth/internal/obs"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -27,7 +25,7 @@ func TestRunCoversEveryTaskOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 8, 100} {
 		const n = 537
 		var hits [n]atomic.Int32
-		Run(nil, "test", w, n, func(worker, task int) {
+		Run(w, n, func(worker, task int) {
 			if worker < 0 || worker >= w {
 				t.Errorf("worker %d out of range [0,%d)", worker, w)
 			}
@@ -42,7 +40,7 @@ func TestRunCoversEveryTaskOnce(t *testing.T) {
 }
 
 func TestRunZeroTasks(t *testing.T) {
-	Run(nil, "test", 4, 0, func(worker, task int) {
+	Run(4, 0, func(worker, task int) {
 		t.Fatal("task ran")
 	})
 }
@@ -80,54 +78,18 @@ func TestMapErrReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestRunRecordsSpan(t *testing.T) {
-	tr := obs.NewTracer()
-	tr.TrackAllocs = false
-	Run(tr, "par.test", 4, 16, func(worker, task int) {})
-	spans := tr.Export()
-	if runtime.GOMAXPROCS(0) == 1 && len(spans) == 0 {
-		// Single-proc environments may still fan out: Workers(4) = 4.
-		t.Fatal("no span recorded")
-	}
-	if len(spans) != 1 || spans[0].Name != "par.test" {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[0].Attrs["workers"] != int64(4) || spans[0].Attrs["tasks"] != int64(16) {
-		t.Fatalf("attrs = %v", spans[0].Attrs)
-	}
-	// The per-worker tallies sum to the task count, however the claims
-	// were distributed.
-	var sum int64
-	for wk := 0; wk < 4; wk++ {
-		n, _ := spans[0].Attrs[fmt.Sprintf("worker%d_tasks", wk)].(int64)
-		sum += n
-	}
-	if sum != 16 {
-		t.Fatalf("workerN_tasks sum to %d, want 16 (attrs %v)", sum, spans[0].Attrs)
-	}
-}
-
-func TestRunSerialRecordsNoSpan(t *testing.T) {
-	tr := obs.NewTracer()
-	Run(tr, "par.test", 1, 4, func(worker, task int) {})
-	if got := len(tr.Export()); got != 0 {
-		t.Fatalf("serial Run recorded %d spans", got)
-	}
-}
-
-// TestRunUntracedAllocs pins that an untraced fan-out allocates only for
-// its goroutines and bookkeeping: the per-worker task tallies are named
-// for a span, and without one no name is formatted.
+// TestRunUntracedAllocs pins that a fan-out allocates only for its
+// goroutines and bookkeeping, and nothing per task.
 func TestRunUntracedAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		max     float64
-	}{{2, 7}, {8, 19}} {
+	}{{2, 6}, {8, 18}} {
 		allocs := testing.AllocsPerRun(50, func() {
-			Run(nil, "par.test", tc.workers, tc.workers, func(worker, task int) {})
+			Run(tc.workers, tc.workers, func(worker, task int) {})
 		})
 		if allocs > tc.max {
-			t.Errorf("Run(nil, %d workers, %d tasks): %v allocs, want at most %v",
+			t.Errorf("Run(%d workers, %d tasks): %v allocs, want at most %v",
 				tc.workers, tc.workers, allocs, tc.max)
 		}
 	}
@@ -164,5 +126,98 @@ func TestSeedForStableAndDistinct(t *testing.T) {
 	}
 	if a1 == b || a1 == c {
 		t.Fatalf("SeedFor collisions: %d %d %d", a1, b, c)
+	}
+}
+
+// pipeline records an Ordered run and checks its contract as it goes:
+// Claim and Merge run under the run's lock, so they keep the record. Each
+// Run yields a number of times drawn at claim time, and now and then
+// sleeps 5 ms instead, so fast blocks pile up behind a slow one.
+type pipeline struct {
+	t       *testing.T
+	w, n    int
+	stopAt  int // the block whose Merge stops the run; -1 for none
+	rng     *rand.Rand
+	delay   []int  // per block, drawn at claim time: yields, or -1 to sleep
+	by      []int  // per block: the worker that claimed it
+	ran     []bool // per block: its Run returned
+	claimed int
+	merged  int
+	stopped bool
+	most    int // the most blocks claimed and unmerged at once
+}
+
+func (p *pipeline) Claim(b, worker int) {
+	if b != p.claimed || p.stopped || worker < 0 || worker >= p.w {
+		p.t.Errorf("w=%d n=%d: claim of block %d by worker %d after %d claims (stopped %v)", p.w, p.n, b, worker, p.claimed, p.stopped)
+		return
+	}
+	p.claimed++
+	p.most = max(p.most, p.claimed-p.merged)
+	if p.claimed-p.merged > Ahead*p.w {
+		p.t.Errorf("w=%d n=%d: %d blocks claimed and unmerged, at most %d allowed", p.w, p.n, p.claimed-p.merged, Ahead*p.w)
+	}
+	p.by[b] = worker
+	p.delay[b] = p.rng.Intn(20)
+	if p.rng.Intn(16) == 0 {
+		p.delay[b] = -1
+	}
+}
+
+func (p *pipeline) Run(b, worker int) {
+	if p.by[b] != worker {
+		p.t.Errorf("w=%d n=%d: block %d claimed by worker %d runs on worker %d", p.w, p.n, b, p.by[b], worker)
+	}
+	if p.delay[b] < 0 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	for range p.delay[b] {
+		runtime.Gosched()
+	}
+	p.ran[b] = true
+}
+
+func (p *pipeline) Merge(b int) bool {
+	if b != p.merged || p.stopped || !p.ran[b] {
+		p.t.Errorf("w=%d n=%d: merge of block %d after %d merges (stopped %v, ran %v)", p.w, p.n, b, p.merged, p.stopped, p.ran[b])
+	}
+	p.merged++
+	p.stopped = b == p.stopAt
+	return p.stopped
+}
+
+// TestOrderedContract drives one Ordered through runs of 0 to 300 blocks
+// on 1 to 8 workers, some stopped by a merge: claims come in block order,
+// each block runs on the worker that claimed it and is merged strictly in
+// block order after it ran, and never more than Ahead·w blocks are claimed
+// and unmerged. A stop ends claiming and merging, and the blocks claimed
+// but unmerged are dropped. One worker keeps one block in flight.
+func TestOrderedContract(t *testing.T) {
+	var o Ordered
+	for _, tc := range []struct{ w, n, stopAt int }{
+		{1, 0, -1}, {4, 0, -1}, {1, 9, -1}, {1, 9, 4}, {2, 1, -1}, {3, 2, -1},
+		{2, 300, -1}, {3, 300, -1}, {8, 300, -1}, {2, 300, 0}, {4, 300, 37}, {8, 300, 150},
+	} {
+		p := &pipeline{t: t, w: tc.w, n: tc.n, stopAt: tc.stopAt, rng: rand.New(rand.NewSource(int64(tc.n + tc.w))),
+			delay: make([]int, tc.n), by: make([]int, tc.n), ran: make([]bool, tc.n)}
+		o.Run(tc.w, tc.n, p)
+		want := tc.n
+		if tc.stopAt >= 0 {
+			want = tc.stopAt + 1
+		}
+		if p.merged != want {
+			t.Errorf("w=%d n=%d stop at %d: %d blocks merged, want %d", tc.w, tc.n, tc.stopAt, p.merged, want)
+		}
+		for b, ran := range p.ran {
+			if ran != (b < p.claimed) {
+				t.Errorf("w=%d n=%d: block %d ran %v after %d claims", tc.w, tc.n, b, ran, p.claimed)
+			}
+		}
+		switch {
+		case tc.w == 1 && p.most > 1:
+			t.Errorf("one worker: %d blocks in flight", p.most)
+		case tc.n == 300 && tc.stopAt != 0 && p.most != Ahead*tc.w:
+			t.Errorf("w=%d: at most %d blocks in flight, want the bound %d reached", tc.w, p.most, Ahead*tc.w)
+		}
 	}
 }

@@ -46,15 +46,16 @@ fi
 
 echo "== go test -race =="
 # The race detector carries the fan-out purity contract: every par fan-out
-# seam (the faultsim block sweepers, the delay walkers and the exper
-# par.MapErr calls) has a test that runs it at a fixed worker count above 1
-# against serial, so a task that writes shared state fails here. It needs
-# two or more Ps: at GOMAXPROCS=1 an injected write in a Table 3 task went
-# unseen (README "Static analysis"). The second run puts the campaigns'
-# claim, draw and merge locks and the exper fan-outs on two Ps even where
-# the host has one CPU.
+# seam (the stuck-at and path-delay campaigns on par.Ordered, the sweep of
+# the stuck-at campaign's first wide block and the exper par.MapErr calls)
+# has a test that runs it at a fixed worker count above 1 against serial,
+# so a task that writes shared state fails here. It needs two or more Ps:
+# at GOMAXPROCS=1 an injected write in a Table 3 task went unseen (README
+# "Static analysis"). The second run puts par.Ordered's lock, with the
+# campaigns' claims, draws and merges under it, its own contract test and
+# the exper fan-outs on two Ps even where the host has one CPU.
 go test -race ./...
-go test -race -cpu 2 ./internal/faultsim ./internal/delay ./internal/exper
+go test -race -cpu 2 ./internal/par ./internal/faultsim ./internal/delay ./internal/exper
 
 echo "== fuzz smoke =="
 # A few seconds of parser fuzzing (FuzzParseBench): replays the committed
